@@ -16,13 +16,13 @@ from .harness import ExperimentReport, ExperimentSpec, compare_formats, run_expe
 from .model import ModelConfig, RTNet, load_checkpoint, save_checkpoint
 from .norm import (BatchNormParams, LayerNormParams, WeightNormParam, batch_norm,
                    layer_norm, weight_norm_effective)
-from .optim import Adam, AdamState, adam_step
-from .relation import (RelationMatrix, apply_relation, bic_score, cos_relation_matrix,
-                       gaussian_log_likelihood, threshold_and_standardize)
+from .optim import Adam
+from .relation import (bic_score, cos_relation_matrix, gaussian_log_likelihood,
+                       threshold_and_standardize)
 from .tensor import GradTape, Tensor, backward
 from .training import (AugmentSpec, ContrastiveBatch, TrainConfig, TrainResult,
                        augment, contrastive_loss, early_stop, evaluate,
-                       make_contrastive_batch, mse_loss_vector,
-                       sample_batch_condition1, train_contrastive, train_end_to_end)
+                       make_contrastive_batch, sample_batch_condition1,
+                       train_contrastive, train_end_to_end)
 
 __version__ = "0.1.0"

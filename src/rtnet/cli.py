@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: relate, train, eval, sweep, pacf, experiment, plot.  All outputs
+Subcommands: relate, train, eval, sweep, pacf, experiment.  All outputs
 land under --out, stdout carries machine-readable JSON only (for `eval`), and
 human-readable logs go to stderr.  A lock file serializes invocations per
 output directory.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
@@ -13,29 +13,22 @@ import csv as csv_mod
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import harness
-from .data import SplitSpec, load_csv, split, standardize
-from .diagnostics import input_length_sweep, line_plot_svg, pacf, sweep_svg
+from .data import SplitSpec, load_csv, make_windows, split, standardize
+from .diagnostics import input_length_sweep, pacf, sweep_svg
 from .errors import ConfigError, RTNetError
-from .model import ModelConfig, RTNet, load_checkpoint, save_checkpoint
+from .model import RTNet, load_checkpoint, save_checkpoint
 from .relation import cos_relation_matrix, relation_csv, threshold_and_standardize
-from .training import TrainConfig, train_contrastive, train_end_to_end, evaluate
+from .training import train_contrastive, train_end_to_end, evaluate
 
 LOCK_NAME = ".rtnet.lock"
 
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    args: dict = field(default_factory=dict)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,20 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="ExperimentSpec JSON path")
     p.add_argument("--out", required=True)
     p.add_argument("--compare-formats", action="store_true")
-
-    p = sub.add_parser("plot", help="convert a sweep CSV into an SVG line plot")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
     return parser
 
 
-def parse_args(argv: list[str]) -> CliConfig:
-    """Validated CLI config; duplicated --seed warns and keeps the last value."""
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Validated CLI arguments; duplicated --seed warns and keeps the last value."""
     if sum(1 for a in argv if a == "--seed") > 1:
         log("warning: --seed given more than once; the last value wins")
-    ns = _build_parser().parse_args(argv)
-    return CliConfig(subcommand=ns.subcommand,
-                     args={k: v for k, v in vars(ns).items() if k != "subcommand"})
+    return _build_parser().parse_args(argv)
 
 
 class OutDirLock:
@@ -117,152 +104,113 @@ class OutDirLock:
             os.unlink(self.path)
 
 
-def _load_json(path: str) -> dict:
+def _load_job(path: str, extra: tuple[str, ...] = ()) -> dict:
+    """A train or sweep config file with its defaults filled in; unknown keys fail."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _strict_job(config: dict) -> dict:
-    allowed = {"task", "use_relation", "model", "train"}
-    unknown = set(config) - allowed
+        config = json.load(fh)
+    unknown = set(config) - {"task", "use_relation", "model", "train", *extra}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    job = {"task": "univariate", "use_relation": True, "model": {}, "train": {}}
-    job.update(config)
-    if job["task"] not in ("univariate", "multivariate"):
-        raise ConfigError(f"task must be univariate or multivariate, got {job['task']!r}")
-    return job
+    return {"task": "univariate", "use_relation": True, "model": {}, "train": {}, **config}
 
 
-def _prepare(data_path: str, split_mode: str, task: str):
-    ds = load_csv(data_path)
-    if task == "univariate":
-        ds = ds.select_variates([ds.target_index])
-    parts = split(ds, SplitSpec(mode=split_mode))
-    (train_ds, val_ds, test_ds), scaler = standardize(*parts, guard_eps=1e-8)
-    return train_ds, val_ds, test_ds, scaler
-
-
-def _resolve_configs(job: dict, fidelity: str, seed: int, n_variates: int):
-    spec = harness.ExperimentSpec(data_path="", pred_lengths=[24], seeds=[seed],
-                                  task=job["task"], fidelity=fidelity)
-    groups = n_variates if (job["task"] == "multivariate" and job["use_relation"]) else 1
-    model_d = harness._merged(harness.default_model_dict(spec, n_variates, groups),
-                              job["model"], "model")
-    model_d["n_variates"] = n_variates
-    model_d["groups"] = groups
-    train_d = harness._merged(harness.default_train_dict(spec), job["train"], "train")
-    train_d["seed"] = seed
-    mcfg = ModelConfig.from_dict(model_d)
-    tcfg = TrainConfig(**train_d)
-    tcfg.validate()
-    return mcfg, tcfg
-
-
-def _cmd_relate(args: dict) -> int:
-    ds = load_csv(args["data"])
-    train_ds, _, _ = split(ds, SplitSpec(mode=args["split_mode"]))
+def _cmd_relate(args: argparse.Namespace) -> int:
+    ds = load_csv(args.data)
+    train_ds, _, _ = split(ds, SplitSpec(mode=args.split_mode))
     (train_std,), _ = standardize(train_ds, guard_eps=1e-8)
     raw = cos_relation_matrix(train_std.values, train_std.variate_names)
-    processed = threshold_and_standardize(raw, args["theta"])
-    out = args["out"]
-    with open(os.path.join(out, "relation_raw.csv"), "w", encoding="utf-8") as fh:
+    processed = threshold_and_standardize(raw, args.theta)
+    with open(os.path.join(args.out, "relation_raw.csv"), "w", encoding="utf-8") as fh:
         fh.write(relation_csv(raw, train_std.variate_names))
-    with open(os.path.join(out, "relation_processed.csv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "relation_processed.csv"), "w", encoding="utf-8") as fh:
         fh.write(relation_csv(processed, train_std.variate_names))
-    log(f"wrote relation matrices for {len(train_std.variate_names)} variates to {out}")
+    log(f"wrote relation matrices for {len(train_std.variate_names)} variates to {args.out}")
     return 0
 
 
-def _cmd_train(args: dict) -> int:
-    job = _strict_job(_load_json(args["config"]))
-    train_ds, val_ds, test_ds, scaler = _prepare(args["data"], args["split_mode"], job["task"])
-    mcfg, tcfg = _resolve_configs(job, args["fidelity"], args["seed"], train_ds.n_variates)
-    relation = None
-    if job["task"] == "multivariate" and job["use_relation"]:
-        raw = cos_relation_matrix(train_ds.values, train_ds.variate_names)
-        relation = threshold_and_standardize(raw, mcfg.theta_degrees)
-    model = RTNet(mcfg, np.random.default_rng(args["seed"]), relation=relation)
-    trainer = train_contrastive if args["format"] == "contrastive" else train_end_to_end
-    log(f"training {args['format']} model: {mcfg}")
-    result = trainer(model, train_ds, val_ds, tcfg)
-    out = args["out"]
-    save_checkpoint(model, os.path.join(out, "checkpoint.rtnet"))
-    result.write_history_csv(os.path.join(out, "history.csv"))
-    with open(os.path.join(out, "scaler.json"), "w", encoding="utf-8") as fh:
+def _cmd_train(args: argparse.Namespace) -> int:
+    job = _load_job(args.config)
+    splits, scaler = harness.load_splits(args.data, args.split_mode, job["task"])
+    mcfg, tcfg, relation = harness.build_job(splits[0], job["task"], job["use_relation"],
+                                             args.fidelity, job["model"], job["train"],
+                                             args.seed)
+    model = RTNet(mcfg, np.random.default_rng(args.seed), relation=relation)
+    trainer = train_contrastive if args.format == "contrastive" else train_end_to_end
+    log(f"training {args.format} model: {mcfg}")
+    result = trainer(model, splits[0], splits[1], tcfg)
+    save_checkpoint(model, os.path.join(args.out, "checkpoint.rtnet"))
+    result.write_history_csv(os.path.join(args.out, "history.csv"))
+    with open(os.path.join(args.out, "scaler.json"), "w", encoding="utf-8") as fh:
         fh.write(scaler.to_json())
-    mse, mae = evaluate(model, test_ds)
+    mse, mae = evaluate(model, splits[2])
     log(f"best epoch {result.best_epoch}; test mse {mse:.6f}, mae {mae:.6f}")
     return 0
 
 
-def _cmd_eval(args: dict) -> int:
-    model = load_checkpoint(args["checkpoint"])
+def _cmd_eval(args: argparse.Namespace) -> int:
+    model = load_checkpoint(args.checkpoint)
     task = "univariate" if model.cfg.n_variates == 1 else "multivariate"
-    _, val_ds, test_ds, _ = _prepare(args["data"], args["split_mode"], task)
-    ds = val_ds if args["split"] == "val" else test_ds
+    (_, val_ds, test_ds), _ = harness.load_splits(args.data, args.split_mode, task)
+    ds = val_ds if args.split == "val" else test_ds
     mse, mae = evaluate(model, ds)
-    print(json.dumps({"split": args["split"], "mse": mse, "mae": mae}))
+    print(json.dumps({"split": args.split, "mse": mse, "mae": mae}))
     return 0
 
 
-def _cmd_sweep(args: dict) -> int:
-    config = _load_json(args["config"])
-    allowed = {"lengths", "seeds", "task", "use_relation", "model", "train"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
-    lengths = config.get("lengths")
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    job = _load_job(args.config, extra=("lengths", "seeds"))
+    lengths = job.get("lengths")
     if not lengths:
         raise ConfigError("sweep config needs a non-empty 'lengths' list")
-    seeds = config.get("seeds", [args["seed"]])
-    job = _strict_job({k: config[k] for k in ("task", "use_relation", "model", "train")
-                       if k in config})
-    train_ds, val_ds, test_ds, _ = _prepare(args["data"], args["split_mode"], job["task"])
+    seeds = job.get("seeds", [args.seed])
+    splits, _ = harness.load_splits(args.data, args.split_mode, job["task"])
+
+    def build(length: int, seed: int):
+        return harness.build_job(splits[0], job["task"], job["use_relation"], args.fidelity,
+                                 dict(job["model"], l_in=length), job["train"], seed)
 
     def admissible(length: int) -> bool:
-        job_l = dict(job, model=dict(job["model"], l_in=length))
         try:
-            mcfg, _ = _resolve_configs(job_l, args["fidelity"], 0, train_ds.n_variates)
-            return len(train_ds) >= mcfg.l_in + mcfg.l_out
+            mcfg, _, _ = build(length, 0)
+            for ds in splits:
+                make_windows(len(ds), mcfg.l_in, mcfg.l_out)
+            return True
         except RTNetError as exc:
             log(f"length {length} skipped: {exc}")
             return False
 
     def run_cell(length: int, seed: int) -> tuple[float, float]:
-        job_l = dict(job, model=dict(job["model"], l_in=length))
-        mcfg, tcfg = _resolve_configs(job_l, args["fidelity"], seed, train_ds.n_variates)
-        model = RTNet(mcfg, np.random.default_rng(seed))
-        trainer = train_contrastive if args["format"] == "contrastive" else train_end_to_end
-        trainer(model, train_ds, val_ds, tcfg)
-        return evaluate(model, test_ds)
+        mcfg, tcfg, relation = build(length, seed)
+        model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
+        trainer = train_contrastive if args.format == "contrastive" else train_end_to_end
+        trainer(model, splits[0], splits[1], tcfg)
+        return evaluate(model, splits[2])
 
     result = input_length_sweep([int(l) for l in lengths], [int(s) for s in seeds],
                                 run_cell, admissible)
-    out = args["out"]
-    with open(os.path.join(out, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv_mod.writer(fh)
         w.writerow(["length", "mean_mse", "std_mse", "mean_mae", "std_mae"])
         for row in result.rows():
             w.writerow([row["length"], row["mean_mse"], row["std_mse"],
                         row["mean_mae"], row["std_mae"]])
-    with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"rows": result.rows(), "best_length": result.best_length,
                    "near_best": result.near_best,
                    "skipped": [{"length": l, "reason": r} for l, r in result.skipped]},
                   fh, indent=2)
-    with open(os.path.join(out, "sweep.svg"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "sweep.svg"), "w", encoding="utf-8") as fh:
         fh.write(sweep_svg(result))
     log(f"sweep complete; best length {result.best_length}")
     return 0
 
 
-def _cmd_pacf(args: dict) -> int:
-    ds = load_csv(args["data"])
-    train_ds, _, _ = split(ds, SplitSpec(mode=args["split_mode"]))
+def _cmd_pacf(args: argparse.Namespace) -> int:
+    ds = load_csv(args.data)
+    train_ds, _, _ = split(ds, SplitSpec(mode=args.split_mode))
     series = train_ds.values[:, train_ds.target_index]
-    result = pacf(series, args["max_lag"])
-    out_path = os.path.join(args["out"], "pacf.csv")
+    result = pacf(series, args.max_lag)
+    out_path = os.path.join(args.out, "pacf.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         w = csv_mod.writer(fh)
         w.writerow(["lag", "phi_kk", "confidence_band"])
@@ -272,35 +220,18 @@ def _cmd_pacf(args: dict) -> int:
     return 0
 
 
-def _cmd_experiment(args: dict) -> int:
-    with open(args["spec"], encoding="utf-8") as fh:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    with open(args.spec, encoding="utf-8") as fh:
         spec = harness.ExperimentSpec.from_json(fh.read())
-    runner = harness.compare_formats if args["compare_formats"] else harness.run_experiment
+    runner = harness.compare_formats if args.compare_formats else harness.run_experiment
     report = runner(spec)
-    report.write(args["out"])
+    report.write(args.out)
     failed = [c for c in report.cells if c.status != "ok"]
     for c in failed:
         log(f"cell failed: axis={c.axis_value} pred={c.pred_len} seed={c.seed}: {c.reason}")
     if report.all_failed():
         raise RTNetError("every experiment cell failed")
     log(f"experiment complete: {len(report.cells) - len(failed)}/{len(report.cells)} cells ok")
-    return 0
-
-
-def _cmd_plot(args: dict) -> int:
-    with open(args["infile"], newline="", encoding="utf-8") as fh:
-        rows = list(csv_mod.DictReader(fh))
-    if not rows or "length" not in rows[0]:
-        raise ConfigError(f"{args['infile']} is not a sweep CSV")
-    xs = [float(r["length"]) for r in rows]
-    series = {"mean MSE": [float(r["mean_mse"]) for r in rows]}
-    if "mean_mae" in rows[0]:
-        series["mean MAE"] = [float(r["mean_mae"]) for r in rows]
-    svg = line_plot_svg(xs, series, "Forecast error vs input length", "input length", "error")
-    out_path = os.path.join(args["out"], "sweep.svg")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    log(f"wrote {out_path}")
     return 0
 
 
@@ -311,18 +242,17 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "pacf": _cmd_pacf,
     "experiment": _cmd_experiment,
-    "plot": _cmd_plot,
 }
 
 
-def dispatch(config: CliConfig) -> int:
+def dispatch(args: argparse.Namespace) -> int:
     """Run one subcommand: 0 on success, 1 on runtime failure."""
-    fn = _COMMANDS[config.subcommand]
+    fn = _COMMANDS[args.subcommand]
     try:
-        if "out" in config.args:
-            with OutDirLock(config.args["out"]):
-                return fn(config.args)
-        return fn(config.args)
+        if "out" in args:
+            with OutDirLock(args.out):
+                return fn(args)
+        return fn(args)
     except RTNetError as exc:
         log(f"error: {exc}")
         return 1
@@ -332,8 +262,7 @@ def dispatch(config: CliConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    return dispatch(config)
+    return dispatch(parse_args(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

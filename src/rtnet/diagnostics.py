@@ -163,5 +163,5 @@ def line_plot_svg(xs: list[float], series: dict[str, list[float]],
 
 def sweep_svg(result: SweepResult) -> str:
     return line_plot_svg([float(l) for l in result.lengths],
-                         {"mean MSE": result.mean_mse},
-                         "Forecast error vs input length", "input length", "MSE")
+                         {"mean MSE": result.mean_mse, "mean MAE": result.mean_mae},
+                         "Forecast error vs input length", "input length", "error")

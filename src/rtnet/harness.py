@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import SplitSpec, TimeSeriesDataset, load_csv, split, standardize
-from .errors import ConfigError, RTNetError
+from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, split,
+                   standardize)
+from .errors import ConfigError
 from .model import ModelConfig, RTNet
 from .relation import cos_relation_matrix, threshold_and_standardize
 from .training import TrainConfig, train_contrastive, train_end_to_end, evaluate
@@ -85,34 +86,62 @@ def _merged(defaults: dict, overrides: dict, what: str) -> dict:
     return out
 
 
-def default_model_dict(spec: ExperimentSpec, n_variates: int, groups: int) -> dict:
-    d_per_group = 8 if spec.fidelity == "desk" else 32
-    return {
-        "l_in": 168,
-        "l_out": 24,
-        "n_variates": n_variates,
-        "d_channels": d_per_group * groups,
-        "blocks": 3,
-        "groups": groups,
-        "n_time": 6,
-        "time_mode": "none",
-        "theta_degrees": spec.theta_degrees,
-        "norm_kind": "wn",
-        "dropout": 0.1,
-        "kernel": 3,
-    }
+def load_splits(path: str, split_mode: str, task: str
+                ) -> tuple[list[TimeSeriesDataset], Standardizer]:
+    """Train/val/test splits of a CSV, standardized with train statistics.
+
+    A univariate task keeps only the target variate.
+    """
+    ds = load_csv(path)
+    if task == "univariate":
+        ds = ds.select_variates([ds.target_index])
+    parts = split(ds, SplitSpec(mode=split_mode))
+    return standardize(*parts, guard_eps=1e-8)
 
 
-def default_train_dict(spec: ExperimentSpec) -> dict:
-    if spec.fidelity == "paper":
-        return {"epochs": 20, "batch_size": 16, "stage1_batch_size": 64,
-                "stage2_batch_size": 16, "lr": 1e-4, "patience": 3, "alpha": 4.0,
-                "n_augments": 3, "beta": 0.2, "seed": 0,
-                "max_steps_per_epoch": None, "stage1_epochs": None}
-    return {"epochs": 3, "batch_size": 16, "stage1_batch_size": 64,
-            "stage2_batch_size": 16, "lr": 1e-3, "patience": 2, "alpha": 4.0,
-            "n_augments": 3, "beta": 0.2, "seed": 0,
-            "max_steps_per_epoch": 120, "stage1_epochs": None}
+# Desk fidelity shrinks the published budget (TrainConfig's defaults) to
+# laptop scale.  The default width is this many channels per variate of a
+# multivariate task.
+_DESK_TRAIN = {"epochs": 3, "lr": 1e-3, "patience": 2, "max_steps_per_epoch": 120}
+_CHANNELS_PER_VARIATE = {"desk": 8, "paper": 32}
+
+
+def build_job(train_ds: TimeSeriesDataset, task: str, use_relation: bool,
+              fidelity: str, model: dict, train: dict, seed: int
+              ) -> tuple[ModelConfig, TrainConfig, np.ndarray | None]:
+    """Resolve one job into model and training configs plus its relation matrix.
+
+    The only place that decides the grouping, the fidelity defaults and the
+    relation matrix.  A multivariate job with the relation matrix gets one
+    group per variate; every other job is a single fully mixed group.  The
+    default width scales with the variate count of a multivariate task either
+    way, so the relation ablation compares networks of equal width.
+    """
+    if task not in ("univariate", "multivariate"):
+        raise ConfigError(f"task must be univariate or multivariate, got {task!r}")
+    n = train_ds.n_variates
+    use_relation = use_relation and task == "multivariate"
+    groups = n if use_relation else 1
+    width = _CHANNELS_PER_VARIATE[fidelity] * (n if task == "multivariate" else 1)
+    defaults = asdict(ModelConfig(l_in=168, l_out=24, n_variates=n, d_channels=width))
+    model_d = _merged(defaults, model, "model")
+    model_d["n_variates"] = n
+    model_d["groups"] = groups
+    mcfg = ModelConfig.from_dict(model_d)
+
+    defaults = asdict(TrainConfig())
+    if fidelity == "desk":
+        defaults.update(_DESK_TRAIN)
+    train_d = _merged(defaults, train, "train")
+    train_d["seed"] = seed
+    tcfg = TrainConfig(**train_d)
+    tcfg.validate()
+
+    relation = None
+    if use_relation:
+        raw = cos_relation_matrix(train_ds.values, train_ds.variate_names)
+        relation = threshold_and_standardize(raw, mcfg.theta_degrees)
+    return mcfg, tcfg, relation
 
 
 @dataclass
@@ -160,70 +189,26 @@ class ExperimentReport:
             os.replace(tmp, path)
 
 
-@dataclass
-class PreparedData:
-    train: TimeSeriesDataset
-    val: TimeSeriesDataset
-    test: TimeSeriesDataset
-    n_variates: int
-
-
-def prepare_data(spec: ExperimentSpec) -> PreparedData:
-    ds = load_csv(spec.data_path)
-    if spec.task == "univariate":
-        ds = ds.select_variates([ds.target_index])
-    train_ds, val_ds, test_ds = split(ds, SplitSpec(mode=spec.split_mode))
-    (train_ds, val_ds, test_ds), _ = standardize(train_ds, val_ds, test_ds, guard_eps=1e-8)
-    return PreparedData(train_ds, val_ds, test_ds, ds.n_variates)
-
-
-def _cell_configs(spec: ExperimentSpec, data: PreparedData, axis_value,
-                  pred_len: int, seed: int) -> tuple[ModelConfig, TrainConfig, np.ndarray | None]:
-    n = data.n_variates
-    base_groups = n if spec.task == "multivariate" else 1
-    use_relation = spec.task == "multivariate"
-    groups = base_groups
-    if spec.ablation == "relation":
-        # the relation arm pairs the mixing matrix with grouped layers; the
-        # bare arm is the conventional fully mixed network at equal width
-        use_relation = bool(axis_value)
-        groups = n if use_relation else 1
-
-    model_d = _merged(default_model_dict(spec, n, base_groups), spec.model, "model")
-    model_d["n_variates"] = n
-    model_d["groups"] = groups
-    model_d["l_out"] = pred_len
-    if spec.ablation == "norm_kind":
-        model_d["norm_kind"] = axis_value
-    elif spec.ablation == "input_length":
-        model_d["l_in"] = int(axis_value)
-    elif spec.ablation == "time_mode":
-        model_d["time_mode"] = axis_value
-
-    train_d = _merged(default_train_dict(spec), spec.train, "train")
-    train_d["seed"] = seed
-    mcfg = ModelConfig.from_dict(model_d)
-    tcfg = TrainConfig(**train_d)
-    tcfg.validate()
-
-    relation = None
-    if use_relation:
-        raw = cos_relation_matrix(data.train.values, data.train.variate_names)
-        relation = threshold_and_standardize(raw, mcfg.theta_degrees)
-    return mcfg, tcfg, relation
-
-
-def run_cell(spec: ExperimentSpec, data: PreparedData, axis_value, pred_len: int,
-             seed: int, fmt: str | None = None) -> CellResult:
+def run_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
+             pred_len: int, seed: int, fmt: str | None = None) -> CellResult:
     cell = CellResult(axis_value=axis_value, pred_len=pred_len, seed=seed)
     start = time.monotonic()
     try:
-        mcfg, tcfg, relation = _cell_configs(spec, data, axis_value, pred_len, seed)
+        overrides = {"theta_degrees": spec.theta_degrees, **spec.model, "l_out": pred_len}
+        use_relation = True  # multivariate cells mix unless the relation arm is off
+        if spec.ablation == "relation":
+            use_relation = bool(axis_value)
+        elif spec.ablation == "input_length":
+            overrides["l_in"] = int(axis_value)
+        elif spec.ablation is not None:
+            overrides[spec.ablation] = axis_value
+        mcfg, tcfg, relation = build_job(splits[0], spec.task, use_relation, spec.fidelity,
+                                         overrides, spec.train, seed)
         model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
         trainer = train_contrastive if (fmt or spec.format) == "contrastive" else train_end_to_end
-        trainer(model, data.train, data.val, tcfg)
-        cell.mse, cell.mae = evaluate(model, data.test)
-    except RTNetError as exc:
+        trainer(model, splits[0], splits[1], tcfg)
+        cell.mse, cell.mae = evaluate(model, splits[2])
+    except Exception as exc:  # one failed cell is recorded; the experiment goes on
         cell.status = "failed"
         cell.reason = f"{type(exc).__name__}: {exc}"
     cell.seconds = time.monotonic() - start
@@ -271,9 +256,9 @@ def _run_cells(jobs: list[tuple], fn) -> list:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Train/evaluate every (ablation value, prediction length, seed) cell."""
     spec.validate()
-    data = prepare_data(spec)
+    splits, _ = load_splits(spec.data_path, spec.split_mode, spec.task)
     values = spec.ablation_values if spec.ablation is not None else [spec.format]
-    jobs = [(spec, data, v, pl, s)
+    jobs = [(spec, splits, v, pl, s)
             for v in values for pl in spec.pred_lengths for s in spec.seeds]
     cells = _run_cells(jobs, run_cell)
     return ExperimentReport(spec=asdict(spec), cells=cells, summary=_summarize(cells))
@@ -284,8 +269,8 @@ def compare_formats(spec: ExperimentSpec) -> ExperimentReport:
     spec.validate()
     if spec.ablation is not None:
         raise ConfigError("compare_formats does not take an ablation axis")
-    data = prepare_data(spec)
-    jobs = [(spec, data, fmt, pl, s, fmt)
+    splits, _ = load_splits(spec.data_path, spec.split_mode, spec.task)
+    jobs = [(spec, splits, fmt, pl, s, fmt)
             for fmt in ("e2e", "contrastive")
             for pl in spec.pred_lengths for s in spec.seeds]
     cells = _run_cells(jobs, run_cell)

@@ -391,13 +391,6 @@ class RTNet:
             p.requires_grad = False
         self.cpn_frozen = True
 
-    def state_checksum(self, names: set[str] | None = None) -> float:
-        total = 0.0
-        for name, p in self.named_parameters():
-            if names is None or name in names:
-                total += float(np.abs(p.data).sum())
-        return total
-
 
 # ---------------------------------------------------------------------------
 # checkpoints: magic, JSON header, raw float64 buffers

@@ -2,84 +2,57 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .tensor import Tensor
 
 
-@dataclass
-class AdamState:
-    """Step counter and per-parameter moment estimates."""
-
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
-
-    def init_moments(self, params: list[Tensor]) -> None:
-        self.first_moment = [np.zeros_like(p.data) for p in params]
-        self.second_moment = [np.zeros_like(p.data) for p in params]
-
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
-              names: list[str] | None = None) -> AdamState:
-    """One Adam update over all parameters, in place.
-
-    Aborts with the offending parameter's name on any non-finite gradient.
-    """
-    if len(params) != len(grads):
-        raise DimensionError(f"adam_step: {len(params)} params but {len(grads)} grads")
-    if not state.first_moment:
-        state.init_moments(params)
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise DimensionError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape}")
-        if not np.all(np.isfinite(g)):
-            label = names[i] if names else (p.name or f"param[{i}]")
-            raise NumericalError(f"non-finite gradient in parameter {label!r}")
-        m = state.first_moment[i]
-        v = state.second_moment[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        with np.errstate(over="ignore"):  # overflow is detected and raised below
-            v *= b2
-            v += (1.0 - b2) * g * g
-        if not np.all(np.isfinite(v)):
-            # finite gradients can still overflow when squared; a non-finite
-            # moment would otherwise freeze this parameter silently forever
-            label = names[i] if names else (p.name or f"param[{i}]")
-            raise NumericalError(f"diverged second moment in parameter {label!r}")
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return state
-
-
 class Adam:
-    """Convenience wrapper binding an AdamState to a named parameter list."""
+    """Adam over a named parameter list, updated in place.
+
+    Aborts with the offending parameter's name on a missing, misshapen or
+    non-finite gradient, and on a second moment that overflowed.
+    """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        self.state.init_moments(self.params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        grads = []
         for name, p in zip(self.names, self.params):
             if p.grad is None:
                 raise NumericalError(f"parameter {name!r} has no gradient; run backward first")
-            grads.append(p.grad)
-        adam_step(self.params, grads, self.state, self.names)
+        self.step_count += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        for name, p, m, v in zip(self.names, self.params, self.first_moment,
+                                 self.second_moment):
+            g = p.grad
+            if g.shape != p.data.shape:
+                raise DimensionError(f"adam: grad shape {g.shape} != shape {p.data.shape} "
+                                     f"of parameter {name!r}")
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"non-finite gradient in parameter {name!r}")
+            m *= b1
+            m += (1.0 - b1) * g
+            with np.errstate(over="ignore"):  # overflow is detected and raised below
+                v *= b2
+                v += (1.0 - b2) * g * g
+            if not np.all(np.isfinite(v)):
+                # finite gradients can still overflow when squared; a non-finite
+                # moment would otherwise freeze this parameter silently forever
+                raise NumericalError(f"diverged second moment in parameter {name!r}")
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -10,34 +10,9 @@ are directly comparable to the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .tensor import Tensor, matmul_const
-
-
-@dataclass
-class RelationMatrix:
-    raw: np.ndarray
-    theta_degrees: float
-    processed: np.ndarray | None = None
-    column_normalized: bool = False
-    names: list[str] | None = None
-
-    def validate(self) -> None:
-        n = self.raw.shape[0]
-        if self.raw.shape != (n, n):
-            raise DimensionError(f"relation matrix must be square, got {self.raw.shape}")
-        if not np.allclose(self.raw, self.raw.T, atol=1e-12):
-            raise DataError("raw relation matrix is not symmetric")
-        if not np.allclose(np.diag(self.raw), 1.0, atol=1e-12):
-            raise DataError("raw relation matrix diagonal is not 1")
-        if self.column_normalized:
-            sums = self.processed.sum(axis=0)
-            if not np.allclose(sums, 1.0, atol=1e-9):
-                raise DataError(f"processed columns do not sum to 1: {sums}")
 
 
 def cos_relation_matrix(series: np.ndarray, names: list[str] | None = None) -> np.ndarray:
@@ -66,15 +41,6 @@ def threshold_and_standardize(raw: np.ndarray, theta_degrees: float) -> np.ndarr
     # the unit diagonal always survives the threshold, so no column can vanish
     assert np.all(col_sums > 0.0), "relation column summed to zero"
     return kept / col_sums
-
-
-def apply_relation(x: Tensor, processed: np.ndarray) -> Tensor:
-    """Mix variates of a (B, L_in, N) window: output variate i = sum_j x_j * w_ji."""
-    processed = np.asarray(processed, dtype=np.float64)
-    if x.data.ndim != 3 or x.data.shape[-1] != processed.shape[0]:
-        raise DimensionError(
-            f"apply_relation: window {x.data.shape} vs matrix {processed.shape}")
-    return matmul_const(x, processed)
 
 
 def bic_score(m: int, k: int, log_likelihood: float) -> float:

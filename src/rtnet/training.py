@@ -1,10 +1,11 @@
-"""Training loops, losses, augmentation, and the overlap-limited batch sampler.
+"""Losses, augmentation, the overlap-limited batch sampler, and the fit loop.
 
 End-to-end training backpropagates the sum of per-variate MSE losses; with
 grouped layers this is gradient-identical to backpropagating each variate's
 loss through its own group.  Contrastive training runs in two stages: the
 pyramid learns window representations against an overlap-limited minibatch,
 then the pyramid is frozen and only the projection heads fit the targets.
+Both formats, and both contrastive stages, run the same loop.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def augment(window: np.ndarray, spec: AugmentSpec,
     if spec.kind == "jittering":
         return window + rng.uniform(-spec.beta, spec.beta, window.shape)
     return window * (1.0 + rng.uniform(-spec.beta, spec.beta))
-
-
-def mse_loss_vector(pred: Tensor, truth: np.ndarray) -> Tensor:
-    """Per-variate mean squared error, length N; backward uses the entry sum."""
-    return mse_per_variate(pred, truth)
 
 
 def max_condition1_batch(n_rows: int, l_in: int, alpha: float) -> tuple[int, int]:
@@ -116,14 +112,6 @@ class ContrastiveBatch:
     @property
     def total_instances(self) -> int:
         return (1 + self.n_augments) * self.n_windows
-
-    def augment_mask(self) -> np.ndarray:
-        """(B, total) 0/1 matrix marking each window's augmented instances."""
-        b, i = self.n_windows, self.n_augments
-        mask = np.zeros((b, self.total_instances))
-        for m in range(b):
-            mask[m, b + m * i: b + (m + 1) * i] = 1.0
-        return mask
 
 
 def make_contrastive_batch(ds: TimeSeriesDataset, batch: int, l_in: int, alpha: float,
@@ -194,6 +182,10 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps_per_epoch is not None and self.max_steps_per_epoch < 1:
+            # every epoch takes a step, so its mean loss is defined
+            raise ConfigError(f"max_steps_per_epoch must be >= 1, "
+                              f"got {self.max_steps_per_epoch}")
 
 
 def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
@@ -271,68 +263,90 @@ def evaluate(model: RTNet, ds: TimeSeriesDataset, batch_size: int = 64) -> tuple
     return se / count, ae / count
 
 
-def _epoch_batches(n_windows: int, batch_size: int, rng: np.random.Generator,
-                   max_steps: int | None):
-    steps = n_windows // batch_size
+def _window_batches(model: RTNet, ds: TimeSeriesDataset, batch_size: int,
+                    rng: np.random.Generator, max_steps: int | None):
+    """Per-epoch source of shuffled supervised batches, each gathered just before its step."""
+    mcfg = model.cfg
+    offsets = make_windows(len(ds), mcfg.l_in, mcfg.l_out)
+    steps = offsets.size // batch_size
     if steps < 1:
-        raise ConfigError(f"batch size {batch_size} exceeds the {n_windows} "
+        raise ConfigError(f"batch size {batch_size} exceeds the {offsets.size} "
                           "available training windows")
-    order = rng.permutation(n_windows)
     if max_steps is not None:
         steps = min(steps, max_steps)
-    for s in range(steps):
-        yield order[s * batch_size:(s + 1) * batch_size]
+
+    def epoch():
+        order = rng.permutation(offsets.size)
+        for s in range(steps):
+            yield gather_batch(ds, offsets[order[s * batch_size:(s + 1) * batch_size]],
+                               mcfg.l_in, mcfg.l_out,
+                               with_marks=mcfg.time_mode == "decoupled",
+                               with_input_marks=mcfg.time_mode == "input")
+    return epoch
+
+
+def _mse_step(model: RTNet, rng: np.random.Generator, detach_features: bool = False):
+    """Supervised step loss: per-variate MSE, backpropagated through its sum."""
+    def step_loss(wb):
+        pred = model.forward(wb.inputs, wb.time_marks, training=True, rng=rng,
+                             detach_features=detach_features, input_marks=wb.input_marks)
+        loss_vec = mse_per_variate(pred, wb.targets)
+        return sum_axis(loss_vec), loss_vec.data
+    return step_loss
+
+
+def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, step_loss,
+         validate, result: TrainResult, label: str, stage: int | None = None) -> None:
+    """Fit ``named_params`` with Adam, validating after every epoch.
+
+    ``batches()`` yields one epoch's batches lazily; ``step_loss(batch)``
+    returns the scalar to backpropagate and the per-variate losses to report;
+    ``validate()`` returns (val_mse, val_mae).  Stops once the best validation
+    value is ``cfg.patience`` epochs old and leaves the model at its best state.
+    """
+    opt = Adam(list(named_params), lr=cfg.lr)
+    best_state = _snapshot(model)
+    val_history: list[float] = []
+    for epoch in range(epochs):
+        epoch_loss = 0.0
+        steps = 0
+        for batch in batches():
+            with GradTape() as tape:
+                total, per_variate = step_loss(batch)
+            if not np.isfinite(total.item()):
+                raise NumericalError(f"{label} diverged: non-finite loss at "
+                                     f"epoch {epoch}, step {steps}")
+            opt.zero_grad()
+            backward(tape, total, params=opt.params)
+            opt.step()
+            epoch_loss += per_variate
+            steps += 1
+
+        val_mse, val_mae = validate()
+        val_history.append(val_mse)
+        result.history.append(_history_row(epoch, epoch_loss / steps, val_mse, val_mae,
+                                           stage))
+        stop, best = early_stop(val_history, cfg.patience)
+        if best == epoch:
+            best_state = _snapshot(model)
+            result.best_epoch = epoch
+            result.best_val_mse = val_mse
+        if stop:
+            break
+    _restore(model, best_state)
 
 
 def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeriesDataset,
                      cfg: TrainConfig) -> TrainResult:
     """Single-stage supervised training with per-variate MSE and early stopping."""
     cfg.validate()
-    mcfg = model.cfg
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    shuffle_rng = np.random.default_rng(seeds[0])
-    drop_rng = np.random.default_rng(seeds[1])
-    offsets = make_windows(len(train_ds), mcfg.l_in, mcfg.l_out)
-    opt = Adam(list(model.named_parameters()), lr=cfg.lr)
+    shuffle_seed, drop_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    batches = _window_batches(model, train_ds, cfg.batch_size,
+                              np.random.default_rng(shuffle_seed), cfg.max_steps_per_epoch)
     result = TrainResult()
-    best_state = _snapshot(model)
-    val_history: list[float] = []
-
-    for epoch in range(cfg.epochs):
-        epoch_loss = np.zeros(mcfg.n_variates)
-        steps = 0
-        for batch_idx in _epoch_batches(offsets.size, cfg.batch_size, shuffle_rng,
-                                        cfg.max_steps_per_epoch):
-            wb = gather_batch(train_ds, offsets[batch_idx], mcfg.l_in, mcfg.l_out,
-                              with_marks=mcfg.time_mode == "decoupled",
-                              with_input_marks=mcfg.time_mode == "input")
-            with GradTape() as tape:
-                pred = model.forward(wb.inputs, wb.time_marks, training=True,
-                                     rng=drop_rng, input_marks=wb.input_marks)
-                loss_vec = mse_loss_vector(pred, wb.targets)
-                total = sum_axis(loss_vec)
-            if not np.isfinite(total.item()):
-                raise NumericalError(f"training diverged: non-finite loss at "
-                                     f"epoch {epoch}, step {steps}")
-            opt.zero_grad()
-            backward(tape, total, params=opt.params)
-            opt.step()
-            epoch_loss += loss_vec.data
-            steps += 1
-
-        val_mse, val_mae = evaluate(model, val_ds)
-        val_history.append(val_mse)
-        result.history.append(_history_row(epoch, epoch_loss / max(steps, 1),
-                                           val_mse, val_mae))
-        stop, best = early_stop(val_history, cfg.patience)
-        if best == len(val_history) - 1:
-            best_state = _snapshot(model)
-            result.best_epoch = epoch
-            result.best_val_mse = val_mse
-        if stop:
-            break
-
-    _restore(model, best_state)
+    _fit(model, model.named_parameters(), cfg, cfg.epochs, batches,
+         _mse_step(model, np.random.default_rng(drop_seed)),
+         lambda: evaluate(model, val_ds), result, "training")
     return result
 
 
@@ -350,10 +364,7 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
     if mcfg.time_mode == "input":
         raise ConfigError("contrastive training expects decoupled or absent time features")
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    sample_rng = np.random.default_rng(seeds[0])
-    drop_rng = np.random.default_rng(seeds[1])
-    shuffle_rng = np.random.default_rng(seeds[2])
-    val_rng = np.random.default_rng(seeds[3])
+    sample_rng, drop_rng, shuffle_rng, val_rng = (np.random.default_rng(s) for s in seeds)
 
     stage1_epochs = cfg.stage1_epochs if cfg.stage1_epochs is not None else cfg.epochs
     n_windows = make_windows(len(train_ds), mcfg.l_in, mcfg.l_out).size
@@ -366,78 +377,28 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
                                        mcfg.l_in, cfg.alpha, cfg.n_augments,
                                        cfg.beta, val_rng)
 
-    opt1 = Adam(list(model.cpn_named_parameters()), lr=cfg.lr)
-    result = TrainResult()
-    best_state = _snapshot(model)
-    val_history: list[float] = []
-    for epoch in range(stage1_epochs):
-        epoch_group_loss = np.zeros(mcfg.groups)
-        for step in range(steps_per_epoch):
-            batch = make_contrastive_batch(train_ds, cfg.stage1_batch_size, mcfg.l_in,
-                                           cfg.alpha, cfg.n_augments, cfg.beta, sample_rng)
-            with GradTape() as tape:
-                total, per_var, _ = _stage1_loss(model, batch, True, drop_rng)
-            if not np.isfinite(total.item()):
-                raise NumericalError(f"stage 1 diverged: non-finite loss at "
-                                     f"epoch {epoch}, step {step}")
-            opt1.zero_grad()
-            backward(tape, total, params=opt1.params)
-            opt1.step()
-            epoch_group_loss += per_var
+    def stage1_batches():
+        for _ in range(steps_per_epoch):
+            yield make_contrastive_batch(train_ds, cfg.stage1_batch_size, mcfg.l_in,
+                                         cfg.alpha, cfg.n_augments, cfg.beta, sample_rng)
 
+    def stage1_validate():
         val_total, _, _ = _stage1_loss(model, val_batch, False, None)
-        val_loss = val_total.item() / model.cfg.groups
-        val_history.append(val_loss)
-        result.history.append(_history_row(epoch, epoch_group_loss / steps_per_epoch,
-                                           val_loss, float("nan"), stage=1))
-        stop, best = early_stop(val_history, cfg.patience)
-        if best == len(val_history) - 1:
-            best_state = _snapshot(model)
-        if stop:
-            break
-    _restore(model, best_state)
+        return val_total.item() / mcfg.groups, float("nan")
+
+    result = TrainResult()
+    _fit(model, model.cpn_named_parameters(), cfg, stage1_epochs, stage1_batches,
+         lambda batch: _stage1_loss(model, batch, True, drop_rng)[:2], stage1_validate,
+         result, "stage 1", stage=1)
 
     model.freeze_cpn()
     for _, p in model.cpn_named_parameters():
         if p.requires_grad:
             raise ContractError("stage-1 parameters must be frozen before stage 2")
 
-    head_params = list(model.head_named_parameters())
-    opt2 = Adam(head_params, lr=cfg.lr)
-    offsets = make_windows(len(train_ds), mcfg.l_in, mcfg.l_out)
-    best_state = _snapshot(model)
-    stage2_val: list[float] = []
-    for epoch in range(cfg.epochs):
-        epoch_loss = np.zeros(mcfg.n_variates)
-        steps = 0
-        for batch_idx in _epoch_batches(offsets.size, cfg.stage2_batch_size, shuffle_rng,
-                                        cfg.max_steps_per_epoch):
-            wb = gather_batch(train_ds, offsets[batch_idx], mcfg.l_in, mcfg.l_out,
-                              with_marks=mcfg.time_mode == "decoupled")
-            with GradTape() as tape:
-                pred = model.forward(wb.inputs, wb.time_marks, training=True,
-                                     rng=drop_rng, detach_features=True)
-                loss_vec = mse_loss_vector(pred, wb.targets)
-                total = sum_axis(loss_vec)
-            if not np.isfinite(total.item()):
-                raise NumericalError(f"stage 2 diverged: non-finite loss at "
-                                     f"epoch {epoch}, step {steps}")
-            opt2.zero_grad()
-            backward(tape, total, params=opt2.params)
-            opt2.step()
-            epoch_loss += loss_vec.data
-            steps += 1
-
-        val_mse, val_mae = evaluate(model, val_ds)
-        stage2_val.append(val_mse)
-        result.history.append(_history_row(epoch, epoch_loss / max(steps, 1),
-                                           val_mse, val_mae, stage=2))
-        stop, best = early_stop(stage2_val, cfg.patience)
-        if best == len(stage2_val) - 1:
-            best_state = _snapshot(model)
-            result.best_epoch = epoch
-            result.best_val_mse = val_mse
-        if stop:
-            break
-    _restore(model, best_state)
+    batches = _window_batches(model, train_ds, cfg.stage2_batch_size, shuffle_rng,
+                              cfg.max_steps_per_epoch)
+    _fit(model, model.head_named_parameters(), cfg, cfg.epochs, batches,
+         _mse_step(model, drop_rng, detach_features=True),
+         lambda: evaluate(model, val_ds), result, "stage 2", stage=2)
     return result

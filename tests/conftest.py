@@ -70,6 +70,12 @@ def gradcheck():
     return check_gradients
 
 
+def state_checksum(model, names: set[str] | None = None) -> float:
+    """Sum of absolute parameter values, over ``names`` or every parameter."""
+    return sum(float(np.abs(p.data).sum()) for name, p in model.named_parameters()
+               if names is None or name in names)
+
+
 # ---------------------------------------------------------------------------
 # synthetic series
 # ---------------------------------------------------------------------------

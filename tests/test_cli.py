@@ -8,6 +8,7 @@ import pytest
 
 from conftest import hourly, write_csv
 from rtnet.cli import main, parse_args
+from rtnet.model import RTNet
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ class TestParseArgs:
         cfg = parse_args(["train", "--config", train_config, "--data", data_csv,
                           "--out", str(tmp_path / "run")])
         assert cfg.subcommand == "train"
-        assert cfg.args["data"] == data_csv
+        assert cfg.data == data_csv
 
     def test_missing_data_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -54,7 +55,7 @@ class TestParseArgs:
     def test_seed_twice_warns_last_wins(self, capsys):
         cfg = parse_args(["relate", "--data", "d.csv", "--out", "o",
                           "--seed", "1", "--seed", "7"])
-        assert cfg.args["seed"] == 7
+        assert cfg.seed == 7
         assert "last value wins" in capsys.readouterr().err
 
 
@@ -135,31 +136,59 @@ class TestPacfCommand:
         assert 0.3 < first < 0.95  # AR(1)-ish target
 
 
-class TestSweepAndPlot:
-    def test_sweep_then_plot(self, data_csv, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({
-            "lengths": [16, 32],
-            "seeds": [0],
-            "task": "univariate",
-            "model": {"d_channels": 4, "blocks": 2, "l_out": 4},
-            "train": {"epochs": 1, "max_steps_per_epoch": 3, "lr": 1e-3},
-        }))
+def write_sweep_config(tmp_path, lengths, **job):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "lengths": lengths,
+        "seeds": [0],
+        "task": "univariate",
+        "model": {"d_channels": 4, "blocks": 2, "l_out": 4},
+        "train": {"epochs": 1, "max_steps_per_epoch": 3, "lr": 1e-3},
+        **job,
+    }))
+    return str(cfg)
+
+
+class TestSweep:
+    def test_sweep_writes_csv_json_and_svg(self, data_csv, tmp_path):
         out = str(tmp_path / "sweepout")
-        assert main(["sweep", "--config", str(cfg), "--data", data_csv,
-                     "--out", out]) == 0
+        assert main(["sweep", "--config", write_sweep_config(tmp_path, [16, 32]),
+                     "--data", data_csv, "--out", out]) == 0
         rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
         assert rows[0].startswith("length,mean_mse")
         assert len(rows) == 3
-        assert os.path.exists(os.path.join(out, "sweep.svg"))
+        svg = open(os.path.join(out, "sweep.svg")).read()
+        assert svg.startswith("<svg")
+        assert "mean MSE" in svg and "mean MAE" in svg
         payload = json.loads(open(os.path.join(out, "sweep.json")).read())
         assert payload["best_length"] in (16, 32)
 
-        plot_out = str(tmp_path / "plotted")
-        assert main(["plot", "--in", os.path.join(out, "sweep.csv"),
-                     "--out", plot_out]) == 0
-        svg = open(os.path.join(plot_out, "sweep.svg")).read()
-        assert svg.startswith("<svg")
+    def test_length_too_long_for_test_split_is_skipped(self, data_csv, tmp_path):
+        """600 rows split 360/120/120: l_in=128 fits train but not val or test."""
+        out = str(tmp_path / "sweepout")
+        assert main(["sweep", "--config", write_sweep_config(tmp_path, [16, 128]),
+                     "--data", data_csv, "--out", out]) == 0
+        payload = json.loads(open(os.path.join(out, "sweep.json")).read())
+        assert [row["length"] for row in payload["rows"]] == [16]
+        assert [s["length"] for s in payload["skipped"]] == [128]
+
+    def test_multivariate_sweep_builds_the_relation_model(self, data_csv, tmp_path,
+                                                          monkeypatch):
+        seen = []
+        init = RTNet.__init__
+
+        def spy(self, cfg, rng, relation=None):
+            seen.append((cfg.groups, relation))
+            init(self, cfg, rng, relation=relation)
+
+        monkeypatch.setattr(RTNet, "__init__", spy)
+        config = write_sweep_config(tmp_path, [16], task="multivariate", use_relation=True)
+        assert main(["sweep", "--config", config, "--data", data_csv,
+                     "--out", str(tmp_path / "mv")]) == 0
+        assert seen
+        for groups, relation in seen:
+            assert groups == 2
+            assert relation is not None and relation.shape == (2, 2)
 
 
 class TestExperimentCommand:

@@ -145,7 +145,8 @@ class TestSvg:
                              [0.0, 0.0], best_length=16)
         svg = sweep_svg(result)
         assert svg.startswith("<svg") and svg.endswith("</svg>")
-        assert "polyline" in svg
+        assert svg.count("<polyline") == 2
+        assert "mean MSE" in svg and "mean MAE" in svg
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import hourly, write_csv
+from rtnet import harness
 from rtnet.errors import ConfigError
-from rtnet.harness import (ExperimentSpec, compare_formats, prepare_data,
+from rtnet.harness import (ExperimentSpec, build_job, compare_formats, load_splits,
                            run_experiment)
 
 
@@ -90,6 +91,21 @@ class TestRunExperiment:
         assert by_value[13].status == "failed"
         assert "ConfigError" in by_value[13].reason
         assert not report.all_failed()
+
+    def test_unexpected_exception_fails_only_its_cell(self, small_csv, monkeypatch):
+        train = harness.train_end_to_end
+
+        def flaky(model, train_ds, val_ds, cfg):
+            if cfg.seed == 1:
+                raise FloatingPointError("overflow encountered in multiply")
+            return train(model, train_ds, val_ds, cfg)
+
+        monkeypatch.setattr(harness, "train_end_to_end", flaky)
+        report = run_experiment(desk_spec(small_csv, seeds=[0, 1, 2]))
+        by_seed = {c.seed: c for c in report.cells}
+        assert by_seed[1].status == "failed"
+        assert by_seed[1].reason == "FloatingPointError: overflow encountered in multiply"
+        assert by_seed[0].status == by_seed[2].status == "ok"
 
     def test_multivariate_relation_ablation(self, small_csv):
         spec = desk_spec(small_csv, task="multivariate", ablation="relation",
@@ -183,11 +199,8 @@ class TestFormatComparisonOnBenchmark:
 
 class TestFidelityDefaults:
     def test_paper_mode_resolves_published_settings(self, small_csv):
-        from rtnet.harness import _cell_configs
-        spec = ExperimentSpec(data_path=small_csv, pred_lengths=[24], seeds=[0],
-                              task="univariate", fidelity="paper")
-        data = prepare_data(spec)
-        mcfg, tcfg, relation = _cell_configs(spec, data, None, 24, 0)
+        splits, _ = load_splits(small_csv, "ratio", "univariate")
+        mcfg, tcfg, relation = build_job(splits[0], "univariate", True, "paper", {}, {}, 0)
         assert mcfg.kernel == 3
         assert mcfg.dropout == 0.1
         assert mcfg.d_channels == 32
@@ -200,10 +213,8 @@ class TestFidelityDefaults:
         assert relation is None
 
     def test_desk_mode_shrinks_budget(self, small_csv):
-        from rtnet.harness import _cell_configs
-        spec = desk_spec(small_csv, model={}, train={})
-        data = prepare_data(spec)
-        mcfg, tcfg, _ = _cell_configs(spec, data, None, 4, 0)
+        splits, _ = load_splits(small_csv, "ratio", "univariate")
+        mcfg, tcfg, _ = build_job(splits[0], "univariate", True, "desk", {}, {}, 0)
         assert mcfg.d_channels < 32
         assert tcfg.epochs < 20
         assert tcfg.max_steps_per_epoch is not None
@@ -211,14 +222,12 @@ class TestFidelityDefaults:
 
 class TestPreparedData:
     def test_univariate_selects_target(self, small_csv):
-        spec = desk_spec(small_csv)
-        data = prepare_data(spec)
-        assert data.n_variates == 1
-        assert data.train.variate_names == ["OT"]
+        (train, val, test), _ = load_splits(small_csv, "ratio", "univariate")
+        assert train.n_variates == val.n_variates == test.n_variates == 1
+        assert train.variate_names == ["OT"]
 
     def test_standardized_from_train_only(self, small_csv):
-        spec = desk_spec(small_csv)
-        data = prepare_data(spec)
-        assert abs(data.train.values.mean()) < 1e-9
-        assert abs(data.train.values.std() - 1.0) < 1e-9
-        assert abs(data.test.values.mean()) > 1e-12  # test split keeps train stats
+        (train, _, test), _ = load_splits(small_csv, "ratio", "univariate")
+        assert abs(train.values.mean()) < 1e-9
+        assert abs(train.values.std() - 1.0) < 1e-9
+        assert abs(test.values.mean()) > 1e-12  # test split keeps train stats

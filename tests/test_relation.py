@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rtnet.errors import ConfigError, DataError, DimensionError
-from rtnet.relation import (RelationMatrix, apply_relation, bic_score,
-                            cos_relation_matrix, gaussian_log_likelihood,
+from rtnet.model import ModelConfig, RTNet
+from rtnet.relation import (bic_score, cos_relation_matrix, gaussian_log_likelihood,
                             relation_csv, threshold_and_standardize)
-from rtnet.tensor import Tensor
+from rtnet.tensor import Tensor, matmul_const
 
 
 class TestRawMatrix:
@@ -38,7 +38,7 @@ class TestRawMatrix:
         raw = cos_relation_matrix(np.random.default_rng(3).normal(size=(100, 5)))
         assert np.allclose(raw, raw.T)
         assert np.all(raw >= 0.0) and np.all(raw <= 1.0 + 1e-12)
-        RelationMatrix(raw, 45.0).validate()
+        assert np.allclose(np.diag(raw), 1.0, atol=1e-12)
 
 
 class TestThresholdAndStandardize:
@@ -75,14 +75,14 @@ class TestThresholdAndStandardize:
 class TestApplyRelation:
     def test_identity_matrix_is_noop(self):
         x = np.random.default_rng(0).normal(size=(2, 8, 3))
-        out = apply_relation(Tensor(x), np.eye(3))
+        out = matmul_const(Tensor(x), np.eye(3))
         assert np.array_equal(out.data, x)
 
     def test_permutation_permutes_variates(self):
         x = np.random.default_rng(1).normal(size=(2, 5, 3))
         perm = np.zeros((3, 3))
         perm[0, 2] = perm[1, 0] = perm[2, 1] = 1.0  # column i reads variate row
-        out = apply_relation(Tensor(x), perm)
+        out = matmul_const(Tensor(x), perm)
         assert np.array_equal(out.data[..., 2], x[..., 0])
         assert np.array_equal(out.data[..., 0], x[..., 1])
 
@@ -92,12 +92,13 @@ class TestApplyRelation:
         m = rng.uniform(0.1, 1.0, size=(3, 3))
         m[:, 1] = 0.0
         m[1, 1] = 1.0
-        out = apply_relation(Tensor(x), m)
+        out = matmul_const(Tensor(x), m)
         assert np.array_equal(out.data[..., 1], x[..., 1])
 
     def test_dimension_mismatch(self):
+        cfg = ModelConfig(l_in=8, l_out=2, n_variates=3, d_channels=6, groups=3)
         with pytest.raises(DimensionError):
-            apply_relation(Tensor(np.zeros((1, 4, 3))), np.eye(2))
+            RTNet(cfg, np.random.default_rng(0), relation=np.eye(2))
 
 
 class TestLinearJacobianProportionality:
@@ -118,7 +119,7 @@ class TestLinearJacobianProportionality:
         zero_h = Tensor(np.zeros(n * 2))
 
         def forward(x_bln):
-            mixed = apply_relation(Tensor(x_bln), processed)
+            mixed = Tensor(x_bln @ processed)  # as RTNet mixes its inputs
             h = transpose_12(mixed)
             h = conv1d_grouped(h, w1, zero1, 1, 1, groups=n)
             h = conv1d_grouped(h, w2, zero2, 1, 1, groups=n)

@@ -3,21 +3,28 @@
 import numpy as np
 import pytest
 
-from conftest import ar_series, hourly
+from conftest import ar_series, hourly, state_checksum
 from rtnet.data import TimeSeriesDataset
 from rtnet.errors import ConfigError, SamplerError
 from rtnet.model import ModelConfig, RTNet
-from rtnet.tensor import GradTape, Tensor, backward, mul_const, sum_axis
+from rtnet.tensor import (GradTape, Tensor, backward, mse_per_variate, mul_const,
+                          sum_axis)
 from rtnet.training import (AugmentSpec, TrainConfig, augment, check_condition1,
                             contrastive_loss, early_stop, evaluate,
                             make_contrastive_batch, max_condition1_batch,
-                            mse_loss_vector, sample_batch_condition1,
-                            train_contrastive, train_end_to_end)
+                            sample_batch_condition1, train_contrastive,
+                            train_end_to_end)
 
 
 def series_dataset(values_1d, start="2016-07-01 00:00:00"):
     n = len(values_1d)
     return TimeSeriesDataset(hourly(n, start), np.asarray(values_1d)[:, None], ["OT"], 0)
+
+
+def ar_dataset(n, seed):
+    """A standardized AR(1) path with coefficient 0.8."""
+    x = ar_series([0.8], n, noise_std=0.1, seed=seed)
+    return series_dataset((x - x.mean()) / x.std())
 
 
 def tiny_model(l_in=16, l_out=2, seed=0, **kw):
@@ -30,11 +37,11 @@ def tiny_model(l_in=16, l_out=2, seed=0, **kw):
 class TestMseLossVector:
     def test_zero_on_match(self):
         pred = Tensor(np.ones((2, 3, 4)))
-        assert np.array_equal(mse_loss_vector(pred, np.ones((2, 3, 4))).data, np.zeros(4))
+        assert np.array_equal(mse_per_variate(pred, np.ones((2, 3, 4))).data, np.zeros(4))
 
     def test_constant_offset_squares(self):
         pred = Tensor(np.zeros((2, 3, 7)))
-        out = mse_loss_vector(pred, np.full((2, 3, 7), 3.0))
+        out = mse_per_variate(pred, np.full((2, 3, 7), 3.0))
         assert out.shape == (7,)
         assert np.allclose(out.data, 9.0)
 
@@ -49,7 +56,7 @@ class TestMseLossVector:
 
         def grads(mask):
             with GradTape() as tape:
-                vec = mse_loss_vector(model.forward(x), truth)
+                vec = mse_per_variate(model.forward(x), truth)
                 loss = sum_axis(mul_const(vec, mask))
             backward(tape, loss, params=params)
             return {n: p.grad.copy() for n, p in model.named_parameters()}
@@ -199,17 +206,19 @@ class TestBatching:
         assert batch.windows.shape == (16, 32, 1)
         assert batch.total_instances == 16
         assert check_condition1(batch.offsets, 32, 4.0)
-        mask = batch.augment_mask()
-        assert mask.shape == (4, 16)
-        assert mask.sum() == 12
-        assert np.array_equal(mask[0, 4:7], np.ones(3))
+        for m, o in enumerate(batch.offsets):
+            original = ds.values[o:o + 32]
+            assert np.array_equal(batch.windows[m], original)
+            # instance i of window m sits at B + m*I + i and stays within the
+            # augmentation amplitude of its own original
+            bound = 0.2 * np.maximum(np.abs(original), 1.0) + 1e-12
+            for i in range(3):
+                assert np.all(np.abs(batch.windows[4 + m * 3 + i] - original) <= bound)
 
 
 class TestTrainEndToEnd:
     def make_data(self, n=400, seed=0):
-        x = ar_series([0.8], n, noise_std=0.1, seed=seed)
-        x = (x - x.mean()) / x.std()
-        return series_dataset(x)
+        return ar_dataset(n, seed)
 
     def test_loss_decreases_majority_of_seeds(self):
         """Smoke oracle: one epoch of fitting beats the untrained model on 5 seeds."""
@@ -270,9 +279,7 @@ class TestDivergenceAbort:
 
 class TestTrainContrastive:
     def make_data(self, n=420, seed=0):
-        x = ar_series([0.8], n, noise_std=0.1, seed=seed)
-        x = (x - x.mean()) / x.std()
-        return series_dataset(x)
+        return ar_dataset(n, seed)
 
     def test_stage1_loss_finite_nonnegative_and_decreases(self):
         ds = self.make_data(seed=11)
@@ -315,9 +322,72 @@ class TestTrainContrastive:
                           stage2_batch_size=8, lr=1e-3, seed=20, max_steps_per_epoch=4)
         train_contrastive(model, train, val, cfg)
         cpn_names = {n for n, _ in model.cpn_named_parameters()}
-        after_full = model.state_checksum(cpn_names)
+        after_full = state_checksum(model, cpn_names)
         model2 = tiny_model(seed=17)
         cfg2 = TrainConfig(epochs=1, stage1_epochs=1, stage1_batch_size=8,
                            stage2_batch_size=8, lr=1e-3, seed=20, max_steps_per_epoch=4)
         train_contrastive(model2, train, val, cfg2)
-        assert model2.state_checksum(cpn_names) == pytest.approx(after_full, rel=1e-12)
+        assert state_checksum(model2, cpn_names) == pytest.approx(after_full, rel=1e-12)
+
+
+def assert_history_equal(history, expected):
+    assert len(history) == len(expected)
+    for row, want in zip(history, expected):
+        assert list(row) == list(want)
+        for key, value in want.items():
+            if isinstance(value, float) and np.isnan(value):
+                assert np.isnan(row[key])
+            else:
+                assert row[key] == pytest.approx(value, rel=1e-10), key
+
+
+class TestGoldenArithmetic:
+    """Recorded histories pin RNG order, batch order, loss scaling and
+    early-stop/restore; the tolerance only absorbs BLAS rounding."""
+
+    def test_end_to_end(self):
+        model = tiny_model(seed=1, dropout=0.1, time_mode="decoupled")
+        val = ar_dataset(300, 3)
+        cfg = TrainConfig(epochs=8, batch_size=8, lr=3e-2, patience=1, seed=9)
+        result = train_end_to_end(model, ar_dataset(400, 2), val, cfg)
+        assert_history_equal(result.history, [
+            {"epoch": 0, "train_loss_0": 1.2184200208173463,
+             "val_mse": 0.6332602254733328, "val_mae": 0.6483228162642342},
+            {"epoch": 1, "train_loss_0": 0.6793444073859307,
+             "val_mse": 0.49989781402312417, "val_mae": 0.5748229240763294},
+            {"epoch": 2, "train_loss_0": 0.6150106136149417,
+             "val_mse": 0.47927382344966535, "val_mae": 0.5514368807714763},
+            {"epoch": 3, "train_loss_0": 0.5601824182147223,
+             "val_mse": 0.45745667492890013, "val_mae": 0.5405129987424746},
+            {"epoch": 4, "train_loss_0": 0.552368831643502,
+             "val_mse": 0.4431067794892361, "val_mae": 0.5253067986184954},
+            {"epoch": 5, "train_loss_0": 0.5416266678281595,
+             "val_mse": 0.49939425772677637, "val_mae": 0.5731885217463648},
+        ])
+        assert result.best_epoch == 4
+        assert evaluate(model, val)[0] == pytest.approx(0.4431067794892361, rel=1e-10)
+
+    def test_contrastive(self):
+        model = tiny_model(seed=17, dropout=0.1)
+        val = ar_dataset(420, 16)
+        cfg = TrainConfig(epochs=3, stage1_epochs=3, stage1_batch_size=8,
+                          stage2_batch_size=8, lr=3e-2, patience=1, seed=20,
+                          max_steps_per_epoch=4)
+        result = train_contrastive(model, ar_dataset(420, 15), val, cfg)
+        nan = float("nan")
+        assert_history_equal(result.history, [
+            {"epoch": 0, "stage": 1, "train_loss_0": 1.7397099163042422,
+             "val_mse": 1.6380648533353466, "val_mae": nan},
+            {"epoch": 1, "stage": 1, "train_loss_0": 1.6148068656448382,
+             "val_mse": 1.5297726729608554, "val_mae": nan},
+            {"epoch": 2, "stage": 1, "train_loss_0": 1.5845842229146334,
+             "val_mse": 1.484695560540254, "val_mae": nan},
+            {"epoch": 0, "stage": 2, "train_loss_0": 2.5214634913050475,
+             "val_mse": 1.2030885086039778, "val_mae": 0.8671605476422063},
+            {"epoch": 1, "stage": 2, "train_loss_0": 1.2621379544843516,
+             "val_mse": 0.7952437090800972, "val_mae": 0.7016386904310052},
+            {"epoch": 2, "stage": 2, "train_loss_0": 1.1008867913216038,
+             "val_mse": 0.809903081232851, "val_mae": 0.7045743366577537},
+        ])
+        assert result.best_epoch == 1
+        assert evaluate(model, val)[0] == pytest.approx(0.7952437090800972, rel=1e-10)
