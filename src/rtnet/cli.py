@@ -93,10 +93,26 @@ class OutDirLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RTNetError(f"output directory is locked by {self.path}; "
-                             "remove the stale lock if no other run is active") from None
+            if not self._holder_is_dead():
+                raise RTNetError(f"output directory is locked by {self.path}; "
+                                 "remove the stale lock if no other run is active") from None
+            log(f"reclaiming stale lock {self.path}")
+            os.unlink(self.path)
+            return self.__enter__()
         os.write(self.fd, str(os.getpid()).encode())
         return self
+
+    def _holder_is_dead(self) -> bool:
+        """True only when the lock names a PID that no longer exists."""
+        try:
+            with open(self.path, encoding="ascii") as fh:
+                pid = int(fh.read())
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError):
+            return False
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:

@@ -10,6 +10,8 @@ through a separate stride-1 network over the prediction window's time marks.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -416,31 +418,59 @@ def save_checkpoint(model: RTNet, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> RTNet:
+    """Rebuild a saved model; a corrupt or mismatched file raises ``DataError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not an RTNET1 checkpoint (magic {magic!r})")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+        length_field = fh.read(8)
+        if len(length_field) != 8:
+            raise DataError(f"{path}: checkpoint truncated inside the header length")
+        (blob_len,) = struct.unpack("<Q", length_field)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if blob_len > left:
+            raise DataError(f"{path}: header length {blob_len} exceeds the {left} bytes left in the file")
+        blob = fh.read(blob_len)
         payload = fh.read()
-    cfg = ModelConfig.from_dict(header["config"])
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        cfg = ModelConfig.from_dict(header["config"])
+        entries = [(str(e["name"]), tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+        has_relation = bool(header["has_relation"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint header ({exc!r})") from None
+    names = [name for name, _ in entries]
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: checkpoint lists an array name twice")
+    if any(d < 0 for _, shape in entries for d in shape):
+        raise DataError(f"{path}: checkpoint header has a negative array dimension")
+    expected_bytes = 8 * sum(math.prod(shape) for _, shape in entries)
+    if len(payload) != expected_bytes:
+        raise DataError(f"{path}: payload is {len(payload)} bytes, header describes {expected_bytes}")
     values: dict[str, np.ndarray] = {}
     cursor = 0
-    for entry in header["arrays"]:
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for name, shape in entries:
+        n = math.prod(shape)
         arr = np.frombuffer(payload, dtype=np.float64, count=n, offset=cursor)
-        values[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        values[name] = arr.reshape(shape).copy()
         cursor += n * 8
-    relation = values.pop("relation", None) if header["has_relation"] else None
+    relation = values.get("relation") if has_relation else None
     model = RTNet(cfg, np.random.default_rng(0), relation=relation)
-    for name, p in model.named_parameters():
-        if name not in values:
-            raise DataError(f"{path}: checkpoint is missing parameter {name!r}")
-        if values[name].shape != p.data.shape:
-            raise DimensionError(f"{path}: parameter {name!r} has shape "
-                                 f"{values[name].shape}, expected {p.data.shape}")
+    params = dict(model.named_parameters())
+    buffers = dict(model.named_buffers())
+    expected = {*params, *buffers, *(["relation"] if has_relation else [])}
+    missing = sorted(expected - set(values))
+    extra = sorted(set(values) - expected)
+    if missing or extra:
+        raise DataError(f"{path}: checkpoint arrays do not match the model "
+                        f"(missing {missing}, unexpected {extra})")
+    targets = {**{n: p.data for n, p in params.items()}, **buffers}
+    for name, target in targets.items():
+        if values[name].shape != target.shape:
+            raise DimensionError(f"{path}: array {name!r} has shape "
+                                 f"{values[name].shape}, expected {target.shape}")
+    for name, p in params.items():
         p.data = values[name]
-    for name, b in model.named_buffers():
-        if name in values:
-            b[...] = values[name]
+    for name, b in buffers.items():
+        b[...] = values[name]
     return model

@@ -13,6 +13,7 @@ import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericalError
 
@@ -190,12 +191,14 @@ def relu(a: Tensor) -> Tensor:
     return _make([a], np.where(mask, a.data, 0.0), lambda g: (g * mask,))
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted dropout: scales survivors by 1/(1-rate) so eval is identity."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a
+    if rng is None:
+        raise ConfigError("dropout in training mode needs a random generator, got rng=None")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     return _make([a], a.data * keep, lambda g: (g * keep,))
 
@@ -354,14 +357,15 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
 
     l_out = _conv_out_len(length, k, stride, padding)
     opg = c_out // groups
+    l_pad = length + 2 * padding
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    idx = stride * np.arange(l_out)[:, None] + np.arange(k)[None, :]
     # columns laid out (groups, B*l_out, cpg*k) so the contraction is one
-    # batched BLAS matmul per call instead of a generic einsum loop
-    win = (xp[:, :, idx]
-           .reshape(B, groups, cpg, l_out, k)
-           .transpose(1, 0, 3, 2, 4)
-           .reshape(groups, B * l_out, cpg * k))
+    # batched BLAS matmul per call; the strided window view is copied once
+    win = np.ascontiguousarray(
+        sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+        .reshape(B, groups, cpg, l_out, k)
+        .transpose(1, 0, 3, 2, 4)
+        .reshape(groups, B * l_out, cpg * k))
     w_cols = weight.data.reshape(groups, opg, cpg * k)
     out = np.matmul(win, w_cols.transpose(0, 2, 1))          # (g, B*l_out, opg)
     out = np.ascontiguousarray(
@@ -375,15 +379,17 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
               .reshape(groups, B * l_out, opg))
         g_w = np.matmul(go.transpose(0, 2, 1), win).reshape(c_out, cpg, k)
         g_b = g.sum(axis=(0, 2))
-        g_win = (np.matmul(go, w_cols)
-                 .reshape(groups, B, l_out, cpg, k)
-                 .transpose(1, 0, 3, 2, 4)
-                 .reshape(B, c_in, l_out, k))
-        g_xp = np.zeros_like(xp)
+        # (B, groups, cpg, l_out, k) view of the column gradient, scattered
+        # tap by tap into the padded input gradient without a transpose copy
+        g_win = np.matmul(go, w_cols).reshape(groups, B, l_out, cpg, k).transpose(1, 0, 3, 2, 4)
+        g_xp = np.zeros((B, groups, cpg, l_pad))
+        span = stride * (l_out - 1) + 1
         for j in range(k):
-            g_xp[:, :, j:j + stride * (l_out - 1) + 1:stride] += g_win[:, :, :, j]
-        g_x = g_xp[:, :, padding:padding + length] if padding else g_xp
-        return (np.ascontiguousarray(g_x), g_w, g_b)
+            g_xp[..., j:j + span:stride] += g_win[..., j]
+        g_x = g_xp.reshape(B, c_in, l_pad)
+        if padding:
+            g_x = np.ascontiguousarray(g_x[:, :, padding:padding + length])
+        return (g_x, g_w, g_b)
 
     return _make([x, weight, bias], out, grad_fn)
 
@@ -401,21 +407,26 @@ def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
         raise DimensionError(f"maxpool1d: window {k} exceeds padded length {length + 2 * padding}")
 
     l_out = _conv_out_len(length, k, stride, padding)
+    l_pad = length + 2 * padding
+    span = stride * (l_out - 1) + 1
     if padding:
-        xp = np.full((B, C, length + 2 * padding), -np.inf)
+        xp = np.full((B, C, l_pad), -np.inf)
         xp[:, :, padding:padding + length] = x.data
     else:
         xp = x.data
-    idx = stride * np.arange(l_out)[:, None] + np.arange(k)[None, :]
-    win = xp[:, :, idx]
-    amax = win.argmax(axis=3)
-    out = np.take_along_axis(win, amax[..., None], axis=3)[..., 0]
+    # running max over the k tap views; amax moves only on a strict increase,
+    # so it records the first argmax of every window
+    out = xp[:, :, 0:span:stride].copy()
+    amax = np.zeros(out.shape, dtype=np.min_scalar_type(k - 1))
+    for j in range(1, k):
+        view = xp[:, :, j:j + span:stride]
+        np.copyto(amax, j, where=view > out)
+        np.maximum(out, view, out=out)
 
     def grad_fn(g):
-        g_xp = np.zeros((B, C, length + 2 * padding))
+        g_xp = np.zeros((B, C, l_pad))
         for j in range(k):
-            m = amax == j
-            g_xp[:, :, j:j + stride * (l_out - 1) + 1:stride][m] += g[m]
+            g_xp[:, :, j:j + span:stride] += np.where(amax == j, g, 0.0)
         return (np.ascontiguousarray(g_xp[:, :, padding:padding + length]) if padding else g_xp,)
 
     return _make([x], out, grad_fn)

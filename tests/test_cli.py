@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rtnet
 from conftest import hourly, write_csv
 from rtnet.cli import main, parse_args
 from rtnet.model import RTNet
@@ -123,6 +127,42 @@ class TestTrainEval:
         code = main(["train", "--config", train_config, "--data", data_csv,
                      "--out", out])
         assert code == 1
+
+    def test_lock_of_a_live_pid_still_blocks(self, data_csv, train_config, tmp_path):
+        out = tmp_path / "live"
+        out.mkdir()
+        (out / ".rtnet.lock").write_text(str(os.getpid()))
+        assert main(["train", "--config", train_config, "--data", data_csv,
+                     "--out", str(out)]) == 1
+        assert (out / ".rtnet.lock").read_text() == str(os.getpid())
+
+    def test_lock_of_a_dead_pid_is_reclaimed(self, data_csv, train_config, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0  # reaped, so its PID names no process
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".rtnet.lock").write_text(str(child.pid))
+        assert main(["train", "--config", train_config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        assert (out / "checkpoint.rtnet").exists()
+        assert not (out / ".rtnet.lock").exists()
+
+    def test_eval_of_a_truncated_checkpoint_exits_1_without_traceback(
+            self, data_csv, train_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", train_config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        ckpt = out / "checkpoint.rtnet"
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        src = Path(rtnet.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtnet.cli", "eval", "--checkpoint", str(ckpt),
+             "--data", data_csv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr and proc.stdout == ""
 
 
 class TestPacfCommand:

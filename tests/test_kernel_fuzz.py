@@ -1,0 +1,174 @@
+"""Property tests: the pyramid kernels against naive Python-loop references.
+
+Shapes, strides, paddings, groups and kernel sizes are drawn by hypothesis
+(derandomized, so every run draws the same cases).  Convolution values and
+gradients are compared at a float64 rounding tolerance, since the loops sum
+in another order.  Max-pool inputs and upstream gradients are integers, so
+ties occur and every sum is exact: values and first-argmax gradient routing
+are compared exactly.  A few cases also go through finite differences.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import check_gradients
+from rtnet.tensor import GradTape, Tensor, backward, conv1d_grouped, maxpool1d, mul, sum_axis
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+GRADCHECK = settings(derandomize=True, database=None, deadline=None, max_examples=8)
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.integers(1, 5))
+    padding = draw(st.integers(0, k - 1))
+    return dict(
+        batch=draw(st.integers(1, 4)),
+        groups=draw(st.sampled_from([1, 2, 3, 7])),
+        cpg=draw(st.integers(1, 3)),
+        opg=draw(st.integers(1, 3)),
+        k=k,
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+        length=draw(st.integers(max(1, k - 2 * padding), 19)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@st.composite
+def pool_cases(draw):
+    k = draw(st.integers(1, 5))
+    padding = draw(st.integers(0, k - 1))
+    return dict(
+        batch=draw(st.integers(1, 4)),
+        channels=draw(st.sampled_from([1, 2, 3, 7])) * draw(st.integers(1, 3)),
+        k=k,
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+        length=draw(st.integers(max(1, k - 2 * padding), 19)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def out_len(length, k, stride, padding):
+    return (length + 2 * padding - k) // stride + 1
+
+
+def conv_reference(x, w, b, g, stride, padding, groups):
+    """Output and (x, w, b) gradients for upstream gradient g, by plain loops."""
+    batch, c_in, length = x.shape
+    c_out, cpg, k = w.shape
+    opg = c_out // groups
+    l_out = out_len(length, k, stride, padding)
+    y = np.zeros((batch, c_out, l_out))
+    g_x, g_w, g_b = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for n in range(batch):
+        for o in range(c_out):
+            for t in range(l_out):
+                acc = b[o]
+                g_b[o] += g[n, o, t]
+                for c in range(cpg):
+                    ch = (o // opg) * cpg + c
+                    for j in range(k):
+                        pos = t * stride + j - padding
+                        if 0 <= pos < length:
+                            acc += w[o, c, j] * x[n, ch, pos]
+                            g_w[o, c, j] += g[n, o, t] * x[n, ch, pos]
+                            g_x[n, ch, pos] += g[n, o, t] * w[o, c, j]
+                y[n, o, t] = acc
+    return y, g_x, g_w, g_b
+
+
+def pool_reference(x, g, k, stride, padding):
+    """Output and input gradient of max-pooling by plain loops; first argmax wins."""
+    batch, channels, length = x.shape
+    l_out = out_len(length, k, stride, padding)
+    y = np.zeros((batch, channels, l_out))
+    g_x = np.zeros_like(x)
+    for n in range(batch):
+        for c in range(channels):
+            for t in range(l_out):
+                best, arg = -np.inf, None
+                for j in range(k):
+                    pos = t * stride + j - padding
+                    if 0 <= pos < length and (arg is None or x[n, c, pos] > best):
+                        best, arg = x[n, c, pos], pos
+                y[n, c, t] = best
+                g_x[n, c, arg] += g[n, c, t]
+    return y, g_x
+
+
+def tape_gradients(fn, inputs, seed_grad):
+    with GradTape() as tape:
+        out = fn()
+    backward(tape, out, seed=seed_grad)
+    return out.data, [t.grad for t in inputs]
+
+
+class TestConv1dGroupedFuzz:
+    @FUZZ
+    @given(conv_cases())
+    def test_matches_loop_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        groups, cpg, k = case["groups"], case["cpg"], case["k"]
+        x = rng.normal(size=(case["batch"], groups * cpg, case["length"]))
+        w = rng.normal(size=(groups * case["opg"], cpg, k))
+        b = rng.normal(size=groups * case["opg"])
+        l_out = out_len(case["length"], k, case["stride"], case["padding"])
+        g = rng.normal(size=(case["batch"], groups * case["opg"], l_out))
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y, grads = tape_gradients(
+            lambda: conv1d_grouped(tx, tw, tb, case["stride"], case["padding"], groups),
+            [tx, tw, tb], g)
+        expected = conv_reference(x, w, b, g, case["stride"], case["padding"], groups)
+        for got, want in zip([y, *grads], expected):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @GRADCHECK
+    @given(conv_cases())
+    def test_finite_differences(self, case):
+        rng = np.random.default_rng(case["seed"])
+        groups, cpg = case["groups"], case["cpg"]
+        x = Tensor(rng.normal(size=(case["batch"], groups * cpg, case["length"])), requires_grad=True)
+        w = Tensor(rng.normal(size=(groups * case["opg"], cpg, case["k"])), requires_grad=True)
+        b = Tensor(rng.normal(size=groups * case["opg"]), requires_grad=True)
+
+        def build():
+            y = conv1d_grouped(x, w, b, case["stride"], case["padding"], groups)
+            return sum_axis(mul(y, y))
+
+        check_gradients(build, [x, w, b], seed=case["seed"] % 1000)
+
+
+class TestMaxpoolFuzz:
+    @FUZZ
+    @given(pool_cases())
+    def test_matches_loop_reference_with_ties(self, case):
+        rng = np.random.default_rng(case["seed"])
+        k, stride, padding = case["k"], case["stride"], case["padding"]
+        x = np.round(rng.normal(scale=1.5, size=(case["batch"], case["channels"], case["length"])))
+        l_out = out_len(case["length"], k, stride, padding)
+        g = rng.integers(-9, 10, size=(case["batch"], case["channels"], l_out)).astype(np.float64)
+        tx = Tensor(x, requires_grad=True)
+        y, (g_x,) = tape_gradients(lambda: maxpool1d(tx, k, stride, padding), [tx], g)
+        want_y, want_g = pool_reference(x, g, k, stride, padding)
+        assert y.shape == want_y.shape
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(g_x, want_g)
+
+    @GRADCHECK
+    @given(pool_cases())
+    def test_finite_differences(self, case):
+        rng = np.random.default_rng(case["seed"])
+        # distinct values keep every window's argmax away from a tie
+        size = case["batch"] * case["channels"] * case["length"]
+        x = Tensor(rng.permutation(size).reshape(case["batch"], case["channels"], case["length"])
+                   * 0.1, requires_grad=True)
+
+        def build():
+            y = maxpool1d(x, case["k"], case["stride"], case["padding"])
+            return sum_axis(mul(y, y))
+
+        check_gradients(build, [x], seed=case["seed"] % 1000)

@@ -1,9 +1,12 @@
 """Architecture tests: shape contracts, group independence, heads, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from rtnet.errors import ConfigError, ContractError, DimensionError
+from rtnet.errors import ConfigError, ContractError, DataError, DimensionError
 from rtnet.model import (ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          save_checkpoint)
 from rtnet.tensor import GradTape, Tensor, backward, mul, sum_axis
@@ -316,8 +319,83 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.rtnet"
         path.write_bytes(b"NOTRTN" + b"\x00" * 32)
-        from rtnet.errors import DataError
         with pytest.raises(DataError, match="magic"):
+            load_checkpoint(str(path))
+
+
+    @staticmethod
+    def saved(tmp_path, **kw):
+        model = make_model(small_cfg(norm_kind="bn", **kw), seed=16, relation=np.eye(3))
+        path = tmp_path / "model.rtnet"
+        save_checkpoint(model, str(path))
+        return model, path
+
+    @staticmethod
+    def rewrite(path, header_edit):
+        """Re-save with an edited JSON header; the payload bytes stay as they were."""
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[6:14])
+        header = json.loads(raw[14:14 + blob_len])
+        header_edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return raw[:6] + struct.pack("<Q", len(blob)) + blob, raw[14 + blob_len:]
+
+    @pytest.mark.parametrize("cut", [3, 6, 10, 14, 40, -1000, -8, -1])
+    def test_truncation_is_data_error(self, tmp_path, cut):
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_are_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(DataError, match="payload"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("blob_len", [2**64 - 1, 2**40, 5])
+    def test_bad_header_length_is_data_error(self, tmp_path, blob_len):
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:6] + struct.pack("<Q", blob_len) + raw[14:])
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+
+    def test_missing_buffer_is_data_error(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        buffer_name = next(name for name, _ in model.named_buffers())
+        kept = []
+
+        def drop(header):
+            sizes = [(e["name"], 8 * int(np.prod(e["shape"]))) for e in header["arrays"]]
+            kept.extend(sizes)
+            header["arrays"] = [e for e in header["arrays"] if e["name"] != buffer_name]
+
+        head, payload = self.rewrite(path, drop)
+        chunks, cursor = [], 0
+        for name, nbytes in kept:
+            if name != buffer_name:
+                chunks.append(payload[cursor:cursor + nbytes])
+            cursor += nbytes
+        path.write_bytes(head + b"".join(chunks))
+        with pytest.raises(DataError, match=buffer_name):
+            load_checkpoint(str(path))
+
+    def test_extra_array_is_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        head, payload = self.rewrite(
+            path, lambda h: h["arrays"].append({"name": "stray", "shape": [2]}))
+        path.write_bytes(head + payload + np.zeros(2).tobytes())
+        with pytest.raises(DataError, match="stray"):
+            load_checkpoint(str(path))
+
+    def test_missing_relation_is_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        head, payload = self.rewrite(
+            path, lambda h: h["arrays"].pop())  # relation is written last
+        path.write_bytes(head + payload[:-9 * 8])
+        with pytest.raises(DataError, match="relation"):
             load_checkpoint(str(path))
 
 

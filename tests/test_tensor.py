@@ -250,6 +250,10 @@ class TestActivations:
         with pytest.raises(ConfigError):
             dropout(t([1.0]), 1.0, np.random.default_rng(0), True)
 
+    def test_dropout_training_without_rng_is_config_error(self):
+        with pytest.raises(ConfigError, match="rng"):
+            dropout(t([1.0, 2.0]), 0.5, rng=None, training=True)
+
     def test_relu_gradient(self, gradcheck):
         x = t(np.random.default_rng(4).normal(size=(5, 5)) + 0.1)
 
