@@ -297,6 +297,48 @@ class TestWeightNormEquivalence:
         assert np.array_equal(wn_model.forward(x).data, plain_model.forward(x).data)
 
 
+def _unit_names(prefix, *leaves):
+    return [f"{prefix}.{leaf}" for leaf in leaves]
+
+
+def _extractor_names(prefix, depth, *leaves):
+    units = ["embed"] + [f"block{j}.conv{c}" for j in range(depth) for c in (1, 2)]
+    return [name for unit in units for name in _unit_names(f"{prefix}.{unit}", *leaves)]
+
+
+class TestStateNames:
+    """The checkpoint format is the ordered list of these names: pin it."""
+
+    def test_bn_decoupled_relation(self):
+        model = make_model(small_cfg(norm_kind="bn", time_mode="decoupled"),
+                           relation=np.eye(3))
+        conv = ("weight", "bias", "bn.gamma", "bn.beta")
+        expected = (_extractor_names("cpn.branch0", 2, *conv)
+                    + _extractor_names("cpn.branch1", 1, *conv)
+                    + _unit_names("head.linear", "weight", "bias")
+                    + _extractor_names("timenet", 2, *conv)
+                    + _unit_names("head.time", "weight", "bias"))
+        assert expected[:6] == ["cpn.branch0.embed.weight", "cpn.branch0.embed.bias",
+                                "cpn.branch0.embed.bn.gamma", "cpn.branch0.embed.bn.beta",
+                                "cpn.branch0.block0.conv1.weight",
+                                "cpn.branch0.block0.conv1.bias"]
+        assert [n for n, _ in model.named_parameters()] == expected
+        running = ("bn.running_mean", "bn.running_var")
+        assert [n for n, _ in model.named_buffers()] == (
+            _extractor_names("cpn.branch0", 2, *running)
+            + _extractor_names("cpn.branch1", 1, *running)
+            + _extractor_names("timenet", 2, *running))
+
+    def test_wn_input(self):
+        model = make_model(small_cfg(norm_kind="wn", time_mode="input"))
+        expected = (_extractor_names("cpn.branch0", 2, "v", "g", "bias")
+                    + _extractor_names("cpn.branch1", 1, "v", "g", "bias")
+                    + ["head.linear.v", "head.linear.g", "head.linear.bias"])
+        assert len(expected) == 27
+        assert [n for n, _ in model.named_parameters()] == expected
+        assert list(model.named_buffers()) == []
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = small_cfg(time_mode="decoupled", norm_kind="bn")
