@@ -3,7 +3,7 @@
 Grouped residual pyramid backbone, pluggable normalization, a frozen cosine
 relation matrix for multivariate mixing, decoupled calendar embedding, and
 both supervised and two-stage contrastive training, plus diagnostics
-(PACF, BIC, input-length sweeps) and a reproducible experiment harness.
+(PACF, input-length sweeps) and a reproducible experiment harness.
 """
 
 from .data import (SplitSpec, Standardizer, TimeSeriesDataset, WindowBatch,
@@ -14,11 +14,9 @@ from .errors import (ConfigError, ContractError, DataError, DimensionError,
                      NumericalError, RTNetError, SamplerError)
 from .harness import ExperimentReport, ExperimentSpec, compare_formats, run_experiment
 from .model import ModelConfig, RTNet, load_checkpoint, save_checkpoint
-from .norm import (BatchNormParams, LayerNormParams, WeightNormParam, batch_norm,
-                   layer_norm, weight_norm_effective)
+from .norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
 from .optim import Adam
-from .relation import (bic_score, cos_relation_matrix, gaussian_log_likelihood,
-                       threshold_and_standardize)
+from .relation import cos_relation_matrix, threshold_and_standardize
 from .tensor import GradTape, Tensor, backward
 from .training import (AugmentSpec, ContrastiveBatch, TrainConfig, TrainResult,
                        augment, contrastive_loss, early_stop, evaluate,

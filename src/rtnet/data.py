@@ -12,6 +12,7 @@ import csv
 import json
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class TimeSeriesDataset:
     @property
     def n_variates(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def marks(self) -> np.ndarray:
+        """(length, 6) calendar features of every row, computed once."""
+        return time_features(self.timestamps)
 
     def slice(self, start: int, stop: int) -> "TimeSeriesDataset":
         return TimeSeriesDataset(self.timestamps[start:stop],
@@ -227,13 +233,8 @@ def gather_batch(ds: TimeSeriesDataset, offsets: np.ndarray, l_in: int, l_out: i
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.size and (offsets.min() < 0 or offsets.max() + l_in + l_out > len(ds)):
         raise DimensionError("window offsets fall outside the split")
-    inputs = np.stack([ds.values[o:o + l_in] for o in offsets])
-    targets = np.stack([ds.values[o + l_in:o + l_in + l_out] for o in offsets])
-    marks = None
-    in_marks = None
-    if with_marks:
-        marks = np.stack([time_features(ds.timestamps[o + l_in:o + l_in + l_out])
-                          for o in offsets])
-    if with_input_marks:
-        in_marks = np.stack([time_features(ds.timestamps[o:o + l_in]) for o in offsets])
+    rows = offsets[:, None] + np.arange(l_in + l_out)
+    inputs, targets = ds.values[rows[:, :l_in]], ds.values[rows[:, l_in:]]
+    marks = ds.marks[rows[:, l_in:]] if with_marks else None
+    in_marks = ds.marks[rows[:, :l_in]] if with_input_marks else None
     return WindowBatch(offsets, inputs, targets, marks, in_marks)

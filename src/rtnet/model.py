@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, WeightNormParam,
-                   batch_norm, layer_norm, weight_norm_effective)
-from .tensor import (Tensor, add, channel_upsample, concat, conv1d_grouped, detach,
+from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
+                   weight_norm_effective)
+from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, detach,
                      dropout, linear_grouped, maxpool1d, relu, reshape, transpose_12)
 
 CHECKPOINT_MAGIC = b"RTNET1"
@@ -79,7 +79,27 @@ class ModelConfig:
         return cfg
 
 
-class ConvUnit:
+class WeightedUnit(Module):
+    """A weight, as weight-norm direction ``v`` and scale ``g`` or plain, plus a bias.
+
+    Weight norm starts at w == ``w0``: ``g`` is each output channel's norm.
+    """
+
+    def __init__(self, w0: np.ndarray, norm_kind: str):
+        self.v = self.g = self.weight = None
+        if norm_kind == "wn":
+            self.v = Tensor(w0, requires_grad=True)
+            self.g = Tensor(np.sqrt((w0.reshape(w0.shape[0], -1) ** 2).sum(axis=1)),
+                            requires_grad=True)
+        else:
+            self.weight = Tensor(w0, requires_grad=True)
+        self.bias = Tensor(np.zeros(w0.shape[0]), requires_grad=True)
+
+    def effective_weight(self) -> Tensor:
+        return self.weight if self.v is None else weight_norm_effective(self.v, self.g)
+
+
+class ConvUnit(WeightedUnit):
     """Grouped convolution with the model's normalization scheme attached.
 
     Weight norm reparameterizes the kernel; batch/layer norm follow the
@@ -92,17 +112,11 @@ class ConvUnit:
         self.stride = stride
         self.padding = kernel // 2
         self.groups = groups
-        self.norm_kind = norm_kind
         cpg = c_in // groups
-        w0 = rng.normal(0.0, np.sqrt(2.0 / (cpg * kernel)), (c_out, cpg, kernel))
-        self.wn = WeightNormParam.from_weight(w0) if norm_kind == "wn" else None
-        self.weight = None if self.wn else Tensor(w0, requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        super().__init__(rng.normal(0.0, np.sqrt(2.0 / (cpg * kernel)), (c_out, cpg, kernel)),
+                         norm_kind)
         self.bn = BatchNormParams.create(c_out) if (post_norm and norm_kind == "bn") else None
         self.ln = LayerNormParams.create(c_out) if (post_norm and norm_kind == "ln") else None
-
-    def effective_weight(self) -> Tensor:
-        return weight_norm_effective(self.wn) if self.wn else self.weight
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         y = conv1d_grouped(x, self.effective_weight(), self.bias,
@@ -113,54 +127,21 @@ class ConvUnit:
             y = layer_norm(y, self.ln)
         return y
 
-    def named_parameters(self, prefix: str):
-        if self.wn:
-            yield prefix + ".v", self.wn.v
-            yield prefix + ".g", self.wn.g
-        else:
-            yield prefix + ".weight", self.weight
-        yield prefix + ".bias", self.bias
-        if self.bn is not None:
-            yield prefix + ".bn.gamma", self.bn.gamma
-            yield prefix + ".bn.beta", self.bn.beta
-        if self.ln is not None:
-            yield prefix + ".ln.gain", self.ln.gain
-            yield prefix + ".ln.bias", self.ln.bias
 
-    def named_buffers(self, prefix: str):
-        if self.bn is not None:
-            yield prefix + ".bn.running_mean", self.bn.running_mean
-            yield prefix + ".bn.running_var", self.bn.running_var
-
-
-class LinearUnit:
+class LinearUnit(WeightedUnit):
     """Grouped affine projection with optional weight-norm reparameterization."""
 
     def __init__(self, f_in: int, f_out: int, groups: int, norm_kind: str,
                  rng: np.random.Generator):
         self.groups = groups
         fpg = f_in // groups
-        w0 = rng.normal(0.0, np.sqrt(1.0 / fpg), (f_out, fpg))
-        self.wn = WeightNormParam.from_weight(w0) if norm_kind == "wn" else None
-        self.weight = None if self.wn else Tensor(w0, requires_grad=True)
-        self.bias = Tensor(np.zeros(f_out), requires_grad=True)
-
-    def effective_weight(self) -> Tensor:
-        return weight_norm_effective(self.wn) if self.wn else self.weight
+        super().__init__(rng.normal(0.0, np.sqrt(1.0 / fpg), (f_out, fpg)), norm_kind)
 
     def forward(self, x: Tensor) -> Tensor:
         return linear_grouped(x, self.effective_weight(), self.bias, groups=self.groups)
 
-    def named_parameters(self, prefix: str):
-        if self.wn:
-            yield prefix + ".v", self.wn.v
-            yield prefix + ".g", self.wn.g
-        else:
-            yield prefix + ".weight", self.weight
-        yield prefix + ".bias", self.bias
 
-
-class RTBlock:
+class RTBlock(Module):
     """Residual block: halve the sequence, double the channels.
 
     Main path: strided conv -> norm -> relu -> conv -> norm.  Shortcut:
@@ -187,23 +168,20 @@ class RTBlock:
         y = relu(add(h, s))
         return dropout(y, self.drop_rate, rng, training)
 
-    def named_parameters(self, prefix: str):
-        yield from self.conv1.named_parameters(prefix + ".conv1")
-        yield from self.conv2.named_parameters(prefix + ".conv2")
 
-    def named_buffers(self, prefix: str):
-        yield from self.conv1.named_buffers(prefix + ".conv1")
-        yield from self.conv2.named_buffers(prefix + ".conv2")
+class Extractor(Module):
+    """An embedding conv followed by ``depth`` RTBlocks of the given stride.
 
+    Branch and TimeNet are separate subclasses so that each class's
+    ``forward`` can be timed on its own.
+    """
 
-class Branch:
-    """One pyramid extractor: private embedding plus a stack of RTBlocks."""
-
-    def __init__(self, c_in: int, depth: int, cfg: "ModelConfig", rng: np.random.Generator):
+    def __init__(self, c_in: int, depth: int, cfg: "ModelConfig", rng: np.random.Generator,
+                 stride: int):
         self.embed = ConvUnit(c_in, cfg.d_channels, cfg.kernel, 1, cfg.groups,
                               cfg.norm_kind, rng)
         self.blocks = [RTBlock(cfg.d_channels << j, cfg.kernel, cfg.groups,
-                               cfg.norm_kind, cfg.dropout, rng)
+                               cfg.norm_kind, cfg.dropout, rng, stride=stride)
                        for j in range(depth)]
 
     def forward(self, x: Tensor, training: bool, rng) -> Tensor:
@@ -212,43 +190,19 @@ class Branch:
             h = block.forward(h, training, rng)
         return h
 
-    def named_parameters(self, prefix: str):
-        yield from self.embed.named_parameters(prefix + ".embed")
-        for j, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"{prefix}.block{j}")
 
-    def named_buffers(self, prefix: str):
-        yield from self.embed.named_buffers(prefix + ".embed")
-        for j, block in enumerate(self.blocks):
-            yield from block.named_buffers(f"{prefix}.block{j}")
+class Branch(Extractor):
+    """One pyramid extractor: private embedding plus ``depth`` halving RTBlocks."""
+
+    def __init__(self, c_in: int, depth: int, cfg: "ModelConfig", rng: np.random.Generator):
+        super().__init__(c_in, depth, cfg, rng, stride=2)
 
 
-class TimeNet:
+class TimeNet(Extractor):
     """Stride-1 extractor over prediction-window calendar marks."""
 
     def __init__(self, cfg: "ModelConfig", rng: np.random.Generator):
-        c_in = cfg.n_time * cfg.groups
-        self.embed = ConvUnit(c_in, cfg.d_channels, cfg.kernel, 1, cfg.groups,
-                              cfg.norm_kind, rng)
-        self.blocks = [RTBlock(cfg.d_channels << j, cfg.kernel, cfg.groups,
-                               cfg.norm_kind, cfg.dropout, rng, stride=1)
-                       for j in range(2)]
-
-    def forward(self, marks: Tensor, training: bool, rng) -> Tensor:
-        h = self.embed.forward(marks, training)
-        for block in self.blocks:
-            h = block.forward(h, training, rng)
-        return h
-
-    def named_parameters(self, prefix: str):
-        yield from self.embed.named_parameters(prefix + ".embed")
-        for j, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"{prefix}.block{j}")
-
-    def named_buffers(self, prefix: str):
-        yield from self.embed.named_buffers(prefix + ".embed")
-        for j, block in enumerate(self.blocks):
-            yield from block.named_buffers(f"{prefix}.block{j}")
+        super().__init__(cfg.n_time * cfg.groups, 2, cfg, rng, stride=1)
 
 
 def features_per_group(cfg: ModelConfig) -> int:
@@ -257,8 +211,12 @@ def features_per_group(cfg: ModelConfig) -> int:
     return sum(per_branch >> i for i in range(cfg.blocks))
 
 
-class RTNet:
-    """The full forecaster; ``relation`` is a frozen processed mixing matrix or None."""
+class RTNet(Module):
+    """The full forecaster; ``relation`` is a frozen processed mixing matrix or None.
+
+    Its parts are named ``cpn.branch{i}``, ``head.linear``, ``timenet`` and
+    ``head.time``; ``relation`` is not part of ``state()``.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
                  relation: np.ndarray | None = None):
@@ -363,27 +321,20 @@ class RTNet:
             out = add(out, t_out)
         return out
 
-    # -- parameter plumbing ---------------------------------------------------
+    # -- parameters: the pyramid ("cpn") first, then the heads ----------------
 
-    def named_parameters(self):
-        yield from self.cpn_named_parameters()
-        yield from self.head_named_parameters()
-
-    def cpn_named_parameters(self):
+    def _children(self):
         for i, branch in enumerate(self.branches):
-            yield from branch.named_parameters(f"cpn.branch{i}")
+            yield f"cpn.branch{i}", branch
+        yield "head.linear", self.head_linear
+        yield "timenet", self.timenet
+        yield "head.time", self.head_time
 
-    def head_named_parameters(self):
-        yield from self.head_linear.named_parameters("head.linear")
-        if self.timenet is not None:
-            yield from self.timenet.named_parameters("timenet")
-            yield from self.head_time.named_parameters("head.time")
+    def cpn_named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(n, p) for n, p in self.named_parameters() if n.startswith("cpn.")]
 
-    def named_buffers(self):
-        for i, branch in enumerate(self.branches):
-            yield from branch.named_buffers(f"cpn.branch{i}")
-        if self.timenet is not None:
-            yield from self.timenet.named_buffers("timenet")
+    def head_named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(n, p) for n, p in self.named_parameters() if not n.startswith("cpn.")]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -399,8 +350,7 @@ class RTNet:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: RTNet, path: str) -> None:
-    arrays: list[tuple[str, np.ndarray]] = [(n, p.data) for n, p in model.named_parameters()]
-    arrays += [(n, b) for n, b in model.named_buffers()]
+    arrays = list(model.state().items())
     if model.relation is not None:
         arrays.append(("relation", model.relation))
     header = {
@@ -456,21 +406,11 @@ def load_checkpoint(path: str) -> RTNet:
         cursor += n * 8
     relation = values.get("relation") if has_relation else None
     model = RTNet(cfg, np.random.default_rng(0), relation=relation)
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-    expected = {*params, *buffers, *(["relation"] if has_relation else [])}
+    expected = {*model.state(), *(["relation"] if has_relation else [])}
     missing = sorted(expected - set(values))
     extra = sorted(set(values) - expected)
     if missing or extra:
         raise DataError(f"{path}: checkpoint arrays do not match the model "
                         f"(missing {missing}, unexpected {extra})")
-    targets = {**{n: p.data for n, p in params.items()}, **buffers}
-    for name, target in targets.items():
-        if values[name].shape != target.shape:
-            raise DimensionError(f"{path}: array {name!r} has shape "
-                                 f"{values[name].shape}, expected {target.shape}")
-    for name, p in params.items():
-        p.data = values[name]
-    for name, b in buffers.items():
-        b[...] = values[name]
+    model.load_state(values)
     return model

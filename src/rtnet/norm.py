@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
-from .tensor import Tensor, _make
+from .tensor import Module, Tensor, _make
 
 NORM_KINDS = ("wn", "bn", "ln", "none")
 
 
 @dataclass
-class BatchNormParams:
+class BatchNormParams(Module):
     gamma: Tensor
     beta: Tensor
     eps: float = 1e-5
@@ -37,7 +37,7 @@ class BatchNormParams:
 
 
 @dataclass
-class LayerNormParams:
+class LayerNormParams(Module):
     gain: Tensor
     bias: Tensor
     eps: float = 1e-5
@@ -46,21 +46,6 @@ class LayerNormParams:
     def create(cls, channels: int, eps: float = 1e-5) -> "LayerNormParams":
         return cls(gain=Tensor(np.ones(channels), requires_grad=True),
                    bias=Tensor(np.zeros(channels), requires_grad=True), eps=eps)
-
-
-class WeightNormParam:
-    """Direction vector v and per-output-channel scale g; w = g * v / ||v||."""
-
-    def __init__(self, v: Tensor, g: Tensor):
-        self.v = v
-        self.g = g
-
-    @classmethod
-    def from_weight(cls, weight: np.ndarray) -> "WeightNormParam":
-        """Reparameterize an initial weight so training starts at w == weight."""
-        v = Tensor(weight.copy(), requires_grad=True)
-        norms = np.sqrt((weight.reshape(weight.shape[0], -1) ** 2).sum(axis=1))
-        return cls(v=v, g=Tensor(norms, requires_grad=True))
 
 
 def _channel_stats_axes(x: Tensor) -> tuple[int, ...]:
@@ -142,9 +127,8 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return _make([x, p.gain, p.bias], out, grad_fn)
 
 
-def weight_norm_effective(p: WeightNormParam) -> Tensor:
+def weight_norm_effective(v: Tensor, g: Tensor) -> Tensor:
     """Effective weight g * v/||v||, with ||v|| taken per output channel (axis 0)."""
-    v, g = p.v, p.g
     c_out = v.data.shape[0]
     if g.data.shape != (c_out,):
         raise DimensionError(f"weight_norm: g shape {g.data.shape} != ({c_out},)")

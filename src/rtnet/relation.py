@@ -1,4 +1,4 @@
-"""Cosine relation matrix between variates, plus the BIC score.
+"""Cosine relation matrix between variates.
 
 The raw matrix holds absolute cosine similarities computed on the training
 split.  Entries under cos(theta) are zeroed, then each column is divided by
@@ -41,29 +41,6 @@ def threshold_and_standardize(raw: np.ndarray, theta_degrees: float) -> np.ndarr
     # the unit diagonal always survives the threshold, so no column can vanish
     assert np.all(col_sums > 0.0), "relation column summed to zero"
     return kept / col_sums
-
-
-def bic_score(m: int, k: int, log_likelihood: float) -> float:
-    """ln(m) * k - 2 * log_likelihood; lower is better."""
-    if m < 1:
-        raise ConfigError(f"bic_score: m must be >= 1, got {m}")
-    if k < 0:
-        raise ConfigError(f"bic_score: k must be >= 0, got {k}")
-    return float(np.log(m) * k - 2.0 * log_likelihood)
-
-
-def gaussian_log_likelihood(residuals: np.ndarray, var_floor: float = 1e-12) -> float:
-    """Log likelihood of residuals under a zero-mean Gaussian at its MLE variance.
-
-    Equals the direct log-density sum with sigma^2 = mean(r^2), floored for
-    degenerate all-zero residuals.
-    """
-    r = np.asarray(residuals, dtype=np.float64).ravel()
-    if r.size == 0:
-        raise DimensionError("gaussian_log_likelihood: empty residuals")
-    var = max(float(np.mean(r * r)), var_floor)
-    m = r.size
-    return float(-0.5 * m * (np.log(2.0 * np.pi * var) + 1.0))
 
 
 def relation_csv(matrix: np.ndarray, names: list[str]) -> str:

@@ -45,6 +45,52 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
 
 
+class Module:
+    """A model part whose parameters and buffers are found from its attributes.
+
+    A Tensor attribute is a parameter and an ndarray attribute a buffer.  A
+    Module attribute nests under its attribute name, and the items of a list
+    attribute ``blocks`` under ``block0``, ``block1``, ...; None is skipped.
+    Everything is found in assignment order, so the dotted names and their
+    order are the checkpoint format.
+    """
+
+    def _children(self):
+        for name, value in vars(self).items():
+            if name == "blocks":
+                yield from ((f"block{j}", block) for j, block in enumerate(value))
+            else:
+                yield name, value
+
+    def _named(self, kind: type, prefix: str):
+        for name, value in self._children():
+            path = f"{prefix}.{name}" if prefix else name
+            if isinstance(value, kind):
+                yield path, value
+            elif isinstance(value, Module):
+                yield from value._named(kind, path)
+
+    def named_parameters(self, prefix: str = ""):
+        return self._named(Tensor, prefix)
+
+    def named_buffers(self, prefix: str = ""):
+        return self._named(np.ndarray, prefix)
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Name -> live array of every parameter, then every buffer."""
+        state = {name: p.data for name, p in self.named_parameters()}
+        state.update(self.named_buffers())
+        return state
+
+    def load_state(self, values: dict[str, np.ndarray]) -> None:
+        """Copy ``values[name]`` into every live array of ``state()``."""
+        for name, target in self.state().items():
+            if values[name].shape != target.shape:
+                raise DimensionError(f"array {name!r} has shape {values[name].shape}, "
+                                     f"expected {target.shape}")
+            target[...] = values[name]
+
+
 class TapeNode:
     __slots__ = ("inputs", "output", "grad_fn")
 

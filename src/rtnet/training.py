@@ -118,7 +118,7 @@ def make_contrastive_batch(ds: TimeSeriesDataset, batch: int, l_in: int, alpha: 
                            n_augments: int, beta: float,
                            rng: np.random.Generator) -> ContrastiveBatch:
     offsets = sample_batch_condition1(len(ds), batch, l_in, alpha, rng)
-    originals = np.stack([ds.values[o:o + l_in] for o in offsets])
+    originals = ds.values[offsets[:, None] + np.arange(l_in)]
     pieces = [originals]
     for m in range(batch):
         for _ in range(n_augments):
@@ -229,19 +229,6 @@ def _history_row(epoch: int, per_variate_loss: np.ndarray, val_mse: float,
     return row
 
 
-def _snapshot(model: RTNet) -> dict[str, np.ndarray]:
-    state = {n: p.data.copy() for n, p in model.named_parameters()}
-    state.update({"buffer:" + n: b.copy() for n, b in model.named_buffers()})
-    return state
-
-
-def _restore(model: RTNet, state: dict[str, np.ndarray]) -> None:
-    for n, p in model.named_parameters():
-        p.data = state[n].copy()
-    for n, b in model.named_buffers():
-        b[...] = state["buffer:" + n]
-
-
 def evaluate(model: RTNet, ds: TimeSeriesDataset, batch_size: int = 64) -> tuple[float, float]:
     """Mean squared / absolute error over every window of a split (eval mode)."""
     cfg = model.cfg
@@ -305,7 +292,7 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
     value is ``cfg.patience`` epochs old and leaves the model at its best state.
     """
     opt = Adam(list(named_params), lr=cfg.lr)
-    best_state = _snapshot(model)
+    best_state = {n: a.copy() for n, a in model.state().items()}
     val_history: list[float] = []
     for epoch in range(epochs):
         epoch_loss = 0.0
@@ -328,12 +315,12 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
                                            stage))
         stop, best = early_stop(val_history, cfg.patience)
         if best == epoch:
-            best_state = _snapshot(model)
+            best_state = {n: a.copy() for n, a in model.state().items()}
             result.best_epoch = epoch
             result.best_val_mse = val_mse
         if stop:
             break
-    _restore(model, best_state)
+    model.load_state(best_state)
 
 
 def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeriesDataset,

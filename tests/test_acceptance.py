@@ -17,7 +17,7 @@ from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
 from rtnet.diagnostics import autocovariance, pacf
 from rtnet.harness import ExperimentSpec, run_experiment
 from rtnet.model import ModelConfig, RTNet
-from rtnet.norm import BatchNormParams, LayerNormParams, WeightNormParam, batch_norm, layer_norm, weight_norm_effective
+from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
 from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import (Tensor, abs_op, add, channel_upsample, concat,
                           conv1d_grouped, dropout, exp_op, linear_grouped, log_op,
@@ -59,7 +59,7 @@ class TestCriterion1GradientSoundness:
         bn_x = T(5, 3, 4)
         bn = BatchNormParams.create(3)
         ln = LayerNormParams.create(3)
-        wn = WeightNormParam(T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True))
+        wv, wg = T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)
 
         cases = [
             ("conv1d_grouped", lambda: _sq(conv1d_grouped(x3, w, b, 2, 1, 2)), [x3, w, b]),
@@ -88,7 +88,7 @@ class TestCriterion1GradientSoundness:
             ("mse_per_variate", lambda: sum_axis(mse_per_variate(pred, truth)), [pred]),
             ("batch_norm", lambda: _sq(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),
             ("layer_norm", lambda: _sq(layer_norm(bn_x, ln)), [bn_x, ln.gain, ln.bias]),
-            ("weight_norm", lambda: _sq(weight_norm_effective(wn)), [wn.v, wn.g]),
+            ("weight_norm", lambda: _sq(weight_norm_effective(wv, wg)), [wv, wg]),
         ]
         for name, build, tensors in cases:
             worst = check_gradients(build, tensors, n_coords=10, seed=99)

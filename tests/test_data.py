@@ -153,6 +153,34 @@ class TestWindows:
         offsets = make_windows(len(train), 48, 24)
         assert offsets.max() + 48 + 24 <= len(train)
 
+    @pytest.mark.parametrize("with_marks", [False, True])
+    @pytest.mark.parametrize("with_input_marks", [False, True])
+    def test_matches_per_window_loop(self, with_marks, with_input_marks):
+        """One row index gathers what slicing each window on its own gathers."""
+        rng = np.random.default_rng(5)
+        stamps = hourly(400, start="2016-12-30 20:00:00")  # crosses a year boundary
+        ds = TimeSeriesDataset(stamps, rng.normal(size=(400, 3)), ["a", "b", "c"], 2)
+        l_in, l_out = 24, 6
+        offsets = rng.integers(0, 400 - l_in - l_out + 1, size=13)  # unsorted, may repeat
+        wb = gather_batch(ds, offsets, l_in, l_out, with_marks=with_marks,
+                          with_input_marks=with_input_marks)
+        assert np.array_equal(wb.inputs, np.stack([ds.values[o:o + l_in] for o in offsets]))
+        assert np.array_equal(wb.targets, np.stack([ds.values[o + l_in:o + l_in + l_out]
+                                                    for o in offsets]))
+        marks = np.stack([time_features(stamps[o + l_in:o + l_in + l_out]) for o in offsets])
+        in_marks = np.stack([time_features(stamps[o:o + l_in]) for o in offsets])
+        assert (wb.time_marks is None) != with_marks
+        assert (wb.input_marks is None) != with_input_marks
+        if with_marks:
+            assert np.array_equal(wb.time_marks, marks)
+        if with_input_marks:
+            assert np.array_equal(wb.input_marks, in_marks)
+
+    def test_marks_are_computed_once_per_split(self):
+        ds = TimeSeriesDataset(hourly(50), np.zeros((50, 1)), ["a"], 0)
+        assert ds.marks is ds.marks
+        assert np.array_equal(ds.marks, time_features(ds.timestamps))
+
     def test_targets_reproduce_raw_after_inverse(self, ett_like_csv):
         ds = load_csv(ett_like_csv)
         train, val, _ = split(ds, SplitSpec(mode="ratio"))

@@ -1,9 +1,9 @@
-"""Property tests: the pyramid kernels against naive Python-loop references.
+"""Property tests: the pyramid and head kernels against naive Python-loop references.
 
 Shapes, strides, paddings, groups and kernel sizes are drawn by hypothesis
 (derandomized, so every run draws the same cases).  Convolution values and
 gradients are compared at a float64 rounding tolerance, since the loops sum
-in another order.  Max-pool inputs and upstream gradients are integers, so
+in another order; so are the grouped linear head's.  Max-pool inputs and upstream gradients are integers, so
 ties occur and every sum is exact: values and first-argmax gradient routing
 are compared exactly.  A few cases also go through finite differences.
 """
@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients
-from rtnet.tensor import GradTape, Tensor, backward, conv1d_grouped, maxpool1d, mul, sum_axis
+from rtnet.tensor import (GradTape, Tensor, backward, conv1d_grouped, linear_grouped, maxpool1d,
+                          mul, sum_axis)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 GRADCHECK = settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -47,6 +48,17 @@ def pool_cases(draw):
         stride=draw(st.integers(1, 3)),
         padding=padding,
         length=draw(st.integers(max(1, k - 2 * padding), 19)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@st.composite
+def linear_cases(draw):
+    return dict(
+        batch=draw(st.integers(1, 5)),
+        groups=draw(st.sampled_from([1, 2, 3, 7])),
+        fpg=draw(st.integers(1, 6)),
+        opg=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -97,6 +109,26 @@ def pool_reference(x, g, k, stride, padding):
                 y[n, c, t] = best
                 g_x[n, c, arg] += g[n, c, t]
     return y, g_x
+
+
+def linear_reference(x, w, b, g, groups):
+    """Output and (x, w, b) gradients of the grouped linear map by plain loops."""
+    batch, f_in = x.shape
+    f_out, fpg = w.shape
+    opg = f_out // groups
+    y = np.zeros((batch, f_out))
+    g_x, g_w, g_b = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for n in range(batch):
+        for o in range(f_out):
+            acc = b[o]
+            g_b[o] += g[n, o]
+            for f in range(fpg):
+                col = (o // opg) * fpg + f
+                acc += w[o, f] * x[n, col]
+                g_w[o, f] += g[n, o] * x[n, col]
+                g_x[n, col] += g[n, o] * w[o, f]
+            y[n, o] = acc
+    return y, g_x, g_w, g_b
 
 
 def tape_gradients(fn, inputs, seed_grad):
@@ -172,3 +204,36 @@ class TestMaxpoolFuzz:
             return sum_axis(mul(y, y))
 
         check_gradients(build, [x], seed=case["seed"] % 1000)
+
+
+class TestLinearGroupedFuzz:
+    @FUZZ
+    @given(linear_cases())
+    def test_matches_loop_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        groups = case["groups"]
+        f_in, f_out = groups * case["fpg"], groups * case["opg"]
+        x = rng.normal(size=(case["batch"], f_in))
+        w = rng.normal(size=(f_out, case["fpg"]))
+        b = rng.normal(size=f_out)
+        g = rng.normal(size=(case["batch"], f_out))
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y, grads = tape_gradients(lambda: linear_grouped(tx, tw, tb, groups), [tx, tw, tb], g)
+        for got, want in zip([y, *grads], linear_reference(x, w, b, g, groups)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @GRADCHECK
+    @given(linear_cases())
+    def test_finite_differences(self, case):
+        rng = np.random.default_rng(case["seed"])
+        groups = case["groups"]
+        x = Tensor(rng.normal(size=(case["batch"], groups * case["fpg"])), requires_grad=True)
+        w = Tensor(rng.normal(size=(groups * case["opg"], case["fpg"])), requires_grad=True)
+        b = Tensor(rng.normal(size=groups * case["opg"]), requires_grad=True)
+
+        def build():
+            y = linear_grouped(x, w, b, groups)
+            return sum_axis(mul(y, y))
+
+        check_gradients(build, [x, w, b], seed=case["seed"] % 1000)

@@ -2,13 +2,18 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtnet.errors import ConfigError, ContractError, DataError, DimensionError
-from rtnet.model import (ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
+from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          save_checkpoint)
+from rtnet.norm import NORM_KINDS
 from rtnet.tensor import GradTape, Tensor, backward, mul, sum_axis
 
 
@@ -83,7 +88,7 @@ class TestEmbedding:
         variate's block reads that variate alone."""
         rng = np.random.default_rng(0)
         embed = ConvUnit(7, 56, 3, 1, 7, "wn", rng)
-        assert embed.wn.v.data.shape == (56, 1, 3)
+        assert embed.v.data.shape == (56, 1, 3)
         x1 = rng.normal(size=(2, 7, 20))
         x2 = x1.copy()
         x2[:, 3] += 5.0
@@ -439,6 +444,75 @@ class TestCheckpoint:
         path.write_bytes(head + payload[:-9 * 8])
         with pytest.raises(DataError, match="relation"):
             load_checkpoint(str(path))
+
+
+@st.composite
+def checkpoint_cases(draw):
+    n_variates = draw(st.integers(1, 3))
+    groups = draw(st.sampled_from([1, n_variates]))
+    blocks = draw(st.integers(1, 2))
+    return dict(
+        cfg=ModelConfig(l_in=draw(st.integers(1, 3)) << blocks, l_out=draw(st.integers(1, 3)),
+                        n_variates=n_variates, d_channels=groups * draw(st.integers(2, 3)),
+                        blocks=blocks, groups=groups, n_time=draw(st.integers(1, 3)),
+                        time_mode=draw(st.sampled_from(TIME_MODES)),
+                        norm_kind=draw(st.sampled_from(NORM_KINDS)), dropout=0.1),
+        relation=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        cut=draw(st.floats(0.0, 1.0, exclude_max=True)),
+    )
+
+
+class TestCheckpointFuzz:
+    """Random small configs: a saved model loads back to the same state and
+    predictions, and any truncation of its file is a DataError."""
+
+    @staticmethod
+    def trained_model(case):
+        cfg = case["cfg"]
+        rng = np.random.default_rng(case["seed"])
+        n = cfg.n_variates
+        relation = rng.uniform(0.1, 1.0, (n, n)) if case["relation"] else None
+        model = RTNet(cfg, rng, relation=relation)
+        inputs = rng.normal(size=(3, cfg.l_in, n))
+        marks = rng.uniform(-0.5, 0.5, (3, cfg.l_out, cfg.n_time))
+        in_marks = rng.uniform(-0.5, 0.5, (3, cfg.l_in, cfg.n_time))
+        # a training pass moves batch-norm running statistics off their start
+        model.forward(inputs, marks, training=True, rng=rng, input_marks=in_marks)
+        for p in model.parameters():
+            p.data += rng.normal(scale=0.01, size=p.data.shape)
+        return model, (inputs, marks, in_marks)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(checkpoint_cases())
+    def test_round_trip(self, case):
+        model, (inputs, marks, in_marks) = self.trained_model(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "model.rtnet")
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+        assert loaded.cfg == model.cfg
+        assert list(loaded.state()) == list(model.state())
+        for name, value in model.state().items():
+            assert np.array_equal(loaded.state()[name], value), name
+        if case["relation"]:
+            assert np.array_equal(loaded.relation, model.relation)
+        else:
+            assert loaded.relation is None
+        assert np.array_equal(loaded.forward(inputs, marks, input_marks=in_marks).data,
+                              model.forward(inputs, marks, input_marks=in_marks).data)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(checkpoint_cases())
+    def test_truncation_is_data_error(self, case):
+        model, _ = self.trained_model(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.rtnet"
+            save_checkpoint(model, str(path))
+            raw = path.read_bytes()
+            path.write_bytes(raw[:int(case["cut"] * len(raw))])
+            with pytest.raises(DataError):
+                load_checkpoint(str(path))
 
 
 class TestFullModelGradients:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rtnet.errors import ConfigError, NumericalError
-from rtnet.norm import (BatchNormParams, LayerNormParams, WeightNormParam,
-                        batch_norm, layer_norm, weight_norm_effective)
+from rtnet.model import WeightedUnit
+from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
 from rtnet.tensor import Tensor, mul, sum_axis
 
 
@@ -116,47 +116,43 @@ class TestLayerNorm:
 
 class TestWeightNorm:
     def test_effective_weight_value(self):
-        p = WeightNormParam(v=t([[3.0, 4.0]], grad=True), g=t([2.0], grad=True))
-        out = weight_norm_effective(p)
+        out = weight_norm_effective(t([[3.0, 4.0]], grad=True), t([2.0], grad=True))
         assert out.data[0] == pytest.approx([1.2, 1.6])
 
     def test_g_equals_norm_gives_v(self):
         v = np.random.default_rng(0).normal(size=(3, 4))
-        p = WeightNormParam.from_weight(v)
-        assert np.allclose(weight_norm_effective(p).data, v, atol=1e-12)
+        unit = WeightedUnit(v, "wn")
+        assert np.allclose(unit.effective_weight().data, v, atol=1e-12)
 
     def test_scale_invariance_of_direction(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(2, 5))
         g = rng.uniform(0.5, 2.0, size=2)
-        p1 = WeightNormParam(t(v, grad=True), t(g, grad=True))
-        p2 = WeightNormParam(t(17.3 * v, grad=True), t(g, grad=True))
-        assert np.allclose(weight_norm_effective(p1).data,
-                           weight_norm_effective(p2).data, atol=1e-12)
+        assert np.allclose(weight_norm_effective(t(v, grad=True), t(g, grad=True)).data,
+                           weight_norm_effective(t(17.3 * v, grad=True), t(g, grad=True)).data,
+                           atol=1e-12)
 
     def test_norm_equals_g_exactly(self):
         rng = np.random.default_rng(2)
-        p = WeightNormParam(t(rng.normal(size=(4, 3, 3)), grad=True),
-                            t(rng.uniform(0.5, 3.0, size=4), grad=True))
-        w = weight_norm_effective(p).data
+        v = t(rng.normal(size=(4, 3, 3)), grad=True)
+        g = t(rng.uniform(0.5, 3.0, size=4), grad=True)
+        w = weight_norm_effective(v, g).data
         norms = np.linalg.norm(w.reshape(4, -1), axis=1)
-        assert norms == pytest.approx(p.g.data, abs=1e-12)
+        assert norms == pytest.approx(g.data, abs=1e-12)
 
     def test_zero_direction_names_channel(self):
         v = np.ones((3, 2))
         v[1] = 0.0
-        p = WeightNormParam(t(v, grad=True), t(np.ones(3), grad=True))
         with pytest.raises(NumericalError, match=r"\[1\]"):
-            weight_norm_effective(p)
+            weight_norm_effective(t(v, grad=True), t(np.ones(3), grad=True))
 
     def test_gradients_flow_to_both(self, gradcheck):
         rng = np.random.default_rng(7)
         v = t(rng.normal(size=(4, 3, 3)), grad=True)
         g = t(rng.uniform(0.5, 2.0, size=4), grad=True)
-        p = WeightNormParam(v, g)
 
         def build():
-            w = weight_norm_effective(p)
+            w = weight_norm_effective(v, g)
             return sum_axis(mul(w, w))
 
         gradcheck(build, [v, g])
@@ -167,8 +163,7 @@ class TestWeightNorm:
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4, 2, 3))
         g = rng.uniform(0.5, 2.0, size=4)
-        p = WeightNormParam(t(v, grad=True), t(g, grad=True))
-        effective = weight_norm_effective(p)
+        effective = weight_norm_effective(t(v, grad=True), t(g, grad=True))
         x = t(rng.normal(size=(2, 2, 10)))
         bias = t(rng.normal(size=4))
         y_wn = conv1d_grouped(x, effective, bias, 1, 1)

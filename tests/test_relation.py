@@ -1,12 +1,11 @@
-"""Relation matrix construction, thresholding, application, and BIC."""
+"""Relation matrix construction, thresholding and application."""
 
 import numpy as np
 import pytest
 
 from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import ModelConfig, RTNet
-from rtnet.relation import (bic_score, cos_relation_matrix, gaussian_log_likelihood,
-                            relation_csv, threshold_and_standardize)
+from rtnet.relation import cos_relation_matrix, relation_csv, threshold_and_standardize
 from rtnet.tensor import Tensor, matmul_const
 
 
@@ -140,27 +139,6 @@ class TestLinearJacobianProportionality:
             scale = jac[i, i] / processed[i, i]
             for j in range(n):
                 assert np.allclose(jac[i, j], processed[j, i] * scale, atol=1e-4)
-
-
-class TestBic:
-    def test_arithmetic(self):
-        assert bic_score(100, 5, -10.0) == pytest.approx(5 * np.log(100) + 20, abs=1e-3)
-        assert bic_score(100, 5, -10.0) == pytest.approx(43.026, abs=1e-3)
-
-    def test_more_parameters_scores_worse(self):
-        assert bic_score(500, 9, -10.0) > bic_score(500, 4, -10.0)
-
-    def test_gaussian_proxy_matches_direct_density_sum(self):
-        rng = np.random.default_rng(0)
-        r = rng.normal(0, 0.7, size=400)
-        var = np.mean(r ** 2)
-        direct = np.sum(-0.5 * np.log(2 * np.pi * var) - r ** 2 / (2 * var))
-        assert gaussian_log_likelihood(r) == pytest.approx(direct, rel=1e-12)
-
-    def test_zero_residuals_guarded(self):
-        ll = gaussian_log_likelihood(np.zeros(50))
-        assert np.isfinite(ll)
-        assert np.isfinite(bic_score(50, 3, ll))
 
 
 class TestCsv:
