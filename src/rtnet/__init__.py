@@ -10,8 +10,8 @@ from .data import (SplitSpec, Standardizer, TimeSeriesDataset, WindowBatch,
                    gather_batch, load_csv, make_windows, split, standardize,
                    time_features)
 from .diagnostics import PacfResult, SweepResult, input_length_sweep, metrics, pacf
-from .errors import (ConfigError, ContractError, DataError, DimensionError,
-                     NumericalError, RTNetError, SamplerError)
+from .errors import (ConfigError, DataError, DimensionError, NumericalError, RTNetError,
+                     SamplerError)
 from .harness import ExperimentReport, ExperimentSpec, compare_formats, run_experiment
 from .model import ModelConfig, RTNet, load_checkpoint, save_checkpoint
 from .norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective

@@ -23,7 +23,3 @@ class NumericalError(RTNetError):
 
 class SamplerError(RTNetError):
     """A batch sampler cannot satisfy its constraints."""
-
-
-class ContractError(RTNetError):
-    """A caller violated a stated usage contract (e.g. unfrozen stage-1 params)."""

@@ -17,11 +17,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
-from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, detach,
-                     dropout, linear_grouped, maxpool1d, relu, reshape, transpose_12)
+from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,
+                     linear_grouped, maxpool1d, relu, reshape, transpose_12)
 
 CHECKPOINT_MAGIC = b"RTNET1"
 TIME_MODES = ("decoupled", "input", "none")
@@ -152,7 +152,6 @@ class RTBlock(Module):
                  drop_rate: float, rng: np.random.Generator, stride: int = 2):
         self.kernel = kernel
         self.stride = stride
-        self.groups = groups
         self.drop_rate = drop_rate
         self.conv1 = ConvUnit(c_in, 2 * c_in, kernel, stride, groups, norm_kind, rng)
         self.conv2 = ConvUnit(2 * c_in, 2 * c_in, kernel, 1, groups, norm_kind, rng)
@@ -164,7 +163,7 @@ class RTBlock(Module):
         h = dropout(h, self.drop_rate, rng, training)
         h = self.conv2.forward(h, training)
         s = maxpool1d(x, self.kernel, self.stride, self.kernel // 2)
-        s = channel_upsample(s, 2, self.groups)
+        s = channel_upsample(s, 2)
         y = relu(add(h, s))
         return dropout(y, self.drop_rate, rng, training)
 
@@ -228,7 +227,6 @@ class RTNet(Module):
                 raise DimensionError(f"relation matrix {relation.shape} does not match "
                                      f"N={cfg.n_variates}")
         self.relation = relation
-        self.cpn_frozen = False
 
         per_group_in = cfg.n_variates // cfg.groups
         if cfg.time_mode == "input":
@@ -292,16 +290,11 @@ class RTNet(Module):
 
     def forward(self, inputs: np.ndarray, marks: np.ndarray | None = None, *,
                 training: bool = False, rng: np.random.Generator | None = None,
-                detach_features: bool = False,
                 input_marks: np.ndarray | None = None) -> Tensor:
-        """Predict (B, l_out, N).  ``detach_features`` severs the pyramid for stage 2."""
+        """Predict (B, l_out, N)."""
         cfg = self.cfg
-        if detach_features and training and not self.cpn_frozen:
-            raise ContractError("stage-2 training requires freeze_cpn() first")
         feat = self.representations(inputs, training=training, rng=rng,
                                     input_marks=input_marks)
-        if detach_features:
-            feat = detach(feat)
         batch = feat.data.shape[0]
         flat = reshape(feat, (batch, feat.data.shape[1] * feat.data.shape[2]))
         ar = self.head_linear.forward(flat)
@@ -340,9 +333,10 @@ class RTNet(Module):
         return [p for _, p in self.named_parameters()]
 
     def freeze_cpn(self) -> None:
+        """Stop the pyramid's gradients: with no parameter requiring them, its
+        ops record no tape node."""
         for _, p in self.cpn_named_parameters():
             p.requires_grad = False
-        self.cpn_frozen = True
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,14 @@ def _make(inputs: Sequence[Tensor], out_data: np.ndarray,
     return out
 
 
-def backward(tape: GradTape, root: Tensor, seed: np.ndarray | float | None = None,
-             params: Iterable[Tensor] | None = None) -> None:
-    """Populate ``grad`` for every requires_grad tensor reachable from root.
+def backward(tape: GradTape, root: Tensor, params: Iterable[Tensor],
+             seed: np.ndarray | float | None = None) -> None:
+    """Set ``grad`` on each tensor in ``params``, and on no other tensor.
 
-    ``root`` must be scalar unless an explicit ``seed`` gradient of the same
-    shape is given.  Tensors listed in ``params`` that lie off every path get
-    exact-zero gradients.
+    A tensor in ``params`` gets its gradient of ``root``, or exact zeros when
+    it does not require gradients or no recorded path reaches it.  ``root``
+    must be scalar unless an explicit ``seed`` gradient of the same shape is
+    given.
     """
     if seed is None:
         if root.size != 1:
@@ -164,11 +165,7 @@ def backward(tape: GradTape, root: Tensor, seed: np.ndarray | float | None = Non
                 f"seed shape {seed_arr.shape} does not match root shape {root.data.shape}")
 
     flowing: dict[int, np.ndarray] = {id(root): seed_arr}
-    touched: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
-        for t in node.inputs:
-            if t.requires_grad:
-                touched[id(t)] = t
         g_out = flowing.pop(id(node.output), None)
         if g_out is None:
             continue
@@ -179,17 +176,9 @@ def backward(tape: GradTape, root: Tensor, seed: np.ndarray | float | None = Non
             acc = flowing.get(id(t))
             flowing[id(t)] = g if acc is None else acc + g
 
-    for t in touched.values():
-        if t is root:
-            continue
-        g = flowing.get(id(t))
-        t.grad = np.zeros_like(t.data) if g is None else np.ascontiguousarray(g)
-    if root.requires_grad:
-        root.grad = seed_arr.copy()
-    if params is not None:
-        for p in params:
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
+    for p in params:
+        g = flowing.get(id(p)) if p.requires_grad else None
+        p.grad = np.zeros_like(p.data) if g is None else np.ascontiguousarray(g)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +355,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(list(tensors), np.concatenate([t.data for t in tensors], axis=axis), grad_fn)
 
 
-def detach(a: Tensor) -> Tensor:
-    """A gradient-free copy; nothing recorded, no gradient ever flows back."""
-    return Tensor(a.data.copy(), requires_grad=False)
-
-
 # ---------------------------------------------------------------------------
 # convolution family
 # ---------------------------------------------------------------------------
@@ -478,17 +462,13 @@ def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     return _make([x], out, grad_fn)
 
 
-def channel_upsample(x: Tensor, factor: int, groups: int = 1) -> Tensor:
-    """Repeat each channel ``factor`` times contiguously; group blocks stay contiguous."""
+def channel_upsample(x: Tensor, factor: int) -> Tensor:
+    """Repeat each channel ``factor`` times contiguously, so group blocks stay contiguous."""
     if x.data.ndim != 3:
         raise DimensionError(f"channel_upsample: input {x.data.shape}")
     if factor < 1:
         raise ConfigError(f"channel_upsample: factor {factor} must be >= 1")
     B, C, length = x.data.shape
-    if groups < 1 or C % groups:
-        raise ConfigError(f"channel_upsample: groups={groups} must divide C={C}")
-    if factor == 1:
-        return _make([x], x.data.copy(), lambda g: (g,))
     out = np.repeat(x.data, factor, axis=1)
 
     def grad_fn(g):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset, gather_batch, make_windows
-from .errors import ConfigError, ContractError, NumericalError, SamplerError
+from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
 from .tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward, exp_op,
@@ -182,6 +182,9 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("batch_size", "stage1_batch_size", "stage2_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_steps_per_epoch is not None and self.max_steps_per_epoch < 1:
             # every epoch takes a step, so its mean loss is defined
             raise ConfigError(f"max_steps_per_epoch must be >= 1, "
@@ -272,11 +275,11 @@ def _window_batches(model: RTNet, ds: TimeSeriesDataset, batch_size: int,
     return epoch
 
 
-def _mse_step(model: RTNet, rng: np.random.Generator, detach_features: bool = False):
+def _mse_step(model: RTNet, rng: np.random.Generator):
     """Supervised step loss: per-variate MSE, backpropagated through its sum."""
     def step_loss(wb):
         pred = model.forward(wb.inputs, wb.time_marks, training=True, rng=rng,
-                             detach_features=detach_features, input_marks=wb.input_marks)
+                             input_marks=wb.input_marks)
         loss_vec = mse_per_variate(pred, wb.targets)
         return sum_axis(loss_vec), loss_vec.data
     return step_loss
@@ -379,13 +382,9 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
          result, "stage 1", stage=1)
 
     model.freeze_cpn()
-    for _, p in model.cpn_named_parameters():
-        if p.requires_grad:
-            raise ContractError("stage-1 parameters must be frozen before stage 2")
-
     batches = _window_batches(model, train_ds, cfg.stage2_batch_size, shuffle_rng,
                               cfg.max_steps_per_epoch)
     _fit(model, model.head_named_parameters(), cfg, cfg.epochs, batches,
-         _mse_step(model, drop_rng, detach_features=True),
+         _mse_step(model, drop_rng),
          lambda: evaluate(model, val_ds), result, "stage 2", stage=2)
     return result

@@ -64,7 +64,7 @@ class TestCriterion1GradientSoundness:
         cases = [
             ("conv1d_grouped", lambda: _sq(conv1d_grouped(x3, w, b, 2, 1, 2)), [x3, w, b]),
             ("maxpool1d", lambda: _sq(maxpool1d(x3, 3, 2, 1)), [x3]),
-            ("channel_upsample", lambda: _sq(channel_upsample(x3, 3, 2)), [x3]),
+            ("channel_upsample", lambda: _sq(channel_upsample(x3, 3)), [x3]),
             ("linear_grouped", lambda: _sq(linear_grouped(lx, lw, lb, 2)), [lx, lw, lb]),
             ("relu", lambda: _sq(relu(a1)), [a1]),
             ("dropout", lambda: _sq(dropout(a1, 0.4, np.random.default_rng(3), True)), [a1]),

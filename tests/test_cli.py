@@ -120,6 +120,19 @@ class TestTrainEval:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("field,fmt", [("batch_size", "e2e"),
+                                           ("stage1_batch_size", "contrastive"),
+                                           ("stage2_batch_size", "contrastive")])
+    def test_zero_batch_size_fails(self, data_csv, tmp_path, field, fmt):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({
+            "task": "univariate",
+            "model": {"l_in": 16, "d_channels": 4, "blocks": 2, "l_out": 4},
+            "train": {"epochs": 1, "max_steps_per_epoch": 2, field: 0},
+        }))
+        assert main(["train", "--config", str(cfg), "--data", data_csv, "--format", fmt,
+                     "--out", str(tmp_path / "o")]) == 1
+
     def test_lock_file_blocks_second_invocation(self, data_csv, train_config, tmp_path):
         out = str(tmp_path / "locked")
         os.makedirs(out)

@@ -134,7 +134,7 @@ def linear_reference(x, w, b, g, groups):
 def tape_gradients(fn, inputs, seed_grad):
     with GradTape() as tape:
         out = fn()
-    backward(tape, out, seed=seed_grad)
+    backward(tape, out, params=inputs, seed=seed_grad)
     return out.data, [t.grad for t in inputs]
 
 

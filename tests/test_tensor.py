@@ -5,7 +5,7 @@ import pytest
 
 from rtnet.errors import ConfigError, DimensionError, NumericalError
 from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
-                          channel_upsample, concat, conv1d_grouped, detach, dropout,
+                          channel_upsample, concat, conv1d_grouped, dropout,
                           exp_op, linear_grouped, log_op, matmul_const, matmul_t,
                           maxpool1d, mse_per_variate, mul, mul_const, mul_scalar,
                           normalize_rows, relu, reshape, sub, sum_axis, take_axis1,
@@ -21,7 +21,7 @@ class TestBackward:
         x = t([3.0])
         with GradTape() as tape:
             y = mul_scalar(x, 2.0)
-        backward(tape, y, seed=np.ones(1))
+        backward(tape, y, params=[x], seed=np.ones(1))
         assert x.grad == pytest.approx([2.0])
 
     def test_unused_parameter_gets_exact_zero(self):
@@ -37,7 +37,7 @@ class TestBackward:
         with GradTape() as tape:
             y = add(mul_scalar(x, 1.0), mul_scalar(x, 4.0))
             z = sum_axis(y)
-        backward(tape, z)
+        backward(tape, z, params=[x])
         assert x.grad == pytest.approx([5.0])
 
     def test_nonscalar_root_needs_seed(self):
@@ -45,7 +45,7 @@ class TestBackward:
         with GradTape() as tape:
             y = mul_scalar(x, 2.0)
         with pytest.raises(DimensionError):
-            backward(tape, y)
+            backward(tape, y, params=[x])
 
     def test_off_path_tensor_gets_zero(self):
         x = t([1.0, 2.0])
@@ -54,15 +54,21 @@ class TestBackward:
             dead = mul(z, z)  # recorded but never feeds the root
             y = sum_axis(mul_scalar(x, 2.0))
         assert dead.requires_grad
-        backward(tape, y)
+        backward(tape, y, params=[x, z])
         assert np.array_equal(z.grad, np.zeros(2))
 
-    def test_detach_blocks_gradient(self):
+    def test_only_listed_params_get_grads(self):
         x = t([1.0, 2.0])
+        unreached = t([5.0])
+        frozen = t([3.0, 4.0], grad=False)
         with GradTape() as tape:
-            y = sum_axis(detach(mul_scalar(x, 3.0)))
-        backward(tape, y, params=[x])
-        assert np.array_equal(x.grad, np.zeros(2))
+            h = mul(x, frozen)
+            y = sum_axis(mul_scalar(h, 2.0))
+        backward(tape, y, params=[x, unreached, frozen])
+        assert np.array_equal(x.grad, [6.0, 8.0])
+        assert np.array_equal(unreached.grad, np.zeros(1))
+        assert np.array_equal(frozen.grad, np.zeros(2))
+        assert h.grad is None and y.grad is None
 
 
 class TestConv1dGrouped:
@@ -137,7 +143,7 @@ class TestMaxpool:
         x = t(np.array([[[2.0, 2.0, 1.0]]]))
         with GradTape() as tape:
             y = sum_axis(maxpool1d(x, 3, 1, 0))
-        backward(tape, y)
+        backward(tape, y, params=[x])
         assert np.array_equal(x.grad, [[[1.0, 0.0, 0.0]]])
 
     def test_gradients(self, gradcheck):
@@ -165,15 +171,15 @@ class TestChannelUpsample:
         x1 = rng.normal(size=(1, 4, 6))
         x2 = x1.copy()
         x2[:, :2] += 9.0  # group 1 of 2
-        y1 = channel_upsample(t(x1), 3, groups=2).data
-        y2 = channel_upsample(t(x2), 3, groups=2).data
+        y1 = channel_upsample(t(x1), 3).data
+        y2 = channel_upsample(t(x2), 3).data
         assert np.array_equal(y1[:, 6:], y2[:, 6:])
 
     def test_gradient_sums_over_copies(self):
         x = t(np.ones((1, 2, 3)))
         with GradTape() as tape:
             y = sum_axis(channel_upsample(x, 4))
-        backward(tape, y)
+        backward(tape, y, params=[x])
         assert np.array_equal(x.grad, np.full((1, 2, 3), 4.0))
 
 
@@ -273,7 +279,7 @@ class TestElementwiseAndStructural:
         b = t(np.ones((2, 5)))
         with GradTape() as tape:
             y = sum_axis(concat([a, b], axis=1))
-        backward(tape, y)
+        backward(tape, y, params=[a, b])
         assert np.array_equal(a.grad, np.ones((2, 3)))
         assert np.array_equal(b.grad, np.ones((2, 5)))
 
@@ -371,7 +377,7 @@ class TestDeterminism:
                 y = relu(y)
                 y = dropout(y, 0.3, np.random.default_rng(7), training=True)
                 loss = sum_axis(mul(y, y))
-            backward(tape, loss)
+            backward(tape, loss, params=[x, w, b])
             return loss.item(), x.grad.copy(), w.grad.copy()
 
         l1, gx1, gw1 = run()
@@ -398,7 +404,7 @@ class TestDeterminism:
                 y = conv1d_grouped(x, w, b, s, p, groups)
                 loss = sum_axis(y)
             assert y.shape == (2, c_out, l_out)
-            backward(tape, loss)
+            backward(tape, loss, params=[x, w, b])
             assert x.grad.shape == x.data.shape
             assert w.grad.shape == w.data.shape
             assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))

@@ -309,7 +309,7 @@ class TestTrainContrastive:
         train = self.make_data(seed=15)
         val = self.make_data(seed=16)
         result = train_contrastive(model, train, val, cfg)
-        assert model.cpn_frozen
+        assert not any(p.requires_grad for _, p in model.cpn_named_parameters())
         stages = {row["stage"] for row in result.history}
         assert stages == {1, 2}
 
