@@ -67,7 +67,10 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     channels = x.data.shape[1]
     if p.gamma.data.shape != (channels,):
         raise DimensionError(f"batch_norm: gamma shape {p.gamma.data.shape} != ({channels},)")
-    if training:
+    # a frozen layer (gamma not trained) normalizes with, and keeps, its
+    # running statistics, so freezing a model part also freezes its buffers
+    batch_stats = training and p.gamma.requires_grad
+    if batch_stats:
         if x.data.shape[0] < 2:
             raise ConfigError("batch_norm: training requires batch size >= 2")
         mean = x.data.mean(axis=axes)
@@ -87,7 +90,7 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         g_gamma = (g * xhat).sum(axis=axes)
         g_beta = g.sum(axis=axes)
         g_hat = g * _expand(p.gamma.data, ndim)
-        if training:
+        if batch_stats:
             term = (n * g_hat - _expand(g_hat.sum(axis=axes), ndim)
                     - xhat * _expand((g_hat * xhat).sum(axis=axes), ndim))
             g_x = term * _expand(inv_std, ndim) / n

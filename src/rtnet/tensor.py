@@ -222,8 +222,8 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _make([a], np.where(mask, a.data, 0.0), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)
+    return _make([a], out, lambda g: (g * (out > 0.0),))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -234,13 +234,18 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
         return a
     if rng is None:
         raise ConfigError("dropout in training mode needs a random generator, got rng=None")
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    return _make([a], a.data * keep, lambda g: (g * keep,))
+    # (a*q)*mask equals a*(mask/(1-rate)) bit for bit, and the tape keeps
+    # one byte per element instead of a float64 keep array
+    mask = rng.random(a.data.shape) >= rate
+    q = 1.0 / (1.0 - rate)
+    out = a.data * q
+    out *= mask
+    return _make([a], out, lambda g: (g * q * mask,))
 
 
 def abs_op(a: Tensor) -> Tensor:
-    s = np.sign(a.data)
-    return _make([a], np.abs(a.data), lambda g: (g * s,))
+    ad = a.data
+    return _make([a], np.abs(ad), lambda g: (g * np.sign(ad),))
 
 
 def exp_op(a: Tensor) -> Tensor:
@@ -439,24 +444,32 @@ def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     l_out = _conv_out_len(length, k, stride, padding)
     l_pad = length + 2 * padding
     span = stride * (l_out - 1) + 1
-    if padding:
+    xd = x.data
+
+    def padded() -> np.ndarray:
+        if not padding:
+            return xd
         xp = np.full((B, C, l_pad), -np.inf)
-        xp[:, :, padding:padding + length] = x.data
-    else:
-        xp = x.data
-    # running max over the k tap views; amax moves only on a strict increase,
-    # so it records the first argmax of every window
+        xp[:, :, padding:padding + length] = xd
+        return xp
+
+    xp = padded()
     out = xp[:, :, 0:span:stride].copy()
-    amax = np.zeros(out.shape, dtype=np.min_scalar_type(k - 1))
     for j in range(1, k):
-        view = xp[:, :, j:j + span:stride]
-        np.copyto(amax, j, where=view > out)
-        np.maximum(out, view, out=out)
+        np.maximum(out, xp[:, :, j:j + span:stride], out=out)
 
     def grad_fn(g):
+        # a tap takes the gradient where it equals the window maximum and no
+        # earlier tap did, so ties route to the first argmax
+        xp = padded()
         g_xp = np.zeros((B, C, l_pad))
+        routed = np.zeros(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
         for j in range(k):
-            g_xp[:, :, j:j + span:stride] += np.where(amax == j, g, 0.0)
+            np.equal(xp[:, :, j:j + span:stride], out, out=hit)
+            np.greater(hit, routed, out=hit)  # hit and not yet routed
+            routed |= hit
+            g_xp[:, :, j:j + span:stride] += np.where(hit, g, 0.0)
         return (np.ascontiguousarray(g_xp[:, :, padding:padding + length]) if padding else g_xp,)
 
     return _make([x], out, grad_fn)

@@ -260,6 +260,11 @@ class TestActivations:
         with pytest.raises(ConfigError, match="rng"):
             dropout(t([1.0, 2.0]), 0.5, rng=None, training=True)
 
+    def test_relu_keeps_nan(self):
+        out = relu(t([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.data[0])
+        assert np.array_equal(out.data[1:], [0.0, 2.0])
+
     def test_relu_gradient(self, gradcheck):
         x = t(np.random.default_rng(4).normal(size=(5, 5)) + 0.1)
 
@@ -267,6 +272,105 @@ class TestActivations:
             return sum_axis(mul(relu(x), relu(x)))
 
         gradcheck(build, [x])
+
+
+def tied_input(shape, seed):
+    """Small integers, so windows tie, with zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    zeros = x == 0.0
+    x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    return x
+
+
+def maxpool_reference(x, g, k, stride, padding):
+    """Naive loop: window maximum and first argmax; the gradient goes to the
+    argmax, summed tap by tap where windows overlap."""
+    B, C, length = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+    l_out = (length + 2 * padding - k) // stride + 1
+    out = np.empty((B, C, l_out))
+    amax = np.empty((B, C, l_out), dtype=int)
+    for b in range(B):
+        for c in range(C):
+            for i in range(l_out):
+                window = xp[b, c, i * stride:i * stride + k]
+                amax[b, c, i] = np.argmax(window)
+                out[b, c, i] = window[amax[b, c, i]]
+    g_xp = np.zeros(xp.shape)
+    span = stride * (l_out - 1) + 1
+    for j in range(k):
+        g_xp[:, :, j:j + span:stride] += np.where(amax == j, g, 0.0)
+    return out, g_xp[:, :, padding:padding + length]
+
+
+def closure_arrays(fn):
+    """Every ndarray a grad_fn closure holds, through nested functions."""
+    found = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found.extend(closure_arrays(value))
+    return found
+
+
+def root_base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestTapeContents:
+    """Forward computes only the value; backward state is derived from the
+    input and output arrays, and the tape holds nothing else."""
+
+    def run(self, op, x_data, seed=0):
+        x = t(x_data)
+        with GradTape() as tape:
+            y = op(x)
+        assert len(tape.nodes) == 1
+        g = np.random.default_rng(seed).normal(size=y.shape)
+        backward(tape, y, params=[x], seed=g)
+        node = tape.nodes[0]
+        io = {id(root_base(x.data)), id(root_base(y.data))}
+        extra = [a for a in closure_arrays(node.grad_fn) if id(root_base(a)) not in io]
+        return y.data, x.grad, g, extra
+
+    def test_relu(self):
+        x = tied_input((3, 4, 10), 1)
+        out, gx, g, extra = self.run(relu, x)
+        assert extra == []
+        assert np.array_equal(out, np.where(x > 0.0, x, 0.0))
+        assert np.array_equal(gx, g * (x > 0.0))
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 0), (3, 2, 1), (3, 1, 1), (5, 2, 2), (2, 2, 0)])
+    def test_maxpool(self, k, stride, padding):
+        x = tied_input((2, 3, 13), 2)
+        out, gx, g, extra = self.run(lambda a: maxpool1d(a, k, stride, padding), x)
+        assert extra == []
+        want_out, want_gx = maxpool_reference(x, g, k, stride, padding)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(gx, want_gx)
+
+    def test_abs(self):
+        x = tied_input((4, 9), 3)
+        out, gx, g, extra = self.run(abs_op, x)
+        assert extra == []
+        assert np.array_equal(out, np.abs(x))
+        assert np.array_equal(gx, g * np.sign(x))
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.75])
+    def test_dropout(self, rate):
+        x = tied_input((3, 5, 11), 4)
+        out, gx, g, extra = self.run(
+            lambda a: dropout(a, rate, np.random.default_rng(8), training=True), x)
+        assert len(extra) == 1
+        assert extra[0].dtype == np.bool_ and extra[0].shape == out.shape
+        keep = (np.random.default_rng(8).random(x.shape) >= rate) / (1 - rate)
+        assert np.array_equal(out, x * keep)
+        assert np.array_equal(gx, g * keep)
 
 
 class TestElementwiseAndStructural:

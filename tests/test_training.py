@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import ar_series, hourly, state_checksum
+from conftest import ar_series, hourly, state_checksum, synthetic_multivariate
 from rtnet.data import TimeSeriesDataset
 from rtnet.errors import ConfigError, SamplerError
 from rtnet.model import ModelConfig, RTNet
@@ -312,6 +312,29 @@ class TestTrainContrastive:
         assert not any(p.requires_grad for _, p in model.cpn_named_parameters())
         stages = {row["stage"] for row in result.history}
         assert stages == {1, 2}
+
+    def test_frozen_pyramid_keeps_every_array(self, monkeypatch):
+        """Batch norm in a frozen pyramid uses and keeps its running statistics."""
+        values, names = synthetic_multivariate(420, seed=21)
+        train = TimeSeriesDataset(hourly(420), values, names, 6)
+        val = train.slice(300, 420)
+        model = tiny_model(seed=21, n_variates=7, groups=7, d_channels=14,
+                           norm_kind="bn", dropout=0.1)
+        frozen = {}
+        freeze = model.freeze_cpn
+
+        def freeze_and_snapshot():
+            freeze()
+            frozen.update((n, a.copy()) for n, a in model.state().items() if n.startswith("cpn."))
+
+        monkeypatch.setattr(model, "freeze_cpn", freeze_and_snapshot)
+        cfg = TrainConfig(epochs=2, stage1_epochs=1, stage1_batch_size=8, stage2_batch_size=8,
+                          lr=1e-3, seed=22, max_steps_per_epoch=3)
+        train_contrastive(model, train, val, cfg)
+        assert any(n.endswith("running_var") for n in frozen)
+        changed = [n for n, a in model.state().items()
+                   if n.startswith("cpn.") and not np.array_equal(a, frozen[n])]
+        assert changed == []
 
     def test_stage2_checksum_frozen(self):
         model = tiny_model(seed=17)
