@@ -103,8 +103,9 @@ class ConvUnit(WeightedUnit):
     """Grouped convolution with the model's normalization scheme attached.
 
     Weight norm reparameterizes the kernel; batch/layer norm follow the
-    convolution output.  ``post_norm=False`` marks projection heads, which
-    keep weight norm but never normalize their outputs.
+    convolution output, layer norm within each group's channels.
+    ``post_norm=False`` marks projection heads, which keep weight norm but
+    never normalize their outputs.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, groups: int,
@@ -117,6 +118,9 @@ class ConvUnit(WeightedUnit):
                          norm_kind)
         self.bn = BatchNormParams.create(c_out) if (post_norm and norm_kind == "bn") else None
         self.ln = LayerNormParams.create(c_out) if (post_norm and norm_kind == "ln") else None
+        if self.ln is not None and c_out // groups < 2:
+            raise ConfigError(f"layer norm needs >= 2 channels per group, got {c_out} "
+                              f"channels in {groups} groups")
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         y = conv1d_grouped(x, self.effective_weight(), self.bias,
@@ -124,7 +128,7 @@ class ConvUnit(WeightedUnit):
         if self.bn is not None:
             y = batch_norm(y, self.bn, training)
         if self.ln is not None:
-            y = layer_norm(y, self.ln)
+            y = layer_norm(y, self.ln, self.groups)
         return y
 
 

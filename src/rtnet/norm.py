@@ -1,10 +1,10 @@
 """Batch, layer, and weight normalization, pluggable per model.
 
 Conventions: activations are (B, C, L) or (B, F); batch norm computes its
-statistics per channel over every other axis, layer norm normalizes axis 1
-(the channel/feature axis) independently at each position.  Weight norm acts
-on parameters, not activations, so swapping it in never changes hidden-unit
-distributions.
+statistics per channel over every other axis, layer norm normalizes each
+group's block of axis 1 (the channel/feature axis) independently at each
+position.  Weight norm acts on parameters, not activations, so swapping it in
+never changes hidden-unit distributions.
 """
 
 from __future__ import annotations
@@ -101,31 +101,38 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     return _make([x, p.gamma, p.beta], out, grad_fn)
 
 
-def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    """Normalize axis 1 per instance (and per position, if any); affine gain/bias."""
+def layer_norm(x: Tensor, p: LayerNormParams, groups: int = 1) -> Tensor:
+    """Normalize each group's contiguous block of axis 1 per instance (and per
+    position, if any); affine gain/bias.  Groups never read each other."""
     ndim = x.data.ndim
     if ndim not in (2, 3):
         raise DimensionError(f"layer_norm expects (B,F) or (B,C,L), got {x.data.shape}")
-    channels = x.data.shape[1]
-    if channels < 2:
-        raise ConfigError("layer_norm: normalized axis must have length >= 2")
+    shape = x.data.shape
+    channels = shape[1]
+    if groups < 1 or channels % groups:
+        raise ConfigError(f"layer_norm: groups={groups} must divide {channels} channels")
+    cpg = channels // groups
+    if cpg < 2:
+        raise ConfigError(f"layer_norm: each of {groups} groups needs >= 2 channels, got {cpg}")
     if p.gain.data.shape != (channels,):
         raise DimensionError(f"layer_norm: gain shape {p.gain.data.shape} != ({channels},)")
 
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    grouped = (shape[0], groups, cpg) + shape[2:]
+    xg = x.data.reshape(grouped)
+    mean = xg.mean(axis=2, keepdims=True)
+    var = xg.var(axis=2, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + p.eps)
-    xhat = (x.data - mean) * inv_std
-    out = _expand(p.gain.data, ndim) * xhat + _expand(p.bias.data, ndim)
+    xhat = (xg - mean) * inv_std
+    out = _expand(p.gain.data, ndim) * xhat.reshape(shape) + _expand(p.bias.data, ndim)
     stat_axes = (0,) if ndim == 2 else (0, 2)
 
     def grad_fn(g):
-        g_gain = (g * xhat).sum(axis=stat_axes)
+        g_gain = (g * xhat.reshape(shape)).sum(axis=stat_axes)
         g_bias = g.sum(axis=stat_axes)
-        g_hat = g * _expand(p.gain.data, ndim)
-        term = (channels * g_hat - g_hat.sum(axis=1, keepdims=True)
-                - xhat * (g_hat * xhat).sum(axis=1, keepdims=True))
-        return (term * inv_std / channels, g_gain, g_bias)
+        g_hat = (g * _expand(p.gain.data, ndim)).reshape(grouped)
+        term = (cpg * g_hat - g_hat.sum(axis=2, keepdims=True)
+                - xhat * (g_hat * xhat).sum(axis=2, keepdims=True))
+        return ((term * inv_std / cpg).reshape(shape), g_gain, g_bias)
 
     return _make([x, p.gain, p.bias], out, grad_fn)
 

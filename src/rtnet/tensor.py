@@ -13,7 +13,6 @@ import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericalError
 
@@ -368,6 +367,17 @@ def _conv_out_len(length: int, k: int, stride: int, padding: int) -> int:
     return (length + 2 * padding - k) // stride + 1
 
 
+def _taps(length: int, k: int, stride: int, padding: int, l_out: int):
+    """For each tap j: the output range [lo, hi) whose tap-j reads land on
+    real input, and the strided input slice those reads take.  Outputs
+    outside [lo, hi) read padding at tap j."""
+    for j in range(k):
+        lo = min(l_out, max(0, -((j - padding) // stride)))
+        hi = max(lo, min(l_out, (length - 1 + padding - j) // stride + 1))
+        start = lo * stride + j - padding
+        yield j, lo, hi, slice(start, start + (hi - lo) * stride, stride)
+
+
 def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 1-D convolution: (B,C_in,L) -> (B,C_out,L_out).
@@ -392,38 +402,38 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
 
     l_out = _conv_out_len(length, k, stride, padding)
     opg = c_out // groups
-    l_pad = length + 2 * padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    # columns laid out (groups, B*l_out, cpg*k) so the contraction is one
-    # batched BLAS matmul per call; the strided window view is copied once
-    win = np.ascontiguousarray(
-        sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-        .reshape(B, groups, cpg, l_out, k)
-        .transpose(1, 0, 3, 2, 4)
-        .reshape(groups, B * l_out, cpg * k))
+    taps = list(_taps(length, k, stride, padding, l_out))
+    # columns laid out (groups, cpg*k, B*l_out), filled tap by tap from a
+    # (groups, cpg, B, L) view so every copy runs along the sequence axis;
+    # only the outputs whose tap reads padding are zeroed
+    xv = x.data.reshape(B, groups, cpg, length).transpose(1, 2, 0, 3)
+    cols = np.empty((groups, cpg, k, B, l_out))
+    for j, lo, hi, src in taps:
+        cols[:, :, j, :, :lo] = 0.0
+        cols[:, :, j, :, hi:] = 0.0
+        cols[:, :, j, :, lo:hi] = xv[..., src]
+    cols = cols.reshape(groups, cpg * k, B * l_out)
     w_cols = weight.data.reshape(groups, opg, cpg * k)
-    out = np.matmul(win, w_cols.transpose(0, 2, 1))          # (g, B*l_out, opg)
-    out = np.ascontiguousarray(
-        out.reshape(groups, B, l_out, opg).transpose(1, 0, 3, 2)
-    ).reshape(B, c_out, l_out)
-    out += bias.data[None, :, None]
+    # one transposing copy back to (B, C_out, L_out) adds the bias
+    out = np.empty((B, c_out, l_out))
+    np.add(np.matmul(w_cols, cols).reshape(groups, opg, B, l_out).transpose(2, 0, 1, 3),
+           bias.data.reshape(groups, opg, 1), out=out.reshape(B, groups, opg, l_out))
 
     def grad_fn(g):
-        go = (g.reshape(B, groups, opg, l_out)
-              .transpose(1, 0, 3, 2)
-              .reshape(groups, B * l_out, opg))
-        g_w = np.matmul(go.transpose(0, 2, 1), win).reshape(c_out, cpg, k)
+        # go is a (groups, opg, B*l_out) view of a (groups, B*l_out, opg)
+        # copy: in that layout BLAS rounds the weight gradient as it does a
+        # (B*l_out, cpg*k) column product, also at cpg=1, so training stays
+        # bit-identical to an im2col kernel
+        go = np.ascontiguousarray(
+            g.reshape(B, groups, opg, l_out).transpose(1, 0, 3, 2)
+        ).reshape(groups, B * l_out, opg).transpose(0, 2, 1)
+        g_w = np.matmul(go, cols.transpose(0, 2, 1)).reshape(c_out, cpg, k)
         g_b = g.sum(axis=(0, 2))
-        # (B, groups, cpg, l_out, k) view of the column gradient, scattered
-        # tap by tap into the padded input gradient without a transpose copy
-        g_win = np.matmul(go, w_cols).reshape(groups, B, l_out, cpg, k).transpose(1, 0, 3, 2, 4)
-        g_xp = np.zeros((B, groups, cpg, l_pad))
-        span = stride * (l_out - 1) + 1
-        for j in range(k):
-            g_xp[..., j:j + span:stride] += g_win[..., j]
-        g_x = g_xp.reshape(B, c_in, l_pad)
-        if padding:
-            g_x = np.ascontiguousarray(g_x[:, :, padding:padding + length])
+        g_cols = np.matmul(w_cols.transpose(0, 2, 1), go).reshape(groups, cpg, k, B, l_out)
+        g_x = np.zeros((B, c_in, length))
+        g_xv = g_x.reshape(B, groups, cpg, length).transpose(1, 2, 0, 3)
+        for j, lo, hi, src in taps:
+            g_xv[..., src] += g_cols[:, :, j, :, lo:hi]
         return (g_x, g_w, g_b)
 
     return _make([x, weight, bias], out, grad_fn)
@@ -442,35 +452,25 @@ def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
         raise DimensionError(f"maxpool1d: window {k} exceeds padded length {length + 2 * padding}")
 
     l_out = _conv_out_len(length, k, stride, padding)
-    l_pad = length + 2 * padding
-    span = stride * (l_out - 1) + 1
+    taps = list(_taps(length, k, stride, padding, l_out))
     xd = x.data
-
-    def padded() -> np.ndarray:
-        if not padding:
-            return xd
-        xp = np.full((B, C, l_pad), -np.inf)
-        xp[:, :, padding:padding + length] = xd
-        return xp
-
-    xp = padded()
-    out = xp[:, :, 0:span:stride].copy()
-    for j in range(1, k):
-        np.maximum(out, xp[:, :, j:j + span:stride], out=out)
+    # padding reads as -inf, so each tap takes the maximum only over the
+    # outputs where it reads real input
+    out = np.full((B, C, l_out), -np.inf)
+    for _, lo, hi, src in taps:
+        np.maximum(out[:, :, lo:hi], xd[:, :, src], out=out[:, :, lo:hi])
 
     def grad_fn(g):
         # a tap takes the gradient where it equals the window maximum and no
         # earlier tap did, so ties route to the first argmax
-        xp = padded()
-        g_xp = np.zeros((B, C, l_pad))
+        g_x = np.zeros((B, C, length))
         routed = np.zeros(out.shape, dtype=bool)
-        hit = np.empty(out.shape, dtype=bool)
-        for j in range(k):
-            np.equal(xp[:, :, j:j + span:stride], out, out=hit)
-            np.greater(hit, routed, out=hit)  # hit and not yet routed
-            routed |= hit
-            g_xp[:, :, j:j + span:stride] += np.where(hit, g, 0.0)
-        return (np.ascontiguousarray(g_xp[:, :, padding:padding + length]) if padding else g_xp,)
+        for _, lo, hi, src in taps:
+            hit = xd[:, :, src] == out[:, :, lo:hi]
+            np.greater(hit, routed[:, :, lo:hi], out=hit)  # hit and not yet routed
+            routed[:, :, lo:hi] |= hit
+            g_x[:, :, src] += np.where(hit, g[:, :, lo:hi], 0.0)
+        return (g_x,)
 
     return _make([x], out, grad_fn)
 

@@ -9,7 +9,7 @@ are compared exactly.  A few cases also go through finite differences.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients
@@ -138,9 +138,28 @@ def tape_gradients(fn, inputs, seed_grad):
     return out.data, [t.grad for t in inputs]
 
 
+def pinned(cases, **fields):
+    """Hypothesis examples over the given cases, with the other fields fixed."""
+    def wrap(test):
+        for case in reversed(cases):
+            test = example(dict(fields, **case))(test)
+        return test
+    return wrap
+
+
+# clipped tap ranges: taps that read only padding, a single output, stride > k
+EDGE_CASES = [dict(length=1, k=5, padding=4, stride=s) for s in (1, 2, 3)] + [
+    dict(length=3, k=3, padding=0, stride=1),
+    dict(length=2, k=5, padding=2, stride=2),
+    dict(length=11, k=2, padding=1, stride=3),
+    dict(length=10, k=1, padding=0, stride=3),
+]
+
+
 class TestConv1dGroupedFuzz:
     @FUZZ
     @given(conv_cases())
+    @pinned(EDGE_CASES, batch=2, groups=3, cpg=2, opg=2, seed=7)
     def test_matches_loop_reference(self, case):
         rng = np.random.default_rng(case["seed"])
         groups, cpg, k = case["groups"], case["cpg"], case["k"]
@@ -177,6 +196,7 @@ class TestConv1dGroupedFuzz:
 class TestMaxpoolFuzz:
     @FUZZ
     @given(pool_cases())
+    @pinned(EDGE_CASES, batch=2, channels=3, seed=7)
     def test_matches_loop_reference_with_ties(self, case):
         rng = np.random.default_rng(case["seed"])
         k, stride, padding = case["k"], case["stride"], case["padding"]

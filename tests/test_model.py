@@ -188,19 +188,28 @@ class TestForward:
         out = model.forward(np.random.default_rng(0).normal(size=(2, 32, 3)))
         assert np.array_equal(out.data, np.zeros((2, 4, 3)))
 
-    def test_grouped_independence_bit_exact(self):
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("time_mode", ["none", "decoupled"])
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    def test_grouped_independence_bit_exact(self, norm_kind, time_mode, training):
         """With identity relation, variate j never touches variate i's prediction."""
-        cfg = small_cfg()
+        cfg = small_cfg(norm_kind=norm_kind, time_mode=time_mode)
         model = make_model(cfg, relation=np.eye(3))
         rng = np.random.default_rng(5)
         x1 = rng.normal(size=(2, 32, 3))
         x2 = x1.copy()
         x2[:, :, 0] = rng.normal(size=(2, 32)) * 1000.0
-        y1 = model.forward(x1)
-        y2 = model.forward(x2)
+        marks = rng.uniform(-0.5, 0.5, size=(2, cfg.l_out, cfg.n_time))
+        y1 = model.forward(x1, marks, training=training)
+        y2 = model.forward(x2, marks, training=training)
         assert np.array_equal(y1.data[:, :, 1], y2.data[:, :, 1])
         assert np.array_equal(y1.data[:, :, 2], y2.data[:, :, 2])
         assert not np.array_equal(y1.data[:, :, 0], y2.data[:, :, 0])
+
+    def test_layer_norm_needs_two_channels_per_group(self):
+        with pytest.raises(ConfigError, match="2 channels per group"):
+            make_model(small_cfg(norm_kind="ln", d_channels=3))
+        make_model(small_cfg(norm_kind="wn", d_channels=3))
 
     def test_causality_outside_window(self):
         """Values beyond the input window cannot alter the prediction."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_kernel_fuzz import conv_reference
 
 from rtnet.errors import ConfigError, DimensionError, NumericalError
 from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
@@ -353,6 +354,29 @@ class TestTapeContents:
         want_out, want_gx = maxpool_reference(x, g, k, stride, padding)
         assert np.array_equal(out, want_out)
         assert np.array_equal(gx, want_gx)
+
+    @pytest.mark.parametrize("k,stride,padding,groups",
+                             [(3, 1, 1, 1), (3, 2, 1, 7), (5, 2, 2, 3), (1, 1, 0, 2), (2, 3, 1, 1)])
+    def test_conv(self, k, stride, padding, groups):
+        """The node keeps the weight and one column array, and nothing padded."""
+        rng = np.random.default_rng(k + 10 * stride + 100 * groups)
+        B, cpg, opg, length = 2, 2, 3, 13
+        x, w, b = (t(rng.normal(size=shape)) for shape in
+                   [(B, groups * cpg, length), (groups * opg, cpg, k), (groups * opg,)])
+        with GradTape() as tape:
+            y = conv1d_grouped(x, w, b, stride, padding, groups)
+        assert len(tape.nodes) == 1
+        l_out = y.shape[2]
+        g = rng.normal(size=y.shape)
+        backward(tape, y, params=[x, w, b], seed=g)
+        held = closure_arrays(tape.nodes[0].grad_fn)
+        assert any(root_base(a) is w.data for a in held)
+        extra = [a for a in held if root_base(a) is not w.data]
+        assert len(extra) == 1 and extra[0].size == groups * cpg * k * B * l_out
+        assert all(a.shape[-1] != length + 2 * padding for a in held)
+        want = conv_reference(x.data, w.data, b.data, g, stride, padding, groups)
+        for got, ref in zip([y.data, x.grad, w.grad, b.grad], want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     def test_abs(self):
         x = tied_input((4, 9), 3)
