@@ -203,6 +203,33 @@ def write_sweep_config(tmp_path, lengths, **job):
 
 
 class TestSweep:
+    def test_golden_sweep(self, data_csv, tmp_path):
+        """Recorded sweep of two seeds; rows keep the config's length order.
+
+        600 rows split 360/120/120, so l_in=128 leaves no window in val or test.
+        The tolerance only absorbs BLAS rounding, as in TestGoldenArithmetic.
+        """
+        out = tmp_path / "golden"
+        config = write_sweep_config(tmp_path, [32, 128, 16], seeds=[0, 1])
+        assert main(["sweep", "--config", config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        expected = [
+            {"length": 32, "mean_mse": 2.545799647147962, "std_mse": 0.6655281531290114,
+             "mean_mae": 1.2798530630088272, "std_mae": 0.18682405279612857},
+            {"length": 16, "mean_mse": 4.055957288269827, "std_mse": 0.9876657003612068,
+             "mean_mae": 1.5656294922718361, "std_mae": 0.13478929523833338},
+        ]
+        assert len(payload["rows"]) == len(expected)
+        for row, want in zip(payload["rows"], expected):
+            assert list(row) == list(want)
+            assert row["length"] == want["length"]
+            for key in ("mean_mse", "std_mse", "mean_mae", "std_mae"):
+                assert row[key] == pytest.approx(want[key], rel=1e-10), key
+        assert payload["best_length"] == 32
+        assert payload["near_best"] == [32]
+        assert [s["length"] for s in payload["skipped"]] == [128]
+
     def test_sweep_writes_csv_json_and_svg(self, data_csv, tmp_path):
         out = str(tmp_path / "sweepout")
         assert main(["sweep", "--config", write_sweep_config(tmp_path, [16, 32]),
