@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import io
 import json
 import os
 import sys
@@ -17,8 +18,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .data import SplitSpec, load_csv, make_windows, split, standardize
-from .diagnostics import input_length_sweep, pacf, sweep_svg
+from .data import SplitSpec, load_csv, split, standardize
+from .diagnostics import line_plot_svg, pacf
 from .errors import ConfigError, RTNetError
 from .model import RTNet, load_checkpoint, save_checkpoint
 from .relation import cos_relation_matrix, relation_csv, threshold_and_standardize
@@ -178,46 +179,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lengths = job.get("lengths")
     if not lengths:
         raise ConfigError("sweep config needs a non-empty 'lengths' list")
-    seeds = job.get("seeds", [args.seed])
-    splits, _ = harness.load_splits(args.data, args.split_mode, job["task"])
+    spec = harness.ExperimentSpec(
+        data_path=args.data, pred_lengths=[job["model"].get("l_out", 24)],
+        seeds=job.get("seeds", [args.seed]), task=job["task"], split_mode=args.split_mode,
+        ablation="input_length", ablation_values=[int(l) for l in lengths],
+        fidelity=args.fidelity, format=args.format, model=job["model"], train=job["train"],
+        use_relation=job["use_relation"])
+    report = harness.run_experiment(spec)
+    rows, skipped = [], []
+    for r in report.summary:
+        length = int(r["axis_value"])
+        failed = [c for c in report.cells if c.axis_value == length and c.status != "ok"]
+        for c in failed:
+            log(f"cell failed: length={length} seed={c.seed}: {c.reason}")
+        if r["n_seeds"]:
+            rows.append({"length": length, "mean_mse": r["mean_mse"], "std_mse": r["std_mse"],
+                         "mean_mae": r["mean_mae"], "std_mae": r["std_mae"]})
+        else:
+            skipped.append({"length": length, "reason": failed[0].reason})
+    if not rows:
+        raise ConfigError("no input length in the sweep produced a result")
+    best = min(rows, key=lambda row: row["mean_mse"])
+    near_best = [row["length"] for row in rows if row["mean_mse"] <= best["mean_mse"] * 1.05]
 
-    def build(length: int, seed: int):
-        return harness.build_job(splits[0], job["task"], job["use_relation"], args.fidelity,
-                                 dict(job["model"], l_in=length), job["train"], seed)
-
-    def admissible(length: int) -> bool:
-        try:
-            mcfg, _, _ = build(length, 0)
-            for ds in splits:
-                make_windows(len(ds), mcfg.l_in, mcfg.l_out)
-            return True
-        except RTNetError as exc:
-            log(f"length {length} skipped: {exc}")
-            return False
-
-    def run_cell(length: int, seed: int) -> tuple[float, float]:
-        mcfg, tcfg, relation = build(length, seed)
-        model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
-        trainer = train_contrastive if args.format == "contrastive" else train_end_to_end
-        trainer(model, splits[0], splits[1], tcfg)
-        return evaluate(model, splits[2])
-
-    result = input_length_sweep([int(l) for l in lengths], [int(s) for s in seeds],
-                                run_cell, admissible)
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv_mod.writer(fh)
-        w.writerow(["length", "mean_mse", "std_mse", "mean_mae", "std_mae"])
-        for row in result.rows():
-            w.writerow([row["length"], row["mean_mse"], row["std_mse"],
-                        row["mean_mae"], row["std_mae"]])
-    with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump({"rows": result.rows(), "best_length": result.best_length,
-                   "near_best": result.near_best,
-                   "skipped": [{"length": l, "reason": r} for l, r in result.skipped]},
-                  fh, indent=2)
-    with open(os.path.join(args.out, "sweep.svg"), "w", encoding="utf-8") as fh:
-        fh.write(sweep_svg(result))
-    log(f"sweep complete; best length {result.best_length}")
+    csv_text = io.StringIO()
+    w = csv_mod.writer(csv_text)
+    w.writerow(["length", "mean_mse", "std_mse", "mean_mae", "std_mae"])
+    w.writerows([list(row.values()) for row in rows])
+    svg = line_plot_svg([float(row["length"]) for row in rows],
+                        {"mean MSE": [row["mean_mse"] for row in rows],
+                         "mean MAE": [row["mean_mae"] for row in rows]},
+                        "Forecast error vs input length", "input length", "error")
+    payload = {"rows": rows, "best_length": best["length"], "near_best": near_best,
+               "skipped": skipped}
+    harness.write_atomic(os.path.join(args.out, "sweep.csv"), csv_text.getvalue())
+    harness.write_atomic(os.path.join(args.out, "sweep.json"), json.dumps(payload, indent=2))
+    harness.write_atomic(os.path.join(args.out, "sweep.svg"), svg)
+    log(f"sweep complete; best length {best['length']}")
     return 0
 
 

@@ -1,9 +1,8 @@
-"""Forecast metrics, partial autocorrelation, and the input-length sweep."""
+"""Forecast metrics, partial autocorrelation, and an SVG line chart."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,55 +62,6 @@ def pacf(series: np.ndarray, max_lag: int) -> PacfResult:
                       1.96 / np.sqrt(x.size))
 
 
-@dataclass
-class SweepResult:
-    lengths: list[int]
-    mean_mse: list[float]
-    std_mse: list[float]
-    mean_mae: list[float]
-    std_mae: list[float]
-    best_length: int
-    near_best: list[int] = field(default_factory=list)   # descriptive only: within 5% of best
-    skipped: list[tuple[int, str]] = field(default_factory=list)
-
-    def rows(self) -> list[dict]:
-        return [{"length": l, "mean_mse": m, "std_mse": s, "mean_mae": a, "std_mae": t}
-                for l, m, s, a, t in zip(self.lengths, self.mean_mse, self.std_mse,
-                                         self.mean_mae, self.std_mae)]
-
-
-def input_length_sweep(lengths: list[int], seeds: list[int],
-                       run_cell: Callable[[int, int], tuple[float, float]],
-                       admissible: Callable[[int], bool] | None = None) -> SweepResult:
-    """Run (length x seed) cells and aggregate; inadmissible lengths are skipped."""
-    kept: list[int] = []
-    mean_mse: list[float] = []
-    std_mse: list[float] = []
-    mean_mae: list[float] = []
-    std_mae: list[float] = []
-    skipped: list[tuple[int, str]] = []
-    for length in lengths:
-        if admissible is not None and not admissible(length):
-            skipped.append((length, "inadmissible input length for the model config"))
-            continue
-        mses, maes = [], []
-        for seed in seeds:
-            mse, mae = run_cell(length, seed)
-            mses.append(mse)
-            maes.append(mae)
-        kept.append(length)
-        mean_mse.append(float(np.mean(mses)))
-        std_mse.append(float(np.std(mses)))
-        mean_mae.append(float(np.mean(maes)))
-        std_mae.append(float(np.std(maes)))
-    if not kept:
-        raise ConfigError("no admissible input length in the sweep")
-    best_i = int(np.argmin(mean_mse))
-    near = [l for l, m in zip(kept, mean_mse) if m <= mean_mse[best_i] * 1.05]
-    return SweepResult(kept, mean_mse, std_mse, mean_mae, std_mae,
-                       best_length=kept[best_i], near_best=near, skipped=skipped)
-
-
 def line_plot_svg(xs: list[float], series: dict[str, list[float]],
                   title: str, x_label: str, y_label: str,
                   width: int = 640, height: int = 400) -> str:
@@ -160,8 +110,3 @@ def line_plot_svg(xs: list[float], series: dict[str, list[float]],
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def sweep_svg(result: SweepResult) -> str:
-    return line_plot_svg([float(l) for l in result.lengths],
-                         {"mean MSE": result.mean_mse, "mean MAE": result.mean_mae},
-                         "Forecast error vs input length", "input length", "error")

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, split,
-                   standardize)
+from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, make_windows,
+                   split, standardize)
 from .errors import ConfigError
 from .model import ModelConfig, RTNet
 from .relation import cos_relation_matrix, threshold_and_standardize
@@ -43,6 +43,7 @@ class ExperimentSpec:
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     theta_degrees: float = 45.0
+    use_relation: bool = True
 
     def validate(self) -> None:
         if self.task not in ("univariate", "multivariate"):
@@ -59,6 +60,8 @@ class ExperimentSpec:
             raise ConfigError("ablation axis given without ablation_values")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if len({str(v) for v in self.ablation_values}) != len(self.ablation_values):
+            raise ConfigError("ablation_values must be distinct")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.fidelity == "paper" and not any(
@@ -182,11 +185,15 @@ class ExperimentReport:
     def write(self, out_dir: str, stem: str = "report") -> None:
         os.makedirs(out_dir, exist_ok=True)
         for ext, text in (("json", self.to_json()), ("csv", self.to_csv())):
-            path = os.path.join(out_dir, f"{stem}.{ext}")
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            write_atomic(os.path.join(out_dir, f"{stem}.{ext}"), text)
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text verbatim via a temporary file; a killed run leaves no partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def run_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
@@ -195,7 +202,7 @@ def run_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
     start = time.monotonic()
     try:
         overrides = {"theta_degrees": spec.theta_degrees, **spec.model, "l_out": pred_len}
-        use_relation = True  # multivariate cells mix unless the relation arm is off
+        use_relation = spec.use_relation
         if spec.ablation == "relation":
             use_relation = bool(axis_value)
         elif spec.ablation == "input_length":
@@ -204,6 +211,8 @@ def run_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
             overrides[spec.ablation] = axis_value
         mcfg, tcfg, relation = build_job(splits[0], spec.task, use_relation, spec.fidelity,
                                          overrides, spec.train, seed)
+        for ds in splits:  # a split with no window fails the cell before training
+            make_windows(len(ds), mcfg.l_in, mcfg.l_out)
         model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
         trainer = train_contrastive if (fmt or spec.format) == "contrastive" else train_end_to_end
         trainer(model, splits[0], splits[1], tcfg)
@@ -216,8 +225,8 @@ def run_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
 
 
 def _summarize(cells: list[CellResult]) -> list[dict]:
-    keys = sorted({(str(c.axis_value), c.pred_len) for c in cells},
-                  key=lambda t: (t[0], t[1]))
+    """One row per (axis value, prediction length), in the order cells first appear."""
+    keys = dict.fromkeys((str(c.axis_value), c.pred_len) for c in cells)
     out = []
     for axis_value, pred_len in keys:
         ok = [c for c in cells
@@ -238,11 +247,11 @@ def _summarize(cells: list[CellResult]) -> list[dict]:
 
 
 def worker_count() -> int:
-    env = os.environ.get("RTNET_WORKERS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """Threads for experiment cells: RTNET_WORKERS, or 1 when it is unset or empty."""
+    env = os.environ.get("RTNET_WORKERS") or "1"
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"RTNET_WORKERS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _run_cells(jobs: list[tuple], fn) -> list:

@@ -120,19 +120,22 @@ class TestCriterion1GradientSoundness:
 class TestCriterion2RelationIndependence:
     """Zero relation weight means bit-exact insensitivity, even adversarially."""
 
-    def test_adversarial_perturbation_changes_nothing(self):
+    @pytest.mark.parametrize("time_mode", ["none", "decoupled"])
+    @pytest.mark.parametrize("norm_kind", ["wn", "bn", "ln", "none"])
+    def test_adversarial_perturbation_changes_nothing(self, norm_kind, time_mode):
         raw = np.array([[1.0, 0.9, 0.1],
                         [0.9, 1.0, 0.1],
                         [0.1, 0.1, 1.0]])
         processed = threshold_and_standardize(raw, 45.0)
         assert processed[2, 0] == 0.0 and processed[0, 2] == 0.0  # isolation holds
         cfg = ModelConfig(l_in=16, l_out=4, n_variates=3, d_channels=6, blocks=2,
-                          groups=3, time_mode="none", norm_kind="wn",
+                          groups=3, time_mode=time_mode, norm_kind=norm_kind,
                           dropout=0.0, kernel=3)
         model = RTNet(cfg, np.random.default_rng(5), relation=processed)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 16, 3))
-        base = model.forward(x).data
+        marks = rng.uniform(-0.5, 0.5, size=(2, cfg.l_out, cfg.n_time))
+        base = model.forward(x, marks).data
 
         adversarial = [rng.normal(size=(2, 16)) * 1e12,
                        np.full((2, 16), -1e9),
@@ -141,12 +144,12 @@ class TestCriterion2RelationIndependence:
         for pert in adversarial:
             x_p = x.copy()
             x_p[:, :, 2] = pert  # variate 2 has zero weight into variates 0 and 1
-            out = model.forward(x_p).data
+            out = model.forward(x_p, marks).data
             assert np.array_equal(out[:, :, 0], base[:, :, 0])
             assert np.array_equal(out[:, :, 1], base[:, :, 1])
             x_q = x.copy()
             x_q[:, :, 0] = pert  # variate 0 has zero weight into variate 2
-            out = model.forward(x_q).data
+            out = model.forward(x_q, marks).data
             assert np.array_equal(out[:, :, 2], base[:, :, 2])
 
 

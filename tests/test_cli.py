@@ -11,6 +11,7 @@ import pytest
 
 import rtnet
 from conftest import hourly, write_csv
+from rtnet import harness
 from rtnet.cli import main, parse_args
 from rtnet.model import RTNet
 
@@ -189,6 +190,16 @@ class TestPacfCommand:
         assert 0.3 < first < 0.95  # AR(1)-ish target
 
 
+def fake_cells(monkeypatch, mse_of):
+    """Replace each experiment cell's training by a recorded MSE; its MAE is half that."""
+    def run_cell(spec, splits, axis_value, pred_len, seed, fmt=None):
+        mse = mse_of[axis_value, seed]
+        return harness.CellResult(axis_value=axis_value, pred_len=pred_len, seed=seed,
+                                  mse=mse, mae=mse / 2)
+
+    monkeypatch.setattr(harness, "run_cell", run_cell)
+
+
 def write_sweep_config(tmp_path, lengths, **job):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -251,6 +262,76 @@ class TestSweep:
         payload = json.loads(open(os.path.join(out, "sweep.json")).read())
         assert [row["length"] for row in payload["rows"]] == [16]
         assert [s["length"] for s in payload["skipped"]] == [128]
+
+    def test_best_length_by_mean_mse(self, data_csv, tmp_path, monkeypatch):
+        """Length 32 has the single best cell, but length 16 the best mean."""
+        fake_cells(monkeypatch, {(8, 0): 1.0, (8, 1): 3.0, (16, 0): 1.5, (16, 1): 1.5,
+                                 (32, 0): 0.5, (32, 1): 5.0})
+        out = tmp_path / "best"
+        config = write_sweep_config(tmp_path, [8, 16, 32], seeds=[0, 1])
+        assert main(["sweep", "--config", config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert [(r["length"], r["mean_mse"], r["std_mse"], r["mean_mae"])
+                for r in payload["rows"]] == [(8, 2.0, 1.0, 1.0), (16, 1.5, 0.0, 0.75),
+                                              (32, 2.75, 2.25, 1.375)]
+        assert payload["best_length"] == 16
+        assert payload["near_best"] == [16]
+        assert payload["skipped"] == []
+
+    def test_near_best_within_5_percent(self, data_csv, tmp_path, monkeypatch):
+        fake_cells(monkeypatch, {(8, 0): 1.0, (16, 0): 1.03, (32, 0): 2.0, (64, 0): 1.0501})
+        out = tmp_path / "near"
+        assert main(["sweep", "--config", write_sweep_config(tmp_path, [8, 16, 32, 64]),
+                     "--data", data_csv, "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert payload["best_length"] == 8
+        assert payload["near_best"] == [8, 16]
+
+    def test_svg_well_formed(self, data_csv, tmp_path, monkeypatch):
+        fake_cells(monkeypatch, {(16, 0): 0.5, (32, 0): 0.7})
+        out = tmp_path / "svg"
+        assert main(["sweep", "--config", write_sweep_config(tmp_path, [16, 32]),
+                     "--data", data_csv, "--out", str(out)]) == 0
+        svg = (out / "sweep.svg").read_text()
+        assert svg.startswith("<svg") and svg.endswith("</svg>")
+        assert svg.count("<polyline") == 2
+        assert "mean MSE" in svg and "mean MAE" in svg
+
+    def test_inadmissible_length_skipped_with_reason(self, data_csv, tmp_path):
+        out = tmp_path / "inadmissible"
+        assert main(["sweep", "--config", write_sweep_config(tmp_path, [15, 16]),
+                     "--data", data_csv, "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert [row["length"] for row in payload["rows"]] == [16]
+        assert payload["skipped"] == [
+            {"length": 15, "reason": "ConfigError: l_in=15 must be divisible by 2^blocks=4"}]
+
+    def test_all_lengths_inadmissible_exits_1(self, data_csv, tmp_path):
+        out = tmp_path / "none"
+        assert main(["sweep", "--config", write_sweep_config(tmp_path, [15, 128]),
+                     "--data", data_csv, "--out", str(out)]) == 1
+        assert not (out / "sweep.json").exists()
+
+    def test_length_whose_cells_all_raise_is_skipped(self, data_csv, tmp_path, monkeypatch):
+        """A cell that raises mid-training fails alone; the sweep goes on."""
+        train = harness.train_end_to_end
+
+        def flaky(model, train_ds, val_ds, cfg):
+            if model.cfg.l_in == 32:
+                raise FloatingPointError("overflow encountered in multiply")
+            return train(model, train_ds, val_ds, cfg)
+
+        monkeypatch.setattr(harness, "train_end_to_end", flaky)
+        out = tmp_path / "raising"
+        config = write_sweep_config(tmp_path, [16, 32], seeds=[0, 1])
+        assert main(["sweep", "--config", config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert [row["length"] for row in payload["rows"]] == [16]
+        assert payload["best_length"] == 16
+        assert payload["skipped"] == [
+            {"length": 32, "reason": "FloatingPointError: overflow encountered in multiply"}]
 
     def test_multivariate_sweep_builds_the_relation_model(self, data_csv, tmp_path,
                                                           monkeypatch):

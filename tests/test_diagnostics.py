@@ -1,13 +1,11 @@
-"""Metrics, PACF against two independent oracles, and the sweep harness."""
+"""Metrics, PACF against two independent oracles, and the SVG line chart."""
 
 import numpy as np
 import pytest
 
 from conftest import ar_series
-from rtnet.diagnostics import (SweepResult, autocovariance,
-                               input_length_sweep, line_plot_svg, metrics, pacf,
-                               sweep_svg)
-from rtnet.errors import ConfigError, DataError, DimensionError
+from rtnet.diagnostics import autocovariance, line_plot_svg, metrics, pacf
+from rtnet.errors import DataError, DimensionError
 
 
 def yule_walker_last_coeff(series, k):
@@ -110,44 +108,7 @@ class TestPacf:
             pacf(np.arange(10.0), 10)
 
 
-class TestSweep:
-    def test_single_length(self):
-        result = input_length_sweep([48], [0], lambda l, s: (0.5, 0.4))
-        assert result.best_length == 48
-        assert result.mean_mse == [0.5]
-
-    def test_identical_seeds_zero_std(self):
-        result = input_length_sweep([16, 32], [3, 3],
-                                    lambda l, s: (l * 0.01, l * 0.02))
-        assert result.std_mse == [0.0, 0.0]
-        assert result.best_length == 16
-
-    def test_inadmissible_skipped_with_reason(self):
-        result = input_length_sweep([15, 32], [0], lambda l, s: (1.0 / l, 0.0),
-                                    admissible=lambda l: l % 16 == 0)
-        assert result.lengths == [32]
-        assert result.skipped[0][0] == 15
-
-    def test_near_best_is_descriptive(self):
-        result = input_length_sweep([8, 16, 32], [0],
-                                    lambda l, s: ({8: 1.0, 16: 1.03, 32: 2.0}[l], 0.0))
-        assert result.best_length == 8
-        assert result.near_best == [8, 16]
-
-    def test_all_inadmissible_raises(self):
-        with pytest.raises(ConfigError):
-            input_length_sweep([3], [0], lambda l, s: (0, 0), admissible=lambda l: False)
-
-
 class TestSvg:
-    def test_sweep_svg_well_formed(self):
-        result = SweepResult([16, 32], [0.5, 0.7], [0.0, 0.0], [0.4, 0.5],
-                             [0.0, 0.0], best_length=16)
-        svg = sweep_svg(result)
-        assert svg.startswith("<svg") and svg.endswith("</svg>")
-        assert svg.count("<polyline") == 2
-        assert "mean MSE" in svg and "mean MAE" in svg
-
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             line_plot_svg([], {}, "t", "x", "y")

@@ -52,6 +52,10 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="distinct"):
             desk_spec(small_csv, seeds=[1, 1]).validate()
 
+    def test_duplicate_ablation_values_rejected(self, small_csv):
+        with pytest.raises(ConfigError, match="distinct"):
+            desk_spec(small_csv, ablation="input_length", ablation_values=[16, 16]).validate()
+
     def test_paper_fidelity_enforces_grid(self, small_csv):
         with pytest.raises(ConfigError, match="paper"):
             desk_spec(small_csv, fidelity="paper", pred_lengths=[13]).validate()
@@ -74,6 +78,14 @@ class TestRunExperiment:
         for row in report.summary:
             assert row["n_seeds"] == 2
             assert np.isfinite(row["mean_mse"])
+
+    def test_summary_keeps_the_spec_axis_order(self, small_csv):
+        spec = desk_spec(small_csv, ablation="input_length", ablation_values=[32, 8, 16],
+                         pred_lengths=[4, 2], seeds=[0], train={"epochs": 1,
+                                                                 "max_steps_per_epoch": 1})
+        report = run_experiment(spec)
+        assert [(row["axis_value"], row["pred_len"]) for row in report.summary] == [
+            ("32", 4), ("32", 2), ("8", 4), ("8", 2), ("16", 4), ("16", 2)]
 
     def test_deterministic_per_seed(self, small_csv):
         spec = desk_spec(small_csv, seeds=[7])
@@ -177,6 +189,12 @@ class TestWorkers:
         key = lambda c: (str(c.axis_value), c.pred_len, c.seed)
         for c1, c2 in zip(sorted(serial.cells, key=key), sorted(pooled.cells, key=key)):
             assert (c1.mse, c1.mae) == (c2.mse, c2.mae)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_worker_count_is_a_config_error(self, small_csv, monkeypatch, value):
+        monkeypatch.setenv("RTNET_WORKERS", value)
+        with pytest.raises(ConfigError, match="RTNET_WORKERS"):
+            run_experiment(desk_spec(small_csv, seeds=[0]))
 
 
 class TestFormatComparisonOnBenchmark:
