@@ -259,6 +259,53 @@ class TestForward:
         assert h.shape == (2, 24, 4)
 
 
+class TestGoldenPredictions:
+    """Recorded eval-mode predictions pin the forward arithmetic of every norm
+    kind and time mode; the tolerance only absorbs BLAS rounding."""
+
+    GOLDEN = {
+        ("wn", "none"): (-151.85324849640529, 982.7360257898971, -5.278672989709743, -10.521028493416566, -1.0297429274542327),
+        ("wn", "decoupled"): (-192.7663491396196, 1413.557510459934, -5.997063767048785, -8.633453668795342, 1.7707846925066382),
+        ("wn", "input"): (-34.13359223621439, 100.49046232846527, 1.2409647946371485, -0.9092380112097423, -1.4851806455926162),
+        ("bn", "none"): (-91.02846128600918, 468.1542136513873, -8.419276680431965, -1.238366024596538, -1.816815223863506),
+        ("bn", "decoupled"): (-93.67142883310416, 647.9586069273143, -4.7985567455926725, -2.899608514100298, -1.2389644084471672),
+        ("bn", "input"): (-13.577392633106658, 243.12552727878747, -0.6830848135059555, 1.311795165836228, -1.993710424786932),
+        ("ln", "none"): (-104.65578716986955, 479.9621616587479, -8.513972556319358, -2.6609973308473824, -2.478427436721276),
+        ("ln", "decoupled"): (-104.3796309499211, 626.9398918866779, -7.555366430236556, -1.8072444138342518, -2.645960896076408),
+        ("ln", "input"): (-47.56632683429248, 695.3261373119549, -0.43682549871214227, 2.799849885243343, -4.39285707104359),
+        ("none", "none"): (-126.66680721378258, 2017.9081434278114, -4.221705254644935, -7.824155575785856, -2.5731895052240352),
+        ("none", "decoupled"): (-189.07422520858182, 2553.8995937959985, -4.456831645979136, -7.168989344881524, -2.577804841413955),
+        ("none", "input"): (-46.39741643774763, 514.6528758113819, 1.1442207361576893, 1.4581900450648952, -0.665183598236947),
+    }
+
+    @staticmethod
+    def predict(norm_kind, time_mode):
+        cfg = small_cfg(norm_kind=norm_kind, time_mode=time_mode, dropout=0.1)
+        relation = np.array([[0.8, 0.1, 0.3], [0.2, 0.9, -0.4], [0.5, 0.0, 0.7]])
+        model = make_model(cfg, seed=41, relation=relation)
+        rng = np.random.default_rng(42)
+        # perturb every parameter and buffer so biases, norm affines and
+        # running statistics all take part
+        state = {}
+        for name, arr in model.state().items():
+            noise = rng.normal(0.0, 0.1, arr.shape)
+            state[name] = np.abs(arr + noise) + 0.5 if name.endswith("running_var") else arr + noise
+        model.load_state(state)
+        x = rng.normal(size=(5, cfg.l_in, 3))
+        marks = rng.uniform(-0.5, 0.5, (5, cfg.l_out, cfg.n_time))
+        in_marks = rng.uniform(-0.5, 0.5, (5, cfg.l_in, cfg.n_time))
+        return model.forward(x, marks, training=False, input_marks=in_marks).data
+
+    @pytest.mark.parametrize("time_mode", ["none", "decoupled", "input"])
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    def test_eval_predictions(self, norm_kind, time_mode):
+        pred = self.predict(norm_kind, time_mode)
+        assert pred.shape == (5, 4, 3)
+        flat = pred.ravel()
+        got = (flat.sum(), (flat * flat).sum(), *flat[:3])
+        assert got == pytest.approx(self.GOLDEN[norm_kind, time_mode], rel=1e-10)
+
+
 class TestContrastiveHead:
     def test_detached_features_block_cpn_gradients(self):
         """After freeze_cpn() the heads see the pyramid's features as constants."""
