@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
 from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,
-                     linear_grouped, maxpool1d, relu, reshape, transpose_12)
+                     linear_grouped, maxpool1d, permute, relu, reshape, transpose_12)
 
 CHECKPOINT_MAGIC = b"RTNET1"
 TIME_MODES = ("decoupled", "input", "none")
@@ -252,20 +252,20 @@ class RTNet(Module):
 
     def _assemble_channels(self, window: np.ndarray,
                            input_marks: np.ndarray | None) -> np.ndarray:
-        """(B, L, N) window -> (B, C, L) channels, marks interleaved per group."""
-        x = window.transpose(0, 2, 1)
+        """(B, L, N) window -> (C, B, L) channels, marks interleaved per group."""
+        x = window.transpose(2, 0, 1)
         if self.cfg.time_mode != "input":
             return np.ascontiguousarray(x)
         if input_marks is None:
             raise DimensionError("time_mode='input' requires input-window marks")
-        marks = input_marks.transpose(0, 2, 1)
+        marks = input_marks.transpose(2, 0, 1)
         g = self.cfg.groups
         npg = self.cfg.n_variates // g
         pieces = []
         for gi in range(g):
-            pieces.append(x[:, gi * npg:(gi + 1) * npg])
+            pieces.append(x[gi * npg:(gi + 1) * npg])
             pieces.append(marks)
-        return np.ascontiguousarray(np.concatenate(pieces, axis=1))
+        return np.concatenate(pieces, axis=0)
 
     def _prepare_input(self, inputs: np.ndarray,
                        input_marks: np.ndarray | None) -> np.ndarray:
@@ -283,13 +283,15 @@ class RTNet(Module):
         """Per-group pyramid features, (B, groups, features_per_group)."""
         cfg = self.cfg
         x = self._prepare_input(np.asarray(inputs, dtype=np.float64), input_marks)
-        batch = x.shape[0]
+        batch = x.shape[1]
         feats = []
         for i, branch in enumerate(self.branches):
             sliced = x[:, :, x.shape[2] - (cfg.l_in >> i):]
             h = branch.forward(Tensor(np.ascontiguousarray(sliced)), training, rng)
-            b, c, length = h.data.shape
-            feats.append(reshape(h, (batch, cfg.groups, (c // cfg.groups) * length)))
+            c, _, length = h.data.shape
+            # (C, B, L) -> (B, C, L): each group's features stay in (c, l) order
+            feats.append(reshape(permute(h, (1, 0, 2)),
+                                 (batch, cfg.groups, (c // cfg.groups) * length)))
         return concat(feats, axis=2)
 
     def forward(self, inputs: np.ndarray, marks: np.ndarray | None = None, *,
@@ -311,10 +313,9 @@ class RTNet(Module):
             if marks.shape != (batch, cfg.l_out, cfg.n_time):
                 raise DimensionError(f"marks must be (B, {cfg.l_out}, {cfg.n_time}), "
                                      f"got {marks.shape}")
-            tiled = np.ascontiguousarray(
-                np.tile(marks, (1, 1, cfg.groups)).transpose(0, 2, 1))
+            tiled = np.tile(marks.transpose(2, 0, 1), (cfg.groups, 1, 1))
             t = self.timenet.forward(Tensor(tiled), training, rng)
-            t_out = transpose_12(self.head_time.forward(t, training))
+            t_out = permute(self.head_time.forward(t, training), (1, 2, 0))
             out = add(out, t_out)
         return out
 

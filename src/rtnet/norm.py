@@ -1,10 +1,11 @@
 """Batch, layer, and weight normalization, pluggable per model.
 
-Conventions: activations are (B, C, L) or (B, F); batch norm computes its
-statistics per channel over every other axis, layer norm normalizes each
-group's block of axis 1 (the channel/feature axis) independently at each
-position.  Weight norm acts on parameters, not activations, so swapping it in
-never changes hidden-unit distributions.
+Conventions: activations are channel-major, (C, B, L) or (C, B), as in
+``tensor``; batch norm computes its statistics per channel over every other
+axis, layer norm normalizes each group's block of axis 0 (the channel axis)
+independently at each instance and position.  Weight norm acts on
+parameters, not activations, so swapping it in never changes hidden-unit
+distributions.
 """
 
 from __future__ import annotations
@@ -48,30 +49,29 @@ class LayerNormParams(Module):
                    bias=Tensor(np.zeros(channels), requires_grad=True), eps=eps)
 
 
-def _channel_stats_axes(x: Tensor) -> tuple[int, ...]:
-    if x.data.ndim == 2:
-        return (0,)
-    if x.data.ndim == 3:
-        return (0, 2)
-    raise DimensionError(f"normalization expects (B,F) or (B,C,L), got {x.data.shape}")
+def _check_ndim(x: Tensor, op: str) -> None:
+    if x.data.ndim not in (2, 3):
+        raise DimensionError(f"{op} expects (C,B) or (C,B,L), got {x.data.shape}")
 
 
 def _expand(arr: np.ndarray, ndim: int) -> np.ndarray:
-    return arr[None, :, None] if ndim == 3 else arr[None, :]
+    """A per-channel vector shaped to broadcast along axis 0."""
+    return arr.reshape((-1,) + (1,) * (ndim - 1))
 
 
 def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     """Normalize per channel over the batch (and length, if any); affine gamma/beta."""
-    axes = _channel_stats_axes(x)
+    _check_ndim(x, "batch_norm")
     ndim = x.data.ndim
-    channels = x.data.shape[1]
+    axes = tuple(range(1, ndim))
+    channels = x.data.shape[0]
     if p.gamma.data.shape != (channels,):
         raise DimensionError(f"batch_norm: gamma shape {p.gamma.data.shape} != ({channels},)")
     # a frozen layer (gamma not trained) normalizes with, and keeps, its
     # running statistics, so freezing a model part also freezes its buffers
     batch_stats = training and p.gamma.requires_grad
     if batch_stats:
-        if x.data.shape[0] < 2:
+        if x.data.shape[1] < 2:
             raise ConfigError("batch_norm: training requires batch size >= 2")
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
@@ -102,13 +102,12 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
 
 
 def layer_norm(x: Tensor, p: LayerNormParams, groups: int = 1) -> Tensor:
-    """Normalize each group's contiguous block of axis 1 per instance (and per
+    """Normalize each group's contiguous block of axis 0 per instance (and per
     position, if any); affine gain/bias.  Groups never read each other."""
+    _check_ndim(x, "layer_norm")
     ndim = x.data.ndim
-    if ndim not in (2, 3):
-        raise DimensionError(f"layer_norm expects (B,F) or (B,C,L), got {x.data.shape}")
     shape = x.data.shape
-    channels = shape[1]
+    channels = shape[0]
     if groups < 1 or channels % groups:
         raise ConfigError(f"layer_norm: groups={groups} must divide {channels} channels")
     cpg = channels // groups
@@ -117,21 +116,21 @@ def layer_norm(x: Tensor, p: LayerNormParams, groups: int = 1) -> Tensor:
     if p.gain.data.shape != (channels,):
         raise DimensionError(f"layer_norm: gain shape {p.gain.data.shape} != ({channels},)")
 
-    grouped = (shape[0], groups, cpg) + shape[2:]
+    grouped = (groups, cpg) + shape[1:]
     xg = x.data.reshape(grouped)
-    mean = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+    mean = xg.mean(axis=1, keepdims=True)
+    var = xg.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + p.eps)
     xhat = (xg - mean) * inv_std
     out = _expand(p.gain.data, ndim) * xhat.reshape(shape) + _expand(p.bias.data, ndim)
-    stat_axes = (0,) if ndim == 2 else (0, 2)
+    stat_axes = tuple(range(1, ndim))
 
     def grad_fn(g):
         g_gain = (g * xhat.reshape(shape)).sum(axis=stat_axes)
         g_bias = g.sum(axis=stat_axes)
         g_hat = (g * _expand(p.gain.data, ndim)).reshape(grouped)
-        term = (cpg * g_hat - g_hat.sum(axis=2, keepdims=True)
-                - xhat * (g_hat * xhat).sum(axis=2, keepdims=True))
+        term = (cpg * g_hat - g_hat.sum(axis=1, keepdims=True)
+                - xhat * (g_hat * xhat).sum(axis=1, keepdims=True))
         return ((term * inv_std / cpg).reshape(shape), g_gain, g_bias)
 
     return _make([x, p.gain, p.bias], out, grad_fn)

@@ -5,6 +5,12 @@ forward value with numpy and, when a GradTape is active, records a node whose
 closure produces the input gradients from the output gradient.  Nodes are
 appended in execution order, so the tape is topologically sorted by
 construction and ``backward`` is a single reverse sweep.
+
+Sequence activations are channel-major: ``(C, B, L)``, C-contiguous, with
+each group's channels a contiguous block of axis 0.  A grouped convolution's
+GEMM then reads and writes its operands in place, and length-wise ops work on
+the last axis.  Model inputs and predictions stay ``(B, L, N)``; the model
+permutes only at the pyramid's edges.
 """
 
 from __future__ import annotations
@@ -234,8 +240,14 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
     if rng is None:
         raise ConfigError("dropout in training mode needs a random generator, got rng=None")
     # (a*q)*mask equals a*(mask/(1-rate)) bit for bit, and the tape keeps
-    # one byte per element instead of a float64 keep array
-    mask = rng.random(a.data.shape) >= rate
+    # one byte per element instead of a float64 keep array.  A (C, B, L)
+    # mask is drawn in (B, C, L) order, so a generator state drops the same
+    # (b, c, l) units whatever the activation layout
+    shape = a.data.shape
+    if a.data.ndim == 3:
+        mask = (rng.random((shape[1], shape[0], shape[2])) >= rate).transpose(1, 0, 2)
+    else:
+        mask = rng.random(shape) >= rate
     q = 1.0 / (1.0 - rate)
     out = a.data * q
     out *= mask
@@ -339,12 +351,21 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make([a], a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes as ``ndarray.transpose(axes)`` does, into a contiguous copy."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"permute: axes {axes} do not reorder a {a.data.ndim}-D tensor")
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return _make([a], np.ascontiguousarray(a.data.transpose(axes)),
+                 lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+
+
 def transpose_12(a: Tensor) -> Tensor:
     """Swap axes 1 and 2 of a 3-D tensor."""
     if a.data.ndim != 3:
         raise DimensionError("transpose_12 expects a 3-D tensor")
-    return _make([a], np.ascontiguousarray(a.data.transpose(0, 2, 1)),
-                 lambda g: (np.ascontiguousarray(g.transpose(0, 2, 1)),))
+    return permute(a, (0, 2, 1))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -380,14 +401,14 @@ def _taps(length: int, k: int, stride: int, padding: int, l_out: int):
 
 def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 1-D convolution: (B,C_in,L) -> (B,C_out,L_out).
+    """Grouped 1-D convolution: (C_in,B,L) -> (C_out,B,L_out).
 
     weight is (C_out, C_in/groups, k); output channel block g sees only input
-    channel block g.
+    channel block g.  The input gradient is computed only when x requires it.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise DimensionError(f"conv1d_grouped: input {x.data.shape}, weight {weight.data.shape}")
-    B, c_in, length = x.data.shape
+    c_in, B, length = x.data.shape
     c_out, cpg, k = weight.data.shape
     if stride < 1 or padding < 0:
         raise ConfigError(f"conv1d_grouped: stride {stride}, padding {padding}")
@@ -403,10 +424,10 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     l_out = _conv_out_len(length, k, stride, padding)
     opg = c_out // groups
     taps = list(_taps(length, k, stride, padding, l_out))
-    # columns laid out (groups, cpg*k, B*l_out), filled tap by tap from a
-    # (groups, cpg, B, L) view so every copy runs along the sequence axis;
-    # only the outputs whose tap reads padding are zeroed
-    xv = x.data.reshape(B, groups, cpg, length).transpose(1, 2, 0, 3)
+    # columns laid out (groups, cpg*k, B*l_out), filled tap by tap from the
+    # contiguous (groups, cpg, B, L) input so every copy runs along the
+    # sequence axis; only the outputs whose tap reads padding are zeroed
+    xv = x.data.reshape(groups, cpg, B, length)
     cols = np.empty((groups, cpg, k, B, l_out))
     for j, lo, hi, src in taps:
         cols[:, :, j, :, :lo] = 0.0
@@ -414,40 +435,36 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
         cols[:, :, j, :, lo:hi] = xv[..., src]
     cols = cols.reshape(groups, cpg * k, B * l_out)
     w_cols = weight.data.reshape(groups, opg, cpg * k)
-    # one transposing copy back to (B, C_out, L_out) adds the bias
-    out = np.empty((B, c_out, l_out))
-    np.add(np.matmul(w_cols, cols).reshape(groups, opg, B, l_out).transpose(2, 0, 1, 3),
-           bias.data.reshape(groups, opg, 1), out=out.reshape(B, groups, opg, l_out))
+    # the (groups, opg, B*l_out) product is already the (C_out, B, L_out) output
+    out = np.matmul(w_cols, cols)
+    out += bias.data.reshape(groups, opg, 1)
+    need_gx = x.requires_grad
 
     def grad_fn(g):
-        # go is a (groups, opg, B*l_out) view of a (groups, B*l_out, opg)
-        # copy: in that layout BLAS rounds the weight gradient as it does a
-        # (B*l_out, cpg*k) column product, also at cpg=1, so training stays
-        # bit-identical to an im2col kernel
-        go = np.ascontiguousarray(
-            g.reshape(B, groups, opg, l_out).transpose(1, 0, 3, 2)
-        ).reshape(groups, B * l_out, opg).transpose(0, 2, 1)
+        go = g.reshape(groups, opg, B * l_out)
         g_w = np.matmul(go, cols.transpose(0, 2, 1)).reshape(c_out, cpg, k)
-        g_b = g.sum(axis=(0, 2))
+        g_b = g.sum(axis=(1, 2))
+        if not need_gx:
+            return (None, g_w, g_b)
         g_cols = np.matmul(w_cols.transpose(0, 2, 1), go).reshape(groups, cpg, k, B, l_out)
-        g_x = np.zeros((B, c_in, length))
-        g_xv = g_x.reshape(B, groups, cpg, length).transpose(1, 2, 0, 3)
+        g_x = np.zeros((c_in, B, length))
+        g_xv = g_x.reshape(groups, cpg, B, length)
         for j, lo, hi, src in taps:
             g_xv[..., src] += g_cols[:, :, j, :, lo:hi]
         return (g_x, g_w, g_b)
 
-    return _make([x, weight, bias], out, grad_fn)
+    return _make([x, weight, bias], out.reshape(c_out, B, l_out), grad_fn)
 
 
 def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
-    """Max pooling over 1-D windows; gradient routes to the first argmax."""
+    """Max pooling over windows of the last axis; gradient routes to the first argmax."""
     if x.data.ndim != 3:
         raise DimensionError(f"maxpool1d: input {x.data.shape}")
     if k < 1 or stride < 1 or padding < 0:
         raise ConfigError(f"maxpool1d: k={k}, stride={stride}, padding={padding}")
     if padding >= k:
         raise ConfigError(f"maxpool1d: padding {padding} must be < kernel {k}")
-    B, C, length = x.data.shape
+    C, B, length = x.data.shape
     if length + 2 * padding < k:
         raise DimensionError(f"maxpool1d: window {k} exceeds padded length {length + 2 * padding}")
 
@@ -456,14 +473,14 @@ def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     xd = x.data
     # padding reads as -inf, so each tap takes the maximum only over the
     # outputs where it reads real input
-    out = np.full((B, C, l_out), -np.inf)
+    out = np.full((C, B, l_out), -np.inf)
     for _, lo, hi, src in taps:
         np.maximum(out[:, :, lo:hi], xd[:, :, src], out=out[:, :, lo:hi])
 
     def grad_fn(g):
         # a tap takes the gradient where it equals the window maximum and no
         # earlier tap did, so ties route to the first argmax
-        g_x = np.zeros((B, C, length))
+        g_x = np.zeros((C, B, length))
         routed = np.zeros(out.shape, dtype=bool)
         for _, lo, hi, src in taps:
             hit = xd[:, :, src] == out[:, :, lo:hi]
@@ -481,11 +498,11 @@ def channel_upsample(x: Tensor, factor: int) -> Tensor:
         raise DimensionError(f"channel_upsample: input {x.data.shape}")
     if factor < 1:
         raise ConfigError(f"channel_upsample: factor {factor} must be >= 1")
-    B, C, length = x.data.shape
-    out = np.repeat(x.data, factor, axis=1)
+    C, B, length = x.data.shape
+    out = np.repeat(x.data, factor, axis=0)
 
     def grad_fn(g):
-        return (g.reshape(B, C, factor, length).sum(axis=2),)
+        return (g.reshape(C, factor, B, length).sum(axis=1),)
 
     return _make([x], out, grad_fn)
 

@@ -70,6 +70,13 @@ def gradcheck():
     return check_gradients
 
 
+def swap_bc(a) -> np.ndarray:
+    """Swap the first two axes: a (B, C, L) array to channel-major (C, B, L),
+    and back.  Tests keep writing and checking batch-major arrays and cross
+    into the channel-major kernels through this."""
+    return np.ascontiguousarray(np.swapaxes(np.asarray(a, dtype=np.float64), 0, 1))
+
+
 def state_checksum(model, names: set[str] | None = None) -> float:
     """Sum of absolute parameter values, over ``names`` or every parameter."""
     return sum(float(np.abs(p.data).sum()) for name, p in model.named_parameters()

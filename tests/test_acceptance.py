@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ar_series, check_gradients, dataset_path, hourly, requires_dataset
+from conftest import ar_series, check_gradients, dataset_path, hourly, requires_dataset, swap_bc
 from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
                         make_windows, split, standardize)
 from rtnet.diagnostics import autocovariance, pacf
@@ -22,8 +22,8 @@ from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import (Tensor, abs_op, add, channel_upsample, concat,
                           conv1d_grouped, dropout, exp_op, linear_grouped, log_op,
                           matmul_const, matmul_t, maxpool1d, mse_per_variate, mul,
-                          mul_const, mul_scalar, normalize_rows, relu, reshape,
-                          sub, sum_axis, take_axis1, take_rows, transpose_12)
+                          mul_const, mul_scalar, normalize_rows, permute, relu,
+                          reshape, sub, sum_axis, take_axis1, take_rows, transpose_12)
 from rtnet.training import TrainConfig, contrastive_loss, train_end_to_end
 
 
@@ -43,6 +43,7 @@ class TestCriterion1GradientSoundness:
             return Tensor(rng.normal(size=shape), requires_grad=True)
 
         x3 = T(2, 4, 10)
+        c3 = Tensor(swap_bc(x3.data), requires_grad=True)  # channel-major (C, B, L)
         w = T(6, 2, 3)
         b = T(6)
         lx = T(3, 8)
@@ -56,15 +57,15 @@ class TestCriterion1GradientSoundness:
         mat = rng.normal(size=(10, 10))
         cmask = rng.normal(size=(3, 5))
         truth = rng.normal(size=(2, 3, 2))
-        bn_x = T(5, 3, 4)
+        bn_x = Tensor(swap_bc(rng.normal(size=(5, 3, 4))), requires_grad=True)
         bn = BatchNormParams.create(3)
         ln = LayerNormParams.create(3)
         wv, wg = T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)
 
         cases = [
-            ("conv1d_grouped", lambda: _sq(conv1d_grouped(x3, w, b, 2, 1, 2)), [x3, w, b]),
-            ("maxpool1d", lambda: _sq(maxpool1d(x3, 3, 2, 1)), [x3]),
-            ("channel_upsample", lambda: _sq(channel_upsample(x3, 3)), [x3]),
+            ("conv1d_grouped", lambda: _sq(conv1d_grouped(c3, w, b, 2, 1, 2)), [c3, w, b]),
+            ("maxpool1d", lambda: _sq(maxpool1d(c3, 3, 2, 1)), [c3]),
+            ("channel_upsample", lambda: _sq(channel_upsample(c3, 3)), [c3]),
             ("linear_grouped", lambda: _sq(linear_grouped(lx, lw, lb, 2)), [lx, lw, lb]),
             ("relu", lambda: _sq(relu(a1)), [a1]),
             ("dropout", lambda: _sq(dropout(a1, 0.4, np.random.default_rng(3), True)), [a1]),
@@ -84,6 +85,7 @@ class TestCriterion1GradientSoundness:
             ("take_axis1", lambda: _sq(take_axis1(x3, 2)), [x3]),
             ("reshape", lambda: _sq(reshape(x3, (2, 40))), [x3]),
             ("transpose_12", lambda: _sq(transpose_12(x3)), [x3]),
+            ("permute", lambda: _sq(permute(x3, (2, 0, 1))), [x3]),
             ("concat", lambda: _sq(concat([a1, a2], 1)), [a1, a2]),
             ("mse_per_variate", lambda: sum_axis(mse_per_variate(pred, truth)), [pred]),
             ("batch_norm", lambda: _sq(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),

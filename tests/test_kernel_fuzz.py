@@ -1,5 +1,7 @@
 """Property tests: the pyramid and head kernels against naive Python-loop references.
 
+The references loop over batch-major (B, C, L) arrays; the channel-major
+kernels are called on swapped copies and their results swapped back.
 Shapes, strides, paddings, groups and kernel sizes are drawn by hypothesis
 (derandomized, so every run draws the same cases).  Convolution values and
 gradients are compared at a float64 rounding tolerance, since the loops sum
@@ -12,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients
+from conftest import check_gradients, swap_bc
 from rtnet.tensor import (GradTape, Tensor, backward, conv1d_grouped, linear_grouped, maxpool1d,
                           mul, sum_axis)
 
@@ -168,12 +170,12 @@ class TestConv1dGroupedFuzz:
         b = rng.normal(size=groups * case["opg"])
         l_out = out_len(case["length"], k, case["stride"], case["padding"])
         g = rng.normal(size=(case["batch"], groups * case["opg"], l_out))
-        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        y, grads = tape_gradients(
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (swap_bc(x), w, b))
+        y, (g_x, *g_params) = tape_gradients(
             lambda: conv1d_grouped(tx, tw, tb, case["stride"], case["padding"], groups),
-            [tx, tw, tb], g)
+            [tx, tw, tb], swap_bc(g))
         expected = conv_reference(x, w, b, g, case["stride"], case["padding"], groups)
-        for got, want in zip([y, *grads], expected):
+        for got, want in zip([swap_bc(y), swap_bc(g_x), *g_params], expected):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -182,7 +184,8 @@ class TestConv1dGroupedFuzz:
     def test_finite_differences(self, case):
         rng = np.random.default_rng(case["seed"])
         groups, cpg = case["groups"], case["cpg"]
-        x = Tensor(rng.normal(size=(case["batch"], groups * cpg, case["length"])), requires_grad=True)
+        x = Tensor(swap_bc(rng.normal(size=(case["batch"], groups * cpg, case["length"]))),
+                   requires_grad=True)
         w = Tensor(rng.normal(size=(groups * case["opg"], cpg, case["k"])), requires_grad=True)
         b = Tensor(rng.normal(size=groups * case["opg"]), requires_grad=True)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import swap_bc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,13 +50,13 @@ class TestRTBlock:
     def test_halve_double_shape(self):
         rng = np.random.default_rng(0)
         block = RTBlock(16, 3, 1, "wn", 0.0, rng)
-        x = Tensor(rng.normal(size=(2, 16, 168)))
-        assert block.forward(x, False, None).shape == (2, 32, 84)
+        x = Tensor(swap_bc(rng.normal(size=(2, 16, 168))))
+        assert block.forward(x, False, None).shape == (32, 2, 84)
 
     def test_odd_length_rejected(self):
         block = RTBlock(4, 3, 1, "wn", 0.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            block.forward(Tensor(np.zeros((1, 4, 7))), False, None)
+            block.forward(Tensor(np.zeros((4, 1, 7))), False, None)
 
     def test_zero_main_path_reduces_to_shortcut(self):
         rng = np.random.default_rng(1)
@@ -64,17 +65,17 @@ class TestRTBlock:
         block.conv2.weight.data[:] = 0.0
         block.conv1.bias.data[:] = 0.0
         block.conv2.bias.data[:] = 0.0
-        x = np.abs(rng.normal(size=(1, 2, 8)))  # nonnegative input
+        x = swap_bc(np.abs(rng.normal(size=(1, 2, 8))))  # nonnegative input
         out = block.forward(Tensor(x), False, None)
         from rtnet.tensor import channel_upsample, maxpool1d
         shortcut = channel_upsample(maxpool1d(Tensor(x), 3, 2, 1), 2)
         assert np.array_equal(out.data, shortcut.data)
 
     def test_three_stacked_blocks_shape_trace(self):
-        """Shape oracle: (B,16,168) -> (B,32,84) -> (B,64,42) -> (B,128,21)."""
+        """Shape oracle: (16,B,168) -> (32,B,84) -> (64,B,42) -> (128,B,21)."""
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(2, 16, 168)))
-        expected = [(2, 32, 84), (2, 64, 42), (2, 128, 21)]
+        x = Tensor(swap_bc(rng.normal(size=(2, 16, 168))))
+        expected = [(32, 2, 84), (64, 2, 42), (128, 2, 21)]
         c = 16
         for want in expected:
             x = RTBlock(c, 3, 1, "wn", 0.0, rng).forward(x, False, None)
@@ -92,21 +93,21 @@ class TestEmbedding:
         x1 = rng.normal(size=(2, 7, 20))
         x2 = x1.copy()
         x2[:, 3] += 5.0
-        y1 = embed.forward(Tensor(x1), False).data
-        y2 = embed.forward(Tensor(x2), False).data
+        y1 = swap_bc(embed.forward(Tensor(swap_bc(x1)), False).data)
+        y2 = swap_bc(embed.forward(Tensor(swap_bc(x2)), False).data)
         changed = np.flatnonzero(np.any(y1 != y2, axis=(0, 2)))
         assert changed.min() >= 3 * 8 and changed.max() < 4 * 8
 
     def test_length_preserved(self):
         embed = ConvUnit(1, 4, 3, 1, 1, "wn", np.random.default_rng(1))
-        assert embed.forward(Tensor(np.zeros((1, 1, 168))), False).shape == (1, 4, 168)
+        assert embed.forward(Tensor(np.zeros((1, 1, 168))), False).shape == (4, 1, 168)
 
     def test_zero_weights_bias_constant(self):
         embed = ConvUnit(2, 4, 3, 1, 1, "none", np.random.default_rng(2))
         embed.weight.data[:] = 0.0
         embed.bias.data[:] = np.arange(4.0)
-        out = embed.forward(Tensor(np.random.default_rng(3).normal(size=(1, 2, 10))), False)
-        assert np.array_equal(out.data[0], np.tile(np.arange(4.0)[:, None], (1, 10)))
+        out = embed.forward(Tensor(swap_bc(np.random.default_rng(3).normal(size=(1, 2, 10)))), False)
+        assert np.array_equal(out.data[:, 0], np.tile(np.arange(4.0)[:, None], (1, 10)))
 
 
 class TestPyramid:
@@ -154,7 +155,7 @@ class TestPyramid:
             cfg = small_cfg(l_in=32, blocks=blocks, n_variates=1, groups=1, d_channels=4)
             model = make_model(cfg)
             h = model.branches[0].forward(Tensor(np.zeros((1, 1, 32))), False, None)
-            assert h.data.shape[1] * h.data.shape[2] == 32 * 4
+            assert h.data.shape[0] * h.data.shape[2] == 32 * 4
 
     def test_branch_parameter_isolation(self):
         cfg = small_cfg(n_variates=1, groups=1, d_channels=4)
@@ -250,13 +251,13 @@ class TestForward:
         """Time features pass D -> 2D -> 4D at constant length."""
         cfg = small_cfg(time_mode="decoupled")
         model = make_model(cfg)
-        marks = Tensor(np.zeros((2, 6 * 3, 4)))
+        marks = Tensor(np.zeros((6 * 3, 2, 4)))
         h = model.timenet.embed.forward(marks, False)
-        assert h.shape == (2, 6, 4)
+        assert h.shape == (6, 2, 4)
         h = model.timenet.blocks[0].forward(h, False, None)
-        assert h.shape == (2, 12, 4)
+        assert h.shape == (12, 2, 4)
         h = model.timenet.blocks[1].forward(h, False, None)
-        assert h.shape == (2, 24, 4)
+        assert h.shape == (24, 2, 4)
 
 
 class TestGoldenPredictions:

@@ -1,7 +1,12 @@
-"""Normalization semantics: the invariances that make or break each scheme."""
+"""Normalization semantics: the invariances that make or break each scheme.
+
+Inputs are written batch-major, (B, F) or (B, C, L), and swapped into the
+channel-major layout the norms take with ``swap_bc``.
+"""
 
 import numpy as np
 import pytest
+from conftest import swap_bc
 
 from rtnet.errors import ConfigError, NumericalError
 from rtnet.model import WeightedUnit
@@ -16,9 +21,9 @@ def t(data, grad=False):
 class TestBatchNorm:
     def test_unit_variance_normalization(self):
         p = BatchNormParams.create(1, eps=1e-12)
-        out = batch_norm(t([[1.0], [2.0], [3.0]]), p, training=True)
+        out = batch_norm(t(swap_bc([[1.0], [2.0], [3.0]])), p, training=True)
         expected = np.array([-1.2247448, 0.0, 1.2247448])
-        assert out.data[:, 0] == pytest.approx(expected, abs=1e-6)
+        assert swap_bc(out.data)[:, 0] == pytest.approx(expected, abs=1e-6)
 
     def test_affine_rescaling_invariance(self):
         """Training-mode output ignores per-batch affine rescaling of its input."""
@@ -26,22 +31,22 @@ class TestBatchNorm:
         x = rng.normal(size=(8, 3, 10))
         p1 = BatchNormParams.create(3)
         p2 = BatchNormParams.create(3)
-        y1 = batch_norm(t(x), p1, training=True)
-        y2 = batch_norm(t(3.7 * x + 11.0), p2, training=True)
+        y1 = batch_norm(t(swap_bc(x)), p1, training=True)
+        y2 = batch_norm(t(swap_bc(3.7 * x + 11.0)), p2, training=True)
         assert np.allclose(y1.data, y2.data, atol=1e-9)
 
     def test_gamma_beta(self):
         p = BatchNormParams.create(1, eps=1e-12)
         p.gamma.data[:] = 2.0
         p.beta.data[:] = 1.0
-        out = batch_norm(t([[1.0], [2.0], [3.0]]), p, training=True)
+        out = batch_norm(t(swap_bc([[1.0], [2.0], [3.0]])), p, training=True)
         plain = np.array([-1.2247448, 0.0, 1.2247448])
-        assert out.data[:, 0] == pytest.approx(2.0 * plain + 1.0, abs=1e-6)
+        assert swap_bc(out.data)[:, 0] == pytest.approx(2.0 * plain + 1.0, abs=1e-6)
 
     def test_batch_of_one_rejected_in_training(self):
         p = BatchNormParams.create(2)
         with pytest.raises(ConfigError):
-            batch_norm(t([[1.0, 2.0]]), p, training=True)
+            batch_norm(t(swap_bc([[1.0, 2.0]])), p, training=True)
 
     def test_eval_uses_running_stats(self):
         p = BatchNormParams.create(1)
@@ -52,14 +57,14 @@ class TestBatchNorm:
 
     def test_running_stats_update(self):
         p = BatchNormParams.create(1, momentum=0.1)
-        batch_norm(t([[0.0], [2.0]]), p, training=True)
+        batch_norm(t(swap_bc([[0.0], [2.0]])), p, training=True)
         assert p.running_mean[0] == pytest.approx(0.1)
         assert p.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_gradients(self, gradcheck, training):
         rng = np.random.default_rng(3)
-        x = t(rng.normal(size=(4, 3, 5)), grad=True)
+        x = t(swap_bc(rng.normal(size=(4, 3, 5))), grad=True)
         p = BatchNormParams.create(3)
         p.running_mean[:] = rng.normal(size=3)
         p.running_var[:] = rng.uniform(0.5, 2.0, size=3)
@@ -78,8 +83,8 @@ class TestBatchNorm:
 class TestLayerNorm:
     def test_unit_variance_normalization(self):
         p = LayerNormParams.create(3, eps=1e-12)
-        out = layer_norm(t([[1.0, 2.0, 3.0]]), p)
-        assert out.data[0] == pytest.approx([-1.2247448, 0.0, 1.2247448], abs=1e-6)
+        out = layer_norm(t(swap_bc([[1.0, 2.0, 3.0]])), p)
+        assert swap_bc(out.data)[0] == pytest.approx([-1.2247448, 0.0, 1.2247448], abs=1e-6)
 
     def test_shift_invariance(self):
         """Adding a per-instance constant to the feature vector changes nothing."""
@@ -87,15 +92,15 @@ class TestLayerNorm:
         x = rng.normal(size=(6, 8))
         shifts = rng.normal(size=(6, 1)) * 100
         p = LayerNormParams.create(8)
-        y1 = layer_norm(t(x), p)
-        y2 = layer_norm(t(x + shifts), p)
+        y1 = layer_norm(t(swap_bc(x)), p)
+        y2 = layer_norm(t(swap_bc(x + shifts)), p)
         assert np.allclose(y1.data, y2.data, atol=1e-9)
 
     def test_zero_gain_gives_bias(self):
         p = LayerNormParams.create(4)
         p.gain.data[:] = 0.0
         p.bias.data[:] = 7.0
-        out = layer_norm(t(np.random.default_rng(0).normal(size=(3, 4))), p)
+        out = layer_norm(t(swap_bc(np.random.default_rng(0).normal(size=(3, 4)))), p)
         assert np.allclose(out.data, 7.0)
 
     def test_length_one_axis_rejected(self):
@@ -104,7 +109,7 @@ class TestLayerNorm:
 
     def test_gradients(self, gradcheck):
         rng = np.random.default_rng(6)
-        x = t(rng.normal(size=(3, 4, 6)), grad=True)
+        x = t(swap_bc(rng.normal(size=(3, 4, 6))), grad=True)
         p = LayerNormParams.create(4)
 
         def build():

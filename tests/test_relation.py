@@ -104,7 +104,7 @@ class TestLinearJacobianProportionality:
     def test_jacobian_columns_share_relation_ratios(self):
         """Identity activations, zero biases: d(variate i output)/d(variate j input)
         is exactly proportional to the relation weight w_ji across j."""
-        from rtnet.tensor import conv1d_grouped, linear_grouped, transpose_12
+        from rtnet.tensor import conv1d_grouped, linear_grouped, permute
         rng = np.random.default_rng(0)
         n, l_in, d = 3, 8, 6
         raw = cos_relation_matrix(rng.normal(size=(60, n)))
@@ -119,7 +119,7 @@ class TestLinearJacobianProportionality:
 
         def forward(x_bln):
             mixed = Tensor(x_bln @ processed)  # as RTNet mixes its inputs
-            h = transpose_12(mixed)
+            h = permute(mixed, (2, 0, 1))  # channel-major (N, 1, l_in)
             h = conv1d_grouped(h, w1, zero1, 1, 1, groups=n)
             h = conv1d_grouped(h, w2, zero2, 1, 1, groups=n)
             from rtnet.tensor import reshape

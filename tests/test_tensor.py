@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import swap_bc
 from test_kernel_fuzz import conv_reference
 
 from rtnet.errors import ConfigError, DimensionError, NumericalError
@@ -9,8 +10,8 @@ from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
                           channel_upsample, concat, conv1d_grouped, dropout,
                           exp_op, linear_grouped, log_op, matmul_const, matmul_t,
                           maxpool1d, mse_per_variate, mul, mul_const, mul_scalar,
-                          normalize_rows, relu, reshape, sub, sum_axis, take_axis1,
-                          take_rows, transpose_12)
+                          normalize_rows, permute, relu, reshape, sub, sum_axis,
+                          take_axis1, take_rows, transpose_12)
 
 
 def t(data, grad=True):
@@ -74,11 +75,11 @@ class TestBackward:
 
 class TestConv1dGrouped:
     def test_shape_formula(self):
-        x = t(np.random.default_rng(0).normal(size=(2, 4, 48)))
+        x = t(np.random.default_rng(0).normal(size=(4, 2, 48)))
         w = t(np.random.default_rng(1).normal(size=(8, 4, 3)))
         b = t(np.zeros(8))
         out = conv1d_grouped(x, w, b, stride=2, padding=1)
-        assert out.shape == (2, 8, 24)
+        assert out.shape == (8, 2, 24)
 
     def test_identity_kernel(self):
         x = t(np.random.default_rng(0).normal(size=(1, 1, 10)))
@@ -95,10 +96,10 @@ class TestConv1dGrouped:
         x1 = rng.normal(size=(3, 4, 16))
         x2 = x1.copy()
         x2[:, :2] = rng.normal(size=(3, 2, 16)) * 100  # perturb group 1 only
-        y1 = conv1d_grouped(t(x1), t(w), t(bias), 1, 1, groups=2)
-        y2 = conv1d_grouped(t(x2), t(w), t(bias), 1, 1, groups=2)
-        assert np.array_equal(y1.data[:, 2:], y2.data[:, 2:])
-        assert np.allclose(y1.data[:, 2:], bias[2:, None])
+        y1 = swap_bc(conv1d_grouped(t(swap_bc(x1)), t(w), t(bias), 1, 1, groups=2).data)
+        y2 = swap_bc(conv1d_grouped(t(swap_bc(x2)), t(w), t(bias), 1, 1, groups=2).data)
+        assert np.array_equal(y1[:, 2:], y2[:, 2:])
+        assert np.allclose(y1[:, 2:], bias[2:, None])
 
     def test_groups_must_divide(self):
         x = t(np.zeros((1, 3, 8)))
@@ -115,7 +116,7 @@ class TestConv1dGrouped:
     @pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 2), (3, 2, 1)])
     def test_gradients(self, gradcheck, stride, padding, groups):
         rng = np.random.default_rng(stride * 7 + padding)
-        x = t(rng.normal(size=(2, 4, 11)))
+        x = t(swap_bc(rng.normal(size=(2, 4, 11))))
         w = t(rng.normal(size=(4, 4 // groups, 3)))
         b = t(rng.normal(size=4))
 
@@ -163,18 +164,20 @@ class TestChannelUpsample:
         assert np.array_equal(channel_upsample(x, 1).data, x.data)
 
     def test_repetition_rule(self):
-        x = t(np.array([[[1.0, 2.0], [3.0, 4.0]]]))  # channels a, b
+        x = t(swap_bc([[[1.0, 2.0], [3.0, 4.0]]]))  # channels a, b
         out = channel_upsample(x, 2)
-        assert np.array_equal(out.data[0], [[1, 2], [1, 2], [3, 4], [3, 4]])
+        assert np.array_equal(out.data[:, 0], [[1, 2], [1, 2], [3, 4], [3, 4]])
 
     def test_group_blocks_stay_contiguous(self):
         rng = np.random.default_rng(1)
-        x1 = rng.normal(size=(1, 4, 6))
+        x1 = rng.normal(size=(4, 1, 6))
         x2 = x1.copy()
-        x2[:, :2] += 9.0  # group 1 of 2
+        x2[:2] += 9.0  # group 1 of 2
         y1 = channel_upsample(t(x1), 3).data
         y2 = channel_upsample(t(x2), 3).data
-        assert np.array_equal(y1[:, 6:], y2[:, 6:])
+        assert y1.shape == (12, 1, 6)
+        assert np.array_equal(y1[6:], y2[6:])
+        assert not np.array_equal(y1[:6], y2[:6])
 
     def test_gradient_sums_over_copies(self):
         x = t(np.ones((1, 2, 3)))
@@ -256,6 +259,24 @@ class TestActivations:
     def test_dropout_bad_rate(self):
         with pytest.raises(ConfigError):
             dropout(t([1.0]), 1.0, np.random.default_rng(0), True)
+
+    def test_dropout_keeps_the_batch_major_unit_map(self):
+        """On a channel-major (C, B, L) tensor, a generator state zeros the
+        (b, c, l) units that a (B, C, L) draw of the same state zeros."""
+        x = np.random.default_rng(1).normal(size=(4, 3, 9)) + 5.0  # (C, B, L), no zeros
+        with GradTape() as tape:
+            y = dropout(t(x), 0.4, np.random.default_rng(6), training=True)
+        dropped_bcl = np.random.default_rng(6).random((3, 4, 9)) < 0.4
+        assert np.array_equal(swap_bc(y.data) == 0.0, dropped_bcl)
+        masks = [a for a in closure_arrays(tape.nodes[0].grad_fn) if a.dtype == np.bool_]
+        assert len(masks) == 1 and root_base(masks[0]).nbytes == x.size
+
+    @pytest.mark.parametrize("shape", [(40,), (6, 7), (2, 3, 4, 5)])
+    def test_dropout_draws_other_shapes_in_their_own_order(self, shape):
+        x = np.full(shape, 2.0)
+        y = dropout(t(x), 0.3, np.random.default_rng(2), training=True)
+        keep = np.random.default_rng(2).random(shape) >= 0.3
+        assert np.array_equal(y.data, np.where(keep, 2.0 / 0.7, 0.0))
 
     def test_dropout_training_without_rng_is_config_error(self):
         with pytest.raises(ConfigError, match="rng"):
@@ -355,28 +376,53 @@ class TestTapeContents:
         assert np.array_equal(out, want_out)
         assert np.array_equal(gx, want_gx)
 
-    @pytest.mark.parametrize("k,stride,padding,groups",
-                             [(3, 1, 1, 1), (3, 2, 1, 7), (5, 2, 2, 3), (1, 1, 0, 2), (2, 3, 1, 1)])
-    def test_conv(self, k, stride, padding, groups):
-        """The node keeps the weight and one column array, and nothing padded."""
+    CONV_CASES = [(3, 1, 1, 1), (3, 2, 1, 7), (5, 2, 2, 3), (1, 1, 0, 2), (2, 3, 1, 1)]
+
+    @staticmethod
+    def conv_case(k, stride, padding, groups):
+        """Batch-major x, channel-major tensors of it, the weight and bias, and
+        a batch-major upstream gradient."""
         rng = np.random.default_rng(k + 10 * stride + 100 * groups)
         B, cpg, opg, length = 2, 2, 3, 13
-        x, w, b = (t(rng.normal(size=shape)) for shape in
+        x, w, b = (rng.normal(size=shape) for shape in
                    [(B, groups * cpg, length), (groups * opg, cpg, k), (groups * opg,)])
+        l_out = (length + 2 * padding - k) // stride + 1
+        g = rng.normal(size=(B, groups * opg, l_out))
+        return x, w, b, g
+
+    @pytest.mark.parametrize("k,stride,padding,groups", CONV_CASES)
+    def test_conv(self, k, stride, padding, groups):
+        """The node keeps the weight and one column array, and nothing padded."""
+        x_bcl, w_data, b_data, g = self.conv_case(k, stride, padding, groups)
+        x, w, b = t(swap_bc(x_bcl)), t(w_data), t(b_data)
         with GradTape() as tape:
             y = conv1d_grouped(x, w, b, stride, padding, groups)
         assert len(tape.nodes) == 1
-        l_out = y.shape[2]
-        g = rng.normal(size=y.shape)
-        backward(tape, y, params=[x, w, b], seed=g)
+        backward(tape, y, params=[x, w, b], seed=swap_bc(g))
         held = closure_arrays(tape.nodes[0].grad_fn)
         assert any(root_base(a) is w.data for a in held)
         extra = [a for a in held if root_base(a) is not w.data]
-        assert len(extra) == 1 and extra[0].size == groups * cpg * k * B * l_out
-        assert all(a.shape[-1] != length + 2 * padding for a in held)
-        want = conv_reference(x.data, w.data, b.data, g, stride, padding, groups)
-        for got, ref in zip([y.data, x.grad, w.grad, b.grad], want):
+        assert len(extra) == 1 and extra[0].size == groups * w_data[0].size * g.shape[0] * g.shape[2]
+        assert all(a.shape[-1] != x.shape[2] + 2 * padding for a in held)
+        want = conv_reference(x_bcl, w_data, b_data, g, stride, padding, groups)
+        for got, ref in zip([swap_bc(y.data), swap_bc(x.grad), w.grad, b.grad], want):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k,stride,padding,groups", CONV_CASES)
+    def test_conv_skips_the_constant_input_gradient(self, k, stride, padding, groups):
+        """A constant input gets no gradient, and the parameter gradients are
+        those of the path that computes it, bit for bit."""
+        x_bcl, w_data, b_data, g = self.conv_case(k, stride, padding, groups)
+        grads = {}
+        for x_grad in (True, False):
+            x, w, b = t(swap_bc(x_bcl), grad=x_grad), t(w_data), t(b_data)
+            with GradTape() as tape:
+                conv1d_grouped(x, w, b, stride, padding, groups)
+            grads[x_grad] = tape.nodes[0].grad_fn(swap_bc(g))
+        assert grads[False][0] is None
+        assert grads[True][0].shape == (x_bcl.shape[1], x_bcl.shape[0], x_bcl.shape[2])
+        for got, want in zip(grads[False][1:], grads[True][1:]):
+            assert np.array_equal(got, want)
 
     def test_abs(self):
         x = tied_input((4, 9), 3)
@@ -387,12 +433,12 @@ class TestTapeContents:
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.75])
     def test_dropout(self, rate):
-        x = tied_input((3, 5, 11), 4)
+        x = tied_input((3, 5, 11), 4)  # (C, B, L)
         out, gx, g, extra = self.run(
             lambda a: dropout(a, rate, np.random.default_rng(8), training=True), x)
         assert len(extra) == 1
         assert extra[0].dtype == np.bool_ and extra[0].shape == out.shape
-        keep = (np.random.default_rng(8).random(x.shape) >= rate) / (1 - rate)
+        keep = swap_bc(np.random.default_rng(8).random((5, 3, 11)) >= rate) / (1 - rate)
         assert np.array_equal(out, x * keep)
         assert np.array_equal(gx, g * keep)
 
@@ -456,6 +502,23 @@ class TestElementwiseAndStructural:
 
         gradcheck(build, [x])
 
+    def test_permute(self, gradcheck):
+        x = t(np.random.default_rng(12).normal(size=(2, 3, 4)))
+        y = permute(x, (1, 2, 0))
+        assert np.array_equal(y.data, x.data.transpose(1, 2, 0))
+        assert y.data.flags.c_contiguous
+        with pytest.raises(DimensionError):
+            permute(x, (0, 1))
+        with pytest.raises(DimensionError):
+            permute(x, (0, 1, 1))
+        c = np.random.default_rng(13).normal(size=(3, 4, 2))
+
+        def build():
+            z = mul_const(permute(x, (1, 2, 0)), c)
+            return sum_axis(mul(z, z))
+
+        gradcheck(build, [x])
+
     def test_take_axis1_gradient(self, gradcheck):
         rng = np.random.default_rng(11)
         x = t(rng.normal(size=(4, 3, 5)))
@@ -497,7 +560,7 @@ class TestDeterminism:
     def test_bitwise_repeat(self):
         def run():
             rng = np.random.default_rng(42)
-            x = t(rng.normal(size=(2, 4, 16)))
+            x = t(swap_bc(rng.normal(size=(2, 4, 16))))
             w = t(rng.normal(size=(8, 2, 3)))
             b = t(rng.normal(size=8))
             with GradTape() as tape:
@@ -524,14 +587,14 @@ class TestDeterminism:
             length = int(rng.integers(k, 20))
             groups = int(rng.choice([1, 2]))
             c_in, c_out = 2 * groups, 4 * groups
-            x = t(rng.normal(size=(2, c_in, length)))
+            x = t(rng.normal(size=(c_in, 2, length)))
             w = t(rng.normal(size=(c_out, c_in // groups, k)))
             b = t(rng.normal(size=c_out))
             l_out = (length + 2 * p - k) // s + 1
             with GradTape() as tape:
                 y = conv1d_grouped(x, w, b, s, p, groups)
                 loss = sum_axis(y)
-            assert y.shape == (2, c_out, l_out)
+            assert y.shape == (c_out, 2, l_out)
             backward(tape, loss, params=[x, w, b])
             assert x.grad.shape == x.data.shape
             assert w.grad.shape == w.data.shape
