@@ -380,8 +380,8 @@ class TestTapeContents:
 
     @staticmethod
     def conv_case(k, stride, padding, groups):
-        """Batch-major x, channel-major tensors of it, the weight and bias, and
-        a batch-major upstream gradient."""
+        """A batch-major input, the weight and bias, and a batch-major
+        upstream gradient."""
         rng = np.random.default_rng(k + 10 * stride + 100 * groups)
         B, cpg, opg, length = 2, 2, 3, 13
         x, w, b = (rng.normal(size=shape) for shape in
@@ -402,7 +402,8 @@ class TestTapeContents:
         held = closure_arrays(tape.nodes[0].grad_fn)
         assert any(root_base(a) is w.data for a in held)
         extra = [a for a in held if root_base(a) is not w.data]
-        assert len(extra) == 1 and extra[0].size == groups * w_data[0].size * g.shape[0] * g.shape[2]
+        B, _, l_out = g.shape
+        assert len(extra) == 1 and extra[0].size == groups * w_data[0].size * B * l_out
         assert all(a.shape[-1] != x.shape[2] + 2 * padding for a in held)
         want = conv_reference(x_bcl, w_data, b_data, g, stride, padding, groups)
         for got, ref in zip([swap_bc(y.data), swap_bc(x.grad), w.grad, b.grad], want):
