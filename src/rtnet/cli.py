@@ -193,8 +193,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for c in failed:
             log(f"cell failed: length={length} seed={c.seed}: {c.reason}")
         if r["n_seeds"]:
-            rows.append({"length": length, "mean_mse": r["mean_mse"], "std_mse": r["std_mse"],
-                         "mean_mae": r["mean_mae"], "std_mae": r["std_mae"]})
+            rows.append({"length": length, "n_seeds": r["n_seeds"], "mean_mse": r["mean_mse"],
+                         "std_mse": r["std_mse"], "mean_mae": r["mean_mae"],
+                         "std_mae": r["std_mae"]})
         else:
             skipped.append({"length": length, "reason": failed[0].reason})
     if not rows:
@@ -204,8 +205,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     csv_text = io.StringIO()
     w = csv_mod.writer(csv_text)
-    w.writerow(["length", "mean_mse", "std_mse", "mean_mae", "std_mae"])
-    w.writerows([list(row.values()) for row in rows])
+    columns = ["length", "mean_mse", "std_mse", "mean_mae", "std_mae"]
+    w.writerow(columns)
+    w.writerows([[row[c] for c in columns] for row in rows])
     svg = line_plot_svg([float(row["length"]) for row in rows],
                         {"mean MSE": [row["mean_mse"] for row in rows],
                          "mean MAE": [row["mean_mae"] for row in rows]},

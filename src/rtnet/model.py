@@ -20,8 +20,11 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
-from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,
-                     linear_grouped, maxpool1d, permute, relu, reshape, transpose_12)
+# concat is not called here; it stays bound as rtnet.model.concat, the name
+# perfbench/tracer.py times it under
+from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,  # noqa: F401
+                     group_features, linear_grouped, maxpool1d, permute, relu, reshape,
+                     transpose_12)
 
 CHECKPOINT_MAGIC = b"RTNET1"
 TIME_MODES = ("decoupled", "input", "none")
@@ -283,16 +286,10 @@ class RTNet(Module):
         """Per-group pyramid features, (B, groups, features_per_group)."""
         cfg = self.cfg
         x = self._prepare_input(np.asarray(inputs, dtype=np.float64), input_marks)
-        batch = x.shape[1]
-        feats = []
-        for i, branch in enumerate(self.branches):
-            sliced = x[:, :, x.shape[2] - (cfg.l_in >> i):]
-            h = branch.forward(Tensor(np.ascontiguousarray(sliced)), training, rng)
-            c, _, length = h.data.shape
-            # (C, B, L) -> (B, C, L): each group's features stay in (c, l) order
-            feats.append(reshape(permute(h, (1, 0, 2)),
-                                 (batch, cfg.groups, (c // cfg.groups) * length)))
-        return concat(feats, axis=2)
+        hs = [branch.forward(Tensor(np.ascontiguousarray(x[:, :, x.shape[2] - (cfg.l_in >> i):])),
+                             training, rng)
+              for i, branch in enumerate(self.branches)]
+        return group_features(hs, cfg.groups)
 
     def forward(self, inputs: np.ndarray, marks: np.ndarray | None = None, *,
                 training: bool = False, rng: np.random.Generator | None = None,

@@ -10,7 +10,12 @@ Sequence activations are channel-major: ``(C, B, L)``, C-contiguous, with
 each group's channels a contiguous block of axis 0.  A grouped convolution's
 GEMM then reads and writes its operands in place, and length-wise ops work on
 the last axis.  Model inputs and predictions stay ``(B, L, N)``; the model
-permutes only at the pyramid's edges.
+changes layout only at the pyramid's edges, and ``group_features`` writes the
+branch outputs straight into the batch-major features.
+
+A node's closure keeps only what its backward needs, taken from the op's
+input and output arrays where it can be: a convolution keeps its input and
+weight, not the k-fold im2col copy of the input that feeds its forward GEMM.
 """
 
 from __future__ import annotations
@@ -380,6 +385,37 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(list(tensors), np.concatenate([t.data for t in tensors], axis=axis), grad_fn)
 
 
+def group_features(tensors: Sequence[Tensor], groups: int) -> Tensor:
+    """Channel-major (C_i, B, L_i) tensors -> batch-major (B, groups, F) features.
+
+    Group g's features are tensor 0's channel block g in (c, l) order, then
+    tensor 1's block g, and so on.  Each input is copied once, straight into
+    its place in the output.
+    """
+    if not tensors:
+        raise DimensionError("group_features of zero tensors")
+    B = tensors[0].data.shape[1]
+    for t in tensors:
+        if t.data.ndim != 3 or t.data.shape[1] != B or t.data.shape[0] % groups:
+            raise DimensionError(f"group_features: input {t.data.shape} is not "
+                                 f"(C, {B}, L) with C divisible by {groups}")
+    blocks = [(t.data.shape[0] // groups, t.data.shape[2]) for t in tensors]
+    ends = np.cumsum([cpg * length for cpg, length in blocks]).tolist()
+    out = np.empty((B, groups, ends[-1]))
+    for t, (cpg, length), end in zip(tensors, blocks, ends):
+        dst = out[:, :, end - cpg * length:end].reshape(B, groups, cpg, length)
+        dst[...] = t.data.reshape(groups, cpg, B, length).transpose(2, 0, 1, 3)
+
+    def grad_fn(g):
+        return tuple(
+            np.ascontiguousarray(g[:, :, end - cpg * length:end]
+                                 .reshape(B, groups, cpg, length).transpose(1, 2, 0, 3))
+            .reshape(groups * cpg, B, length)
+            for (cpg, length), end in zip(blocks, ends))
+
+    return _make(list(tensors), out, grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # convolution family
 # ---------------------------------------------------------------------------
@@ -399,12 +435,62 @@ def _taps(length: int, k: int, stride: int, padding: int, l_out: int):
         yield j, lo, hi, slice(start, start + (hi - lo) * stride, stride)
 
 
+def _gemm_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(groups, m, ...) x (groups, n, ...) -> (groups, m, n), summed over the
+    trailing axes."""
+    return np.matmul(a.reshape(*a.shape[:2], -1), b.reshape(*b.shape[:2], -1).transpose(0, 2, 1))
+
+
+def _conv_weight_grad(go: np.ndarray, xv: np.ndarray, taps, stride: int,
+                      padding: int) -> np.ndarray:
+    """Weight gradient of a grouped convolution, tap by tap from its input:
+    ``g_w[..., j] = go[..., lo:hi] · x[..., src]ᵀ`` over batch and length.
+
+    ``go`` is (groups, opg, B, l_out) and ``xv`` (groups, cpg, B, L); the
+    result is (groups, opg, cpg, k).  When L == stride*l_out, tap j with
+    (q, r) = divmod(j - padding, stride) reads input phase r (positions r,
+    r+stride, ...) shifted by q outputs, so one GEMM over the flat B*l_out
+    axis covers every batch row: at stride 1 the phase is the input itself,
+    otherwise one deinterleaved copy shared by its taps.  The flat shift also
+    pairs each row's |q| outputs that read padding with the neighbouring
+    row's input; those row-seam products are subtracted.  Other shapes take
+    a slice copy per tap.
+    """
+    groups, opg, B, l_out = go.shape
+    cpg, length = xv.shape[1], xv.shape[3]
+    g_w = np.zeros((groups, opg, cpg, len(taps)))
+    live = [tap for tap in taps if tap[2] > tap[1]]
+    if length != stride * l_out:
+        for j, lo, hi, src in live:
+            g_w[..., j] = _gemm_nt(go[..., lo:hi], xv[..., src])
+        return g_w
+    n = B * l_out
+    go_flat = go.reshape(groups, opg, n)
+    phase_r = None
+    for j, lo, hi, _ in sorted(live, key=lambda tap: (tap[0] - padding) % stride):
+        q, r = divmod(j - padding, stride)
+        if r != phase_r:
+            phase_r = r
+            phase = np.ascontiguousarray(xv.reshape(groups, cpg, n, stride)[..., r])
+            rows = phase.reshape(groups, cpg, B, l_out)
+        g_w[..., j] = _gemm_nt(go_flat[..., max(0, -q):n - max(0, q)],
+                               phase[..., max(0, q):n - max(0, -q)])
+        if q > 0:  # a row's last q outputs read the next row's first inputs
+            g_w[..., j] -= _gemm_nt(go[:, :, :-1, hi:], rows[:, :, 1:, :q])
+        elif q < 0:  # a row's first -q outputs read the previous row's last inputs
+            g_w[..., j] -= _gemm_nt(go[:, :, 1:, :lo], rows[:, :, :-1, l_out - lo:])
+    return g_w
+
+
 def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 1-D convolution: (C_in,B,L) -> (C_out,B,L_out).
 
     weight is (C_out, C_in/groups, k); output channel block g sees only input
-    channel block g.  The input gradient is computed only when x requires it.
+    channel block g.  The tape node keeps the input and the weight: the
+    im2col columns feed the forward GEMM only, and backward takes the weight
+    gradient tap by tap from the input.  The input gradient is computed only
+    when x requires it.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise DimensionError(f"conv1d_grouped: input {x.data.shape}, weight {weight.data.shape}")
@@ -442,7 +528,8 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
 
     def grad_fn(g):
         go = g.reshape(groups, opg, B * l_out)
-        g_w = np.matmul(go, cols.transpose(0, 2, 1)).reshape(c_out, cpg, k)
+        g_w = _conv_weight_grad(go.reshape(groups, opg, B, l_out), xv, taps, stride,
+                                padding).reshape(c_out, cpg, k)
         g_b = g.sum(axis=(1, 2))
         if not need_gx:
             return (None, g_w, g_b)

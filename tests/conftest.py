@@ -77,6 +77,25 @@ def swap_bc(a) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(np.asarray(a, dtype=np.float64), 0, 1))
 
 
+def closure_arrays(fn):
+    """Every ndarray a grad_fn closure holds, through nested functions."""
+    found = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found.extend(closure_arrays(value))
+    return found
+
+
+def root_base(a):
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def state_checksum(model, names: set[str] | None = None) -> float:
     """Sum of absolute parameter values, over ``names`` or every parameter."""
     return sum(float(np.abs(p.data).sum()) for name, p in model.named_parameters()

@@ -4,6 +4,10 @@ Criteria 3, 5, 6, and 7 regress against the published ETTh1/WTH benchmark
 files; they skip (loudly) when those CSVs are absent because the files cannot
 be synthesized.  Drop ETTh1.csv / WTH.csv under data/ (or point RTNET_DATA_DIR
 at them) to run the full gate.
+
+Criterion 10 marks the boundary of this gate and has no test: the paper's
+20-seed full-budget tables and its zoo of baselines are not reproduced here;
+the ordering and closed-form criteria below stand in for them.
 """
 
 import time
@@ -20,7 +24,7 @@ from rtnet.model import ModelConfig, RTNet
 from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
 from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import (Tensor, abs_op, add, channel_upsample, concat,
-                          conv1d_grouped, dropout, exp_op, linear_grouped, log_op,
+                          conv1d_grouped, dropout, exp_op, group_features, linear_grouped, log_op,
                           matmul_const, matmul_t, maxpool1d, mse_per_variate, mul,
                           mul_const, mul_scalar, normalize_rows, permute, relu,
                           reshape, sub, sum_axis, take_axis1, take_rows, transpose_12)
@@ -87,6 +91,7 @@ class TestCriterion1GradientSoundness:
             ("transpose_12", lambda: _sq(transpose_12(x3)), [x3]),
             ("permute", lambda: _sq(permute(x3, (2, 0, 1))), [x3]),
             ("concat", lambda: _sq(concat([a1, a2], 1)), [a1, a2]),
+            ("group_features", lambda: _sq(group_features([c3, w], 2)), [c3, w]),
             ("mse_per_variate", lambda: sum_axis(mse_per_variate(pred, truth)), [pred]),
             ("batch_norm", lambda: _sq(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),
             ("layer_norm", lambda: _sq(layer_norm(bn_x, ln)), [bn_x, ln.gain, ln.bias]),
@@ -295,11 +300,3 @@ class TestCriterion9SyntheticRecoverability:
         elapsed = time.monotonic() - start
         assert mse <= 1.5 * noise ** 2, f"raw-scale MSE {mse}"
         assert elapsed < 300.0, f"took {elapsed:.0f}s"
-
-
-class TestCriterion10DeskScaleBoundary:
-    def test_full_benchmark_reproduction_is_out_of_scope(self):
-        """The 20-seed full-budget tables and baseline zoo are explicitly not
-        reproduced here; the ordering and closed-form criteria above stand in
-        for them.  This records the boundary rather than testing behavior."""
-        assert True

@@ -226,15 +226,17 @@ class TestSweep:
                      "--out", str(out)]) == 0
         payload = json.loads((out / "sweep.json").read_text())
         expected = [
-            {"length": 32, "mean_mse": 2.545799647147962, "std_mse": 0.6655281531290114,
-             "mean_mae": 1.2798530630088272, "std_mae": 0.18682405279612857},
-            {"length": 16, "mean_mse": 4.055957288269827, "std_mse": 0.9876657003612068,
-             "mean_mae": 1.5656294922718361, "std_mae": 0.13478929523833338},
+            {"length": 32, "n_seeds": 2, "mean_mse": 2.545799647147962,
+             "std_mse": 0.6655281531290114, "mean_mae": 1.2798530630088272,
+             "std_mae": 0.18682405279612857},
+            {"length": 16, "n_seeds": 2, "mean_mse": 4.055957288269827,
+             "std_mse": 0.9876657003612068, "mean_mae": 1.5656294922718361,
+             "std_mae": 0.13478929523833338},
         ]
         assert len(payload["rows"]) == len(expected)
         for row, want in zip(payload["rows"], expected):
             assert list(row) == list(want)
-            assert row["length"] == want["length"]
+            assert (row["length"], row["n_seeds"]) == (want["length"], want["n_seeds"])
             for key in ("mean_mse", "std_mse", "mean_mae", "std_mae"):
                 assert row[key] == pytest.approx(want[key], rel=1e-10), key
         assert payload["best_length"] == 32
@@ -278,6 +280,27 @@ class TestSweep:
         assert payload["best_length"] == 16
         assert payload["near_best"] == [16]
         assert payload["skipped"] == []
+
+    def test_partial_length_reports_its_seed_count(self, data_csv, tmp_path, monkeypatch):
+        """A length where one seed's cell failed keeps a row of its surviving
+        seed, and says so; the CSV keeps its five columns."""
+        def run_cell(spec, splits, axis_value, pred_len, seed, fmt=None):
+            cell = harness.CellResult(axis_value=axis_value, pred_len=pred_len, seed=seed,
+                                      mse=1.0 + seed, mae=0.5)
+            if (axis_value, seed) == (32, 1):
+                cell.status, cell.reason = "failed", "NumericalError: diverged"
+            return cell
+
+        monkeypatch.setattr(harness, "run_cell", run_cell)
+        out = tmp_path / "partial"
+        config = write_sweep_config(tmp_path, [16, 32], seeds=[0, 1])
+        assert main(["sweep", "--config", config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert [(r["length"], r["n_seeds"]) for r in payload["rows"]] == [(16, 2), (32, 1)]
+        assert (out / "sweep.csv").read_text().splitlines() == [
+            "length,mean_mse,std_mse,mean_mae,std_mae", "16,1.5,0.5,0.5,0.0",
+            "32,1.0,0.0,0.5,0.0"]
 
     def test_near_best_within_5_percent(self, data_csv, tmp_path, monkeypatch):
         fake_cells(monkeypatch, {(8, 0): 1.0, (16, 0): 1.03, (32, 0): 2.0, (64, 0): 1.0501})

@@ -157,11 +157,33 @@ EDGE_CASES = [dict(length=1, k=5, padding=4, stride=s) for s in (1, 2, 3)] + [
     dict(length=10, k=1, padding=0, stride=3),
 ]
 
+# weight-gradient paths: a length with L == stride*l_out takes the flat GEMM,
+# where a tap shifted by q != 0 crosses B-1 row seams (B 1 has none, and
+# l_out 1 leaves the shifted taps reading only padding); any other length
+# takes a slice copy per tap.  Strides 1-3, paddings 0 to k-1.
+WEIGHT_GRAD_CASES = [
+    dict(batch=1, length=12, k=3, padding=1, stride=2),
+    dict(batch=3, length=12, k=3, padding=1, stride=2),
+    dict(batch=3, length=7, k=5, padding=2, stride=1),
+    dict(batch=2, length=9, k=5, padding=1, stride=3),
+    dict(batch=4, length=9, k=5, padding=2, stride=3),
+    dict(batch=2, length=8, k=4, padding=1, stride=2),
+    dict(batch=3, length=2, k=3, padding=1, stride=2),
+    dict(batch=3, length=1, k=3, padding=1, stride=1),
+    dict(batch=3, length=3, k=3, padding=0, stride=3),
+    dict(batch=2, length=6, k=1, padding=0, stride=3),
+    dict(batch=3, length=13, k=3, padding=0, stride=2),
+    dict(batch=3, length=5, k=3, padding=2, stride=1),
+    dict(batch=1, length=4, k=3, padding=2, stride=3),
+    dict(batch=2, length=4, k=2, padding=1, stride=3),
+    dict(batch=2, length=3, k=2, padding=0, stride=1),
+]
+
 
 class TestConv1dGroupedFuzz:
     @FUZZ
     @given(conv_cases())
-    @pinned(EDGE_CASES, batch=2, groups=3, cpg=2, opg=2, seed=7)
+    @pinned(EDGE_CASES + WEIGHT_GRAD_CASES, batch=2, groups=3, cpg=2, opg=2, seed=7)
     def test_matches_loop_reference(self, case):
         rng = np.random.default_rng(case["seed"])
         groups, cpg, k = case["groups"], case["cpg"], case["k"]
@@ -181,6 +203,7 @@ class TestConv1dGroupedFuzz:
 
     @GRADCHECK
     @given(conv_cases())
+    @pinned(WEIGHT_GRAD_CASES, groups=2, cpg=2, opg=2, seed=11)
     def test_finite_differences(self, case):
         rng = np.random.default_rng(case["seed"])
         groups, cpg = case["groups"], case["cpg"]

@@ -157,6 +157,23 @@ class TestPyramid:
             h = model.branches[0].forward(Tensor(np.zeros((1, 1, 32))), False, None)
             assert h.data.shape[0] * h.data.shape[2] == 32 * 4
 
+    def test_features_copy_the_branch_outputs_once(self):
+        """The features node reads the branch outputs themselves: the tape
+        records no permuted copy of them, and each group's features are its
+        channel blocks in (c, l) order, branch after branch."""
+        model = make_model(small_cfg(dropout=0.1))
+        x = np.random.default_rng(5).normal(size=(2, 32, 3))
+        with GradTape() as tape:
+            feats = model.representations(x, training=True, rng=np.random.default_rng(6))
+        node = tape.nodes[-1]
+        assert node.output is feats
+        outputs = {id(n.output) for n in tape.nodes[:-1]}
+        assert len(node.inputs) == 2 and all(id(h) in outputs for h in node.inputs)
+        assert not any(n.grad_fn.__qualname__.startswith("permute.") for n in tape.nodes)
+        want = np.concatenate([h.data.transpose(1, 0, 2).reshape(2, 3, -1)
+                               for h in node.inputs], axis=2)
+        assert np.array_equal(feats.data, want)
+
     def test_branch_parameter_isolation(self):
         cfg = small_cfg(n_variates=1, groups=1, d_channels=4)
         model = make_model(cfg, seed=3)

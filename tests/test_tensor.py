@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import swap_bc
+from conftest import closure_arrays, root_base, swap_bc
 from test_kernel_fuzz import conv_reference
 
 from rtnet.errors import ConfigError, DimensionError, NumericalError
 from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
                           channel_upsample, concat, conv1d_grouped, dropout,
-                          exp_op, linear_grouped, log_op, matmul_const, matmul_t,
-                          maxpool1d, mse_per_variate, mul, mul_const, mul_scalar,
+                          exp_op, group_features, linear_grouped, log_op, matmul_const,
+                          matmul_t, maxpool1d, mse_per_variate, mul, mul_const, mul_scalar,
                           normalize_rows, permute, relu, reshape, sub, sum_axis,
                           take_axis1, take_rows, transpose_12)
 
@@ -326,24 +326,6 @@ def maxpool_reference(x, g, k, stride, padding):
     return out, g_xp[:, :, padding:padding + length]
 
 
-def closure_arrays(fn):
-    """Every ndarray a grad_fn closure holds, through nested functions."""
-    found = []
-    for cell in getattr(fn, "__closure__", None) or ():
-        value = cell.cell_contents
-        if isinstance(value, np.ndarray):
-            found.append(value)
-        elif callable(value):
-            found.extend(closure_arrays(value))
-    return found
-
-
-def root_base(a):
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
-
-
 class TestTapeContents:
     """Forward computes only the value; backward state is derived from the
     input and output arrays, and the tape holds nothing else."""
@@ -392,7 +374,8 @@ class TestTapeContents:
 
     @pytest.mark.parametrize("k,stride,padding,groups", CONV_CASES)
     def test_conv(self, k, stride, padding, groups):
-        """The node keeps the weight and one column array, and nothing padded."""
+        """The node keeps the weight and its input, and nothing else: no
+        im2col columns and no padded copy."""
         x_bcl, w_data, b_data, g = self.conv_case(k, stride, padding, groups)
         x, w, b = t(swap_bc(x_bcl)), t(w_data), t(b_data)
         with GradTape() as tape:
@@ -400,11 +383,9 @@ class TestTapeContents:
         assert len(tape.nodes) == 1
         backward(tape, y, params=[x, w, b], seed=swap_bc(g))
         held = closure_arrays(tape.nodes[0].grad_fn)
-        assert any(root_base(a) is w.data for a in held)
-        extra = [a for a in held if root_base(a) is not w.data]
-        B, _, l_out = g.shape
-        assert len(extra) == 1 and extra[0].size == groups * w_data[0].size * B * l_out
-        assert all(a.shape[-1] != x.shape[2] + 2 * padding for a in held)
+        assert {id(root_base(a)) for a in held} == {id(x.data), id(w.data)}
+        extra = [a for a in held if root_base(a) is not x.data and root_base(a) is not w.data]
+        assert extra == []
         want = conv_reference(x_bcl, w_data, b_data, g, stride, padding, groups)
         for got, ref in zip([swap_bc(y.data), swap_bc(x.grad), w.grad, b.grad], want):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
@@ -457,6 +438,30 @@ class TestElementwiseAndStructural:
         backward(tape, y, params=[a, b])
         assert np.array_equal(a.grad, np.ones((2, 3)))
         assert np.array_equal(b.grad, np.ones((2, 5)))
+
+    def test_group_features(self, gradcheck):
+        """Channel-major branch outputs land in the features as batch-major
+        permute, reshape and concat would put them, and the gradients route
+        back the same way, bit for bit."""
+        rng = np.random.default_rng(5)
+        groups, B = 3, 2
+        hs = [t(rng.normal(size=(c, B, length))) for c, length in [(6, 8), (12, 4), (3, 5)]]
+        c = rng.normal(size=(B, groups, 16 + 16 + 5))
+        with GradTape() as tape:
+            ref = concat([reshape(permute(h, (1, 0, 2)), (B, groups, -1)) for h in hs], axis=2)
+        backward(tape, ref, params=hs, seed=c)
+        want = [h.grad for h in hs]
+        with GradTape() as tape:
+            y = group_features(hs, groups)
+        backward(tape, y, params=hs, seed=c)
+        assert np.array_equal(y.data, ref.data)
+        for h, g in zip(hs, want):
+            assert h.grad.shape == h.shape and np.array_equal(h.grad, g)
+        gradcheck(lambda: sum_axis(mul_const(group_features(hs, groups), c)), hs)
+        with pytest.raises(DimensionError):
+            group_features([t(np.zeros((4, B, 3)))], groups)
+        with pytest.raises(DimensionError):
+            group_features([hs[0], t(np.zeros((6, B + 1, 8)))], groups)
 
     def test_normalize_rows_unit_norm(self):
         x = t(np.random.default_rng(0).normal(size=(4, 7)))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import ar_series, hourly, state_checksum, synthetic_multivariate
+from conftest import (ar_series, closure_arrays, hourly, root_base, state_checksum,
+                      synthetic_multivariate)
+from rtnet import training
 from rtnet.data import TimeSeriesDataset
 from rtnet.errors import ConfigError, SamplerError
 from rtnet.model import ModelConfig, RTNet
@@ -255,6 +257,34 @@ class TestTrainEndToEnd:
         assert result.best_epoch == best
         final_mse, _ = evaluate(model, self.make_data(seed=7))
         assert final_mse == pytest.approx(val_curve[best], rel=1e-9)
+
+
+class TestStepTape:
+    def test_conv_nodes_keep_only_their_input_and_weight(self, monkeypatch):
+        """After one step of a grouped model with a time branch, every conv
+        node's closure holds its own input and weight and no other array."""
+        values, names = synthetic_multivariate(200, seed=3)
+        train = TimeSeriesDataset(hourly(200), values, names, 6)
+        model = tiny_model(seed=3, n_variates=7, groups=7, d_channels=14,
+                           time_mode="decoupled", dropout=0.1)
+        tapes = []
+
+        def record(tape, *args, **kwargs):
+            tapes.append(tape)
+            return backward(tape, *args, **kwargs)
+
+        monkeypatch.setattr(training, "backward", record)
+        cfg = TrainConfig(epochs=1, batch_size=4, max_steps_per_epoch=1, seed=3)
+        train_end_to_end(model, train, train.slice(100, 200), cfg)
+        assert len(tapes) == 1
+        convs = [node for node in tapes[0].nodes
+                 if node.grad_fn.__qualname__.startswith("conv1d_grouped.")]
+        # branches of 2 and 1 blocks, the 2-block TimeNet and the time head
+        assert len(convs) == 5 + 3 + 5 + 1
+        for node in convs:
+            x, w, _ = node.inputs
+            own = {id(root_base(x.data)), id(root_base(w.data))}
+            assert {id(root_base(a)) for a in closure_arrays(node.grad_fn)} == own
 
 
 class TestDivergenceAbort:
