@@ -286,9 +286,11 @@ class RTNet(Module):
         """Per-group pyramid features, (B, groups, features_per_group)."""
         cfg = self.cfg
         x = self._prepare_input(np.asarray(inputs, dtype=np.float64), input_marks)
-        hs = [branch.forward(Tensor(np.ascontiguousarray(x[:, :, x.shape[2] - (cfg.l_in >> i):])),
-                             training, rng)
-              for i, branch in enumerate(self.branches)]
+        hs = []
+        for i, branch in enumerate(self.branches):
+            sliced = x[:, :, x.shape[2] - (cfg.l_in >> i):]
+            hs.append(branch.forward(Tensor(np.ascontiguousarray(sliced)), training, rng))
+        # each group's features in (c, l) order, branch after branch
         return group_features(hs, cfg.groups)
 
     def forward(self, inputs: np.ndarray, marks: np.ndarray | None = None, *,
