@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError
 
 DATE_FORMAT = "%Y-%m-%d %H:%M:%S"
-TIME_FEATURE_NAMES = ("hour_of_day", "day_of_week", "day_of_month",
-                      "day_of_year", "week_of_year", "month_of_year")
 
 
 @dataclass
@@ -206,7 +204,8 @@ def make_windows(ds_length: int, l_in: int, l_out: int) -> np.ndarray:
 
 
 def time_features(timestamps: list[datetime]) -> np.ndarray:
-    """Six calendar features, each mapped linearly onto [-0.5, 0.5]."""
+    """Hour of day, day of week, day of month, day of year, week of year and
+    month of year, each mapped linearly onto [-0.5, 0.5]."""
     out = np.empty((len(timestamps), 6))
     for i, ts in enumerate(timestamps):
         out[i, 0] = ts.hour / 23.0 - 0.5

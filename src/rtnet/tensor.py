@@ -15,7 +15,8 @@ branch outputs straight into the batch-major features.
 
 A node's closure keeps only what its backward needs, taken from the op's
 input and output arrays where it can be: a convolution keeps its input and
-weight, not the k-fold im2col copy of the input that feeds its forward GEMM.
+weight, not the k-fold im2col copy of the input; its backward rebuilds that
+copy with the forward's own ``_im2col``.
 """
 
 from __future__ import annotations
@@ -210,12 +211,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make([a, b], a.data - b.data, lambda g: (g, -g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _make([a, b], ad * bd, lambda g: (g * bd, g * ad))
-
-
 def add_scalar(a: Tensor, c: float) -> Tensor:
     return _make([a], a.data + c, lambda g: (g,))
 
@@ -274,14 +269,6 @@ def log_op(a: Tensor) -> Tensor:
         raise NumericalError("log of non-positive value")
     ad = a.data
     return _make([a], np.log(ad), lambda g: (g / ad,))
-
-
-def matmul_const(a: Tensor, m: np.ndarray) -> Tensor:
-    """a @ m for a constant (non-trainable) matrix m over the last axis."""
-    m = np.asarray(m, dtype=np.float64)
-    if a.data.shape[-1] != m.shape[0]:
-        raise DimensionError(f"matmul_const: {a.data.shape} @ {m.shape}")
-    return _make([a], a.data @ m, lambda g: (g @ m.T,))
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
@@ -435,51 +422,19 @@ def _taps(length: int, k: int, stride: int, padding: int, l_out: int):
         yield j, lo, hi, slice(start, start + (hi - lo) * stride, stride)
 
 
-def _gemm_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(groups, m, ...) x (groups, n, ...) -> (groups, m, n), summed over the
-    trailing axes."""
-    return np.matmul(a.reshape(*a.shape[:2], -1), b.reshape(*b.shape[:2], -1).transpose(0, 2, 1))
+def _im2col(xv: np.ndarray, taps, k: int, l_out: int) -> np.ndarray:
+    """(groups, cpg, B, L) input -> (groups, cpg*k, B*l_out) im2col columns.
 
-
-def _conv_weight_grad(go: np.ndarray, xv: np.ndarray, taps, stride: int,
-                      padding: int) -> np.ndarray:
-    """Weight gradient of a grouped convolution, tap by tap from its input:
-    ``g_w[..., j] = go[..., lo:hi] · x[..., src]ᵀ`` over batch and length.
-
-    ``go`` is (groups, opg, B, l_out) and ``xv`` (groups, cpg, B, L); the
-    result is (groups, opg, cpg, k).  When L == stride*l_out, tap j with
-    (q, r) = divmod(j - padding, stride) reads input phase r (positions r,
-    r+stride, ...) shifted by q outputs, so one GEMM over the flat B*l_out
-    axis covers every batch row: at stride 1 the phase is the input itself,
-    otherwise one deinterleaved copy shared by its taps.  The flat shift also
-    pairs each row's |q| outputs that read padding with the neighbouring
-    row's input; those row-seam products are subtracted.  Other shapes take
-    a slice copy per tap.
+    Filled tap by tap, so every copy runs along the sequence axis; only the
+    outputs whose tap reads padding are zeroed.
     """
-    groups, opg, B, l_out = go.shape
-    cpg, length = xv.shape[1], xv.shape[3]
-    g_w = np.zeros((groups, opg, cpg, len(taps)))
-    live = [tap for tap in taps if tap[2] > tap[1]]
-    if length != stride * l_out:
-        for j, lo, hi, src in live:
-            g_w[..., j] = _gemm_nt(go[..., lo:hi], xv[..., src])
-        return g_w
-    n = B * l_out
-    go_flat = go.reshape(groups, opg, n)
-    phase_r = None
-    for j, lo, hi, _ in sorted(live, key=lambda tap: (tap[0] - padding) % stride):
-        q, r = divmod(j - padding, stride)
-        if r != phase_r:
-            phase_r = r
-            phase = np.ascontiguousarray(xv.reshape(groups, cpg, n, stride)[..., r])
-            rows = phase.reshape(groups, cpg, B, l_out)
-        g_w[..., j] = _gemm_nt(go_flat[..., max(0, -q):n - max(0, q)],
-                               phase[..., max(0, q):n - max(0, -q)])
-        if q > 0:  # a row's last q outputs read the next row's first inputs
-            g_w[..., j] -= _gemm_nt(go[:, :, :-1, hi:], rows[:, :, 1:, :q])
-        elif q < 0:  # a row's first -q outputs read the previous row's last inputs
-            g_w[..., j] -= _gemm_nt(go[:, :, 1:, :lo], rows[:, :, :-1, l_out - lo:])
-    return g_w
+    groups, cpg, B, _ = xv.shape
+    cols = np.empty((groups, cpg, k, B, l_out))
+    for j, lo, hi, src in taps:
+        cols[:, :, j, :, :lo] = 0.0
+        cols[:, :, j, :, hi:] = 0.0
+        cols[:, :, j, :, lo:hi] = xv[..., src]
+    return cols.reshape(groups, cpg * k, B * l_out)
 
 
 def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
@@ -487,10 +442,9 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     """Grouped 1-D convolution: (C_in,B,L) -> (C_out,B,L_out).
 
     weight is (C_out, C_in/groups, k); output channel block g sees only input
-    channel block g.  The tape node keeps the input and the weight: the
-    im2col columns feed the forward GEMM only, and backward takes the weight
-    gradient tap by tap from the input.  The input gradient is computed only
-    when x requires it.
+    channel block g.  The tape node keeps the input and the weight, not the
+    im2col columns: backward rebuilds them from the input for the weight
+    gradient's GEMM.  The input gradient is computed only when x requires it.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise DimensionError(f"conv1d_grouped: input {x.data.shape}, weight {weight.data.shape}")
@@ -510,26 +464,17 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     l_out = _conv_out_len(length, k, stride, padding)
     opg = c_out // groups
     taps = list(_taps(length, k, stride, padding, l_out))
-    # columns laid out (groups, cpg*k, B*l_out), filled tap by tap from the
-    # contiguous (groups, cpg, B, L) input so every copy runs along the
-    # sequence axis; only the outputs whose tap reads padding are zeroed
     xv = x.data.reshape(groups, cpg, B, length)
-    cols = np.empty((groups, cpg, k, B, l_out))
-    for j, lo, hi, src in taps:
-        cols[:, :, j, :, :lo] = 0.0
-        cols[:, :, j, :, hi:] = 0.0
-        cols[:, :, j, :, lo:hi] = xv[..., src]
-    cols = cols.reshape(groups, cpg * k, B * l_out)
     w_cols = weight.data.reshape(groups, opg, cpg * k)
     # the (groups, opg, B*l_out) product is already the (C_out, B, L_out) output
-    out = np.matmul(w_cols, cols)
+    out = np.matmul(w_cols, _im2col(xv, taps, k, l_out))
     out += bias.data.reshape(groups, opg, 1)
     need_gx = x.requires_grad
 
     def grad_fn(g):
         go = g.reshape(groups, opg, B * l_out)
-        g_w = _conv_weight_grad(go.reshape(groups, opg, B, l_out), xv, taps, stride,
-                                padding).reshape(c_out, cpg, k)
+        # the rebuilt columns are freed before g_cols is allocated
+        g_w = np.matmul(go, _im2col(xv, taps, k, l_out).transpose(0, 2, 1)).reshape(c_out, cpg, k)
         g_b = g.sum(axis=(1, 2))
         if not need_gx:
             return (None, g_w, g_b)

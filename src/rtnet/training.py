@@ -31,7 +31,6 @@ AUGMENT_KINDS = ("scaling", "jittering", "entirety_scaling")
 class AugmentSpec:
     kind: str
     beta: float = 0.2
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in AUGMENT_KINDS:
@@ -40,11 +39,8 @@ class AugmentSpec:
             raise ConfigError(f"augmentation beta must be >= 0, got {self.beta}")
 
 
-def augment(window: np.ndarray, spec: AugmentSpec,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+def augment(window: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     """Perturb one input window; every drawn amplitude lies in [-beta, beta]."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     window = np.asarray(window, dtype=np.float64)
     if spec.kind == "scaling":
         return window * (1.0 + rng.uniform(-spec.beta, spec.beta, window.shape))
@@ -85,15 +81,6 @@ def sample_batch_condition1(dataset, batch: int, l_in: int, alpha: float,
     start = int(rng.integers(0, slack + 1)) if slack > 0 else 0
     gap = (n_offsets - 1 - start) // (batch - 1) if batch > 1 else 1
     return start + gap * np.arange(batch)
-
-
-def check_condition1(offsets: np.ndarray, l_in: int, alpha: float) -> bool:
-    """True when every pairwise overlap is <= L_in - L_in/alpha."""
-    off = np.sort(np.asarray(offsets))
-    if off.size < 2:
-        return True
-    overlap = np.maximum(0, l_in - np.diff(off))
-    return bool(np.all(overlap <= l_in - l_in / alpha + 1e-9))
 
 
 @dataclass
@@ -182,6 +169,10 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.stage1_epochs is not None and self.stage1_epochs < 1:
+            raise ConfigError(f"stage1_epochs must be >= 1, got {self.stage1_epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
         for name in ("batch_size", "stage1_batch_size", "stage2_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

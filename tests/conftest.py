@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtnet.tensor import GradTape, Tensor, backward
+from rtnet.tensor import GradTape, Tensor, backward, mse_per_variate, reshape, sum_axis
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient oracle
@@ -68,6 +68,23 @@ def check_gradients(build, tensors, n_coords: int = 10, seed: int = 0,
 @pytest.fixture
 def gradcheck():
     return check_gradients
+
+
+def sq_sum(t: Tensor) -> Tensor:
+    """sum(t * t) as a recorded scalar, through the model's own MSE op, so
+    the gradient reaching ``t`` is 2t: a different seed at every element."""
+    flat = reshape(t, (1, 1, t.size))
+    return sum_axis(mse_per_variate(flat, np.zeros(flat.shape)))
+
+
+def check_condition1(offsets: np.ndarray, l_in: int, alpha: float) -> bool:
+    """Oracle for the overlap-limited sampler: True when every pairwise
+    overlap is <= L_in - L_in/alpha."""
+    off = np.sort(np.asarray(offsets))
+    if off.size < 2:
+        return True
+    overlap = np.maximum(0, l_in - np.diff(off))
+    return bool(np.all(overlap <= l_in - l_in / alpha + 1e-9))
 
 
 def swap_bc(a) -> np.ndarray:

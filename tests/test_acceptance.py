@@ -10,12 +10,15 @@ Criterion 10 marks the boundary of this gate and has no test: the paper's
 the ordering and closed-form criteria below stand in for them.
 """
 
+import inspect
 import time
 
 import numpy as np
 import pytest
 
-from conftest import ar_series, check_gradients, dataset_path, hourly, requires_dataset, swap_bc
+from conftest import (ar_series, check_gradients, dataset_path, hourly, requires_dataset,
+                      sq_sum, swap_bc)
+from rtnet import norm, tensor
 from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
                         make_windows, split, standardize)
 from rtnet.diagnostics import autocovariance, pacf
@@ -23,21 +26,19 @@ from rtnet.harness import ExperimentSpec, run_experiment
 from rtnet.model import ModelConfig, RTNet
 from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
 from rtnet.relation import cos_relation_matrix, threshold_and_standardize
-from rtnet.tensor import (Tensor, abs_op, add, channel_upsample, concat,
+from rtnet.tensor import (Tensor, abs_op, add, add_scalar, channel_upsample, concat,
                           conv1d_grouped, dropout, exp_op, group_features, linear_grouped, log_op,
-                          matmul_const, matmul_t, maxpool1d, mse_per_variate, mul,
-                          mul_const, mul_scalar, normalize_rows, permute, relu,
-                          reshape, sub, sum_axis, take_axis1, take_rows, transpose_12)
+                          matmul_t, maxpool1d, mse_per_variate, mul_const, mul_scalar,
+                          normalize_rows, permute, relu, reshape, sub, sum_axis, take_axis1,
+                          take_rows, transpose_12)
 from rtnet.training import TrainConfig, contrastive_loss, train_end_to_end
-
-
-def _sq(x):
-    return sum_axis(mul(x, x))
 
 
 class TestCriterion1GradientSoundness:
     """Every differentiable primitive and the full forward pass vs central
-    finite differences at 10 random coordinates, relative error < 1e-4."""
+    finite differences at 10 random coordinates, relative error < 1e-4.
+    Every public function of ``rtnet.tensor`` and ``rtnet.norm`` but
+    ``backward`` is a differentiable primitive and must have a case."""
 
     def test_every_primitive(self):
         start = time.monotonic()
@@ -58,7 +59,6 @@ class TestCriterion1GradientSoundness:
         h = T(6, 4)
         pos = Tensor(np.abs(rng.normal(size=(3, 5))) + 0.5, requires_grad=True)
         pred = T(2, 3, 2)
-        mat = rng.normal(size=(10, 10))
         cmask = rng.normal(size=(3, 5))
         truth = rng.normal(size=(2, 3, 2))
         bn_x = Tensor(swap_bc(rng.normal(size=(5, 3, 4))), requires_grad=True)
@@ -67,36 +67,42 @@ class TestCriterion1GradientSoundness:
         wv, wg = T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)
 
         cases = [
-            ("conv1d_grouped", lambda: _sq(conv1d_grouped(c3, w, b, 2, 1, 2)), [c3, w, b]),
-            ("maxpool1d", lambda: _sq(maxpool1d(c3, 3, 2, 1)), [c3]),
-            ("channel_upsample", lambda: _sq(channel_upsample(c3, 3)), [c3]),
-            ("linear_grouped", lambda: _sq(linear_grouped(lx, lw, lb, 2)), [lx, lw, lb]),
-            ("relu", lambda: _sq(relu(a1)), [a1]),
-            ("dropout", lambda: _sq(dropout(a1, 0.4, np.random.default_rng(3), True)), [a1]),
-            ("add", lambda: _sq(add(a1, a2)), [a1, a2]),
-            ("sub", lambda: _sq(sub(a1, a2)), [a1, a2]),
-            ("mul", lambda: _sq(mul(a1, a2)), [a1, a2]),
-            ("mul_scalar", lambda: _sq(mul_scalar(a1, -1.7)), [a1]),
-            ("mul_const", lambda: _sq(mul_const(a1, cmask)), [a1]),
-            ("abs", lambda: _sq(abs_op(a1)), [a1]),
-            ("exp", lambda: _sq(exp_op(a1)), [a1]),
-            ("log", lambda: _sq(log_op(pos)), [pos]),
-            ("matmul_const", lambda: _sq(matmul_const(x3, mat)), [x3]),
-            ("matmul_t", lambda: _sq(matmul_t(h, h)), [h]),
-            ("normalize_rows", lambda: _sq(normalize_rows(h)), [h]),
-            ("sum_axis", lambda: _sq(sum_axis(x3, 1)), [x3]),
-            ("take_rows", lambda: _sq(take_rows(h, 1, 4)), [h]),
-            ("take_axis1", lambda: _sq(take_axis1(x3, 2)), [x3]),
-            ("reshape", lambda: _sq(reshape(x3, (2, 40))), [x3]),
-            ("transpose_12", lambda: _sq(transpose_12(x3)), [x3]),
-            ("permute", lambda: _sq(permute(x3, (2, 0, 1))), [x3]),
-            ("concat", lambda: _sq(concat([a1, a2], 1)), [a1, a2]),
-            ("group_features", lambda: _sq(group_features([c3, w], 2)), [c3, w]),
+            ("conv1d_grouped", lambda: sq_sum(conv1d_grouped(c3, w, b, 2, 1, 2)), [c3, w, b]),
+            ("maxpool1d", lambda: sq_sum(maxpool1d(c3, 3, 2, 1)), [c3]),
+            ("channel_upsample", lambda: sq_sum(channel_upsample(c3, 3)), [c3]),
+            ("linear_grouped", lambda: sq_sum(linear_grouped(lx, lw, lb, 2)), [lx, lw, lb]),
+            ("relu", lambda: sq_sum(relu(a1)), [a1]),
+            ("dropout", lambda: sq_sum(dropout(a1, 0.4, np.random.default_rng(3), True)), [a1]),
+            ("add", lambda: sq_sum(add(a1, a2)), [a1, a2]),
+            ("sub", lambda: sq_sum(sub(a1, a2)), [a1, a2]),
+            ("add_scalar", lambda: sq_sum(add_scalar(a1, 0.6)), [a1]),
+            ("mul_scalar", lambda: sq_sum(mul_scalar(a1, -1.7)), [a1]),
+            ("mul_const", lambda: sq_sum(mul_const(a1, cmask)), [a1]),
+            ("abs_op", lambda: sq_sum(abs_op(a1)), [a1]),
+            ("exp_op", lambda: sq_sum(exp_op(a1)), [a1]),
+            ("log_op", lambda: sq_sum(log_op(pos)), [pos]),
+            ("matmul_t", lambda: sq_sum(matmul_t(h, h)), [h]),
+            ("normalize_rows", lambda: sq_sum(normalize_rows(h)), [h]),
+            ("sum_axis", lambda: sq_sum(sum_axis(x3, 1)), [x3]),
+            ("take_rows", lambda: sq_sum(take_rows(h, 1, 4)), [h]),
+            ("take_axis1", lambda: sq_sum(take_axis1(x3, 2)), [x3]),
+            ("reshape", lambda: sq_sum(reshape(x3, (2, 40))), [x3]),
+            ("transpose_12", lambda: sq_sum(transpose_12(x3)), [x3]),
+            ("permute", lambda: sq_sum(permute(x3, (2, 0, 1))), [x3]),
+            ("concat", lambda: sq_sum(concat([a1, a2], 1)), [a1, a2]),
+            ("group_features", lambda: sq_sum(group_features([c3, w], 2)), [c3, w]),
             ("mse_per_variate", lambda: sum_axis(mse_per_variate(pred, truth)), [pred]),
-            ("batch_norm", lambda: _sq(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),
-            ("layer_norm", lambda: _sq(layer_norm(bn_x, ln)), [bn_x, ln.gain, ln.bias]),
-            ("weight_norm", lambda: _sq(weight_norm_effective(wv, wg)), [wv, wg]),
+            ("batch_norm", lambda: sq_sum(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),
+            ("layer_norm", lambda: sq_sum(layer_norm(bn_x, ln)), [bn_x, ln.gain, ln.bias]),
+            ("weight_norm_effective", lambda: sq_sum(weight_norm_effective(wv, wg)), [wv, wg]),
         ]
+        primitives = {name for module in (tensor, norm)
+                      for name, fn in inspect.getmembers(module, inspect.isfunction)
+                      if fn.__module__ == module.__name__ and not name.startswith("_")}
+        covered = {name for name, _, _ in cases}
+        assert covered == primitives - {"backward"}, (
+            f"no case: {sorted(primitives - {'backward'} - covered)}, "
+            f"not a primitive: {sorted(covered - primitives)}")
         for name, build, tensors in cases:
             worst = check_gradients(build, tensors, n_coords=10, seed=99)
             assert worst < 1e-4, f"{name}: worst relative error {worst}"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,17 @@ class TestTrainEval:
         assert set(payload) == {"split", "mse", "mae"}
         assert np.isfinite(payload["mse"])
 
+    @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
+    def test_eval_reproduces_the_logged_test_mse(self, data_csv, train_config, tmp_path,
+                                                 capsys, fmt):
+        out = tmp_path / "run"
+        assert main(["train", "--config", train_config, "--data", data_csv, "--format", fmt,
+                     "--out", str(out)]) == 0
+        logged = re.search(r"test mse (\S+),", capsys.readouterr().err).group(1)
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.rtnet"),
+                     "--data", data_csv]) == 0
+        assert f"{json.loads(capsys.readouterr().out)['mse']:.6f}" == logged
+
     def test_multivariate_with_relation_round_trip(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "mv.json"
         cfg.write_text(json.dumps({
@@ -121,18 +133,25 @@ class TestTrainEval:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
-    @pytest.mark.parametrize("field,fmt", [("batch_size", "e2e"),
-                                           ("stage1_batch_size", "contrastive"),
-                                           ("stage2_batch_size", "contrastive")])
-    def test_zero_batch_size_fails(self, data_csv, tmp_path, field, fmt):
-        cfg = tmp_path / "zero.json"
+    @pytest.mark.parametrize("field,value,fmt", [("batch_size", 0, "e2e"),
+                                                 ("stage1_batch_size", 0, "contrastive"),
+                                                 ("stage2_batch_size", 0, "contrastive"),
+                                                 ("stage1_epochs", 0, "contrastive"),
+                                                 ("lr", 0.0, "e2e"),
+                                                 ("lr", -1e-3, "e2e"),
+                                                 ("lr", float("nan"), "e2e")])
+    def test_bad_training_setting_fails(self, data_csv, tmp_path, capsys, field, value, fmt):
+        cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({
             "task": "univariate",
             "model": {"l_in": 16, "d_channels": 4, "blocks": 2, "l_out": 4},
-            "train": {"epochs": 1, "max_steps_per_epoch": 2, field: 0},
+            "train": {"epochs": 1, "max_steps_per_epoch": 2, field: value},
         }))
+        out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--data", data_csv, "--format", fmt,
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not (out / "checkpoint.rtnet").exists()
 
     def test_lock_file_blocks_second_invocation(self, data_csv, train_config, tmp_path):
         out = str(tmp_path / "locked")

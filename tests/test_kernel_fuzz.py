@@ -14,9 +14,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_gradients, swap_bc
-from rtnet.tensor import (GradTape, Tensor, backward, conv1d_grouped, linear_grouped, maxpool1d,
-                          mul, sum_axis)
+from conftest import check_gradients, sq_sum, swap_bc
+from rtnet.tensor import GradTape, Tensor, backward, conv1d_grouped, linear_grouped, maxpool1d
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 GRADCHECK = settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -157,10 +156,9 @@ EDGE_CASES = [dict(length=1, k=5, padding=4, stride=s) for s in (1, 2, 3)] + [
     dict(length=10, k=1, padding=0, stride=3),
 ]
 
-# weight-gradient paths: a length with L == stride*l_out takes the flat GEMM,
-# where a tap shifted by q != 0 crosses B-1 row seams (B 1 has none, and
-# l_out 1 leaves the shifted taps reading only padding); any other length
-# takes a slice copy per tap.  Strides 1-3, paddings 0 to k-1.
+# weight-gradient edge shapes: B 1, l_out 1 (the outer taps read only
+# padding), lengths with and without L == stride*l_out, strides 1-3 and
+# paddings 0 to k-1
 WEIGHT_GRAD_CASES = [
     dict(batch=1, length=12, k=3, padding=1, stride=2),
     dict(batch=3, length=12, k=3, padding=1, stride=2),
@@ -214,7 +212,7 @@ class TestConv1dGroupedFuzz:
 
         def build():
             y = conv1d_grouped(x, w, b, case["stride"], case["padding"], groups)
-            return sum_axis(mul(y, y))
+            return sq_sum(y)
 
         check_gradients(build, [x, w, b], seed=case["seed"] % 1000)
 
@@ -247,7 +245,7 @@ class TestMaxpoolFuzz:
 
         def build():
             y = maxpool1d(x, case["k"], case["stride"], case["padding"])
-            return sum_axis(mul(y, y))
+            return sq_sum(y)
 
         check_gradients(build, [x], seed=case["seed"] % 1000)
 
@@ -280,6 +278,6 @@ class TestLinearGroupedFuzz:
 
         def build():
             y = linear_grouped(x, w, b, groups)
-            return sum_axis(mul(y, y))
+            return sq_sum(y)
 
         check_gradients(build, [x, w, b], seed=case["seed"] % 1000)

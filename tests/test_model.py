@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import swap_bc
+from conftest import sq_sum, swap_bc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,7 @@ from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          save_checkpoint)
 from rtnet.norm import NORM_KINDS
-from rtnet.tensor import GradTape, Tensor, backward, mul, sum_axis
+from rtnet.tensor import GradTape, Tensor, backward, sum_axis
 
 
 def small_cfg(**kw):
@@ -335,7 +335,7 @@ class TestContrastiveHead:
         cpn_ids = {id(p) for _, p in model.cpn_named_parameters()}
         with GradTape() as tape:
             out = model.forward(x, training=True, rng=np.random.default_rng(1))
-            loss = sum_axis(mul(out, out))
+            loss = sq_sum(out)
         assert not any(id(t) in cpn_ids for node in tape.nodes for t in node.inputs)
         backward(tape, loss, params=[p for _, p in params])
         for name, p in params:

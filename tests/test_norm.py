@@ -6,12 +6,12 @@ channel-major layout the norms take with ``swap_bc``.
 
 import numpy as np
 import pytest
-from conftest import swap_bc
+from conftest import sq_sum, swap_bc
 
 from rtnet.errors import ConfigError, NumericalError
 from rtnet.model import WeightedUnit
 from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
-from rtnet.tensor import Tensor, mul, sum_axis
+from rtnet.tensor import Tensor
 
 
 def t(data, grad=False):
@@ -75,7 +75,7 @@ class TestBatchNorm:
             p.running_mean[:] = frozen_mean  # keep f deterministic across calls
             p.running_var[:] = frozen_var
             y = batch_norm(x, p, training=training)
-            return sum_axis(mul(y, y))
+            return sq_sum(y)
 
         gradcheck(build, [x, p.gamma, p.beta])
 
@@ -114,7 +114,7 @@ class TestLayerNorm:
 
         def build():
             y = layer_norm(x, p)
-            return sum_axis(mul(y, y))
+            return sq_sum(y)
 
         gradcheck(build, [x, p.gain, p.bias])
 
@@ -158,7 +158,7 @@ class TestWeightNorm:
 
         def build():
             w = weight_norm_effective(v, g)
-            return sum_axis(mul(w, w))
+            return sq_sum(w)
 
         gradcheck(build, [v, g])
 

@@ -6,7 +6,7 @@ import pytest
 from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import ModelConfig, RTNet
 from rtnet.relation import cos_relation_matrix, relation_csv, threshold_and_standardize
-from rtnet.tensor import Tensor, matmul_const
+from rtnet.tensor import Tensor
 
 
 class TestRawMatrix:
@@ -74,16 +74,16 @@ class TestThresholdAndStandardize:
 class TestApplyRelation:
     def test_identity_matrix_is_noop(self):
         x = np.random.default_rng(0).normal(size=(2, 8, 3))
-        out = matmul_const(Tensor(x), np.eye(3))
-        assert np.array_equal(out.data, x)
+        out = x @ np.eye(3)
+        assert np.array_equal(out, x)
 
     def test_permutation_permutes_variates(self):
         x = np.random.default_rng(1).normal(size=(2, 5, 3))
         perm = np.zeros((3, 3))
         perm[0, 2] = perm[1, 0] = perm[2, 1] = 1.0  # column i reads variate row
-        out = matmul_const(Tensor(x), perm)
-        assert np.array_equal(out.data[..., 2], x[..., 0])
-        assert np.array_equal(out.data[..., 0], x[..., 1])
+        out = x @ perm
+        assert np.array_equal(out[..., 2], x[..., 0])
+        assert np.array_equal(out[..., 0], x[..., 1])
 
     def test_isolated_column_passes_through(self):
         rng = np.random.default_rng(2)
@@ -91,8 +91,8 @@ class TestApplyRelation:
         m = rng.uniform(0.1, 1.0, size=(3, 3))
         m[:, 1] = 0.0
         m[1, 1] = 1.0
-        out = matmul_const(Tensor(x), m)
-        assert np.array_equal(out.data[..., 1], x[..., 1])
+        out = x @ m
+        assert np.array_equal(out[..., 1], x[..., 1])
 
     def test_dimension_mismatch(self):
         cfg = ModelConfig(l_in=8, l_out=2, n_variates=3, d_channels=6, groups=3)

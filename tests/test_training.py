@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import (ar_series, closure_arrays, hourly, root_base, state_checksum,
-                      synthetic_multivariate)
+from conftest import (ar_series, check_condition1, closure_arrays, hourly, root_base,
+                      state_checksum, synthetic_multivariate)
 from rtnet import training
 from rtnet.data import TimeSeriesDataset
 from rtnet.errors import ConfigError, SamplerError
 from rtnet.model import ModelConfig, RTNet
 from rtnet.tensor import (GradTape, Tensor, backward, mse_per_variate, mul_const,
                           sum_axis)
-from rtnet.training import (AugmentSpec, TrainConfig, augment, check_condition1,
-                            contrastive_loss, early_stop, evaluate,
-                            make_contrastive_batch, max_condition1_batch,
-                            sample_batch_condition1, train_contrastive,
-                            train_end_to_end)
+from rtnet.training import (AugmentSpec, TrainConfig, augment, contrastive_loss, early_stop,
+                            evaluate, make_contrastive_batch, max_condition1_batch,
+                            sample_batch_condition1, train_contrastive, train_end_to_end)
 
 
 def series_dataset(values_1d, start="2016-07-01 00:00:00"):
