@@ -1,7 +1,9 @@
 """Dataset loading, chronological splitting, standardization, and windowing.
 
-CSV files carry a leading "date" column (YYYY-MM-DD HH:MM:SS) followed by
-numeric variate columns; the last column is the default forecasting target.
+CSV files carry a leading "date" column (zero-padded YYYY-MM-DD HH:MM:SS, one
+sampling interval) followed by numeric variate columns; the last column is the
+default forecasting target.  Timestamps stay one datetime64[s] array from the
+CSV through to the calendar features.
 Splits are strictly chronological and windows never straddle a split
 boundary, so no test information can leak into training statistics.
 """
@@ -18,15 +20,19 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
 
-DATE_FORMAT = "%Y-%m-%d %H:%M:%S"
+# every character of a date cell: "0" stands for any digit, the rest is literal
+_DATE_FORM = np.array([ord(c) for c in "0000-00-00 00:00:00"], dtype=np.uint32)
 
 
 @dataclass
 class TimeSeriesDataset:
-    timestamps: list[datetime]
+    timestamps: np.ndarray  # (length,) datetime64[s]; a list of datetime is converted
     values: np.ndarray  # (length, N)
     variate_names: list[str]
     target_index: int
+
+    def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[s]")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -63,54 +69,82 @@ class SplitSpec:
             raise ConfigError(f"split mode must be 'months' or 'ratio', got {self.mode!r}")
 
 
+def _parse_dates(cells: list[str]) -> np.ndarray:
+    """datetime64[s] of date cells; ValueError unless every cell, stripped, is a
+    zero-padded YYYY-MM-DD HH:MM:SS naming a real calendar instant."""
+    text = list(map(str.strip, cells))
+    if set(map(len, text)) != {_DATE_FORM.size}:  # before any array is sized by them
+        raise ValueError("date cell of the wrong length")
+    dates = np.array(text, dtype=f"U{_DATE_FORM.size}")
+    codes = dates.view(np.uint32).reshape(-1, _DATE_FORM.size)
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    if not np.all(np.where(_DATE_FORM == ord("0"), digit, codes == _DATE_FORM)):
+        raise ValueError("date cell is not YYYY-MM-DD HH:MM:SS")
+    return dates.astype("datetime64[s]")
+
+
+def _row_problem(cells: list[str], width: int) -> str | None:
+    """What is wrong with one CSV record, checked the way the bulk parse checks it."""
+    if len(cells) != width:
+        return f"has {len(cells)} cells, expected {width}"
+    try:
+        _parse_dates(cells[:1])
+    except ValueError:
+        return f"has unparseable date {cells[0]!r}"
+    try:
+        vals = np.array(cells[1:], dtype=np.float64)
+    except ValueError:
+        return "has a non-numeric cell"
+    if not np.isfinite(vals).all():
+        return "has a non-finite value"
+    return None
+
+
+def _first_bad_row(path: str, records: list[list[str]], width: int) -> DataError:
+    for line_no, cells in enumerate(records, start=2):
+        if cells and (problem := _row_problem(cells, width)):
+            return DataError(f"{path}: row {line_no} {problem}")
+    raise AssertionError("the bulk parse failed on rows that each parse")
+
+
 def load_csv(path: str) -> TimeSeriesDataset:
-    """Parse a dataset CSV; every malformed row is reported by file line number."""
+    """Parse a dataset CSV in bulk; a malformed row is reported by file line number."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "date":
-            raise DataError(f"{path}: first column must be named 'date', got {header[:1]}")
-        names = [h.strip() for h in header[1:]]
-        if len(names) < 1:
-            raise DataError(f"{path}: no variate columns")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: duplicate variate names in header")
+        records = list(reader)
+    if not header or header[0].strip() != "date":
+        raise DataError(f"{path}: first column must be named 'date', got {header[:1]}")
+    names = [h.strip() for h in header[1:]]
+    if len(names) < 1:
+        raise DataError(f"{path}: no variate columns")
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: duplicate variate names in header")
 
-        timestamps: list[datetime] = []
-        rows: list[list[float]] = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise DataError(f"{path}: row {line_no} has {len(cells)} cells, expected {len(header)}")
-            try:
-                ts = datetime.strptime(cells[0].strip(), DATE_FORMAT)
-            except ValueError:
-                raise DataError(f"{path}: row {line_no} has unparseable date {cells[0]!r}") from None
-            try:
-                vals = [float(c) for c in cells[1:]]
-            except ValueError:
-                raise DataError(f"{path}: row {line_no} has a non-numeric cell") from None
-            if not all(np.isfinite(vals)):
-                raise DataError(f"{path}: row {line_no} has a non-finite value")
-            timestamps.append(ts)
-            rows.append(vals)
-
+    rows = list(filter(None, records))  # a blank line holds no row
     if not rows:
         raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
-    if len(timestamps) > 1:
-        interval = timestamps[1] - timestamps[0]
-        for i in range(1, len(timestamps)):
-            delta = timestamps[i] - timestamps[i - 1]
-            if delta.total_seconds() <= 0:
-                raise DataError(f"{path}: row {i + 2} timestamp is not increasing")
-            if delta != interval:
-                raise DataError(f"{path}: row {i + 2} breaks the sampling interval "
-                                f"({delta} != {interval})")
+    try:
+        timestamps = _parse_dates([cells[0] for cells in rows])
+        values = np.array([cells[1:] for cells in rows], dtype=np.float64)
+    except ValueError:
+        raise _first_bad_row(path, records, len(header)) from None
+    if values.shape != (len(rows), len(names)) or not np.isfinite(values).all():
+        raise _first_bad_row(path, records, len(header))
+
+    delta = np.diff(timestamps)
+    bad = np.flatnonzero((delta <= np.timedelta64(0, "s")) | (delta != delta[:1]))
+    if bad.size:
+        i = int(bad[0])
+        # the file line of row i + 1: the header is line 1 and blank lines count
+        line = [no for no, cells in enumerate(records, start=2) if cells][i + 1]
+        if delta[i] <= np.timedelta64(0, "s"):
+            raise DataError(f"{path}: row {line} timestamp is not increasing")
+        raise DataError(f"{path}: row {line} breaks the sampling interval "
+                        f"({delta[i].item()} != {delta[0].item()})")
     return TimeSeriesDataset(timestamps, values, names, target_index=len(names) - 1)
 
 
@@ -140,16 +174,13 @@ def split(ds: TimeSeriesDataset, spec: SplitSpec
         b1, b2 = n_train, n_train + n_val
     else:
         m_train, m_val, m_test = spec.months
-        t0 = ds.timestamps[0]
-        edge1 = _add_months(t0, m_train)
-        edge2 = _add_months(t0, m_train + m_val)
-        edge3 = _add_months(t0, m_train + m_val + m_test)
         ts = ds.timestamps
-        b1 = next((i for i, t in enumerate(ts) if t >= edge1), n)
-        b2 = next((i for i, t in enumerate(ts) if t >= edge2), n)
-        b3 = next((i for i, t in enumerate(ts) if t >= edge3), n)
+        t0 = ts[0].item()
+        edges = [_add_months(t0, m) for m in (m_train, m_train + m_val,
+                                              m_train + m_val + m_test)]
+        b1, b2, b3 = np.searchsorted(ts, np.array(edges, dtype="datetime64[s]")).tolist()
         if b1 == 0 or b2 <= b1 or b3 <= b2:
-            raise DataError(f"dataset spanning {ts[0]}..{ts[-1]} is shorter than "
+            raise DataError(f"dataset spanning {t0}..{ts[-1].item()} is shorter than "
                             f"{m_train}/{m_val}/{m_test} months")
         n = b3
     return ds.slice(0, b1), ds.slice(b1, b2), ds.slice(b2, n)
@@ -203,17 +234,26 @@ def make_windows(ds_length: int, l_in: int, l_out: int) -> np.ndarray:
     return np.arange(count)
 
 
-def time_features(timestamps: list[datetime]) -> np.ndarray:
-    """Hour of day, day of week, day of month, day of year, week of year and
-    month of year, each mapped linearly onto [-0.5, 0.5]."""
-    out = np.empty((len(timestamps), 6))
-    for i, ts in enumerate(timestamps):
-        out[i, 0] = ts.hour / 23.0 - 0.5
-        out[i, 1] = ts.weekday() / 6.0 - 0.5
-        out[i, 2] = (ts.day - 1) / 30.0 - 0.5
-        out[i, 3] = (ts.timetuple().tm_yday - 1) / 365.0 - 0.5
-        out[i, 4] = (ts.isocalendar()[1] - 1) / 52.0 - 0.5
-        out[i, 5] = (ts.month - 1) / 11.0 - 0.5
+def time_features(timestamps: np.ndarray | list[datetime]) -> np.ndarray:
+    """Hour of day, day of week, day of month, day of year, ISO week of year and
+    month of year, each mapped linearly onto [-0.5, 0.5].
+
+    ``timestamps`` is a datetime64 array or a sequence of ``datetime``.
+    """
+    ts = np.asarray(timestamps, dtype="datetime64[s]")
+    days = ts.astype("datetime64[D]")
+    months = ts.astype("datetime64[M]")
+    weekday = (days.astype(np.int64) + 3) % 7  # 1970-01-01 was a Thursday; Monday is 0
+    # ISO weeks belong to the year of their Thursday and count from its first one
+    thursday = days + (3 - weekday)
+    week = (thursday - thursday.astype("datetime64[Y]")).astype(np.int64) // 7 + 1
+    out = np.empty((ts.size, 6))
+    out[:, 0] = (ts - days).astype(np.int64) // 3600 / 23.0 - 0.5
+    out[:, 1] = weekday / 6.0 - 0.5
+    out[:, 2] = (days - months).astype(np.int64) / 30.0 - 0.5
+    out[:, 3] = (days - ts.astype("datetime64[Y]")).astype(np.int64) / 365.0 - 0.5
+    out[:, 4] = (week - 1) / 52.0 - 0.5
+    out[:, 5] = months.astype(np.int64) % 12 / 11.0 - 0.5
     return out
 
 

@@ -173,6 +173,11 @@ class TrainConfig:
             raise ConfigError(f"stage1_epochs must be >= 1, got {self.stage1_epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
+        if self.n_augments < 1:
+            # the contrastive loss needs a positive pair for every window
+            raise ConfigError(f"n_augments must be >= 1, got {self.n_augments}")
+        if not self.beta >= 0.0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         for name in ("batch_size", "stage1_batch_size", "stage2_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -299,6 +304,7 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
                                      f"epoch {epoch}, step {steps}")
             opt.zero_grad()
             backward(tape, total, params=opt.params)
+            del tape  # the step's activations must not outlive it into validate()
             opt.step()
             epoch_loss += per_variate
             steps += 1

@@ -139,7 +139,10 @@ class TestTrainEval:
                                                  ("stage1_epochs", 0, "contrastive"),
                                                  ("lr", 0.0, "e2e"),
                                                  ("lr", -1e-3, "e2e"),
-                                                 ("lr", float("nan"), "e2e")])
+                                                 ("lr", float("nan"), "e2e"),
+                                                 ("n_augments", 0, "contrastive"),
+                                                 ("beta", -1.0, "contrastive"),
+                                                 ("beta", float("nan"), "contrastive")])
     def test_bad_training_setting_fails(self, data_csv, tmp_path, capsys, field, value, fmt):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """CSV ingestion, splits, standardization, windows, and calendar features."""
 
+import csv
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -9,6 +10,25 @@ from conftest import hourly, write_csv
 from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
                         make_windows, split, standardize, time_features)
 from rtnet.errors import DataError
+
+
+def per_row_reference(path):
+    """Timestamps and values of a CSV parsed one row at a time with the stdlib."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [cells for cells in list(csv.reader(fh))[1:] if cells]
+    stamps = [datetime.strptime(cells[0].strip(), "%Y-%m-%d %H:%M:%S") for cells in rows]
+    values = [[float(c) for c in cells[1:]] for cells in rows]
+    return np.array(stamps, dtype="datetime64[s]"), np.array(values, dtype=np.float64)
+
+
+def stdlib_time_features(stamps):
+    """The calendar features from ``datetime``'s own accessors, one row at a time."""
+    return np.array([[ts.hour / 23.0 - 0.5,
+                      ts.weekday() / 6.0 - 0.5,
+                      (ts.day - 1) / 30.0 - 0.5,
+                      (ts.timetuple().tm_yday - 1) / 365.0 - 0.5,
+                      (ts.isocalendar()[1] - 1) / 52.0 - 0.5,
+                      (ts.month - 1) / 11.0 - 0.5] for ts in stamps])
 
 
 class TestLoadCsv:
@@ -55,6 +75,46 @@ class TestLoadCsv:
                         "2016-07-01 03:00:00,3\n")
         with pytest.raises(DataError, match="row 4"):
             load_csv(str(path))
+
+    @pytest.mark.parametrize("blank_line", [False, True])
+    @pytest.mark.parametrize("row,problem", [
+        ("2016-02-30 00:00:00,1,2", "unparseable date"),
+        ("2016-7-1 0:00:00,1,2", "unparseable date"),        # not zero-padded
+        ("2016-07-01T02:00:00,1,2", "unparseable date"),
+        ("2016-07-01 02:00:00,nan,2", "non-finite"),
+        ("2016-07-01 02:00:00,1,inf", "non-finite"),
+        ("2016-07-01 02:00:00,1", "2 cells"),
+        ("2016-07-01 01:00:00,1,2", "not increasing"),
+        ("2016-07-01 03:00:00,1,2", "sampling interval"),
+    ])
+    def test_bad_row_names_its_file_line(self, tmp_path, row, problem, blank_line):
+        """The third data row is bad; it sits on line 4, or 5 after a blank line."""
+        lines = ["date,a,b", "2016-07-01 00:00:00,1,2", "2016-07-01 01:00:00,1,2",
+                 *([""] if blank_line else []), row, "2016-07-01 04:00:00,1,2"]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"row {5 if blank_line else 4} .*{problem}"):
+            load_csv(str(path))
+
+    def test_matches_per_row_parse(self, ett_like_csv):
+        ds = load_csv(ett_like_csv)
+        stamps, values = per_row_reference(ett_like_csv)
+        assert ds.timestamps.dtype == np.dtype("datetime64[s]")
+        assert ds.timestamps.tobytes() == stamps.tobytes()
+        assert ds.values.tobytes() == values.tobytes()
+
+    def test_cells_with_surrounding_whitespace(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("date, a ,b\n"
+                        " 2016-07-01 00:00:00 ,  1.5, -2e-3 \n"
+                        "2016-07-01 01:00:00\t,\t7 ,0.1\n"
+                        "\n"
+                        "  2016-07-01 02:00:00,-0.0 ,  1e300\n")
+        ds = load_csv(str(path))
+        stamps, values = per_row_reference(str(path))
+        assert ds.variate_names == ["a", "b"]
+        assert ds.timestamps.tobytes() == stamps.tobytes()
+        assert ds.values.tobytes() == values.tobytes()
 
     def test_first_column_must_be_date(self, tmp_path):
         path = tmp_path / "nodate.csv"
@@ -226,6 +286,23 @@ class TestTimeFeatures:
             (idx.month - 1) / 11.0 - 0.5,
         ])
         assert np.allclose(ours, expected, atol=1e-12)
+
+    def test_matches_stdlib_calendar(self):
+        """Every 7th hour from 1990 through 2040 visits every hour of every
+        day; the features match datetime's accessors bit for bit, whether
+        the instants come as datetimes or as a datetime64 array."""
+        start = datetime(1990, 1, 1)
+        n = (datetime(2041, 1, 1) - start) // timedelta(hours=7)
+        stamps = [start + timedelta(hours=7 * i) for i in range(n)]
+        iso = [ts.isocalendar() for ts in stamps]
+        assert {y for y, w, _ in iso if w == 53} == {1992, 1998, 2004, 2009, 2015,
+                                                     2020, 2026, 2032, 2037}
+        # the first days of January that belong to the previous ISO year
+        assert {w for ts, (_, w, _) in zip(stamps, iso) if ts.month == 1 and ts.day <= 3
+                and w > 1} == {52, 53}
+        expected = stdlib_time_features(stamps).tobytes()
+        assert time_features(stamps).tobytes() == expected
+        assert time_features(np.array(stamps, dtype="datetime64[s]")).tobytes() == expected
 
     def test_marks_cover_prediction_window_only(self, ett_like_csv):
         ds = load_csv(ett_like_csv)

@@ -1,5 +1,7 @@
 """Losses, augmentation, the overlap-limited sampler, and both training loops."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,41 @@ class TestStepTape:
             x, w, _ = node.inputs
             own = {id(root_base(x.data)), id(root_base(w.data))}
             assert {id(root_base(a)) for a in closure_arrays(node.grad_fn)} == own
+
+    @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
+    def test_no_step_tape_is_alive_during_validation(self, monkeypatch, fmt):
+        """A step's tape, and with it every activation it recorded, is freed
+        before the epoch's validation runs."""
+        tapes, alive_at_validation = [], []
+
+        class RecordedTape(GradTape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        def count_live_tapes():
+            alive_at_validation.append(sum(ref() is not None for ref in tapes))
+
+        real_evaluate, real_stage1_loss = training.evaluate, training._stage1_loss
+
+        def evaluate(*args, **kwargs):
+            count_live_tapes()
+            return real_evaluate(*args, **kwargs)
+
+        def stage1_loss(model, batch, training_mode, rng):
+            if not training_mode:  # the stage-1 validation loss
+                count_live_tapes()
+            return real_stage1_loss(model, batch, training_mode, rng)
+
+        monkeypatch.setattr(training, "GradTape", RecordedTape)
+        monkeypatch.setattr(training, "evaluate", evaluate)
+        monkeypatch.setattr(training, "_stage1_loss", stage1_loss)
+        cfg = TrainConfig(epochs=2, stage1_epochs=2, batch_size=8, stage1_batch_size=8,
+                          stage2_batch_size=8, patience=5, seed=4, max_steps_per_epoch=2)
+        train = train_end_to_end if fmt == "e2e" else train_contrastive
+        train(tiny_model(seed=4), ar_dataset(420, 5), ar_dataset(420, 6), cfg)
+        assert tapes
+        assert alive_at_validation == [0] * (2 if fmt == "e2e" else 4)
 
 
 class TestDivergenceAbort:
