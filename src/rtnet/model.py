@@ -20,11 +20,11 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
-# concat is not called here; it stays bound as rtnet.model.concat, the name
-# perfbench/tracer.py times it under
+# concat, relu, dropout and channel_upsample are not called here; they stay
+# bound as rtnet.model.<name>, the names perfbench/tracer.py times them under
 from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,  # noqa: F401
-                     group_features, linear_grouped, maxpool1d, permute, relu, reshape,
-                     transpose_12)
+                     group_features, linear_grouped, maxpool1d, permute, relu, relu_dropout,
+                     reshape, transpose_12)
 
 CHECKPOINT_MAGIC = b"RTNET1"
 TIME_MODES = ("decoupled", "input", "none")
@@ -153,6 +153,8 @@ class RTBlock(Module):
 
     Main path: strided conv -> norm -> relu -> conv -> norm.  Shortcut:
     maxpool + channel repetition, so the residual sum needs no projection.
+    Each relu, with its dropout and, at the end, the residual sum, is one
+    ``relu_dropout`` op, so the repeated shortcut and the sum never exist.
     """
 
     def __init__(self, c_in: int, kernel: int, groups: int, norm_kind: str,
@@ -166,13 +168,10 @@ class RTBlock(Module):
     def forward(self, x: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
         if self.stride == 2 and x.data.shape[2] % 2:
             raise ConfigError(f"RTBlock needs an even sequence length, got {x.data.shape[2]}")
-        h = relu(self.conv1.forward(x, training))
-        h = dropout(h, self.drop_rate, rng, training)
+        h = relu_dropout(self.conv1.forward(x, training), self.drop_rate, rng, training)
         h = self.conv2.forward(h, training)
         s = maxpool1d(x, self.kernel, self.stride, self.kernel // 2)
-        s = channel_upsample(s, 2)
-        y = relu(add(h, s))
-        return dropout(y, self.drop_rate, rng, training)
+        return relu_dropout(h, self.drop_rate, rng, training, shortcut=s)
 
 
 class Extractor(Module):

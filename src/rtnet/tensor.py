@@ -16,7 +16,10 @@ branch outputs straight into the batch-major features.
 A node's closure keeps only what its backward needs, taken from the op's
 input and output arrays where it can be: a convolution keeps its input and
 weight, not the k-fold im2col copy of the input; its backward rebuilds that
-copy with the forward's own ``_im2col``.
+copy with the forward's own ``_im2col``.  ``relu_dropout`` fuses an RTBlock
+activation (the shortcut join, relu and dropout) into one node that keeps
+only its output; ``relu``, ``dropout`` and ``channel_upsample`` remain as the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -231,27 +234,74 @@ def relu(a: Tensor) -> Tensor:
     return _make([a], out, lambda g: (g * (out > 0.0),))
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout: scales survivors by 1/(1-rate) so eval is identity."""
+def _dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+                  training: bool) -> Optional[np.ndarray]:
+    """The keep mask of inverted dropout, or None when nothing is dropped.
+
+    A (C, B, L) mask is drawn in (B, C, L) order, so a generator state drops
+    the same (b, c, l) units whatever the activation layout.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ConfigError("dropout in training mode needs a random generator, got rng=None")
+    if len(shape) == 3:
+        return (rng.random((shape[1], shape[0], shape[2])) >= rate).transpose(1, 0, 2)
+    return rng.random(shape) >= rate
+
+
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """Inverted dropout: scales survivors by 1/(1-rate) so eval is identity."""
+    mask = _dropout_keep(a.data.shape, rate, rng, training)
+    if mask is None:
+        return a
     # (a*q)*mask equals a*(mask/(1-rate)) bit for bit, and the tape keeps
-    # one byte per element instead of a float64 keep array.  A (C, B, L)
-    # mask is drawn in (B, C, L) order, so a generator state drops the same
-    # (b, c, l) units whatever the activation layout
-    shape = a.data.shape
-    if a.data.ndim == 3:
-        mask = (rng.random((shape[1], shape[0], shape[2])) >= rate).transpose(1, 0, 2)
-    else:
-        mask = rng.random(shape) >= rate
+    # one byte per element instead of a float64 keep array
     q = 1.0 / (1.0 - rate)
     out = a.data * q
     out *= mask
     return _make([a], out, lambda g: (g * q * mask,))
+
+
+def relu_dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool,
+                 shortcut: Tensor | None = None) -> Tensor:
+    """``dropout(relu(x + channel_upsample(shortcut, C_x / C_s)))`` as one op.
+
+    The output is computed in place in one array, which is all the node
+    keeps: since 1/(1-rate) >= 1, an output is positive exactly where its
+    unit was kept and its relu was positive, so backward is
+    ``g * q * (out > 0)``.  The shortcut's gradient sums that over each
+    channel's repeats.  Values, gradients and generator draws are those of
+    the composed ops, bit for bit.
+    """
+    shape = x.data.shape
+    mask = _dropout_keep(shape, rate, rng, training)
+    if shortcut is None:
+        inputs, split = [x], None
+        out = np.maximum(x.data, 0.0)
+    else:
+        c_s = shortcut.data.shape[0] if shortcut.data.ndim == 3 else 0
+        if c_s == 0 or shape[1:] != shortcut.data.shape[1:] or shape[0] % c_s:
+            raise DimensionError(f"relu_dropout: shortcut {shortcut.data.shape} does not repeat "
+                                 f"to input {shape}")
+        inputs, split = [x, shortcut], (c_s, shape[0] // c_s) + shape[1:]
+        out = np.add(x.data.reshape(split), shortcut.data[:, None]).reshape(shape)
+        np.maximum(out, 0.0, out=out)
+    q = None
+    if mask is not None:
+        q = 1.0 / (1.0 - rate)
+        out *= q
+        out *= mask
+
+    def grad_fn(g):
+        g_x = g * (out > 0.0) if q is None else g * q * (out > 0.0)
+        if split is None:
+            return (g_x,)
+        return (g_x, g_x.reshape(split).sum(axis=1))
+
+    return _make(inputs, out, grad_fn)
 
 
 def abs_op(a: Tensor) -> Tensor:

@@ -35,8 +35,17 @@ class AugmentSpec:
     def __post_init__(self):
         if self.kind not in AUGMENT_KINDS:
             raise ConfigError(f"augmentation kind must be one of {AUGMENT_KINDS}, got {self.kind!r}")
-        if self.beta < 0.0:
-            raise ConfigError(f"augmentation beta must be >= 0, got {self.beta}")
+        _check_beta(self.beta, "augmentation beta")
+
+
+def _check_beta(beta: float, name: str) -> None:
+    # augment draws from uniform(-beta, beta), whose width 2*beta must be finite
+    try:
+        usable = beta >= 0.0 and math.isfinite(2.0 * beta)
+    except OverflowError:  # an int too large for a float
+        usable = False
+    if not usable:
+        raise ConfigError(f"{name} must be >= 0 with 2*beta finite, got {beta}")
 
 
 def augment(window: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
@@ -176,8 +185,7 @@ class TrainConfig:
         if self.n_augments < 1:
             # the contrastive loss needs a positive pair for every window
             raise ConfigError(f"n_augments must be >= 1, got {self.n_augments}")
-        if not self.beta >= 0.0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        _check_beta(self.beta, "beta")
         for name in ("batch_size", "stage1_batch_size", "stage2_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -29,8 +29,8 @@ from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import (Tensor, abs_op, add, add_scalar, channel_upsample, concat,
                           conv1d_grouped, dropout, exp_op, group_features, linear_grouped, log_op,
                           matmul_t, maxpool1d, mse_per_variate, mul_const, mul_scalar,
-                          normalize_rows, permute, relu, reshape, sub, sum_axis, take_axis1,
-                          take_rows, transpose_12)
+                          normalize_rows, permute, relu, relu_dropout, reshape, sub, sum_axis,
+                          take_axis1, take_rows, transpose_12)
 from rtnet.training import TrainConfig, contrastive_loss, train_end_to_end
 
 
@@ -65,6 +65,7 @@ class TestCriterion1GradientSoundness:
         bn = BatchNormParams.create(3)
         ln = LayerNormParams.create(3)
         wv, wg = T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)
+        c6 = T(8, 2, 10)  # two repeats of c3's channels
 
         cases = [
             ("conv1d_grouped", lambda: sq_sum(conv1d_grouped(c3, w, b, 2, 1, 2)), [c3, w, b]),
@@ -73,6 +74,13 @@ class TestCriterion1GradientSoundness:
             ("linear_grouped", lambda: sq_sum(linear_grouped(lx, lw, lb, 2)), [lx, lw, lb]),
             ("relu", lambda: sq_sum(relu(a1)), [a1]),
             ("dropout", lambda: sq_sum(dropout(a1, 0.4, np.random.default_rng(3), True)), [a1]),
+            ("relu_dropout", lambda: sq_sum(relu_dropout(c6, 0.4, np.random.default_rng(3), True)),
+             [c6]),
+            ("relu_dropout", lambda: sq_sum(relu_dropout(c6, 0.4, None, False)), [c6]),
+            ("relu_dropout", lambda: sq_sum(relu_dropout(c6, 0.4, np.random.default_rng(3), True,
+                                                         shortcut=c3)), [c6, c3]),
+            ("relu_dropout", lambda: sq_sum(relu_dropout(c6, 0.4, None, False, shortcut=c3)),
+             [c6, c3]),
             ("add", lambda: sq_sum(add(a1, a2)), [a1, a2]),
             ("sub", lambda: sq_sum(sub(a1, a2)), [a1, a2]),
             ("add_scalar", lambda: sq_sum(add_scalar(a1, 0.6)), [a1]),

@@ -142,7 +142,9 @@ class TestTrainEval:
                                                  ("lr", float("nan"), "e2e"),
                                                  ("n_augments", 0, "contrastive"),
                                                  ("beta", -1.0, "contrastive"),
-                                                 ("beta", float("nan"), "contrastive")])
+                                                 ("beta", float("nan"), "contrastive"),
+                                                 ("beta", float("inf"), "contrastive"),
+                                                 ("beta", 1e308, "contrastive")])
     def test_bad_training_setting_fails(self, data_csv, tmp_path, capsys, field, value, fmt):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

@@ -8,6 +8,7 @@ gradients are compared at a float64 rounding tolerance, since the loops sum
 in another order; so are the grouped linear head's.  Max-pool inputs and upstream gradients are integers, so
 ties occur and every sum is exact: values and first-argmax gradient routing
 are compared exactly.  A few cases also go through finite differences.
+The fused ``relu_dropout`` is compared bit for bit with the ops it fuses.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients, sq_sum, swap_bc
-from rtnet.tensor import GradTape, Tensor, backward, conv1d_grouped, linear_grouped, maxpool1d
+from rtnet.tensor import (GradTape, Tensor, add, backward, channel_upsample, conv1d_grouped,
+                          dropout, linear_grouped, maxpool1d, relu, relu_dropout)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 GRADCHECK = settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -60,6 +62,19 @@ def linear_cases(draw):
         groups=draw(st.sampled_from([1, 2, 3, 7])),
         fpg=draw(st.integers(1, 6)),
         opg=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@st.composite
+def relu_dropout_cases(draw):
+    return dict(
+        channels=draw(st.integers(1, 4)),
+        batch=draw(st.integers(1, 3)),
+        length=draw(st.integers(1, 9)),
+        factor=draw(st.sampled_from([None, 1, 2, 3])),  # None: no shortcut
+        rate=draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])),
+        training=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -281,3 +296,57 @@ class TestLinearGroupedFuzz:
             return sq_sum(y)
 
         check_gradients(build, [x, w, b], seed=case["seed"] % 1000)
+
+
+def special_values(rng, shape):
+    """Small integers, so sums tie at 0, with zeros of both signs, NaN and
+    infinities."""
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    x[x == 0.0] *= rng.choice([-1.0, 1.0], size=int((x == 0.0).sum()))
+    special = rng.random(shape)
+    x[special < 0.05] = np.nan
+    x[(special >= 0.05) & (special < 0.08)] = np.inf
+    x[(special >= 0.08) & (special < 0.1)] = -np.inf
+    return x
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestReluDropoutFuzz:
+    @FUZZ
+    @given(relu_dropout_cases())
+    def test_bit_equal_to_the_composed_ops(self, case):
+        """Output, input gradients and the generator's next draw equal those
+        of dropout(relu(add(x, channel_upsample(s, f)))) bit for bit."""
+        rng = np.random.default_rng(case["seed"])
+        factor, c_s = case["factor"], case["channels"]
+        shape = (c_s * (factor or 1), case["batch"], case["length"])
+        x = special_values(rng, shape)
+        s = None if factor is None else special_values(rng, (c_s,) + shape[1:])
+        g = rng.normal(size=shape)
+        g[rng.random(shape) < 0.2] *= 0.0
+        rate, training = case["rate"], case["training"]
+        drop_seed = int(rng.integers(2**32))
+
+        def composed(tx, ts, gen):
+            h = tx if ts is None else add(tx, channel_upsample(ts, factor))
+            return dropout(relu(h), rate, gen, training)
+
+        results = []
+        for op in (composed, lambda tx, ts, gen: relu_dropout(tx, rate, gen, training, ts)):
+            tx = Tensor(x, requires_grad=True)
+            ts = None if s is None else Tensor(s, requires_grad=True)
+            inputs = [tx] if ts is None else [tx, ts]
+            gen = np.random.default_rng(drop_seed)
+            # inf - inf and inf * 0 are invalid on both sides alike
+            with np.errstate(invalid="ignore"):
+                y, grads = tape_gradients(lambda: op(tx, ts, gen), inputs, g)
+            results.append((y, grads, gen.random()))
+        (y_ref, g_ref, next_ref), (y, grads, next_draw) = results
+        assert np.array_equal(bits(y), bits(y_ref))
+        assert len(grads) == len(g_ref)
+        for got, want in zip(grads, g_ref):
+            assert np.array_equal(bits(got), bits(want))
+        assert next_draw == next_ref

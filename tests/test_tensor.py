@@ -10,8 +10,8 @@ from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
                           channel_upsample, concat, conv1d_grouped, dropout,
                           exp_op, group_features, linear_grouped, log_op, matmul_t,
                           maxpool1d, mse_per_variate, mul_const, mul_scalar,
-                          normalize_rows, permute, relu, reshape, sub, sum_axis,
-                          take_axis1, take_rows, transpose_12)
+                          normalize_rows, permute, relu, relu_dropout, reshape, sub,
+                          sum_axis, take_axis1, take_rows, transpose_12)
 
 
 def t(data, grad=True):
@@ -422,6 +422,51 @@ class TestTapeContents:
         keep = swap_bc(np.random.default_rng(8).random((5, 3, 11)) >= rate) / (1 - rate)
         assert np.array_equal(out, x * keep)
         assert np.array_equal(gx, g * keep)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("factor", [None, 1, 2, 3])
+    def test_relu_dropout(self, training, factor):
+        """The node keeps its own output and no other array: no input, mask
+        or shortcut copy."""
+        x = t(tied_input((6, 2, 5), 5))
+        s = None if factor is None else t(tied_input((6 // factor, 2, 5), 6))
+        with GradTape() as tape:
+            y = relu_dropout(x, 0.4, np.random.default_rng(9), training, shortcut=s)
+        assert len(tape.nodes) == 1
+        held = closure_arrays(tape.nodes[0].grad_fn)
+        assert len(held) == 1 and root_base(held[0]) is root_base(y.data)
+
+
+class TestReluDropout:
+    """Argument checks; values and gradients are fuzzed against the composed
+    ops in test_kernel_fuzz."""
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_rate_outside_unit_interval_is_config_error(self, rate, training):
+        with pytest.raises(ConfigError, match="rate"):
+            relu_dropout(t(np.ones((2, 1, 3))), rate, np.random.default_rng(0), training)
+
+    def test_training_without_rng_is_config_error(self):
+        with pytest.raises(ConfigError, match="rng"):
+            relu_dropout(t(np.ones((2, 1, 3))), 0.5, None, True)
+
+    @pytest.mark.parametrize("shortcut_shape", [(4, 2, 5), (5, 2, 5), (3, 1, 5), (3, 2, 4),
+                                                (3, 10), (0, 2, 5)])
+    def test_shortcut_that_does_not_repeat_to_the_input_is_dimension_error(self, shortcut_shape):
+        with pytest.raises(DimensionError, match="shortcut"):
+            relu_dropout(t(np.ones((6, 2, 5))), 0.5, np.random.default_rng(0), True,
+                         shortcut=t(np.ones(shortcut_shape)))
+
+    @pytest.mark.parametrize("rate,training", [(0.5, False), (0.0, True), (0.0, False)])
+    def test_nothing_dropped_draws_nothing(self, rate, training):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        x = t(np.linspace(-1.0, 1.0, 12).reshape(2, 2, 3))
+        s = t(np.full((1, 2, 3), 0.25))
+        y = relu_dropout(x, rate, rng, training, shortcut=s)
+        assert rng.bit_generator.state == before
+        assert np.array_equal(y.data, np.maximum(x.data + 0.25, 0.0))
 
 
 class TestElementwiseAndStructural:

@@ -10,7 +10,7 @@ from conftest import (ar_series, check_condition1, closure_arrays, hourly, root_
 from rtnet import training
 from rtnet.data import TimeSeriesDataset
 from rtnet.errors import ConfigError, SamplerError
-from rtnet.model import ModelConfig, RTNet
+from rtnet.model import ModelConfig, RTNet, features_per_group
 from rtnet.tensor import (GradTape, Tensor, backward, mse_per_variate, mul_const,
                           sum_axis)
 from rtnet.training import (AugmentSpec, TrainConfig, augment, contrastive_loss, early_stop,
@@ -99,6 +99,18 @@ class TestAugment:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             AugmentSpec("warping")
+
+    @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf"), 1e308, 10**400])
+    def test_unusable_beta_rejected(self, beta):
+        """A beta whose draw range 2*beta is not finite would overflow in
+        the generator; it is refused when the spec is built."""
+        for kind in ("scaling", "jittering", "entirety_scaling"):
+            with pytest.raises(ConfigError, match="beta"):
+                AugmentSpec(kind, beta)
+
+    def test_largest_usable_beta_draws(self):
+        out = augment(np.zeros(4), AugmentSpec("jittering", 8.9e307), np.random.default_rng(0))
+        assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 8.9e307)
 
 
 class TestCondition1Sampler:
@@ -259,14 +271,20 @@ class TestTrainEndToEnd:
         assert final_mse == pytest.approx(val_curve[best], rel=1e-9)
 
 
+def op_name(node):
+    return node.grad_fn.__qualname__.split(".")[0]
+
+
 class TestStepTape:
-    def test_conv_nodes_keep_only_their_input_and_weight(self, monkeypatch):
-        """After one step of a grouped model with a time branch, every conv
-        node's closure holds its own input and weight and no other array."""
+    # a grouped model with a time branch: l_in 16, 2 blocks, 7 groups, d 14
+    MODEL = dict(n_variates=7, groups=7, d_channels=14, time_mode="decoupled", dropout=0.1)
+    BATCH = 4
+
+    def one_step_tape(self, monkeypatch):
+        """The tape of one end-to-end training step."""
         values, names = synthetic_multivariate(200, seed=3)
         train = TimeSeriesDataset(hourly(200), values, names, 6)
-        model = tiny_model(seed=3, n_variates=7, groups=7, d_channels=14,
-                           time_mode="decoupled", dropout=0.1)
+        model = tiny_model(seed=3, **self.MODEL)
         tapes = []
 
         def record(tape, *args, **kwargs):
@@ -274,17 +292,68 @@ class TestStepTape:
             return backward(tape, *args, **kwargs)
 
         monkeypatch.setattr(training, "backward", record)
-        cfg = TrainConfig(epochs=1, batch_size=4, max_steps_per_epoch=1, seed=3)
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH, max_steps_per_epoch=1, seed=3)
         train_end_to_end(model, train, train.slice(100, 200), cfg)
         assert len(tapes) == 1
-        convs = [node for node in tapes[0].nodes
-                 if node.grad_fn.__qualname__.startswith("conv1d_grouped.")]
+        return model.cfg, tapes[0]
+
+    def test_conv_nodes_keep_only_their_input_and_weight(self, monkeypatch):
+        """After one step, every conv node's closure holds its own input and
+        weight and no other array."""
+        _, tape = self.one_step_tape(monkeypatch)
+        convs = [node for node in tape.nodes if op_name(node) == "conv1d_grouped"]
         # branches of 2 and 1 blocks, the 2-block TimeNet and the time head
         assert len(convs) == 5 + 3 + 5 + 1
         for node in convs:
             x, w, _ = node.inputs
             own = {id(root_base(x.data)), id(root_base(w.data))}
             assert {id(root_base(a)) for a in closure_arrays(node.grad_fn)} == own
+
+    def test_block_activations_are_fused_and_the_tape_keeps_only_what_backward_needs(
+            self, monkeypatch):
+        """No relu, dropout or channel repetition node is recorded, the only
+        add is the time head's, and the distinct bytes the tape keeps are
+        exactly those its shapes call for."""
+        cfg, tape = self.one_step_tape(monkeypatch)
+        ops = [op_name(node) for node in tape.nodes]
+        assert not {"relu", "dropout", "channel_upsample"} & set(ops)
+        assert ops.count("add") == 1 and ops[ops.index("add") - 1] == "permute"
+        # two per block: branches of 2 and 1 blocks, the 2-block TimeNet
+        assert ops.count("relu_dropout") == 2 * (2 + 1 + 2)
+
+        B, L, d, G, k = self.BATCH, cfg.l_in, cfg.d_channels, cfg.groups, cfg.kernel
+        N, l_out = cfg.n_variates, cfg.l_out
+
+        def unit(c_out, fan_in):
+            """A weight-norm weight: the effective weight, its direction and
+            the norms."""
+            return 2 * c_out * fan_in + c_out
+
+        def extractor(c_in, length, depth, stride):
+            """Embedding conv input and output, then per block of c channels
+            the conv1, relu_dropout and conv2 outputs and the final
+            relu_dropout output at 2c channels, and the max-pool's at c."""
+            n = c_in * B * length + d * B * length + unit(d, c_in // G * k)
+            for j in range(depth):
+                c = d << j
+                length //= stride
+                n += 9 * c * B * length + unit(2 * c, c // G * k) + unit(2 * c, 2 * c // G * k)
+            return n
+
+        features = B * G * features_per_group(cfg)
+        prediction = B * l_out * N
+        floats = (sum(extractor(N, L >> i, cfg.blocks - i, 2) for i in range(cfg.blocks))
+                  + features                         # group_features
+                  + features + prediction            # head: its grouped input copy, output
+                  + unit(l_out * N, features // (B * G))
+                  + prediction                       # transpose_12
+                  + extractor(G * cfg.n_time, l_out, 2, 1)
+                  + unit(N, 4 * d // G) + prediction  # time head conv
+                  + 2 * prediction                   # permute, add
+                  + N + prediction + 1)              # per-variate MSE and its diff, the sum
+        kept = {id(root_base(a)): root_base(a).nbytes for node in tape.nodes
+                for a in [node.output.data, *closure_arrays(node.grad_fn)]}
+        assert sum(kept.values()) == 8 * floats
 
     @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
     def test_no_step_tape_is_alive_during_validation(self, monkeypatch, fmt):
