@@ -17,9 +17,12 @@ A node's closure keeps only what its backward needs, taken from the op's
 input and output arrays where it can be: a convolution keeps its input and
 weight, not the k-fold im2col copy of the input; its backward rebuilds that
 copy with the forward's own ``_im2col``.  ``relu_dropout`` fuses an RTBlock
-activation (the shortcut join, relu and dropout) into one node that keeps
-only its output; ``relu``, ``dropout`` and ``channel_upsample`` remain as the
-reference it is tested against.
+activation (the shortcut join, relu and dropout) into one node and computes
+it in place in its input, a fresh conv or norm output that no backward
+reads, so the two share one array; ``relu``, ``dropout`` and
+``channel_upsample`` remain as the reference it is tested against.
+``backward`` spends the tape, popping each node before it runs, so what only
+that node kept is freed as the sweep moves toward the inputs.
 """
 
 from __future__ import annotations
@@ -120,11 +123,12 @@ class GradTape:
 
     Usable as a context manager; while active, every op whose output requires
     gradients appends one node.  Execution order guarantees every node's
-    inputs precede it.
+    inputs precede it.  ``backward`` spends a tape, so it runs once per tape.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.spent = False
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -166,8 +170,13 @@ def backward(tape: GradTape, root: Tensor, params: Iterable[Tensor],
     A tensor in ``params`` gets its gradient of ``root``, or exact zeros when
     it does not require gradients or no recorded path reaches it.  ``root``
     must be scalar unless an explicit ``seed`` gradient of the same shape is
-    given.
+    given.  The sweep spends the tape: it pops each node before running it,
+    so what only that node kept is freed as the sweep moves toward the
+    inputs, and the tape is empty afterwards.
     """
+    if tape.spent:
+        # its nodes are gone, so every gradient would read as zero
+        raise ConfigError("backward: this tape was already spent by an earlier backward")
     if seed is None:
         if root.size != 1:
             raise DimensionError("non-scalar backward root requires an explicit seed gradient")
@@ -179,20 +188,28 @@ def backward(tape: GradTape, root: Tensor, params: Iterable[Tensor],
                 f"seed shape {seed_arr.shape} does not match root shape {root.data.shape}")
 
     flowing: dict[int, np.ndarray] = {id(root): seed_arr}
-    for node in reversed(tape.nodes):
+    tape.spent = True
+    nodes = tape.nodes
+    while nodes:
+        # popping spends the tape: once ``node`` is rebound, the node's
+        # closure and every array only it held are freed
+        node = nodes.pop()
         g_out = flowing.pop(id(node.output), None)
-        if g_out is None:
-            continue
-        in_grads = node.grad_fn(g_out)
-        for t, g in zip(node.inputs, in_grads):
-            if g is None or not t.requires_grad:
-                continue
-            acc = flowing.get(id(t))
-            flowing[id(t)] = g if acc is None else acc + g
+        if g_out is not None:
+            _accumulate(flowing, node.inputs, node.grad_fn(g_out))
 
     for p in params:
         g = flowing.get(id(p)) if p.requires_grad else None
         p.grad = np.zeros_like(p.data) if g is None else np.ascontiguousarray(g)
+
+
+def _accumulate(flowing: dict[int, np.ndarray], inputs: tuple[Tensor, ...],
+                grads: tuple[Optional[np.ndarray], ...]) -> None:
+    """Add each input's gradient into ``flowing``; the summed-away arrays die on return."""
+    for t, g in zip(inputs, grads):
+        if g is not None and t.requires_grad:
+            acc = flowing.get(id(t))
+            flowing[id(t)] = g if acc is None else acc + g
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +286,29 @@ def relu_dropout(x: Tensor, rate: float, rng: np.random.Generator | None, traini
                  shortcut: Tensor | None = None) -> Tensor:
     """``dropout(relu(x + channel_upsample(shortcut, C_x / C_s)))`` as one op.
 
-    The output is computed in place in one array, which is all the node
-    keeps: since 1/(1-rate) >= 1, an output is positive exactly where its
-    unit was kept and its relu was positive, so backward is
-    ``g * q * (out > 0)``.  The shortcut's gradient sums that over each
-    channel's repeats.  Values, gradients and generator draws are those of
-    the composed ops, bit for bit.
+    It takes ownership of ``x``: the result is computed in place in
+    ``x.data`` and returned over that same array, so ``x`` must be a fresh
+    output whose own backward does not read it, as a conv's or a norm's
+    does not.  That array is all the node keeps: since 1/(1-rate) >= 1, an
+    output is positive exactly where its unit was kept and its relu was
+    positive, so backward is ``g * q * (out > 0)``.  The shortcut's gradient
+    sums that over each channel's repeats.  Values, gradients and generator
+    draws are those of the composed ops, bit for bit.
     """
     shape = x.data.shape
     mask = _dropout_keep(shape, rate, rng, training)
+    out = x.data
     if shortcut is None:
         inputs, split = [x], None
-        out = np.maximum(x.data, 0.0)
     else:
         c_s = shortcut.data.shape[0] if shortcut.data.ndim == 3 else 0
         if c_s == 0 or shape[1:] != shortcut.data.shape[1:] or shape[0] % c_s:
             raise DimensionError(f"relu_dropout: shortcut {shortcut.data.shape} does not repeat "
                                  f"to input {shape}")
         inputs, split = [x, shortcut], (c_s, shape[0] // c_s) + shape[1:]
-        out = np.add(x.data.reshape(split), shortcut.data[:, None]).reshape(shape)
-        np.maximum(out, 0.0, out=out)
+        joined = out.reshape(split)
+        np.add(joined, shortcut.data[:, None], out=joined)
+    np.maximum(out, 0.0, out=out)
     q = None
     if mask is not None:
         q = 1.0 / (1.0 - rate)
@@ -321,29 +341,39 @@ def log_op(a: Tensor) -> Tensor:
     return _make([a], np.log(ad), lambda g: (g / ad,))
 
 
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for 2-D tensors (M,F) x (K,F) -> (M,K)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise DimensionError(f"matmul_t: {a.data.shape} x {b.data.shape}")
-    ad, bd = a.data, b.data
-    return _make([a, b], ad @ bd.T, lambda g: (g @ bd, g.T @ ad))
-
-
 def normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row of a 2-D tensor to unit Euclidean norm."""
-    if a.data.ndim != 2:
-        raise DimensionError("normalize_rows expects a 2-D tensor")
-    norms = np.linalg.norm(a.data, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
+    """Scale each vector along the last axis to unit Euclidean norm."""
+    norms = np.linalg.norm(a.data, axis=-1)
+    bad = np.argwhere(norms == 0.0)
     if bad.size:
         raise NumericalError(f"zero-norm rows at indices {bad.tolist()}")
-    inv = 1.0 / norms
-    out = a.data * inv[:, None]
+    inv = 1.0 / norms[..., None]
+    out = a.data * inv
 
     def grad_fn(g):
-        # d(x/|x|) = (g - x_hat (g . x_hat)) / |x|, rowwise
-        dots = np.einsum("mf,mf->m", g, out)
-        return ((g - out * dots[:, None]) * inv[:, None],)
+        # d(x/|x|) = (g - x_hat (g . x_hat)) / |x|, along the last axis
+        g_a = out * np.einsum("...f,...f->...", g, out)[..., None]
+        np.subtract(g, g_a, out=g_a)
+        g_a *= inv
+        return (g_a,)
+
+    return _make([a], out, grad_fn)
+
+
+def gram_rows(a: Tensor, rows: int) -> Tensor:
+    """(T, G, F) -> (G, rows, T): per group, the dot products of the first
+    ``rows`` of the T vectors with all of them, in one batched GEMM."""
+    if a.data.ndim != 3 or not 0 < rows <= a.data.shape[0]:
+        raise DimensionError(f"gram_rows: {rows} rows of {a.data.shape}")
+    ag = a.data.transpose(1, 0, 2)  # (G, T, F) view
+    out = np.matmul(ag[:, :rows], ag.transpose(0, 2, 1))
+
+    def grad_fn(g):
+        # a is both factors: the first rows take both gradients, the rest one
+        g_a = np.empty(a.data.shape)
+        np.matmul(g.transpose(0, 2, 1), ag[:, :rows], out=g_a.transpose(1, 0, 2))
+        g_a[:rows] += np.matmul(g, ag).transpose(1, 0, 2)
+        return (g_a,)
 
     return _make([a], out, grad_fn)
 
@@ -359,33 +389,6 @@ def sum_axis(a: Tensor, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _make([a], out, grad_fn)
-
-
-def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= a.data.shape[0]:
-        raise DimensionError(f"take_rows [{start}:{stop}] out of range for {a.data.shape}")
-    shape = a.data.shape
-
-    def grad_fn(g):
-        full = np.zeros(shape)
-        full[start:stop] = g
-        return (full,)
-
-    return _make([a], a.data[start:stop].copy(), grad_fn)
-
-
-def take_axis1(a: Tensor, index: int) -> Tensor:
-    """Select one slice along axis 1, dropping that axis."""
-    if a.data.ndim < 2 or not 0 <= index < a.data.shape[1]:
-        raise DimensionError(f"take_axis1 index {index} out of range for {a.data.shape}")
-    shape = a.data.shape
-
-    def grad_fn(g):
-        full = np.zeros(shape)
-        full[:, index] = g
-        return (full,)
-
-    return _make([a], a.data[:, index].copy(), grad_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

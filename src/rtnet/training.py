@@ -20,9 +20,9 @@ from .data import TimeSeriesDataset, gather_batch, make_windows
 from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
-from .tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward, exp_op,
-                     log_op, matmul_t, mse_per_variate, mul_const, mul_scalar,
-                     normalize_rows, sub, sum_axis, take_axis1, take_rows)
+from .tensor import (GradTape, Tensor, abs_op, add_scalar, backward, exp_op, gram_rows,
+                     log_op, mse_per_variate, mul_const, mul_scalar, normalize_rows, sub,
+                     sum_axis)
 
 AUGMENT_KINDS = ("scaling", "jittering", "entirety_scaling")
 
@@ -38,14 +38,24 @@ class AugmentSpec:
         _check_beta(self.beta, "augmentation beta")
 
 
+def _finite(value: float) -> bool:
+    """``math.isfinite``, and False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_beta(beta: float, name: str) -> None:
     # augment draws from uniform(-beta, beta), whose width 2*beta must be finite
-    try:
-        usable = beta >= 0.0 and math.isfinite(2.0 * beta)
-    except OverflowError:  # an int too large for a float
-        usable = False
-    if not usable:
+    if not (beta >= 0.0 and _finite(beta) and math.isfinite(2.0 * beta)):
         raise ConfigError(f"{name} must be >= 0 with 2*beta finite, got {beta}")
+
+
+def _check_alpha(alpha: float) -> None:
+    # the minimum offset gap ceil(l_in/alpha) is 0 for an infinite alpha
+    if not (alpha >= 1.0 and _finite(alpha)):
+        raise ConfigError(f"alpha must be a finite number >= 1, got {alpha}")
 
 
 def augment(window: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
@@ -60,8 +70,7 @@ def augment(window: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> 
 
 def max_condition1_batch(n_rows: int, l_in: int, alpha: float) -> tuple[int, int]:
     """(max feasible batch, minimum offset gap) for the overlap bound L_in(1 - 1/alpha)."""
-    if alpha < 1.0:
-        raise ConfigError(f"alpha must be >= 1, got {alpha}")
+    _check_alpha(alpha)
     n_offsets = n_rows - l_in + 1
     if n_offsets < 1:
         raise SamplerError(f"series of {n_rows} rows cannot host a window of {l_in}")
@@ -132,28 +141,22 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
     sim(h_m, .)], with sim(u, v) = exp(|u.v| / (|u||v|)); the literal constant
     e stands in for the self-similarity sim(h_m, h_m).
     """
-    total_inst, groups, _ = reps.data.shape
+    total_inst, _, _ = reps.data.shape
     if total_inst != (1 + n_augments) * n_windows:
         raise ConfigError(f"{total_inst} instances != (1+{n_augments})*{n_windows}")
     mask = np.zeros((n_windows, total_inst))
     for m in range(n_windows):
         mask[m, n_windows + m * n_augments: n_windows + (m + 1) * n_augments] = 1.0
 
-    total: Tensor | None = None
-    per_variate = np.empty(groups)
-    per_window = np.empty((groups, n_windows))
-    for g in range(groups):
-        h = normalize_rows(take_axis1(reps, g))
-        sims = exp_op(abs_op(matmul_t(h, h)))
-        rows = take_rows(sims, 0, n_windows)
-        den = sum_axis(rows, 1)
-        num = add_scalar(sum_axis(mul_const(rows, mask), 1), float(np.e))
-        loss_m = sub(log_op(den), log_op(num))
-        loss_g = mul_scalar(sum_axis(loss_m), 1.0 / n_windows)
-        per_window[g] = loss_m.data
-        per_variate[g] = loss_g.item()
-        total = loss_g if total is None else add(total, loss_g)
-    return total, per_variate, per_window
+    # every group at once: (G, n_windows, total) similarities of each
+    # original window to every instance
+    sims = exp_op(abs_op(gram_rows(normalize_rows(reps), n_windows)))
+    den = sum_axis(sims, 2)
+    num = add_scalar(sum_axis(mul_const(sims, np.broadcast_to(mask, sims.shape)), 2),
+                     float(np.e))
+    per_window = sub(log_op(den), log_op(num))
+    per_variate = mul_scalar(sum_axis(per_window, 1), 1.0 / n_windows)
+    return sum_axis(per_variate), per_variate.data, per_window.data
 
 
 @dataclass
@@ -172,15 +175,14 @@ class TrainConfig:
     stage1_epochs: int | None = None
 
     def validate(self) -> None:
-        if self.alpha < 1.0:
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.stage1_epochs is not None and self.stage1_epochs < 1:
             raise ConfigError(f"stage1_epochs must be >= 1, got {self.stage1_epochs}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
+        if not (_finite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
         if self.n_augments < 1:
             # the contrastive loss needs a positive pair for every window

@@ -87,6 +87,42 @@ def check_condition1(offsets: np.ndarray, l_in: int, alpha: float) -> bool:
     return bool(np.all(overlap <= l_in - l_in / alpha + 1e-9))
 
 
+def per_group_contrastive_loss(reps: np.ndarray, n_windows: int, n_augments: int):
+    """Oracle for ``training.contrastive_loss``: the loss group by group, as
+    the library computed it before it batched the groups, in plain numpy.
+
+    Returns (total, per-variate means, (groups, n_windows) per-window
+    losses, the gradient of the total with respect to ``reps``).
+    """
+    total_inst, groups, _ = reps.shape
+    n = n_windows
+    mask = np.zeros((n, total_inst))
+    for m in range(n):
+        mask[m, n + m * n_augments: n + (m + 1) * n_augments] = 1.0
+    total = 0.0
+    per_variate = np.empty(groups)
+    per_window = np.empty((groups, n))
+    grad = np.zeros(reps.shape)
+    for g in range(groups):
+        x = reps[:, g].copy()
+        inv = 1.0 / np.linalg.norm(x, axis=1)
+        h = x * inv[:, None]
+        dots = (h @ h.T)[:n]
+        sims = np.exp(np.abs(dots))
+        den = sims.sum(axis=1)
+        num = (sims * mask).sum(axis=1) + np.e
+        per_window[g] = np.log(den) - np.log(num)
+        per_variate[g] = per_window[g].sum() * (1.0 / n)
+        total += per_variate[g]
+        # backward, op by op
+        g_sims = (1.0 / n) * (1.0 / den[:, None] - mask / num[:, None])
+        g_dots = g_sims * sims * np.sign(dots)
+        g_h = g_dots.T @ h[:n]
+        g_h[:n] += g_dots @ h
+        grad[:, g] = (g_h - h * (g_h * h).sum(axis=1)[:, None]) * inv[:, None]
+    return total, per_variate, per_window, grad
+
+
 def swap_bc(a) -> np.ndarray:
     """Swap the first two axes: a (B, C, L) array to channel-major (C, B, L),
     and back.  Tests keep writing and checking batch-major arrays and cross

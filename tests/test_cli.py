@@ -144,7 +144,11 @@ class TestTrainEval:
                                                  ("beta", -1.0, "contrastive"),
                                                  ("beta", float("nan"), "contrastive"),
                                                  ("beta", float("inf"), "contrastive"),
-                                                 ("beta", 1e308, "contrastive")])
+                                                 ("beta", 1e308, "contrastive"),
+                                                 ("alpha", float("nan"), "contrastive"),
+                                                 ("alpha", float("inf"), "contrastive"),
+                                                 pytest.param("lr", 10**400, "e2e",
+                                                              id="lr-int-1e400-e2e")])
     def test_bad_training_setting_fails(self, data_csv, tmp_path, capsys, field, value, fmt):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

@@ -336,7 +336,7 @@ class TestReluDropoutFuzz:
 
         results = []
         for op in (composed, lambda tx, ts, gen: relu_dropout(tx, rate, gen, training, ts)):
-            tx = Tensor(x, requires_grad=True)
+            tx = Tensor(x.copy(), requires_grad=True)  # relu_dropout computes in place in it
             ts = None if s is None else Tensor(s, requires_grad=True)
             inputs = [tx] if ts is None else [tx, ts]
             gen = np.random.default_rng(drop_seed)

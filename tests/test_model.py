@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import sq_sum, swap_bc
+from conftest import closure_arrays, sq_sum, swap_bc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,7 @@ from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          save_checkpoint)
 from rtnet.norm import NORM_KINDS
-from rtnet.tensor import GradTape, Tensor, backward, sum_axis
+from rtnet.tensor import GradTape, Tensor, backward, relu_dropout, sum_axis
 
 
 def small_cfg(**kw):
@@ -322,6 +322,38 @@ class TestGoldenPredictions:
         flat = pred.ravel()
         got = (flat.sum(), (flat * flat).sum(), *flat[:3])
         assert got == pytest.approx(self.GOLDEN[norm_kind, time_mode], rel=1e-10)
+
+
+class TestBlockActivationOwnership:
+    """``relu_dropout`` computes in place in its input, so what an RTBlock
+    feeds it must be a fresh array that no backward reads."""
+
+    def test_relu_dropout_output_is_its_input(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 2, 5)), requires_grad=True)
+        s = Tensor(rng.normal(size=(2, 2, 5)), requires_grad=True)
+        y = relu_dropout(x, 0.4, rng, True, shortcut=s)
+        assert np.shares_memory(y.data, x.data)
+
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_what_a_block_feeds_it_is_read_by_no_backward(self, norm_kind, training):
+        """The producer of each relu_dropout input in an RTBlock (a conv, or
+        the norm after it) keeps no array over its own output, and its
+        output shares no memory with its inputs."""
+        rng = np.random.default_rng(1)
+        block = RTBlock(6, 3, 3, norm_kind, 0.2, rng)
+        with GradTape() as tape:
+            block.forward(Tensor(rng.normal(size=(6, 4, 8))), training, rng)
+        made_by = {id(node.output): node for node in tape.nodes}
+        fed = [made_by[id(node.inputs[0])] for node in tape.nodes
+               if node.grad_fn.__qualname__.startswith("relu_dropout.")]
+        producer = {"bn": "batch_norm", "ln": "layer_norm"}.get(norm_kind, "conv1d_grouped")
+        assert [node.grad_fn.__qualname__.split(".")[0] for node in fed] == [producer] * 2
+        for node in fed:
+            out = node.output.data
+            assert not any(np.shares_memory(a, out) for a in closure_arrays(node.grad_fn))
+            assert not any(np.shares_memory(t.data, out) for t in node.inputs)
 
 
 class TestContrastiveHead:

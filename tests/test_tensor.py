@@ -1,5 +1,7 @@
 """Kernel tests: primitive forward values, shapes, group independence, gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 from conftest import closure_arrays, root_base, sq_sum, swap_bc
@@ -8,10 +10,10 @@ from test_kernel_fuzz import conv_reference
 from rtnet.errors import ConfigError, DimensionError, NumericalError
 from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
                           channel_upsample, concat, conv1d_grouped, dropout,
-                          exp_op, group_features, linear_grouped, log_op, matmul_t,
+                          exp_op, gram_rows, group_features, linear_grouped, log_op,
                           maxpool1d, mse_per_variate, mul_const, mul_scalar,
                           normalize_rows, permute, relu, relu_dropout, reshape, sub,
-                          sum_axis, take_axis1, take_rows, transpose_12)
+                          sum_axis, transpose_12)
 
 
 def t(data, grad=True):
@@ -71,6 +73,34 @@ class TestBackward:
         assert np.array_equal(unreached.grad, np.zeros(1))
         assert np.array_equal(frozen.grad, np.zeros(2))
         assert h.grad is None and y.grad is None
+
+    def test_backward_spends_the_tape(self):
+        """Each node is dropped before the sweep moves on: an array that only
+        a closure holds, like the MSE's difference, is freed before the first
+        node's gradient runs, and the tape is empty afterwards."""
+        x = t(np.random.default_rng(3).normal(size=(2, 3, 4)))
+        with GradTape() as tape:
+            y = mul_scalar(x, 2.0)
+            loss = sum_axis(mse_per_variate(y, np.zeros(y.shape)))
+        first, mse = tape.nodes[0], tape.nodes[1]
+        (diff,) = closure_arrays(mse.grad_fn)
+        diff_ref = weakref.ref(diff)
+        del diff, mse
+        first_grad_fn = first.grad_fn
+        diff_dead = []
+
+        def spy(g):
+            diff_dead.append(diff_ref() is None)
+            return first_grad_fn(g)
+
+        first.grad_fn = spy
+        del first
+        backward(tape, loss, params=[x])
+        assert tape.nodes == []
+        assert diff_dead == [True]
+        np.testing.assert_allclose(x.grad, 8.0 * x.data / 6.0, rtol=1e-15)
+        with pytest.raises(ConfigError, match="spent"):
+            backward(tape, loss, params=[x])
 
 
 class TestConv1dGrouped:
@@ -334,9 +364,9 @@ class TestTapeContents:
         with GradTape() as tape:
             y = op(x)
         assert len(tape.nodes) == 1
+        node = tape.nodes[0]  # backward spends the tape
         g = np.random.default_rng(seed).normal(size=y.shape)
         backward(tape, y, params=[x], seed=g)
-        node = tape.nodes[0]
         io = {id(root_base(x.data)), id(root_base(y.data))}
         extra = [a for a in closure_arrays(node.grad_fn) if id(root_base(a)) not in io]
         return y.data, x.grad, g, extra
@@ -380,8 +410,8 @@ class TestTapeContents:
         with GradTape() as tape:
             y = conv1d_grouped(x, w, b, stride, padding, groups)
         assert len(tape.nodes) == 1
-        backward(tape, y, params=[x, w, b], seed=swap_bc(g))
         held = closure_arrays(tape.nodes[0].grad_fn)
+        backward(tape, y, params=[x, w, b], seed=swap_bc(g))
         assert {id(root_base(a)) for a in held} == {id(x.data), id(w.data)}
         extra = [a for a in held if root_base(a) is not x.data and root_base(a) is not w.data]
         assert extra == []
@@ -462,11 +492,11 @@ class TestReluDropout:
     def test_nothing_dropped_draws_nothing(self, rate, training):
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
-        x = t(np.linspace(-1.0, 1.0, 12).reshape(2, 2, 3))
+        x = np.linspace(-1.0, 1.0, 12).reshape(2, 2, 3)
         s = t(np.full((1, 2, 3), 0.25))
-        y = relu_dropout(x, rate, rng, training, shortcut=s)
+        y = relu_dropout(t(x.copy()), rate, rng, training, shortcut=s)
         assert rng.bit_generator.state == before
-        assert np.array_equal(y.data, np.maximum(x.data + 0.25, 0.0))
+        assert np.array_equal(y.data, np.maximum(x + 0.25, 0.0))
 
 
 class TestElementwiseAndStructural:
@@ -512,10 +542,37 @@ class TestElementwiseAndStructural:
         out = normalize_rows(x)
         assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0)
 
+    @pytest.mark.parametrize("shape", [(7,), (4, 7), (3, 2, 7)])
+    def test_normalize_rows_along_the_last_axis(self, shape, gradcheck):
+        x = t(np.random.default_rng(0).normal(size=shape))
+        out = normalize_rows(x)
+        inv = 1.0 / np.linalg.norm(x.data, axis=-1, keepdims=True)
+        assert np.array_equal(out.data, x.data * inv)
+        c = np.random.default_rng(1).normal(size=shape)
+        gradcheck(lambda: sum_axis(mul_const(normalize_rows(x), c)), [x])
+
     def test_normalize_rows_zero_row(self):
-        x = t(np.zeros((2, 3)))
-        with pytest.raises(NumericalError):
-            normalize_rows(x)
+        x = np.ones((2, 3, 4))
+        x[1, 2] = 0.0
+        with pytest.raises(NumericalError, match=r"\[\[1, 2\]\]"):
+            normalize_rows(t(x))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_gram_rows(self, rows, gradcheck):
+        """Each group's first ``rows`` vectors against all of its vectors."""
+        rng = np.random.default_rng(rows)
+        x = t(rng.normal(size=(5, 3, 4)))
+        out = gram_rows(x, rows)
+        want = np.stack([x.data[:rows, g] @ x.data[:, g].T for g in range(3)])
+        assert out.shape == (3, rows, 5)
+        np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-13)
+        c = rng.normal(size=out.shape)
+        gradcheck(lambda: sum_axis(mul_const(gram_rows(x, rows), c)), [x])
+        for bad in (0, 6):
+            with pytest.raises(DimensionError):
+                gram_rows(x, bad)
+        with pytest.raises(DimensionError):
+            gram_rows(t(np.ones((5, 4))), 2)
 
     def test_log_domain(self):
         with pytest.raises(NumericalError):
@@ -523,15 +580,13 @@ class TestElementwiseAndStructural:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_composite_gradients(self, gradcheck, seed):
-        """abs/exp/log/normalize/matmul_t chain used by the contrastive loss."""
+        """abs/exp/log/normalize/gram chain used by the contrastive loss."""
         rng = np.random.default_rng(seed)
-        h = t(rng.normal(size=(5, 4)) + 0.2)
+        h = t(rng.normal(size=(5, 2, 4)) + 0.2)
 
         def build():
-            n = normalize_rows(h)
-            sims = exp_op(abs_op(matmul_t(n, n)))
-            rows = take_rows(sims, 0, 3)
-            den = sum_axis(rows, 1)
+            sims = exp_op(abs_op(gram_rows(normalize_rows(h), 3)))
+            den = sum_axis(sims, 2)
             return sum_axis(sub(log_op(den), log_op(add_scalar(den, 1.0))))
 
         gradcheck(build, [h])
@@ -544,7 +599,6 @@ class TestElementwiseAndStructural:
         def build():
             y = transpose_12(x)
             y = reshape(y, (2, 12))
-            y = take_rows(y, 0, 2)
             z = mul_const(transpose_12(reshape(y, (2, 4, 3))), c)
             return sq_sum(z)
 
@@ -564,16 +618,6 @@ class TestElementwiseAndStructural:
         def build():
             z = mul_const(permute(x, (1, 2, 0)), c)
             return sq_sum(z)
-
-        gradcheck(build, [x])
-
-    def test_take_axis1_gradient(self, gradcheck):
-        rng = np.random.default_rng(11)
-        x = t(rng.normal(size=(4, 3, 5)))
-
-        def build():
-            y = take_axis1(x, 1)
-            return sq_sum(y)
 
         gradcheck(build, [x])
 

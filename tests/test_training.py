@@ -4,9 +4,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (ar_series, check_condition1, closure_arrays, hourly, root_base,
-                      state_checksum, synthetic_multivariate)
+from conftest import (ar_series, check_condition1, closure_arrays, hourly,
+                      per_group_contrastive_loss, root_base, state_checksum,
+                      synthetic_multivariate)
 from rtnet import training
 from rtnet.data import TimeSeriesDataset
 from rtnet.errors import ConfigError, SamplerError
@@ -127,6 +130,21 @@ class TestCondition1Sampler:
         overlaps = 168 - np.diff(np.sort(offsets))
         assert overlaps.max() <= 126
 
+    @pytest.mark.parametrize("alpha", [0.5, float("nan"), float("inf"),
+                                       pytest.param(10**400, id="int-1e400")])
+    def test_unusable_alpha_rejected(self, alpha):
+        """An infinite alpha would make the minimum offset gap 0, and a NaN
+        one cannot be rounded to a gap."""
+        with pytest.raises(ConfigError, match="alpha"):
+            max_condition1_batch(200, 16, alpha)
+        with pytest.raises(ConfigError, match="alpha"):
+            TrainConfig(alpha=alpha).validate()
+
+    @pytest.mark.parametrize("lr", [float("inf"), pytest.param(10**400, id="int-1e400")])
+    def test_unusable_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr"):
+            TrainConfig(lr=lr).validate()
+
     def test_infeasible_reports_max(self):
         with pytest.raises(SamplerError, match="at most 1"):
             sample_batch_condition1(1000, 2, l_in=900, alpha=1.0,
@@ -168,9 +186,8 @@ class TestContrastiveLoss:
     def test_sim_values_lie_in_1_e(self):
         rng = np.random.default_rng(2)
         reps = Tensor(rng.normal(size=(6, 2, 5)))
-        from rtnet.tensor import abs_op, exp_op, matmul_t, normalize_rows, take_axis1
-        h = normalize_rows(take_axis1(reps, 0))
-        sims = exp_op(abs_op(matmul_t(h, h))).data
+        from rtnet.tensor import abs_op, exp_op, gram_rows, normalize_rows
+        sims = exp_op(abs_op(gram_rows(normalize_rows(reps), 6))).data
         assert np.all(sims >= 1.0) and np.all(sims <= np.e + 1e-12)
 
     def test_nonnegative_under_random_inputs(self):
@@ -191,6 +208,27 @@ class TestContrastiveLoss:
             return total
 
         gradcheck(build, [reps])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(groups=st.integers(1, 7), n_augments=st.integers(1, 3),
+           n_windows=st.sampled_from([1, 2, 3, 5, 8]), features=st.integers(2, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_all_groups_at_once_match_the_per_group_loss(self, groups, n_augments, n_windows,
+                                                         features, seed):
+        """The batched loss agrees with the per-group oracle on the total,
+        the per-variate and per-window losses and the gradient."""
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=((1 + n_augments) * n_windows, groups, features))
+        data *= rng.uniform(0.1, 10.0, size=(1, groups, 1))
+        reps = Tensor(data, requires_grad=True)
+        with GradTape() as tape:
+            total, per_variate, per_window = contrastive_loss(reps, n_windows, n_augments)
+        backward(tape, total, params=[reps])
+        want = per_group_contrastive_loss(data, n_windows, n_augments)
+        assert total.item() == pytest.approx(want[0], rel=1e-12)
+        assert per_variate == pytest.approx(want[1], rel=1e-12)
+        assert per_window == pytest.approx(want[2], rel=1e-12)
+        assert reps.grad == pytest.approx(want[3], rel=1e-12)
 
 
 class TestEarlyStop:
@@ -279,29 +317,64 @@ class TestStepTape:
     # a grouped model with a time branch: l_in 16, 2 blocks, 7 groups, d 14
     MODEL = dict(n_variates=7, groups=7, d_channels=14, time_mode="decoupled", dropout=0.1)
     BATCH = 4
+    AUGMENTS = 3
 
-    def one_step_tape(self, monkeypatch):
-        """The tape of one end-to-end training step."""
+    def one_step_nodes(self, monkeypatch, fmt="e2e"):
+        """The nodes of the first training step's tape, listed before its
+        backward spends them."""
         values, names = synthetic_multivariate(200, seed=3)
         train = TimeSeriesDataset(hourly(200), values, names, 6)
         model = tiny_model(seed=3, **self.MODEL)
-        tapes = []
+        steps = []
 
         def record(tape, *args, **kwargs):
-            tapes.append(tape)
+            steps.append(list(tape.nodes))
             return backward(tape, *args, **kwargs)
 
         monkeypatch.setattr(training, "backward", record)
-        cfg = TrainConfig(epochs=1, batch_size=self.BATCH, max_steps_per_epoch=1, seed=3)
-        train_end_to_end(model, train, train.slice(100, 200), cfg)
-        assert len(tapes) == 1
-        return model.cfg, tapes[0]
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH, stage1_batch_size=self.BATCH,
+                          stage2_batch_size=self.BATCH, n_augments=self.AUGMENTS,
+                          max_steps_per_epoch=1, seed=3)
+        fit = train_end_to_end if fmt == "e2e" else train_contrastive
+        fit(model, train, train.slice(100, 200), cfg)
+        assert len(steps) == (1 if fmt == "e2e" else 2)  # contrastive: stages 1 and 2
+        return model.cfg, steps[0]
+
+    @staticmethod
+    def unit(c_out, fan_in):
+        """A weight-norm weight: the effective weight, its direction and the
+        norms."""
+        return 2 * c_out * fan_in + c_out
+
+    @classmethod
+    def extractor(cls, cfg, B, c_in, length, depth, stride):
+        """Embedding conv input and output, then per block of c channels the
+        conv1 and conv2 outputs at 2c channels, which the block's two
+        relu_dropout ops reuse in place, and the max-pool's at c."""
+        d, G, k = cfg.d_channels, cfg.groups, cfg.kernel
+        n = c_in * B * length + d * B * length + cls.unit(d, c_in // G * k)
+        for j in range(depth):
+            c = d << j
+            length //= stride
+            n += 5 * c * B * length + cls.unit(2 * c, c // G * k) + cls.unit(2 * c, 2 * c // G * k)
+        return n
+
+    def pyramid(self, cfg, B):
+        return sum(self.extractor(cfg, B, cfg.n_variates, cfg.l_in >> i, cfg.blocks - i, 2)
+                   for i in range(cfg.blocks))
+
+    @staticmethod
+    def kept_bytes(nodes):
+        """Distinct bytes of the node outputs and the arrays their closures hold."""
+        kept = {id(root_base(a)): root_base(a).nbytes for node in nodes
+                for a in [node.output.data, *closure_arrays(node.grad_fn)]}
+        return sum(kept.values())
 
     def test_conv_nodes_keep_only_their_input_and_weight(self, monkeypatch):
         """After one step, every conv node's closure holds its own input and
         weight and no other array."""
-        _, tape = self.one_step_tape(monkeypatch)
-        convs = [node for node in tape.nodes if op_name(node) == "conv1d_grouped"]
+        _, nodes = self.one_step_nodes(monkeypatch)
+        convs = [node for node in nodes if op_name(node) == "conv1d_grouped"]
         # branches of 2 and 1 blocks, the 2-block TimeNet and the time head
         assert len(convs) == 5 + 3 + 5 + 1
         for node in convs:
@@ -314,46 +387,49 @@ class TestStepTape:
         """No relu, dropout or channel repetition node is recorded, the only
         add is the time head's, and the distinct bytes the tape keeps are
         exactly those its shapes call for."""
-        cfg, tape = self.one_step_tape(monkeypatch)
-        ops = [op_name(node) for node in tape.nodes]
+        cfg, nodes = self.one_step_nodes(monkeypatch)
+        ops = [op_name(node) for node in nodes]
         assert not {"relu", "dropout", "channel_upsample"} & set(ops)
         assert ops.count("add") == 1 and ops[ops.index("add") - 1] == "permute"
         # two per block: branches of 2 and 1 blocks, the 2-block TimeNet
         assert ops.count("relu_dropout") == 2 * (2 + 1 + 2)
 
-        B, L, d, G, k = self.BATCH, cfg.l_in, cfg.d_channels, cfg.groups, cfg.kernel
-        N, l_out = cfg.n_variates, cfg.l_out
-
-        def unit(c_out, fan_in):
-            """A weight-norm weight: the effective weight, its direction and
-            the norms."""
-            return 2 * c_out * fan_in + c_out
-
-        def extractor(c_in, length, depth, stride):
-            """Embedding conv input and output, then per block of c channels
-            the conv1, relu_dropout and conv2 outputs and the final
-            relu_dropout output at 2c channels, and the max-pool's at c."""
-            n = c_in * B * length + d * B * length + unit(d, c_in // G * k)
-            for j in range(depth):
-                c = d << j
-                length //= stride
-                n += 9 * c * B * length + unit(2 * c, c // G * k) + unit(2 * c, 2 * c // G * k)
-            return n
-
+        B, N, G, l_out = self.BATCH, cfg.n_variates, cfg.groups, cfg.l_out
         features = B * G * features_per_group(cfg)
         prediction = B * l_out * N
-        floats = (sum(extractor(N, L >> i, cfg.blocks - i, 2) for i in range(cfg.blocks))
+        floats = (self.pyramid(cfg, B)
                   + features                         # group_features
                   + features + prediction            # head: its grouped input copy, output
-                  + unit(l_out * N, features // (B * G))
+                  + self.unit(l_out * N, features // (B * G))
                   + prediction                       # transpose_12
-                  + extractor(G * cfg.n_time, l_out, 2, 1)
-                  + unit(N, 4 * d // G) + prediction  # time head conv
+                  + self.extractor(cfg, B, G * cfg.n_time, l_out, 2, 1)
+                  + self.unit(N, 4 * cfg.d_channels // G) + prediction  # time head conv
                   + 2 * prediction                   # permute, add
                   + N + prediction + 1)              # per-variate MSE and its diff, the sum
-        kept = {id(root_base(a)): root_base(a).nbytes for node in tape.nodes
-                for a in [node.output.data, *closure_arrays(node.grad_fn)]}
-        assert sum(kept.values()) == 8 * floats
+        assert self.kept_bytes(nodes) == 8 * floats
+
+    def test_stage1_step_keeps_only_what_backward_needs(self, monkeypatch):
+        """One stage-1 contrastive step records the pyramid as an end-to-end
+        step does, then one loss over all groups at once: the tape keeps the
+        normalized features and (groups, windows, instances) similarities,
+        and no per-group copy of either."""
+        cfg, nodes = self.one_step_nodes(monkeypatch, "contrastive")
+        ops = [op_name(node) for node in nodes]
+        assert ops.count("normalize_rows") == 1 and ops.count("gram_rows") == 1
+
+        n, G = self.BATCH, cfg.groups
+        T = (1 + self.AUGMENTS) * n
+        features = T * G * features_per_group(cfg)
+        similarities = G * n * T
+        floats = (self.pyramid(cfg, T)
+                  + features                         # group_features
+                  + features + T * G                 # normalize_rows: output, inverse norms
+                  + 4 * similarities                 # gram_rows, abs, exp, masked by positives
+                  + n * T                            # the positives' mask
+                  + 6 * G * n                        # denominators, numerators (sum, + e),
+                                                     # their logs, per-window losses
+                  + 2 * G + 1)                       # per-variate sum and mean, the total
+        assert self.kept_bytes(nodes) == 8 * floats
 
     @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
     def test_no_step_tape_is_alive_during_validation(self, monkeypatch, fmt):
