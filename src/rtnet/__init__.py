@@ -9,7 +9,7 @@ both supervised and two-stage contrastive training, plus diagnostics
 from .data import (SplitSpec, Standardizer, TimeSeriesDataset, WindowBatch,
                    gather_batch, load_csv, make_windows, split, standardize,
                    time_features)
-from .diagnostics import PacfResult, metrics, pacf
+from .diagnostics import PacfResult, pacf
 from .errors import (ConfigError, DataError, DimensionError, NumericalError, RTNetError,
                      SamplerError)
 from .harness import ExperimentReport, ExperimentSpec, compare_formats, run_experiment

@@ -1,4 +1,4 @@
-"""Forecast metrics, partial autocorrelation, and an SVG line chart."""
+"""Partial autocorrelation and an SVG line chart."""
 
 from __future__ import annotations
 
@@ -7,16 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-
-
-def metrics(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """(MSE, MAE) over all elements."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise DimensionError(f"metrics: {pred.shape} vs {truth.shape}")
-    diff = pred - truth
-    return float(np.mean(diff ** 2)), float(np.mean(np.abs(diff)))
 
 
 @dataclass

@@ -147,14 +147,19 @@ def weight_norm_effective(v: Tensor, g: Tensor) -> Tensor:
     if bad.size:
         raise NumericalError(f"weight_norm: zero-norm direction at output channels {bad.tolist()}")
     shape = (c_out,) + (1,) * (v.data.ndim - 1)
-    vhat = v.data / norms.reshape(shape)
-    out = g.data.reshape(shape) * vhat
+    out = v.data / norms.reshape(shape)
+    out *= g.data.reshape(shape)
 
     def grad_fn(gw):
+        # the direction is rebuilt, not kept: the optimizer moves v only after
+        # backward, so this is the forward's v/||v|| bit for bit
+        vhat = v.data / norms.reshape(shape)
         dots = (gw.reshape(c_out, -1) * vhat.reshape(c_out, -1)).sum(axis=1)
-        g_g = dots
-        scale = (g.data / norms).reshape(shape)
-        g_v = scale * (gw - vhat * dots.reshape(shape))
-        return (g_v, g_g)
+        # g_v = g/||v|| * (gw - vhat*dots), computed in vhat's own array
+        g_v = vhat
+        g_v *= dots.reshape(shape)
+        np.subtract(gw, g_v, out=g_v)
+        g_v *= (g.data / norms).reshape(shape)
+        return (g_v, dots)
 
     return _make([v, g], out, grad_fn)

@@ -41,7 +41,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        data = np.asarray(data, dtype=np.float64)
+        # np.ascontiguousarray would turn a 0-d scalar into shape (1,)
+        self.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.name = name

@@ -299,9 +299,12 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
     returns the scalar to backpropagate and the per-variate losses to report;
     ``validate()`` returns (val_mse, val_mae).  Stops once the best validation
     value is ``cfg.patience`` epochs old and leaves the model at its best state.
+
+    It keeps one best-state snapshot, taken at epoch 0 (always the best so
+    far) and overwritten in place on each improvement.
     """
     opt = Adam(list(named_params), lr=cfg.lr)
-    best_state = {n: a.copy() for n, a in model.state().items()}
+    best_state: dict[str, np.ndarray] = {}
     val_history: list[float] = []
     for epoch in range(epochs):
         epoch_loss = 0.0
@@ -325,7 +328,11 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
                                            stage))
         stop, best = early_stop(val_history, cfg.patience)
         if best == epoch:
-            best_state = {n: a.copy() for n, a in model.state().items()}
+            if best_state:  # in place, so two snapshots never coexist
+                for name, a in model.state().items():
+                    best_state[name][...] = a
+            else:
+                best_state = {n: a.copy() for n, a in model.state().items()}
             result.best_epoch = epoch
             result.best_val_mse = val_mse
         if stop:

@@ -1,10 +1,10 @@
-"""Metrics, PACF against two independent oracles, and the SVG line chart."""
+"""PACF against two independent oracles, and the SVG line chart."""
 
 import numpy as np
 import pytest
 
 from conftest import ar_series
-from rtnet.diagnostics import autocovariance, line_plot_svg, metrics, pacf
+from rtnet.diagnostics import autocovariance, line_plot_svg, pacf
 from rtnet.errors import DataError, DimensionError
 
 
@@ -28,39 +28,6 @@ def regression_partial_corr(series, k):
     res_t = y_t - design @ np.linalg.lstsq(design, y_t, rcond=None)[0]
     res_tk = y_tk - design @ np.linalg.lstsq(design, y_tk, rcond=None)[0]
     return float(np.corrcoef(res_t, res_tk)[0, 1])
-
-
-class TestMetrics:
-    def test_zero_error(self):
-        pred = np.random.default_rng(0).normal(size=(4, 5))
-        assert metrics(pred, pred) == (0.0, 0.0)
-
-    def test_unit_errors(self):
-        assert metrics(np.array([1.0, -1.0]), np.zeros(2)) == (1.0, 1.0)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(1)
-        pred = rng.normal(size=20)
-        truth = rng.normal(size=20)
-        perm = rng.permutation(20)
-        assert metrics(pred, truth) == pytest.approx(metrics(pred[perm], truth[perm]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            metrics(np.zeros(3), np.zeros(4))
-
-    def test_matches_two_pass_summation(self):
-        rng = np.random.default_rng(2)
-        pred = rng.normal(size=(7, 9))
-        truth = rng.normal(size=(7, 9))
-        mse, mae = metrics(pred, truth)
-        se = 0.0
-        ae = 0.0
-        for p, t in zip(pred.ravel(), truth.ravel()):
-            se += (p - t) ** 2
-            ae += abs(p - t)
-        assert mse == pytest.approx(se / 63, abs=1e-12)
-        assert mae == pytest.approx(ae / 63, abs=1e-12)
 
 
 class TestPacf:

@@ -162,6 +162,29 @@ class TestWeightNorm:
 
         gradcheck(build, [v, g])
 
+    def test_rebuilt_direction_matches_the_kept_one_bitwise(self):
+        """Value and gradients equal the formula that keeps v/||v|| from the
+        forward, bit for bit, and backward leaves the incoming gradient as it was."""
+        from rtnet.tensor import GradTape
+        rng = np.random.default_rng(9)
+        v = t(rng.normal(size=(6, 4, 3)), grad=True)
+        g = t(rng.uniform(0.5, 2.0, size=6), grad=True)
+        with GradTape() as tape:
+            w = weight_norm_effective(v, g)
+        gw = rng.normal(size=w.shape)
+        gw_before = gw.copy()
+        g_v, g_g = tape.nodes[0].grad_fn(gw)
+
+        norms = np.sqrt((v.data.reshape(6, -1) ** 2).sum(axis=1))
+        shape = (6, 1, 1)
+        vhat = v.data / norms.reshape(shape)
+        dots = (gw.reshape(6, -1) * vhat.reshape(6, -1)).sum(axis=1)
+        assert np.array_equal(w.data, g.data.reshape(shape) * vhat)
+        assert np.array_equal(g_g, dots)
+        assert np.array_equal(g_v, (g.data / norms).reshape(shape)
+                              * (gw - vhat * dots.reshape(shape)))
+        assert np.array_equal(gw, gw_before)
+
     def test_wrapped_network_matches_plain_weights_bitwise(self):
         """Fixing the effective weight, weight norm changes no hidden unit."""
         from rtnet.tensor import conv1d_grouped

@@ -1,10 +1,12 @@
 """Adam optimizer behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from rtnet.errors import NumericalError
-from rtnet.optim import Adam
+from rtnet.optim import CHUNK, Adam
 from rtnet.tensor import Tensor
 
 
@@ -71,3 +73,70 @@ class TestAdamWrapper:
         opt = Adam([("p", p)])
         with pytest.raises(NumericalError, match="'p'"):
             opt.step()
+
+
+def reference_adam(p, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The whole-array Adam formula, step by step: (p, m, v) after ``grads``."""
+    p = p.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for step, g in enumerate(grads, 1):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+    return p, m, v
+
+
+class TestChunkedUpdate:
+    SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bit_identical_to_the_whole_array_formula(self, size):
+        rng = np.random.default_rng(size)
+        start = rng.normal(size=size)
+        # gradients over six decades, so rounding differs from element to element
+        grads = [rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size) for _ in range(5)]
+        # a 2-D parameter, as a conv weight is; Tensor would share ``start``
+        p = Tensor(start.reshape(-1, 1).copy(), requires_grad=True)
+        opt = Adam([("p", p)], lr=3e-3)
+        for g in grads:
+            p.grad = g.reshape(p.data.shape)
+            opt.step()
+        want_p, want_m, want_v = reference_adam(start, grads, lr=3e-3)
+        assert np.array_equal(p.data.ravel(), want_p)
+        assert np.array_equal(opt.first_moment[0].ravel(), want_m)
+        assert np.array_equal(opt.second_moment[0].ravel(), want_v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_last_chunk_raises_before_any_state_changes(self, bad):
+        """Every gradient is checked before the first element moves: neither
+        the finite parameter before it nor the bad one's earlier chunks change."""
+        rng = np.random.default_rng(0)
+        a, b = params_of(rng.normal(size=5), rng.normal(size=3 * CHUNK + 7))
+        opt = Adam([("first", a), ("cpn.last", b)], lr=1e-2)
+        for p in (a, b):
+            p.grad = rng.normal(size=p.data.shape)
+        opt.step()
+        before = [x.copy() for x in (a.data, b.data, *opt.first_moment, *opt.second_moment)]
+        a.grad = rng.normal(size=5)
+        b.grad = rng.normal(size=b.data.shape)
+        b.grad[-1] = bad
+        with pytest.raises(NumericalError, match="'cpn.last'"):
+            opt.step()
+        after = (a.data, b.data, *opt.first_moment, *opt.second_moment)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert opt.step_count == 1
+
+    def test_overflowing_second_moment_raises_without_a_warning(self):
+        """A finite gradient whose square overflows is a diverged second
+        moment, reported by name, not a numpy RuntimeWarning."""
+        (p,) = params_of(np.zeros(CHUNK + 3))
+        opt = Adam([("head.v", p)])
+        p.grad = np.ones(CHUNK + 3)
+        p.grad[-1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="diverged second moment.*'head.v'"):
+                opt.step()

@@ -51,6 +51,23 @@ class TestBackward:
         with pytest.raises(DimensionError):
             backward(tape, y, params=[x])
 
+    def test_scalar_root_takes_a_scalar_seed(self):
+        """A full sum is 0-d, so a float seed matches it and ``item`` reads it."""
+        x = t(np.arange(6.0).reshape(2, 3))
+        with GradTape() as tape:
+            y = sum_axis(x)
+        assert y.shape == () and Tensor(2.5).shape == ()
+        assert y.item() == 15.0
+        backward(tape, y, params=[x], seed=1.0)
+        assert np.array_equal(x.grad, np.ones((2, 3)))
+
+    def test_strided_data_is_made_contiguous(self):
+        a = np.arange(6.0).reshape(2, 3).T
+        x = Tensor(a)
+        assert x.data.flags.c_contiguous and np.array_equal(x.data, a)
+        contiguous = np.arange(3.0)
+        assert Tensor(contiguous).data is contiguous
+
     def test_off_path_tensor_gets_zero(self):
         x = t([1.0, 2.0])
         z = t([9.0, 9.0])

@@ -1,5 +1,6 @@
 """Losses, augmentation, the overlap-limited sampler, and both training loops."""
 
+import sys
 import weakref
 
 import numpy as np
@@ -342,9 +343,9 @@ class TestStepTape:
 
     @staticmethod
     def unit(c_out, fan_in):
-        """A weight-norm weight: the effective weight, its direction and the
-        norms."""
-        return 2 * c_out * fan_in + c_out
+        """A weight-norm weight: the effective weight and the norms; backward
+        rebuilds the direction from v."""
+        return c_out * fan_in + c_out
 
     @classmethod
     def extractor(cls, cfg, B, c_in, length, depth, stride):
@@ -381,6 +382,20 @@ class TestStepTape:
             x, w, _ = node.inputs
             own = {id(root_base(x.data)), id(root_base(w.data))}
             assert {id(root_base(a)) for a in closure_arrays(node.grad_fn)} == own
+
+    def test_weight_norm_keeps_v_g_and_the_norms(self, monkeypatch):
+        """Every weight-norm node's closure holds its own v and g and one
+        (c_out,) array, and no copy of the direction v/||v||."""
+        _, nodes = self.one_step_nodes(monkeypatch)
+        wn = [node for node in nodes if op_name(node) == "weight_norm_effective"]
+        # one per conv, as above, and the linear head
+        assert len(wn) == 5 + 3 + 5 + 1 + 1
+        for node in wn:
+            v, g = node.inputs
+            cells = [cell.cell_contents for cell in node.grad_fn.__closure__]
+            assert {id(c) for c in cells if isinstance(c, Tensor)} == {id(v), id(g)}
+            (norms,) = closure_arrays(node.grad_fn)
+            assert norms.shape == (v.shape[0],)
 
     def test_block_activations_are_fused_and_the_tape_keeps_only_what_backward_needs(
             self, monkeypatch):
@@ -465,6 +480,49 @@ class TestStepTape:
         train(tiny_model(seed=4), ar_dataset(420, 5), ar_dataset(420, 6), cfg)
         assert tapes
         assert alive_at_validation == [0] * (2 if fmt == "e2e" else 4)
+
+
+class TestFitSnapshot:
+    def test_one_snapshot_taken_at_epoch_0_and_overwritten_in_place(self, monkeypatch):
+        """Validation improves at epochs 0 and 2: no snapshot exists before
+        the first validation, epoch 1 leaves epoch 0's in place, and epoch 2
+        overwrites the same arrays, which are what the model is restored from."""
+        model = tiny_model(seed=2, dropout=0.1)
+        cfg = TrainConfig(batch_size=8, lr=1e-2, patience=3, seed=2, max_steps_per_epoch=2)
+        rng = np.random.default_rng(2)
+        batches = training._window_batches(model, ar_dataset(200, 3), cfg.batch_size, rng,
+                                           cfg.max_steps_per_epoch)
+        states, snapshots, restored = [], [], []
+        val_mse = iter([3.0, 4.0, 1.0])
+
+        def validate():
+            states.append({n: a.copy() for n, a in model.state().items()})
+            # the loop's snapshot as this epoch's validation finds it: the
+            # arrays themselves, and their values then
+            snapshot = sys._getframe(1).f_locals["best_state"]
+            snapshots.append({n: (a, a.copy()) for n, a in snapshot.items()})
+            return next(val_mse), 0.0
+
+        real_load_state = model.load_state
+
+        def load_state(values):
+            restored.append(values)
+            real_load_state(values)
+
+        monkeypatch.setattr(model, "load_state", load_state)
+        result = training.TrainResult()
+        training._fit(model, model.named_parameters(), cfg, 3, batches,
+                      training._mse_step(model, rng), validate, result, "training")
+        assert result.best_epoch == 2 and len(states) == 3
+        assert snapshots[0] == {}
+        (final,) = restored
+        for name, a in model.state().items():
+            (at_1, value_1), (at_2, value_2) = snapshots[1][name], snapshots[2][name]
+            assert at_1 is at_2 is final[name]
+            assert np.array_equal(value_1, states[0][name])
+            assert np.array_equal(value_2, states[0][name])
+            assert np.array_equal(a, states[2][name])
+        assert any(not np.array_equal(states[0][n], states[2][n]) for n in states[0])
 
 
 class TestDivergenceAbort:
