@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -86,10 +87,12 @@ class WeightedUnit(Module):
     """A weight, as weight-norm direction ``v`` and scale ``g`` or plain, plus a bias.
 
     Weight norm starts at w == ``w0``: ``g`` is each output channel's norm.
+    Inside ``RTNet.weights_held()``, ``_held`` is the effective weight built
+    once for every forward in the block; it is not part of ``state()``.
     """
 
     def __init__(self, w0: np.ndarray, norm_kind: str):
-        self.v = self.g = self.weight = None
+        self.v = self.g = self.weight = self._held = None
         if norm_kind == "wn":
             self.v = Tensor(w0, requires_grad=True)
             self.g = Tensor(np.sqrt((w0.reshape(w0.shape[0], -1) ** 2).sum(axis=1)),
@@ -99,7 +102,10 @@ class WeightedUnit(Module):
         self.bias = Tensor(np.zeros(w0.shape[0]), requires_grad=True)
 
     def effective_weight(self) -> Tensor:
-        return self.weight if self.v is None else weight_norm_effective(self.v, self.g)
+        if self.v is None:
+            return self.weight
+        held = self._held  # read once: another thread may be leaving weights_held()
+        return held if held is not None else weight_norm_effective(self.v, self.g)
 
 
 class ConvUnit(WeightedUnit):
@@ -316,6 +322,22 @@ class RTNet(Module):
             t_out = permute(self.head_time.forward(t, training), (1, 2, 0))
             out = add(out, t_out)
         return out
+
+    @contextmanager
+    def weights_held(self):
+        """Build each weight-normed unit's effective weight once, for every
+        forward inside the block, and drop them on exit, also on error.
+
+        No parameter may change inside the block.
+        """
+        units = [u for _, u in self._named(WeightedUnit, "") if u.v is not None]
+        try:
+            for u in units:
+                u._held = weight_norm_effective(u.v, u.g)
+            yield
+        finally:
+            for u in units:
+                u._held = None
 
     # -- parameters: the pyramid ("cpn") first, then the heads ----------------
 

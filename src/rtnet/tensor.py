@@ -69,13 +69,16 @@ class Module:
 
     A Tensor attribute is a parameter and an ndarray attribute a buffer.  A
     Module attribute nests under its attribute name, and the items of a list
-    attribute ``blocks`` under ``block0``, ``block1``, ...; None is skipped.
-    Everything is found in assignment order, so the dotted names and their
-    order are the checkpoint format.
+    attribute ``blocks`` under ``block0``, ``block1``, ...; None and names
+    that start with an underscore are skipped.  Everything is found in
+    assignment order, so the dotted names and their order are the checkpoint
+    format.
     """
 
     def _children(self):
         for name, value in vars(self).items():
+            if name.startswith("_"):
+                continue
             if name == "blocks":
                 yield from ((f"block{j}", block) for j, block in enumerate(value))
             else:

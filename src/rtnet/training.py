@@ -239,23 +239,29 @@ def _history_row(epoch: int, per_variate_loss: np.ndarray, val_mse: float,
 
 
 def evaluate(model: RTNet, ds: TimeSeriesDataset, batch_size: int = 64) -> tuple[float, float]:
-    """Mean squared / absolute error over every window of a split (eval mode)."""
+    """Mean squared / absolute error over every window of a split (eval mode).
+
+    Every batch's forward reads effective weights built once for this call.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"evaluate: batch_size must be >= 1, got {batch_size}")
     cfg = model.cfg
     offsets = make_windows(len(ds), cfg.l_in, cfg.l_out)
     se = 0.0
     ae = 0.0
     count = 0
-    for start in range(0, offsets.size, batch_size):
-        chunk = offsets[start:start + batch_size]
-        wb = gather_batch(ds, chunk, cfg.l_in, cfg.l_out,
-                          with_marks=cfg.time_mode == "decoupled",
-                          with_input_marks=cfg.time_mode == "input")
-        pred = model.forward(wb.inputs, wb.time_marks, training=False,
-                             input_marks=wb.input_marks)
-        diff = pred.data - wb.targets
-        se += float((diff ** 2).sum())
-        ae += float(np.abs(diff).sum())
-        count += diff.size
+    with model.weights_held():
+        for start in range(0, offsets.size, batch_size):
+            chunk = offsets[start:start + batch_size]
+            wb = gather_batch(ds, chunk, cfg.l_in, cfg.l_out,
+                              with_marks=cfg.time_mode == "decoupled",
+                              with_input_marks=cfg.time_mode == "input")
+            pred = model.forward(wb.inputs, wb.time_marks, training=False,
+                                 input_marks=wb.input_marks)
+            diff = pred.data - wb.targets
+            se += float((diff ** 2).sum())
+            ae += float(np.abs(diff).sum())
+            count += diff.size
     return se / count, ae / count
 
 
@@ -301,7 +307,9 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
     value is ``cfg.patience`` epochs old and leaves the model at its best state.
 
     It keeps one best-state snapshot, taken at epoch 0 (always the best so
-    far) and overwritten in place on each improvement.
+    far) and overwritten in place on each improvement.  A step's gradients
+    live until the next step's ``backward``, and the epoch's last step's
+    until just before validation.
     """
     opt = Adam(list(named_params), lr=cfg.lr)
     best_state: dict[str, np.ndarray] = {}
@@ -322,6 +330,7 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
             epoch_loss += per_variate
             steps += 1
 
+        opt.zero_grad()  # the epoch's last gradients must not outlive it into validate() either
         val_mse, val_mae = validate()
         val_history.append(val_mse)
         result.history.append(_history_row(epoch, epoch_loss / steps, val_mse, val_mae,

@@ -1,6 +1,7 @@
 """Losses, augmentation, the overlap-limited sampler, and both training loops."""
 
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from conftest import (ar_series, check_condition1, closure_arrays, hourly,
                       per_group_contrastive_loss, root_base, state_checksum,
                       synthetic_multivariate)
+from rtnet import model as rtnet_model
 from rtnet import training
-from rtnet.data import TimeSeriesDataset
-from rtnet.errors import ConfigError, SamplerError
-from rtnet.model import ModelConfig, RTNet, features_per_group
+from rtnet.data import TimeSeriesDataset, gather_batch, make_windows
+from rtnet.errors import ConfigError, DataError, SamplerError
+from rtnet.model import ModelConfig, RTNet, features_per_group, save_checkpoint
+from rtnet.optim import Adam
 from rtnet.tensor import (GradTape, Tensor, backward, mse_per_variate, mul_const,
                           sum_axis)
 from rtnet.training import (AugmentSpec, TrainConfig, augment, contrastive_loss, early_stop,
@@ -310,6 +313,141 @@ class TestTrainEndToEnd:
         assert final_mse == pytest.approx(val_curve[best], rel=1e-9)
 
 
+def per_batch_errors(model, ds, batch_size):
+    """evaluate's (MSE, MAE) from a plain model.forward per batch, on a fresh
+    copy of the model, so nothing an earlier evaluate left behind is read."""
+    fresh = RTNet(model.cfg, np.random.default_rng(0), relation=model.relation)
+    fresh.load_state(model.state())
+    cfg = model.cfg
+    offsets = make_windows(len(ds), cfg.l_in, cfg.l_out)
+    se = ae = 0.0
+    count = 0
+    for start in range(0, offsets.size, batch_size):
+        wb = gather_batch(ds, offsets[start:start + batch_size], cfg.l_in, cfg.l_out,
+                          with_marks=cfg.time_mode == "decoupled",
+                          with_input_marks=cfg.time_mode == "input")
+        diff = fresh.forward(wb.inputs, wb.time_marks, training=False,
+                             input_marks=wb.input_marks).data - wb.targets
+        se += float((diff ** 2).sum())
+        ae += float(np.abs(diff).sum())
+        count += diff.size
+    return se / count, ae / count
+
+
+def perturbed_model(seed, **kw):
+    """A tiny model whose every parameter has moved off its initial value."""
+    model = tiny_model(seed=seed, **kw)
+    rng = np.random.default_rng(seed + 100)
+    for _, p in model.named_parameters():
+        p.data += rng.normal(0.0, 0.1, p.data.shape)
+    return model
+
+
+@pytest.fixture
+def weight_norm_calls(monkeypatch):
+    """Counts calls of rtnet.model.weight_norm_effective, the binding the model uses."""
+    calls = []
+    real = rtnet_model.weight_norm_effective
+
+    def counted(v, g):
+        calls.append(v)
+        return real(v, g)
+
+    monkeypatch.setattr(rtnet_model, "weight_norm_effective", counted)
+    return calls
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}$"):
+            evaluate(tiny_model(), ar_dataset(60, 1), batch_size=batch_size)
+
+    @pytest.mark.parametrize("time_mode", ["none", "decoupled", "input"])
+    @pytest.mark.parametrize("norm_kind", ["wn", "bn", "ln", "none"])
+    def test_equals_a_per_batch_forward_loop_bitwise(self, norm_kind, time_mode):
+        model = perturbed_model(3, norm_kind=norm_kind, time_mode=time_mode)
+        ds = ar_dataset(120, 4)
+        assert evaluate(model, ds, batch_size=7) == per_batch_errors(model, ds, 7)
+
+    def test_sees_the_weights_after_an_adam_step(self):
+        model = perturbed_model(5)
+        ds = ar_dataset(120, 6)
+        before = evaluate(model, ds, batch_size=16)
+        opt = Adam(list(model.named_parameters()), lr=1e-2)
+        rng = np.random.default_rng(7)
+        for p in opt.params:
+            p.grad = rng.normal(size=p.data.shape)
+        opt.step()
+        after = evaluate(model, ds, batch_size=16)
+        assert after != before
+        assert after == per_batch_errors(model, ds, 16)
+
+    def test_leaves_state_names_and_checkpoint_bytes_unchanged(self, tmp_path):
+        model = perturbed_model(8, time_mode="decoupled")
+        names = list(model.state())
+        save_checkpoint(model, str(tmp_path / "before.rtnet"))
+        with model.weights_held():
+            assert list(model.state()) == names
+        evaluate(model, ar_dataset(120, 9), batch_size=8)
+        save_checkpoint(model, str(tmp_path / "after.rtnet"))
+        assert list(model.state()) == names
+        assert ((tmp_path / "before.rtnet").read_bytes()
+                == (tmp_path / "after.rtnet").read_bytes())
+
+    def test_two_threads_on_two_models_give_the_serial_results(self):
+        models = [perturbed_model(s, time_mode="decoupled") for s in (10, 11)]
+        ds = ar_dataset(200, 12)
+        serial = [[evaluate(m, ds, batch_size=4) for _ in range(3)] for m in models]
+        assert serial[0] != serial[1]
+        barrier = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def run(i):
+            barrier.wait()
+            results[i] = [evaluate(models[i], ds, batch_size=4) for _ in range(3)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert results == serial
+
+    @pytest.mark.parametrize("batch_size", [1, 16, 64])
+    def test_weight_norm_runs_once_per_unit_per_call(self, weight_norm_calls, batch_size):
+        model = perturbed_model(13, time_mode="decoupled")
+        units = [p for n, p in model.named_parameters() if n.endswith(".v")]
+        ds = ar_dataset(120, 14)
+        assert make_windows(len(ds), 16, 2).size > 64
+        for call in range(1, 3):
+            evaluate(model, ds, batch_size=batch_size)
+            assert len(weight_norm_calls) == call * len(units)
+        assert {id(v) for v in weight_norm_calls} == {id(v) for v in units}
+
+    def test_held_weights_are_dropped_on_error(self, monkeypatch, weight_norm_calls):
+        model = perturbed_model(15)
+        ds = ar_dataset(120, 16)
+        n_units = sum(n.endswith(".v") for n, _ in model.named_parameters())
+        real_gather = training.gather_batch
+        gathered = []
+
+        def gather_then_fail(*args, **kwargs):
+            gathered.append(1)
+            if len(gathered) == 2:
+                raise DataError("unreadable batch")
+            return real_gather(*args, **kwargs)
+
+        monkeypatch.setattr(training, "gather_batch", gather_then_fail)
+        with pytest.raises(DataError):
+            evaluate(model, ds, batch_size=8)
+        assert len(weight_norm_calls) == n_units
+        # a forward after the failed call builds its own effective weights
+        model.forward(np.zeros((2, 16, 1)))
+        assert len(weight_norm_calls) == 2 * n_units
+
+
 def op_name(node):
     return node.grad_fn.__qualname__.split(".")[0]
 
@@ -480,6 +618,33 @@ class TestStepTape:
         train(tiny_model(seed=4), ar_dataset(420, 5), ar_dataset(420, 6), cfg)
         assert tapes
         assert alive_at_validation == [0] * (2 if fmt == "e2e" else 4)
+
+    @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
+    def test_no_gradient_is_alive_during_validation(self, monkeypatch, fmt):
+        """Each epoch's last gradients are dropped before its validation runs,
+        in end-to-end training and in both contrastive stages."""
+        real_fit = training._fit
+        validated = []
+
+        def fit(model, named_params, cfg, epochs, batches, step_loss, validate, result, label,
+                stage=None):
+            named = list(named_params)
+
+            def checked_validate():
+                validated.append(label)
+                assert [n for n, p in named if p.grad is not None] == []
+                return validate()
+
+            real_fit(model, named, cfg, epochs, batches, step_loss, checked_validate, result,
+                     label, stage)
+
+        monkeypatch.setattr(training, "_fit", fit)
+        cfg = TrainConfig(epochs=2, stage1_epochs=2, batch_size=8, stage1_batch_size=8,
+                          stage2_batch_size=8, patience=5, seed=4, max_steps_per_epoch=2)
+        train = train_end_to_end if fmt == "e2e" else train_contrastive
+        train(tiny_model(seed=4), ar_dataset(420, 5), ar_dataset(420, 6), cfg)
+        assert validated == (["training"] * 2 if fmt == "e2e"
+                             else ["stage 1"] * 2 + ["stage 2"] * 2)
 
 
 class TestFitSnapshot:
