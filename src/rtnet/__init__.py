@@ -12,7 +12,7 @@ from .data import (SplitSpec, Standardizer, TimeSeriesDataset, WindowBatch,
 from .diagnostics import PacfResult, pacf
 from .errors import (ConfigError, DataError, DimensionError, NumericalError, RTNetError,
                      SamplerError)
-from .harness import ExperimentReport, ExperimentSpec, compare_formats, run_experiment
+from .harness import ExperimentReport, ExperimentSpec, run_experiment
 from .model import ModelConfig, RTNet, load_checkpoint, save_checkpoint
 from .norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
 from .optim import Adam

@@ -15,15 +15,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import harness
-from .data import SplitSpec, load_csv, split, standardize
+from .data import SplitSpec, load_csv, split
 from .diagnostics import line_plot_svg, pacf
 from .errors import ConfigError, RTNetError
-from .model import RTNet, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .relation import cos_relation_matrix, relation_csv, threshold_and_standardize
-from .training import train_contrastive, train_end_to_end, evaluate
+from .training import evaluate
 
 LOCK_NAME = ".rtnet.lock"
 
@@ -131,10 +129,17 @@ def _load_job(path: str, extra: tuple[str, ...] = ()) -> dict:
     return {"task": "univariate", "use_relation": True, "model": {}, "train": {}, **config}
 
 
+def _job_spec(args: argparse.Namespace, job: dict) -> harness.ExperimentSpec:
+    """The experiment spec of a train or sweep config file plus the command's flags."""
+    return harness.ExperimentSpec(
+        data_path=args.data, pred_lengths=[job["model"].get("l_out", 24)],
+        seeds=job.get("seeds", [args.seed]), task=job["task"], split_mode=args.split_mode,
+        fidelity=args.fidelity, format=args.format, model=job["model"], train=job["train"],
+        use_relation=job["use_relation"])
+
+
 def _cmd_relate(args: argparse.Namespace) -> int:
-    ds = load_csv(args.data)
-    train_ds, _, _ = split(ds, SplitSpec(mode=args.split_mode))
-    (train_std,), _ = standardize(train_ds, guard_eps=1e-8)
+    (train_std, _, _), _ = harness.load_splits(args.data, args.split_mode, "multivariate")
     raw = cos_relation_matrix(train_std.values, train_std.variate_names)
     processed = threshold_and_standardize(raw, args.theta)
     with open(os.path.join(args.out, "relation_raw.csv"), "w", encoding="utf-8") as fh:
@@ -146,15 +151,11 @@ def _cmd_relate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    job = _load_job(args.config)
-    splits, scaler = harness.load_splits(args.data, args.split_mode, job["task"])
-    mcfg, tcfg, relation = harness.build_job(splits[0], job["task"], job["use_relation"],
-                                             args.fidelity, job["model"], job["train"],
-                                             args.seed)
-    model = RTNet(mcfg, np.random.default_rng(args.seed), relation=relation)
-    trainer = train_contrastive if args.format == "contrastive" else train_end_to_end
-    log(f"training {args.format} model: {mcfg}")
-    result = trainer(model, splits[0], splits[1], tcfg)
+    spec = _job_spec(args, _load_job(args.config))
+    splits, scaler = harness.load_splits(args.data, args.split_mode, spec.task)
+    model, result = harness.train_cell(spec, splits, args.format, spec.pred_lengths[0],
+                                       args.seed)
+    log(f"trained {args.format} model: {model.cfg}")
     save_checkpoint(model, os.path.join(args.out, "checkpoint.rtnet"))
     result.write_history_csv(os.path.join(args.out, "history.csv"))
     with open(os.path.join(args.out, "scaler.json"), "w", encoding="utf-8") as fh:
@@ -179,12 +180,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lengths = job.get("lengths")
     if not lengths:
         raise ConfigError("sweep config needs a non-empty 'lengths' list")
-    spec = harness.ExperimentSpec(
-        data_path=args.data, pred_lengths=[job["model"].get("l_out", 24)],
-        seeds=job.get("seeds", [args.seed]), task=job["task"], split_mode=args.split_mode,
-        ablation="input_length", ablation_values=[int(l) for l in lengths],
-        fidelity=args.fidelity, format=args.format, model=job["model"], train=job["train"],
-        use_relation=job["use_relation"])
+    spec = _job_spec(args, job)
+    spec.ablation, spec.ablation_values = "input_length", [int(l) for l in lengths]
     report = harness.run_experiment(spec)
     rows, skipped = [], []
     for r in report.summary:
@@ -239,8 +236,11 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         spec = harness.ExperimentSpec.from_json(fh.read())
-    runner = harness.compare_formats if args.compare_formats else harness.run_experiment
-    report = runner(spec)
+    if args.compare_formats:
+        if spec.ablation is not None:
+            raise ConfigError("--compare-formats does not take an ablation axis")
+        spec.ablation, spec.ablation_values = "format", list(harness.FORMATS)
+    report = harness.run_experiment(spec)
     report.write(args.out)
     failed = [c for c in report.cells if c.status != "ok"]
     for c in failed:

@@ -1,10 +1,10 @@
 """Experiment orchestration: ablations, format comparison, seeded statistics.
 
 A spec names one ablation axis (normalization kind, relation matrix on/off,
-input length, or time-embedding mode), a prediction-length grid, and a seed
-list; every cell trains a fresh model and reports test MSE/MAE.  Cells are
-independent, so a worker pool may run them concurrently; failed cells are
-recorded with their reason and the run continues.
+input length, time-embedding mode or format), a prediction-length grid and a
+seed list; every cell trains a fresh model through `train_cell`, as `rtnet
+train` does, and reports test MSE/MAE.  Cells are independent, so a worker pool
+may run them concurrently; a failed cell is recorded and the run continues.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, make_wi
 from .errors import ConfigError
 from .model import ModelConfig, RTNet
 from .relation import cos_relation_matrix, threshold_and_standardize
-from .training import TrainConfig, train_contrastive, train_end_to_end, evaluate
+from .training import TrainConfig, TrainResult, train_contrastive, train_end_to_end, evaluate
 
 PAPER_PRED_GRIDS = ({24, 48, 168, 336, 720}, {24, 48, 96, 288, 672})
-ABLATION_AXES = ("norm_kind", "relation", "input_length", "time_mode")
+FORMATS = ("e2e", "contrastive")
+ABLATION_AXES = ("norm_kind", "relation", "input_length", "time_mode", "format")
 REPORT_VERSION = "RTNET1"
 
 
@@ -52,12 +53,16 @@ class ExperimentSpec:
             raise ConfigError(f"split_mode must be ratio or months, got {self.split_mode!r}")
         if self.fidelity not in ("desk", "paper"):
             raise ConfigError(f"fidelity must be desk or paper, got {self.fidelity!r}")
-        if self.format not in ("e2e", "contrastive"):
+        if self.format not in FORMATS:
             raise ConfigError(f"format must be e2e or contrastive, got {self.format!r}")
         if self.ablation is not None and self.ablation not in ABLATION_AXES:
             raise ConfigError(f"ablation must be one of {ABLATION_AXES}, got {self.ablation!r}")
         if self.ablation is not None and not self.ablation_values:
             raise ConfigError("ablation axis given without ablation_values")
+        if self.ablation == "relation" and any(type(v) is not bool for v in self.ablation_values):
+            raise ConfigError(f"relation values must be true or false, got {self.ablation_values}")
+        if self.ablation == "format" and any(v not in FORMATS for v in self.ablation_values):
+            raise ConfigError(f"format values must be in {FORMATS}, got {self.ablation_values}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if len({str(v) for v in self.ablation_values}) != len(self.ablation_values):
@@ -196,26 +201,34 @@ def write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def train_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
+               pred_len: int, seed: int) -> tuple[RTNet, TrainResult]:
+    """The one path from a job to a trained model; a split with no window fails first."""
+    overrides = {"theta_degrees": spec.theta_degrees, **spec.model, "l_out": pred_len}
+    use_relation, fmt = spec.use_relation, spec.format
+    if spec.ablation == "relation":
+        use_relation = axis_value
+    elif spec.ablation == "format":
+        fmt = axis_value
+    elif spec.ablation == "input_length":
+        overrides["l_in"] = int(axis_value)
+    elif spec.ablation is not None:
+        overrides[spec.ablation] = axis_value
+    mcfg, tcfg, relation = build_job(splits[0], spec.task, use_relation, spec.fidelity,
+                                     overrides, spec.train, seed)
+    for ds in splits:
+        make_windows(len(ds), mcfg.l_in, mcfg.l_out)
+    model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
+    trainer = train_contrastive if fmt == "contrastive" else train_end_to_end
+    return model, trainer(model, splits[0], splits[1], tcfg)
+
+
 def run_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
-             pred_len: int, seed: int, fmt: str | None = None) -> CellResult:
+             pred_len: int, seed: int) -> CellResult:
     cell = CellResult(axis_value=axis_value, pred_len=pred_len, seed=seed)
     start = time.monotonic()
     try:
-        overrides = {"theta_degrees": spec.theta_degrees, **spec.model, "l_out": pred_len}
-        use_relation = spec.use_relation
-        if spec.ablation == "relation":
-            use_relation = bool(axis_value)
-        elif spec.ablation == "input_length":
-            overrides["l_in"] = int(axis_value)
-        elif spec.ablation is not None:
-            overrides[spec.ablation] = axis_value
-        mcfg, tcfg, relation = build_job(splits[0], spec.task, use_relation, spec.fidelity,
-                                         overrides, spec.train, seed)
-        for ds in splits:  # a split with no window fails the cell before training
-            make_windows(len(ds), mcfg.l_in, mcfg.l_out)
-        model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
-        trainer = train_contrastive if (fmt or spec.format) == "contrastive" else train_end_to_end
-        trainer(model, splits[0], splits[1], tcfg)
+        model, _ = train_cell(spec, splits, axis_value, pred_len, seed)
         cell.mse, cell.mae = evaluate(model, splits[2])
     except Exception as exc:  # one failed cell is recorded; the experiment goes on
         cell.status = "failed"
@@ -254,14 +267,6 @@ def worker_count() -> int:
     return int(env)
 
 
-def _run_cells(jobs: list[tuple], fn) -> list:
-    workers = worker_count()
-    if workers == 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda j: fn(*j), jobs))
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Train/evaluate every (ablation value, prediction length, seed) cell."""
     spec.validate()
@@ -269,18 +274,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     values = spec.ablation_values if spec.ablation is not None else [spec.format]
     jobs = [(spec, splits, v, pl, s)
             for v in values for pl in spec.pred_lengths for s in spec.seeds]
-    cells = _run_cells(jobs, run_cell)
-    return ExperimentReport(spec=asdict(spec), cells=cells, summary=_summarize(cells))
-
-
-def compare_formats(spec: ExperimentSpec) -> ExperimentReport:
-    """Paired end-to-end vs contrastive runs with identical seeds."""
-    spec.validate()
-    if spec.ablation is not None:
-        raise ConfigError("compare_formats does not take an ablation axis")
-    splits, _ = load_splits(spec.data_path, spec.split_mode, spec.task)
-    jobs = [(spec, splits, fmt, pl, s, fmt)
-            for fmt in ("e2e", "contrastive")
-            for pl in spec.pred_lengths for s in spec.seeds]
-    cells = _run_cells(jobs, run_cell)
+    workers = worker_count()
+    if workers == 1:
+        cells = [run_cell(*job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(lambda job: run_cell(*job), jobs))
     return ExperimentReport(spec=asdict(spec), cells=cells, summary=_summarize(cells))

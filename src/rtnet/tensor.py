@@ -38,15 +38,14 @@ from .errors import ConfigError, DimensionError, NumericalError
 class Tensor:
     """A dense float64 array that can participate in gradient recording."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data, dtype=np.float64)
         # np.ascontiguousarray would turn a 0-d scalar into shape (1,)
         self.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,8 +59,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Module:

@@ -78,14 +78,13 @@ def max_condition1_batch(n_rows: int, l_in: int, alpha: float) -> tuple[int, int
     return (n_offsets - 1) // min_gap + 1, min_gap
 
 
-def sample_batch_condition1(dataset, batch: int, l_in: int, alpha: float,
+def sample_batch_condition1(n_rows: int, batch: int, l_in: int, alpha: float,
                             rng: np.random.Generator) -> np.ndarray:
     """Draw ``batch`` window offsets whose pairwise overlaps satisfy the bound.
 
     Rejection-samples random offset sets, then falls back to a deterministic
     evenly spaced sweep with a random start.
     """
-    n_rows = len(dataset) if not isinstance(dataset, int) else dataset
     feasible, min_gap = max_condition1_batch(n_rows, l_in, alpha)
     if batch > feasible:
         raise SamplerError(f"batch {batch} infeasible: at most {feasible} windows of "

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, outputs under --out, lock file, JSON-only stdout."""
 
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from conftest import hourly, write_csv
 from rtnet import harness
 from rtnet.cli import main, parse_args
 from rtnet.model import RTNet
+from rtnet.optim import Adam
 
 
 @pytest.fixture
@@ -77,6 +79,19 @@ class TestRelate:
                          for line in processed[1:]])
         assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-6)
         assert capsys.readouterr().out == ""  # logs on stderr only
+
+    def test_golden_bytes(self, data_csv, tmp_path):
+        """Recorded from the train split standardized on its own; the shared
+        split loader must give the same train values."""
+        out = tmp_path / "rel"
+        assert main(["relate", "--data", data_csv, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("relation_raw.csv", "relation_processed.csv")}
+        assert digests == {
+            "relation_raw.csv":
+                "e2fccbef1cf3abdf00cf4152a2cabad7ba2128efd685a7c103d3544042f65bb0",
+            "relation_processed.csv":
+                "9d34b90a4c57b633e314946294a1e1fac0f6b8d9112b201635c33d445600c684"}
 
 
 class TestTrainEval:
@@ -162,6 +177,29 @@ class TestTrainEval:
         assert field in capsys.readouterr().err
         assert not (out / "checkpoint.rtnet").exists()
 
+    @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
+    def test_split_without_a_window_fails_before_the_first_step(
+            self, data_csv, tmp_path, capsys, monkeypatch, fmt):
+        """600 rows split 360/120/120: l_in=128 fits train but not val or test.
+
+        Both formats fail in the shared window check, with its wording."""
+        steps = []
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1) or step(self))
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({
+            "task": "univariate",
+            "model": {"l_in": 128, "d_channels": 4, "blocks": 2, "l_out": 4},
+            "train": {"epochs": 1, "max_steps_per_epoch": 2, "stage1_batch_size": 2},
+        }))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--data", data_csv, "--format", fmt,
+                     "--out", str(out)]) == 1
+        assert ("split of 120 rows cannot host a window; needs at least 132 rows"
+                in capsys.readouterr().err)
+        assert steps == []
+        assert not (out / "checkpoint.rtnet").exists()
+
     def test_lock_file_blocks_second_invocation(self, data_csv, train_config, tmp_path):
         out = str(tmp_path / "locked")
         os.makedirs(out)
@@ -220,7 +258,7 @@ class TestPacfCommand:
 
 def fake_cells(monkeypatch, mse_of):
     """Replace each experiment cell's training by a recorded MSE; its MAE is half that."""
-    def run_cell(spec, splits, axis_value, pred_len, seed, fmt=None):
+    def run_cell(spec, splits, axis_value, pred_len, seed):
         mse = mse_of[axis_value, seed]
         return harness.CellResult(axis_value=axis_value, pred_len=pred_len, seed=seed,
                                   mse=mse, mae=mse / 2)
@@ -312,7 +350,7 @@ class TestSweep:
     def test_partial_length_reports_its_seed_count(self, data_csv, tmp_path, monkeypatch):
         """A length where one seed's cell failed keeps a row of its surviving
         seed, and says so; the CSV keeps its five columns."""
-        def run_cell(spec, splits, axis_value, pred_len, seed, fmt=None):
+        def run_cell(spec, splits, axis_value, pred_len, seed):
             cell = harness.CellResult(axis_value=axis_value, pred_len=pred_len, seed=seed,
                                       mse=1.0 + seed, mae=0.5)
             if (axis_value, seed) == (32, 1):

@@ -1,5 +1,6 @@
 """Experiment harness: spec parsing, cell execution, report schema, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from conftest import hourly, write_csv
 from rtnet import harness
 from rtnet.errors import ConfigError
-from rtnet.harness import (ExperimentSpec, build_job, compare_formats, load_splits,
-                           run_experiment)
+from rtnet.cli import main
+from rtnet.harness import ExperimentSpec, build_job, load_splits, run_experiment
 
 
 @pytest.fixture
@@ -42,6 +43,12 @@ def desk_spec(small_csv, **kw):
     return ExperimentSpec(**base)
 
 
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
+    return path
+
+
 class TestSpecParsing:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -64,6 +71,25 @@ class TestSpecParsing:
     def test_bad_ablation_axis(self, small_csv):
         with pytest.raises(ConfigError):
             desk_spec(small_csv, ablation="optimizer", ablation_values=[1]).validate()
+
+    @pytest.mark.parametrize("axis,values", [("relation", ["on", "off"]),
+                                             ("relation", [1, 0]),
+                                             ("relation", [True, None]),
+                                             ("format", ["e2e", "supervised"]),
+                                             ("format", [True])])
+    def test_axis_values_that_cannot_mean_what_they_say(self, small_csv, axis, values):
+        """"off" is truthy: taken as a switch, it would rerun the "on" network."""
+        with pytest.raises(ConfigError, match=f"^{axis} values must"):
+            desk_spec(small_csv, task="multivariate", ablation=axis,
+                      ablation_values=values).validate()
+
+    def test_experiment_command_rejects_a_relation_value(self, small_csv, tmp_path, capsys):
+        spec = write_spec(tmp_path, desk_spec(small_csv, seeds=[0], task="multivariate",
+                                              ablation="relation", ablation_values=["on", "off"]))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "relation values must be true or false" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestRunExperiment:
@@ -134,22 +160,65 @@ class TestRunExperiment:
             [c.reason for c in report.cells]
 
 
+def format_spec(small_csv, **kw):
+    return desk_spec(small_csv, ablation="format", ablation_values=["e2e", "contrastive"], **kw)
+
+
 class TestCompareFormats:
     def test_paired_structure(self, small_csv):
-        spec = desk_spec(small_csv, seeds=[0, 3])
-        report = compare_formats(spec)
+        spec = format_spec(small_csv, seeds=[0, 3])
+        report = run_experiment(spec)
         assert len(report.cells) == 2 * 1 * 2
         formats = {c.axis_value for c in report.cells}
         assert formats == {"e2e", "contrastive"}
         # each format column internally deterministic
-        again = compare_formats(spec)
+        again = run_experiment(spec)
         for c1, c2 in zip(report.cells, again.cells):
             assert c1.mse == c2.mse
 
-    def test_rejects_ablation(self, small_csv):
-        spec = desk_spec(small_csv, ablation="norm_kind", ablation_values=["wn"])
-        with pytest.raises(ConfigError):
-            compare_formats(spec)
+    def test_format_axis_picks_the_trainer(self, small_csv, monkeypatch):
+        seen = []
+        for name in ("train_end_to_end", "train_contrastive"):
+            def spy(model, train_ds, val_ds, cfg, name=name, train=getattr(harness, name)):
+                seen.append(name)
+                return train(model, train_ds, val_ds, cfg)
+            monkeypatch.setattr(harness, name, spy)
+        report = run_experiment(format_spec(small_csv, seeds=[0], format="contrastive"))
+        assert [c.status for c in report.cells] == ["ok", "ok"]
+        assert seen == ["train_end_to_end", "train_contrastive"]
+
+    def test_rejects_ablation(self, small_csv, tmp_path, capsys):
+        spec = write_spec(tmp_path, desk_spec(small_csv, seeds=[0], ablation="norm_kind",
+                                              ablation_values=["wn"]))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out),
+                     "--compare-formats"]) == 1
+        assert "--compare-formats does not take an ablation axis" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_golden_cli_alias(self, small_csv, tmp_path):
+        """--compare-formats reproduces, bit for bit, the cells and summary
+        recorded from the dedicated format-comparison runner it replaced."""
+        path = write_spec(tmp_path, desk_spec(small_csv, seeds=[0, 3]))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(path), "--out", str(out),
+                     "--compare-formats"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["spec"]["ablation"], report["spec"]["ablation_values"]) == (
+            "format", ["e2e", "contrastive"])
+        assert [(c["axis_value"], c["seed"], c["status"], c["mse"].hex(), c["mae"].hex())
+                for c in report["cells"]] == [
+            ("e2e", 0, "ok", "0x1.748340faabc85p+2", "0x1.d93f8f190ad2ap+0"),
+            ("e2e", 3, "ok", "0x1.aa8ee62464f9ap+4", "0x1.0e7e8d1dbd4b3p+2"),
+            ("contrastive", 0, "ok", "0x1.9945ed103a838p+2", "0x1.efc4327927da0p+0"),
+            ("contrastive", 3, "ok", "0x1.000f42bdc3e04p+5", "0x1.290e2de97b6b1p+2")]
+        assert report["summary"] == [
+            {"axis_value": "e2e", "pred_len": 4, "mean_mse": 16.240199273568003,
+             "std_mse": 10.419688175854604, "mean_mae": 3.0375500787049523,
+             "std_mae": 1.1889239956992024, "n_seeds": 2},
+            {"axis_value": "contrastive", "pred_len": 4, "mean_mse": 19.201172231859385,
+             "std_mse": 12.806279285760855, "mean_mae": 3.289038959783977,
+             "std_mae": 1.3524514786867354, "n_seeds": 2}]
 
 
 class TestReportFiles:
@@ -208,9 +277,10 @@ class TestFormatComparisonOnBenchmark:
         spec = ExperimentSpec(
             data_path=dataset_path("ETTh1"), pred_lengths=[24], seeds=[0, 1, 2],
             task="univariate", split_mode="months", fidelity="desk",
+            ablation="format", ablation_values=["e2e", "contrastive"],
             model={"l_in": 168, "d_channels": 8, "blocks": 3},
             train={"epochs": 3, "max_steps_per_epoch": 300, "lr": 1e-3})
-        report = compare_formats(spec)
+        report = run_experiment(spec)
         means = {row["axis_value"]: row["mean_mse"] for row in report.summary}
         assert means["e2e"] <= means["contrastive"] * 1.1
 
