@@ -14,12 +14,13 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, field
 
 from . import harness
 from .data import SplitSpec, load_csv, split
 from .diagnostics import line_plot_svg, pacf
 from .errors import ConfigError, RTNetError
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, load_config, save_checkpoint
 from .relation import cos_relation_matrix, relation_csv, threshold_and_standardize
 from .training import evaluate
 
@@ -41,6 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory")
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
+            p.add_argument("--fidelity", choices=("desk", "paper"), default="desk")
+            p.add_argument("--format", choices=("e2e", "contrastive"), default="e2e")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--split-mode", choices=("ratio", "months"), default="ratio")
 
@@ -50,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write checkpoint + history")
     common(p, config=True)
-    p.add_argument("--fidelity", choices=("desk", "paper"), default="desk")
-    p.add_argument("--format", choices=("e2e", "contrastive"), default="e2e")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint; prints JSON metrics to stdout")
     p.add_argument("--checkpoint", required=True)
@@ -61,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="input-length sweep")
     common(p, config=True)
-    p.add_argument("--fidelity", choices=("desk", "paper"), default="desk")
-    p.add_argument("--format", choices=("e2e", "contrastive"), default="e2e")
 
     p = sub.add_parser("pacf", help="partial autocorrelation of the target variate")
     common(p)
@@ -119,23 +118,37 @@ class OutDirLock:
             os.unlink(self.path)
 
 
-def _load_job(path: str, extra: tuple[str, ...] = ()) -> dict:
-    """A train or sweep config file with its defaults filled in; unknown keys fail."""
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    unknown = set(config) - {"task", "use_relation", "model", "train", *extra}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return {"task": "univariate", "use_relation": True, "model": {}, "train": {}, **config}
+@dataclass
+class TrainFile:
+    """The keys of a train config file; the spec it becomes checks their values."""
+    task: str = "univariate"
+    use_relation: bool = True
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+
+    def validate(self) -> None:
+        pass
 
 
-def _job_spec(args: argparse.Namespace, job: dict) -> harness.ExperimentSpec:
-    """The experiment spec of a train or sweep config file plus the command's flags."""
-    return harness.ExperimentSpec(
-        data_path=args.data, pred_lengths=[job["model"].get("l_out", 24)],
-        seeds=job.get("seeds", [args.seed]), task=job["task"], split_mode=args.split_mode,
-        fidelity=args.fidelity, format=args.format, model=job["model"], train=job["train"],
-        use_relation=job["use_relation"])
+@dataclass
+class SweepFile(TrainFile):
+    """A sweep config file: a train file's keys, the input lengths and optional seeds."""
+    lengths: list[int] = field(kw_only=True)
+    seeds: list[int] | None = None
+
+
+def _job_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
+    """A train or sweep config file plus the command's flags, as an experiment spec."""
+    what = f"{args.subcommand} config"
+    with open(args.config, encoding="utf-8") as fh:
+        job = load_config(SweepFile if args.subcommand == "sweep" else TrainFile,
+                          json.load(fh), what)
+    spec = {"data_path": args.data, "pred_lengths": [job.model.get("l_out", 24)],
+            "seeds": [args.seed], "split_mode": args.split_mode, "fidelity": args.fidelity,
+            "format": args.format, **{k: v for k, v in asdict(job).items() if v is not None}}
+    if isinstance(job, SweepFile):
+        spec.update(ablation="input_length", ablation_values=spec.pop("lengths"))
+    return load_config(harness.ExperimentSpec, spec, what)
 
 
 def _cmd_relate(args: argparse.Namespace) -> int:
@@ -151,10 +164,9 @@ def _cmd_relate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    spec = _job_spec(args, _load_job(args.config))
+    spec = _job_spec(args)
     splits, scaler = harness.load_splits(args.data, args.split_mode, spec.task)
-    model, result = harness.train_cell(spec, splits, args.format, spec.pred_lengths[0],
-                                       args.seed)
+    model, result = harness.train_cell(spec, splits, None, spec.pred_lengths[0], args.seed)
     log(f"trained {args.format} model: {model.cfg}")
     save_checkpoint(model, os.path.join(args.out, "checkpoint.rtnet"))
     result.write_history_csv(os.path.join(args.out, "history.csv"))
@@ -176,13 +188,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    job = _load_job(args.config, extra=("lengths", "seeds"))
-    lengths = job.get("lengths")
-    if not lengths:
-        raise ConfigError("sweep config needs a non-empty 'lengths' list")
-    spec = _job_spec(args, job)
-    spec.ablation, spec.ablation_values = "input_length", [int(l) for l in lengths]
-    report = harness.run_experiment(spec)
+    report = harness.run_experiment(_job_spec(args))
     rows, skipped = [], []
     for r in report.summary:
         length = int(r["axis_value"])
@@ -235,7 +241,7 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as fh:
-        spec = harness.ExperimentSpec.from_json(fh.read())
+        spec = load_config(harness.ExperimentSpec, json.load(fh), "experiment spec")
     if args.compare_formats:
         if spec.ablation is not None:
             raise ConfigError("--compare-formats does not take an ablation axis")
@@ -269,10 +275,7 @@ def dispatch(args: argparse.Namespace) -> int:
             with OutDirLock(args.out):
                 return fn(args)
         return fn(args)
-    except RTNetError as exc:
-        log(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (RTNetError, OSError, json.JSONDecodeError) as exc:
         log(f"error: {exc}")
         return 1
 

@@ -13,20 +13,24 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, make_windows,
                    split, standardize)
 from .errors import ConfigError
-from .model import ModelConfig, RTNet
+from .model import TIME_MODES, ModelConfig, RTNet, check_json_type, load_config
+from .norm import NORM_KINDS
 from .relation import cos_relation_matrix, threshold_and_standardize
 from .training import TrainConfig, TrainResult, train_contrastive, train_end_to_end, evaluate
 
 PAPER_PRED_GRIDS = ({24, 48, 168, 336, 720}, {24, 48, 96, 288, 672})
 FORMATS = ("e2e", "contrastive")
-ABLATION_AXES = ("norm_kind", "relation", "input_length", "time_mode", "format")
+# the spec or model field each axis sets, its JSON type and its values (None: any > 0)
+ABLATION_AXES = {"norm_kind": ("norm_kind", str, NORM_KINDS), "input_length": ("l_in", int, None),
+                 "relation": ("use_relation", bool, (True, False)),
+                 "time_mode": ("time_mode", str, TIME_MODES), "format": ("format", str, FORMATS)}
 REPORT_VERSION = "RTNET1"
 
 
@@ -47,22 +51,22 @@ class ExperimentSpec:
     use_relation: bool = True
 
     def validate(self) -> None:
-        if self.task not in ("univariate", "multivariate"):
-            raise ConfigError(f"task must be univariate or multivariate, got {self.task!r}")
-        if self.split_mode not in ("ratio", "months"):
-            raise ConfigError(f"split_mode must be ratio or months, got {self.split_mode!r}")
-        if self.fidelity not in ("desk", "paper"):
-            raise ConfigError(f"fidelity must be desk or paper, got {self.fidelity!r}")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be e2e or contrastive, got {self.format!r}")
-        if self.ablation is not None and self.ablation not in ABLATION_AXES:
-            raise ConfigError(f"ablation must be one of {ABLATION_AXES}, got {self.ablation!r}")
+        for name, allowed in (("task", ("univariate", "multivariate")),
+                              ("split_mode", ("ratio", "months")), ("fidelity", ("desk", "paper")),
+                              ("format", FORMATS), ("ablation", (None, *ABLATION_AXES))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.ablation is not None and not self.ablation_values:
             raise ConfigError("ablation axis given without ablation_values")
-        if self.ablation == "relation" and any(type(v) is not bool for v in self.ablation_values):
-            raise ConfigError(f"relation values must be true or false, got {self.ablation_values}")
-        if self.ablation == "format" and any(v not in FORMATS for v in self.ablation_values):
-            raise ConfigError(f"format values must be in {FORMATS}, got {self.ablation_values}")
+        if self.ablation == "relation" and self.task == "univariate":
+            raise ConfigError("the relation axis needs a multivariate task, got univariate")
+        if self.ablation is not None:
+            _, hint, allowed = ABLATION_AXES[self.ablation]
+            for v in self.ablation_values:
+                check_json_type(v, hint, f"{self.ablation} values")
+                if v < 1 if allowed is None else v not in allowed:
+                    rule = f"one of {allowed}" if allowed else "positive"
+                    raise ConfigError(f"{self.ablation} values must be {rule}, got {v!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if len({str(v) for v in self.ablation_values}) != len(self.ablation_values):
@@ -73,25 +77,6 @@ class ExperimentSpec:
                 set(self.pred_lengths) <= grid for grid in PAPER_PRED_GRIDS):
             raise ConfigError(f"paper fidelity requires prediction lengths within "
                               f"{PAPER_PRED_GRIDS}, got {self.pred_lengths}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        d = json.loads(text)
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown experiment spec keys: {sorted(unknown)}")
-        spec = cls(**d)
-        spec.validate()
-        return spec
-
-
-def _merged(defaults: dict, overrides: dict, what: str) -> dict:
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {what} override keys: {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(overrides)
-    return out
 
 
 def load_splits(path: str, split_mode: str, task: str
@@ -125,25 +110,13 @@ def build_job(train_ds: TimeSeriesDataset, task: str, use_relation: bool,
     default width scales with the variate count of a multivariate task either
     way, so the relation ablation compares networks of equal width.
     """
-    if task not in ("univariate", "multivariate"):
-        raise ConfigError(f"task must be univariate or multivariate, got {task!r}")
     n = train_ds.n_variates
     use_relation = use_relation and task == "multivariate"
-    groups = n if use_relation else 1
     width = _CHANNELS_PER_VARIATE[fidelity] * (n if task == "multivariate" else 1)
-    defaults = asdict(ModelConfig(l_in=168, l_out=24, n_variates=n, d_channels=width))
-    model_d = _merged(defaults, model, "model")
-    model_d["n_variates"] = n
-    model_d["groups"] = groups
-    mcfg = ModelConfig.from_dict(model_d)
-
-    defaults = asdict(TrainConfig())
-    if fidelity == "desk":
-        defaults.update(_DESK_TRAIN)
-    train_d = _merged(defaults, train, "train")
-    train_d["seed"] = seed
-    tcfg = TrainConfig(**train_d)
-    tcfg.validate()
+    mcfg = load_config(ModelConfig, {"l_in": 168, "l_out": 24, "d_channels": width, **model,
+                                     "n_variates": n, "groups": n if use_relation else 1}, "model")
+    desk = _DESK_TRAIN if fidelity == "desk" else {}
+    tcfg = load_config(TrainConfig, {**desk, **train, "seed": seed}, "train")
 
     relation = None
     if use_relation:
@@ -205,21 +178,17 @@ def train_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value
                pred_len: int, seed: int) -> tuple[RTNet, TrainResult]:
     """The one path from a job to a trained model; a split with no window fails first."""
     overrides = {"theta_degrees": spec.theta_degrees, **spec.model, "l_out": pred_len}
-    use_relation, fmt = spec.use_relation, spec.format
-    if spec.ablation == "relation":
-        use_relation = axis_value
-    elif spec.ablation == "format":
-        fmt = axis_value
-    elif spec.ablation == "input_length":
-        overrides["l_in"] = int(axis_value)
-    elif spec.ablation is not None:
-        overrides[spec.ablation] = axis_value
-    mcfg, tcfg, relation = build_job(splits[0], spec.task, use_relation, spec.fidelity,
+    name = ABLATION_AXES[spec.ablation][0] if spec.ablation is not None else None
+    if name in ("use_relation", "format"):
+        spec = replace(spec, **{name: axis_value})
+    elif name is not None:
+        overrides[name] = axis_value
+    mcfg, tcfg, relation = build_job(splits[0], spec.task, spec.use_relation, spec.fidelity,
                                      overrides, spec.train, seed)
     for ds in splits:
         make_windows(len(ds), mcfg.l_in, mcfg.l_out)
     model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
-    trainer = train_contrastive if fmt == "contrastive" else train_end_to_end
+    trainer = train_contrastive if spec.format == "contrastive" else train_end_to_end
     return model, trainer(model, splits[0], splits[1], tcfg)
 
 

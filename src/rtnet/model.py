@@ -13,8 +13,10 @@ import json
 import math
 import os
 import struct
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,13 +49,13 @@ class ModelConfig:
     kernel: int = 3
 
     def validate(self) -> None:
-        if self.blocks < 1:
-            raise ConfigError(f"blocks must be >= 1, got {self.blocks}")
+        if not 1 <= self.blocks < max(self.l_in, 1).bit_length():  # 2^blocks <= l_in
+            raise ConfigError(f"blocks must be >= 1 with 2^blocks <= l_in={self.l_in}, got {self.blocks}")
         if self.l_in % (1 << self.blocks):
             raise ConfigError(f"l_in={self.l_in} must be divisible by 2^blocks={1 << self.blocks}")
         if self.l_out < 1:
             raise ConfigError(f"l_out must be >= 1, got {self.l_out}")
-        if self.groups not in (1, self.n_variates):
+        if self.groups < 1 or self.groups not in (1, self.n_variates):
             raise ConfigError(f"groups must be 1 or n_variates={self.n_variates}, got {self.groups}")
         if self.d_channels % self.groups:
             raise ConfigError(f"d_channels={self.d_channels} must be divisible by groups={self.groups}")
@@ -70,17 +72,45 @@ class ModelConfig:
         if not 0.0 <= self.theta_degrees <= 90.0:
             raise ConfigError(f"theta_degrees must lie in [0, 90], got {self.theta_degrees}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+def load_config(cls, obj, what: str):
+    """The one path from a parsed JSON object to a validated config dataclass: a
+    non-object, an unknown or missing key, or a value of the wrong JSON type
+    (``check_json_type``) is a ``ConfigError`` naming the field."""
+    check_json_type(obj, dict, what)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in obj and f.default is f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{what} needs the keys {missing}")
+    for key, value in obj.items():
+        check_json_type(value, hints[key], f"{what} {key}")
+    cfg = cls(**obj)
+    cfg.validate()
+    return cfg
+
+
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list", dict: "an object"}
+
+
+def check_json_type(value, hint, name: str) -> None:
+    """Raise ``ConfigError`` unless ``value`` is JSON of type ``hint``: an int counts
+    as a float, a bool never as a number, and ``X | None`` and ``list[X]`` hold."""
+    def fits(v, h) -> bool:
+        args = typing.get_args(h)
+        if isinstance(h, types.UnionType):
+            return any(fits(v, a) for a in args)
+        if args:
+            return isinstance(v, list) and all(fits(x, args[0]) for x in v)
+        return (isinstance(v, (int, float) if h is float else h)
+                and (h is bool or not isinstance(v, bool)))
+
+    if not fits(value, hint):
+        raise ConfigError(f"{name} must be {_JSON_NAMES.get(hint, hint)}, got {value!r}")
 
 
 class WeightedUnit(Module):
@@ -373,7 +403,7 @@ def save_checkpoint(model: RTNet, path: str) -> None:
     if model.relation is not None:
         arrays.append(("relation", model.relation))
     header = {
-        "config": model.cfg.to_dict(),
+        "config": asdict(model.cfg),
         "has_relation": model.relation is not None,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
@@ -403,10 +433,10 @@ def load_checkpoint(path: str) -> RTNet:
         payload = fh.read()
     try:
         header = json.loads(blob.decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = load_config(ModelConfig, header["config"], "checkpoint config")
         entries = [(str(e["name"]), tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
         has_relation = bool(header["has_relation"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: unreadable checkpoint header ({exc!r})") from None
     names = [name for name, _ in entries]
     if len(set(names)) != len(names):

@@ -11,6 +11,7 @@ from .tensor import Tensor
 
 # elements per in-place update; the two scratch buffers hold one chunk each
 CHUNK = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -23,14 +24,10 @@ class Adam:
     element sees the same operations as the whole-array formula.
     """
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-4):
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -49,7 +46,7 @@ class Adam:
             if not (math.isfinite(g.min()) and math.isfinite(g.max())):
                 raise NumericalError(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr = BETA1, BETA2, self.lr
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, p, m, v in zip(self.names, self.params, self.first_moment,
@@ -77,7 +74,7 @@ class Adam:
                 t *= lr
                 np.divide(vc, bc2, out=s)
                 np.sqrt(s, out=s)
-                s += eps
+                s += EPS
                 t /= s
                 pc -= t
 

@@ -245,6 +245,63 @@ class TestTrainEval:
         assert "error:" in proc.stderr and proc.stdout == ""
 
 
+BAD_CONFIGS = [
+    ("train", {"model": [1]}, ()),
+    ("train", {"model": {"l_in": "abc"}}, ()),
+    ("train", {"train": {"epochs": "3"}}, ()),
+    ("train", {"model": {"dropout": "0.1"}}, ()),
+    ("train", {"use_relation": "no"}, ()),
+    ("train", {"seeds": [0]}, ()),
+    ("train", "{not json", ()),
+    ("train", [], ()),
+    ("train", {}, ("--fidelity", "paper")),  # l_out 4 is off the published grids
+    ("sweep", {"lengths": ["a"]}, ()),
+    ("sweep", {"lengths": [16.5]}, ()),
+    ("sweep", {"seeds": [0.5]}, ()),
+    ("sweep", {"fidelity": "paper"}, ()),
+    ("experiment", {"seeds": 5}, ()),
+    ("experiment", {"seeds": [0.5]}, ()),
+    ("experiment", {"pred_lengths": "4"}, ()),
+    ("experiment", {"use_relation": "no"}, ()),
+    ("experiment", {"ablation_values": "wn"}, ()),
+    ("experiment", {"ablation_values": ["wn", "xx"]}, ()),
+    ("experiment", {"ablation": "relation", "ablation_values": [True, False]}, ()),
+]
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("command,patch,flags", BAD_CONFIGS,
+                             ids=[f"{c}-{json.dumps(p)}{''.join(f)}" for c, p, f in BAD_CONFIGS])
+    def test_exits_1_with_one_error_line_and_no_output(self, data_csv, tmp_path, capsys,
+                                                       command, patch, flags):
+        """A bad config value ends the command before any output is written."""
+        model = {"l_in": 16, "d_channels": 4, "blocks": 2, "l_out": 4}
+        train = {"epochs": 1, "max_steps_per_epoch": 2}
+        base = {"train": {"task": "multivariate", "model": model, "train": train},
+                "sweep": {"task": "multivariate", "lengths": [16], "model": model,
+                          "train": train},
+                "experiment": {"data_path": data_csv, "pred_lengths": [4], "seeds": [0],
+                               "task": "univariate", "ablation": "norm_kind",
+                               "ablation_values": ["wn"], "model": model,
+                               "train": train}}[command]
+        if isinstance(patch, dict):
+            patch = json.dumps({**base, **{k: {**base[k], **v} if isinstance(v, dict) else v
+                                           for k, v in patch.items()}})
+        elif not isinstance(patch, str):
+            patch = json.dumps(patch)
+        path = tmp_path / "config.json"
+        path.write_text(patch)
+        out = tmp_path / "out"
+        source = ["--spec", str(path)] if command == "experiment" else \
+            ["--config", str(path), "--data", data_csv, *flags]
+        assert main([command, *source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and err.splitlines()[-1] == errors[0], err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestPacfCommand:
     def test_writes_csv(self, data_csv, tmp_path):
         out = str(tmp_path / "pacf")

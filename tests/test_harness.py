@@ -5,12 +5,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hourly, write_csv
 from rtnet import harness
 from rtnet.errors import ConfigError
 from rtnet.cli import main
 from rtnet.harness import ExperimentSpec, build_job, load_splits, run_experiment
+from rtnet.model import ModelConfig, load_config
+from rtnet.training import TrainConfig
 
 
 @pytest.fixture
@@ -52,8 +56,8 @@ def write_spec(tmp_path, spec):
 class TestSpecParsing:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            ExperimentSpec.from_json(json.dumps(
-                {"data_path": "x", "pred_lengths": [24], "seeds": [0], "bogus": 1}))
+            load_config(ExperimentSpec, {"data_path": "x", "pred_lengths": [24], "seeds": [0],
+                                         "bogus": 1}, "experiment spec")
 
     def test_duplicate_seeds_rejected(self, small_csv):
         with pytest.raises(ConfigError, match="distinct"):
@@ -76,12 +80,24 @@ class TestSpecParsing:
                                              ("relation", [1, 0]),
                                              ("relation", [True, None]),
                                              ("format", ["e2e", "supervised"]),
-                                             ("format", [True])])
+                                             ("format", [True]),
+                                             ("input_length", [16.5, "32"]),
+                                             ("input_length", ["32"]),
+                                             ("input_length", [16, 0]),
+                                             ("input_length", [True]),
+                                             ("norm_kind", ["wn", "xx"]),
+                                             ("time_mode", ["xx"])])
     def test_axis_values_that_cannot_mean_what_they_say(self, small_csv, axis, values):
-        """"off" is truthy: taken as a switch, it would rerun the "on" network."""
+        """"off" is truthy: taken as a switch, it would rerun the "on" network;
+        16.5 would run l_in 16 under its own label."""
         with pytest.raises(ConfigError, match=f"^{axis} values must"):
             desk_spec(small_csv, task="multivariate", ablation=axis,
                       ablation_values=values).validate()
+
+    def test_relation_axis_needs_a_multivariate_task(self, small_csv):
+        """A univariate task has no relation matrix: both cells would train one network."""
+        with pytest.raises(ConfigError, match="relation axis needs a multivariate task"):
+            desk_spec(small_csv, ablation="relation", ablation_values=[True, False]).validate()
 
     def test_experiment_command_rejects_a_relation_value(self, small_csv, tmp_path, capsys):
         spec = write_spec(tmp_path, desk_spec(small_csv, seeds=[0], task="multivariate",
@@ -90,6 +106,77 @@ class TestSpecParsing:
         assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 1
         assert "relation values must be true or false" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+VALID_CONFIGS = (
+    (ModelConfig, {"l_in": 16, "l_out": 4, "n_variates": 2, "d_channels": 4, "blocks": 2,
+                   "groups": 2}),
+    (TrainConfig, {"epochs": 2, "stage1_epochs": 1}),
+    (ExperimentSpec, {"data_path": "x.csv", "pred_lengths": [24], "seeds": [0],
+                      "task": "multivariate", "ablation": "input_length",
+                      "ablation_values": [16, 32], "model": {}, "train": {}}))
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize("cls,valid", VALID_CONFIGS, ids=[c.__name__ for c, _ in VALID_CONFIGS])
+    def test_valid_config_loads(self, cls, valid):
+        assert load_config(cls, json.loads(json.dumps(valid)), "config") == cls(**valid)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_any_json_value_in_any_field_loads_or_is_a_config_error(self, data):
+        """Each JSON kind in each field: a config or a ConfigError, never another
+        exception."""
+        cls, valid = data.draw(st.sampled_from(VALID_CONFIGS))
+        name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+        obj = json.loads(json.dumps({**valid, name: data.draw(JSON_VALUES)}))
+        try:
+            assert isinstance(load_config(cls, obj, "config"), cls)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("cls,obj,message", [
+        (ModelConfig, [1], "config must be an object, got [1]"),
+        (ModelConfig, {"l_in": "16"}, "config l_in must be an integer, got '16'"),
+        (ModelConfig, {"l_in": 16.0}, "config l_in must be an integer, got 16.0"),
+        (ModelConfig, {"dropout": True}, "config dropout must be a number, got True"),
+        (ModelConfig, {"d_channels": None}, "config d_channels must be an integer, got None"),
+        (TrainConfig, {"max_steps_per_epoch": "4"},
+         "config max_steps_per_epoch must be int | None, got '4'"),
+        (ExperimentSpec, {"seeds": [0, 1.5]}, "config seeds must be list[int], got [0, 1.5]"),
+        (ExperimentSpec, {"pred_lengths": "4"}, "config pred_lengths must be list[int], got '4'"),
+        (ExperimentSpec, {"use_relation": "no"}, "config use_relation must be true or false, "
+                                                 "got 'no'")])
+    def test_wrong_json_type_names_the_field(self, cls, obj, message):
+        """A bool is never a number, nor a float an int; null only where optional."""
+        with pytest.raises(ConfigError) as exc:
+            load_config(cls, {**dict(VALID_CONFIGS)[cls], **obj} if isinstance(obj, dict) else obj,
+                        "config")
+        assert str(exc.value) == message
+
+    def test_an_int_is_a_float_and_null_fills_an_optional_field(self):
+        model = load_config(ModelConfig, {**dict(VALID_CONFIGS)[ModelConfig],
+                                          "theta_degrees": 30}, "config")
+        assert model.theta_degrees == 30
+        train = load_config(TrainConfig, {"max_steps_per_epoch": None}, "config")
+        assert train.max_steps_per_epoch is None
+
+    @pytest.mark.parametrize("obj", [{"blocks": 10**20}, {"blocks": 5}, {"l_in": 0},
+                                     {"l_in": -16}, {"n_variates": 0, "groups": 0}])
+    def test_model_values_validate_refuses_without_crashing(self, obj):
+        """2^blocks must fit in l_in, checked before 1 << blocks is built; zero
+        groups would divide by zero."""
+        with pytest.raises(ConfigError):
+            load_config(ModelConfig, {**dict(VALID_CONFIGS)[ModelConfig], **obj}, "config")
+
+    def test_missing_required_key_is_named(self):
+        with pytest.raises(ConfigError, match=r"needs the keys \['seeds'\]"):
+            load_config(ExperimentSpec, {"data_path": "x", "pred_lengths": [24]}, "spec")
 
 
 class TestRunExperiment:

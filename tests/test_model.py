@@ -1,5 +1,6 @@
 """Architecture tests: shape contracts, group independence, heads, checkpoints."""
 
+import dataclasses
 import json
 import struct
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
-                         save_checkpoint)
+                         load_config, save_checkpoint)
 from rtnet.norm import NORM_KINDS
 from rtnet.tensor import GradTape, Tensor, backward, relu_dropout, sum_axis
 
@@ -41,9 +42,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(kernel=4).validate()
 
-    def test_from_dict_rejects_unknown_keys(self):
+    def test_loader_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
-            ModelConfig.from_dict(dict(small_cfg().to_dict(), bogus=1))
+            load_config(ModelConfig, dict(dataclasses.asdict(small_cfg()), bogus=1), "model")
 
 
 class TestRTBlock:
