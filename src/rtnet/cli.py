@@ -35,16 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rtnet", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, data=True, out=True, config=False):
-        if data:
-            p.add_argument("--data", required=True, help="input CSV path")
+    def common(p, out=True, config=False):
+        p.add_argument("--data", required=True, help="input CSV path")
         if out:
             p.add_argument("--out", required=True, help="output directory")
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
             p.add_argument("--fidelity", choices=("desk", "paper"), default="desk")
             p.add_argument("--format", choices=("e2e", "contrastive"), default="e2e")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--split-mode", choices=("ratio", "months"), default="ratio")
 
     p = sub.add_parser("relate", help="emit raw and processed relation matrices as CSV")
@@ -56,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint; prints JSON metrics to stdout")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split-mode", choices=("ratio", "months"), default="ratio")
+    common(p, out=False)
     p.add_argument("--split", choices=("val", "test"), default="test")
 
     p = sub.add_parser("sweep", help="input-length sweep")
@@ -70,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run an experiment spec")
     p.add_argument("--spec", required=True, help="ExperimentSpec JSON path")
     p.add_argument("--out", required=True)
-    p.add_argument("--compare-formats", action="store_true")
     return parser
 
 
@@ -143,9 +140,11 @@ def _job_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
     with open(args.config, encoding="utf-8") as fh:
         job = load_config(SweepFile if args.subcommand == "sweep" else TrainFile,
                           json.load(fh), what)
-    spec = {"data_path": args.data, "pred_lengths": [job.model.get("l_out", 24)],
+    model = dict(job.model)  # its l_out is the one prediction length
+    spec = {"data_path": args.data, "pred_lengths": [model.pop("l_out", 24)],
             "seeds": [args.seed], "split_mode": args.split_mode, "fidelity": args.fidelity,
-            "format": args.format, **{k: v for k, v in asdict(job).items() if v is not None}}
+            "format": args.format, **{k: v for k, v in asdict(job).items() if v is not None},
+            "model": model}
     if isinstance(job, SweepFile):
         spec.update(ablation="input_length", ablation_values=spec.pop("lengths"))
     return load_config(harness.ExperimentSpec, spec, what)
@@ -155,10 +154,9 @@ def _cmd_relate(args: argparse.Namespace) -> int:
     (train_std, _, _), _ = harness.load_splits(args.data, args.split_mode, "multivariate")
     raw = cos_relation_matrix(train_std.values, train_std.variate_names)
     processed = threshold_and_standardize(raw, args.theta)
-    with open(os.path.join(args.out, "relation_raw.csv"), "w", encoding="utf-8") as fh:
-        fh.write(relation_csv(raw, train_std.variate_names))
-    with open(os.path.join(args.out, "relation_processed.csv"), "w", encoding="utf-8") as fh:
-        fh.write(relation_csv(processed, train_std.variate_names))
+    for name, matrix in (("relation_raw.csv", raw), ("relation_processed.csv", processed)):
+        harness.write_atomic(os.path.join(args.out, name),
+                             relation_csv(matrix, train_std.variate_names))
     log(f"wrote relation matrices for {len(train_std.variate_names)} variates to {args.out}")
     return 0
 
@@ -166,12 +164,11 @@ def _cmd_relate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     spec = _job_spec(args)
     splits, scaler = harness.load_splits(args.data, args.split_mode, spec.task)
-    model, result = harness.train_cell(spec, splits, None, spec.pred_lengths[0], args.seed)
+    model, result = harness.train_cell(spec, splits, None, spec.pred_lengths[0], spec.seeds[0])
     log(f"trained {args.format} model: {model.cfg}")
     save_checkpoint(model, os.path.join(args.out, "checkpoint.rtnet"))
     result.write_history_csv(os.path.join(args.out, "history.csv"))
-    with open(os.path.join(args.out, "scaler.json"), "w", encoding="utf-8") as fh:
-        fh.write(scaler.to_json())
+    harness.write_atomic(os.path.join(args.out, "scaler.json"), scaler.to_json())
     mse, mae = evaluate(model, splits[2])
     log(f"best epoch {result.best_epoch}; test mse {mse:.6f}, mae {mae:.6f}")
     return 0
@@ -196,9 +193,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for c in failed:
             log(f"cell failed: length={length} seed={c.seed}: {c.reason}")
         if r["n_seeds"]:
-            rows.append({"length": length, "n_seeds": r["n_seeds"], "mean_mse": r["mean_mse"],
-                         "std_mse": r["std_mse"], "mean_mae": r["mean_mae"],
-                         "std_mae": r["std_mae"]})
+            rows.append({"length": length, **{k: r[k] for k in (
+                "n_seeds", "mean_mse", "std_mse", "mean_mae", "std_mae")}})
         else:
             skipped.append({"length": length, "reason": failed[0].reason})
     if not rows:
@@ -242,10 +238,6 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         spec = load_config(harness.ExperimentSpec, json.load(fh), "experiment spec")
-    if args.compare_formats:
-        if spec.ablation is not None:
-            raise ConfigError("--compare-formats does not take an ablation axis")
-        spec.ablation, spec.ablation_values = "format", list(harness.FORMATS)
     report = harness.run_experiment(spec)
     report.write(args.out)
     failed = [c for c in report.cells if c.status != "ok"]

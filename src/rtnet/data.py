@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from calendar import monthrange
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -22,6 +23,11 @@ from .errors import ConfigError, DataError, DimensionError
 
 # every character of a date cell: "0" stands for any digit, the rest is literal
 _DATE_FORM = np.array([ord(c) for c in "0000-00-00 00:00:00"], dtype=np.uint32)
+# the columns of time_features, which ModelConfig.n_time must equal
+N_TIME_FEATURES = 6
+# train/val/test spans of a "months" split, and fractions of a "ratio" split
+SPLIT_MONTHS = (12, 4, 4)
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 
 @dataclass
@@ -43,7 +49,7 @@ class TimeSeriesDataset:
 
     @cached_property
     def marks(self) -> np.ndarray:
-        """(length, 6) calendar features of every row, computed once."""
+        """(length, N_TIME_FEATURES) calendar features of every row, computed once."""
         return time_features(self.timestamps)
 
     def slice(self, start: int, stop: int) -> "TimeSeriesDataset":
@@ -61,8 +67,6 @@ class TimeSeriesDataset:
 @dataclass
 class SplitSpec:
     mode: str  # "months" or "ratio"
-    months: tuple[int, int, int] = (12, 4, 4)
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
         if self.mode not in ("months", "ratio"):
@@ -153,12 +157,7 @@ def _add_months(ts: datetime, months: int) -> datetime:
     year = ts.year + month_index // 12
     month = month_index % 12 + 1
     # clamp the day so e.g. Jan 31 + 1 month lands on the last day of Feb
-    for day in (ts.day, 30, 29, 28):
-        try:
-            return ts.replace(year=year, month=month, day=day)
-        except ValueError:
-            continue
-    raise AssertionError("unreachable")
+    return ts.replace(year=year, month=month, day=min(ts.day, monthrange(year, month)[1]))
 
 
 def split(ds: TimeSeriesDataset, spec: SplitSpec
@@ -166,14 +165,14 @@ def split(ds: TimeSeriesDataset, spec: SplitSpec
     """Chronological train/val/test partition."""
     n = len(ds)
     if spec.mode == "ratio":
-        r_train, r_val, _ = spec.ratios
+        r_train, r_val, _ = SPLIT_RATIOS
         n_train = int(n * r_train)
         n_val = int(n * r_val)
         if n_train == 0 or n_val == 0 or n_train + n_val >= n:
-            raise DataError(f"dataset of {n} rows is too short for ratio split {spec.ratios}")
+            raise DataError(f"dataset of {n} rows is too short for ratio split {SPLIT_RATIOS}")
         b1, b2 = n_train, n_train + n_val
     else:
-        m_train, m_val, m_test = spec.months
+        m_train, m_val, m_test = SPLIT_MONTHS
         ts = ds.timestamps
         t0 = ts[0].item()
         edges = [_add_months(t0, m) for m in (m_train, m_train + m_val,
@@ -247,7 +246,7 @@ def time_features(timestamps: np.ndarray | list[datetime]) -> np.ndarray:
     # ISO weeks belong to the year of their Thursday and count from its first one
     thursday = days + (3 - weekday)
     week = (thursday - thursday.astype("datetime64[Y]")).astype(np.int64) // 7 + 1
-    out = np.empty((ts.size, 6))
+    out = np.empty((ts.size, N_TIME_FEATURES))
     out[:, 0] = (ts - days).astype(np.int64) // 3600 / 23.0 - 0.5
     out[:, 1] = weekday / 6.0 - 0.5
     out[:, 2] = (days - months).astype(np.int64) / 30.0 - 0.5

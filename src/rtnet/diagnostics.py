@@ -53,12 +53,11 @@ def pacf(series: np.ndarray, max_lag: int) -> PacfResult:
 
 
 def line_plot_svg(xs: list[float], series: dict[str, list[float]],
-                  title: str, x_label: str, y_label: str,
-                  width: int = 640, height: int = 400) -> str:
+                  title: str, x_label: str, y_label: str) -> str:
     """A dependency-free SVG line chart (one polyline per named series)."""
     if not xs or not series:
         raise DimensionError("line_plot_svg needs at least one point")
-    pad = 60
+    width, height, pad = 640, 400, 60
     all_y = [y for ys in series.values() for y in ys]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)

@@ -20,7 +20,7 @@ import numpy as np
 from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, make_windows,
                    split, standardize)
 from .errors import ConfigError
-from .model import TIME_MODES, ModelConfig, RTNet, check_json_type, load_config
+from .model import TIME_MODES, ModelConfig, RTNet, check_fields, check_json_type, load_config
 from .norm import NORM_KINDS
 from .relation import cos_relation_matrix, threshold_and_standardize
 from .training import TrainConfig, TrainResult, train_contrastive, train_end_to_end, evaluate
@@ -31,6 +31,9 @@ FORMATS = ("e2e", "contrastive")
 ABLATION_AXES = {"norm_kind": ("norm_kind", str, NORM_KINDS), "input_length": ("l_in", int, None),
                  "relation": ("use_relation", bool, (True, False)),
                  "time_mode": ("time_mode", str, TIME_MODES), "format": ("format", str, FORMATS)}
+# the block keys every cell sets itself, and their owners; the axis owns its model field
+CELL_OWNED = {("model", "l_out"): "pred_lengths", ("model", "n_variates"): "the data",
+              ("model", "groups"): "task and use_relation", ("train", "seed"): "seeds or --seed"}
 REPORT_VERSION = "RTNET1"
 
 
@@ -47,8 +50,8 @@ class ExperimentSpec:
     format: str = "e2e"
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
-    theta_degrees: float = 45.0
     use_relation: bool = True
+    BLOCKS = {"model": ModelConfig, "train": TrainConfig}  # not a field: no annotation
 
     def validate(self) -> None:
         for name, allowed in (("task", ("univariate", "multivariate")),
@@ -56,12 +59,14 @@ class ExperimentSpec:
                               ("format", FORMATS), ("ablation", (None, *ABLATION_AXES))):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        if self.ablation is not None and not self.ablation_values:
-            raise ConfigError("ablation axis given without ablation_values")
-        if self.ablation == "relation" and self.task == "univariate":
-            raise ConfigError("the relation axis needs a multivariate task, got univariate")
+        owners = dict(CELL_OWNED)
         if self.ablation is not None:
-            _, hint, allowed = ABLATION_AXES[self.ablation]
+            if not self.ablation_values:
+                raise ConfigError("ablation axis given without ablation_values")
+            if self.ablation == "relation" and self.task == "univariate":
+                raise ConfigError("the relation axis needs a multivariate task, got univariate")
+            name, hint, allowed = ABLATION_AXES[self.ablation]
+            owners["model", name] = f"the {self.ablation} axis"
             for v in self.ablation_values:
                 check_json_type(v, hint, f"{self.ablation} values")
                 if v < 1 if allowed is None else v not in allowed:
@@ -73,18 +78,25 @@ class ExperimentSpec:
             raise ConfigError("ablation_values must be distinct")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not self.pred_lengths or min(self.pred_lengths) < 1:
+            raise ConfigError(f"pred_lengths must hold at least one length, each >= 1, "
+                              f"got {self.pred_lengths}")
         if self.fidelity == "paper" and not any(
                 set(self.pred_lengths) <= grid for grid in PAPER_PRED_GRIDS):
             raise ConfigError(f"paper fidelity requires prediction lengths within "
                               f"{PAPER_PRED_GRIDS}, got {self.pred_lengths}")
+        for block, cls in self.BLOCKS.items():
+            check_fields(cls, getattr(self, block), block)
+            for key in getattr(self, block):
+                if (block, key) in owners:
+                    raise ConfigError(f"{block}.{key} is set by {owners[block, key]}, "
+                                      f"not by the {block} block")
 
 
 def load_splits(path: str, split_mode: str, task: str
                 ) -> tuple[list[TimeSeriesDataset], Standardizer]:
-    """Train/val/test splits of a CSV, standardized with train statistics.
-
-    A univariate task keeps only the target variate.
-    """
+    """Train/val/test splits of a CSV, standardized with train statistics; a
+    univariate task keeps only the target variate."""
     ds = load_csv(path)
     if task == "univariate":
         ds = ds.select_variates([ds.target_index])
@@ -92,37 +104,47 @@ def load_splits(path: str, split_mode: str, task: str
     return standardize(*parts, guard_eps=1e-8)
 
 
-# Desk fidelity shrinks the published budget (TrainConfig's defaults) to
-# laptop scale.  The default width is this many channels per variate of a
-# multivariate task.
+# Desk fidelity shrinks the published budget (TrainConfig's defaults) to laptop
+# scale.  The default width is this many channels per variate of a multivariate task.
 _DESK_TRAIN = {"epochs": 3, "lr": 1e-3, "patience": 2, "max_steps_per_epoch": 120}
 _CHANNELS_PER_VARIATE = {"desk": 8, "paper": 32}
 
 
-def build_job(train_ds: TimeSeriesDataset, task: str, use_relation: bool,
-              fidelity: str, model: dict, train: dict, seed: int
-              ) -> tuple[ModelConfig, TrainConfig, np.ndarray | None]:
-    """Resolve one job into model and training configs plus its relation matrix.
+def resolve_cell(spec: ExperimentSpec, train_ds: TimeSeriesDataset, axis_value,
+                 pred_len: int, seed: int
+                 ) -> tuple[ModelConfig, TrainConfig, np.ndarray | None, str]:
+    """One cell's model and training configs, relation matrix and format; the
+    only place that decides them.
 
-    The only place that decides the grouping, the fidelity defaults and the
-    relation matrix.  A multivariate job with the relation matrix gets one
-    group per variate; every other job is a single fully mixed group.  The
-    default width scales with the variate count of a multivariate task either
-    way, so the relation ablation compares networks of equal width.
+    Job defaults, overridden by the ``model``/``train`` blocks, then what the
+    cell derives, which ``ExperimentSpec.validate`` keeps out of the blocks.
+    A multivariate job with the relation matrix gets one group per variate;
+    every other job is a single fully mixed group.  The default width scales
+    with the variate count of a multivariate task either way, so the relation
+    ablation compares networks of equal width.
     """
+    derived = {}
+    if spec.ablation is not None:
+        name = ABLATION_AXES[spec.ablation][0]
+        if name in ("use_relation", "format"):
+            spec = replace(spec, **{name: axis_value})
+        else:
+            derived[name] = axis_value
     n = train_ds.n_variates
-    use_relation = use_relation and task == "multivariate"
-    width = _CHANNELS_PER_VARIATE[fidelity] * (n if task == "multivariate" else 1)
-    mcfg = load_config(ModelConfig, {"l_in": 168, "l_out": 24, "d_channels": width, **model,
-                                     "n_variates": n, "groups": n if use_relation else 1}, "model")
-    desk = _DESK_TRAIN if fidelity == "desk" else {}
-    tcfg = load_config(TrainConfig, {**desk, **train, "seed": seed}, "train")
+    multivariate = spec.task == "multivariate"
+    use_relation = spec.use_relation and multivariate
+    derived.update(l_out=pred_len, n_variates=n, groups=n if use_relation else 1)
+    width = _CHANNELS_PER_VARIATE[spec.fidelity] * (n if multivariate else 1)
+    mcfg = load_config(ModelConfig, {"l_in": 168, "d_channels": width, **spec.model, **derived},
+                       "model")
+    desk = _DESK_TRAIN if spec.fidelity == "desk" else {}
+    tcfg = load_config(TrainConfig, {**desk, **spec.train, "seed": seed}, "train")
 
     relation = None
     if use_relation:
         raw = cos_relation_matrix(train_ds.values, train_ds.variate_names)
         relation = threshold_and_standardize(raw, mcfg.theta_degrees)
-    return mcfg, tcfg, relation
+    return mcfg, tcfg, relation, spec.format
 
 
 @dataclass
@@ -142,13 +164,12 @@ class ExperimentReport:
     spec: dict
     cells: list[CellResult]
     summary: list[dict]
-    version: str = REPORT_VERSION
 
     def all_failed(self) -> bool:
         return all(c.status != "ok" for c in self.cells)
 
     def to_json(self) -> str:
-        return json.dumps({"version": self.version, "spec": self.spec,
+        return json.dumps({"version": REPORT_VERSION, "spec": self.spec,
                            "cells": [asdict(c) for c in self.cells],
                            "summary": self.summary}, indent=2)
 
@@ -177,18 +198,11 @@ def write_atomic(path: str, text: str) -> None:
 def train_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
                pred_len: int, seed: int) -> tuple[RTNet, TrainResult]:
     """The one path from a job to a trained model; a split with no window fails first."""
-    overrides = {"theta_degrees": spec.theta_degrees, **spec.model, "l_out": pred_len}
-    name = ABLATION_AXES[spec.ablation][0] if spec.ablation is not None else None
-    if name in ("use_relation", "format"):
-        spec = replace(spec, **{name: axis_value})
-    elif name is not None:
-        overrides[name] = axis_value
-    mcfg, tcfg, relation = build_job(splits[0], spec.task, spec.use_relation, spec.fidelity,
-                                     overrides, spec.train, seed)
+    mcfg, tcfg, relation, fmt = resolve_cell(spec, splits[0], axis_value, pred_len, seed)
     for ds in splits:
         make_windows(len(ds), mcfg.l_in, mcfg.l_out)
     model = RTNet(mcfg, np.random.default_rng(seed), relation=relation)
-    trainer = train_contrastive if spec.format == "contrastive" else train_end_to_end
+    trainer = train_contrastive if fmt == "contrastive" else train_end_to_end
     return model, trainer(model, splits[0], splits[1], tcfg)
 
 
@@ -211,20 +225,14 @@ def _summarize(cells: list[CellResult]) -> list[dict]:
     keys = dict.fromkeys((str(c.axis_value), c.pred_len) for c in cells)
     out = []
     for axis_value, pred_len in keys:
-        ok = [c for c in cells
-              if str(c.axis_value) == axis_value and c.pred_len == pred_len
-              and c.status == "ok"]
-        if ok:
-            mses = [c.mse for c in ok]
-            maes = [c.mae for c in ok]
-            out.append({"axis_value": axis_value, "pred_len": pred_len,
-                        "mean_mse": float(np.mean(mses)), "std_mse": float(np.std(mses)),
-                        "mean_mae": float(np.mean(maes)), "std_mae": float(np.std(maes)),
-                        "n_seeds": len(ok)})
-        else:
-            out.append({"axis_value": axis_value, "pred_len": pred_len,
-                        "mean_mse": float("nan"), "std_mse": float("nan"),
-                        "mean_mae": float("nan"), "std_mae": float("nan"), "n_seeds": 0})
+        ok = [c for c in cells if c.status == "ok"
+              and (str(c.axis_value), c.pred_len) == (axis_value, pred_len)]
+        row = {"axis_value": axis_value, "pred_len": pred_len}
+        for metric in ("mse", "mae"):
+            values = [getattr(c, metric) for c in ok]
+            row[f"mean_{metric}"], row[f"std_{metric}"] = (
+                (float(np.mean(values)), float(np.std(values))) if ok else (float("nan"),) * 2)
+        out.append({**row, "n_seeds": len(ok)})
     return out
 
 

@@ -20,6 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
+from .data import N_TIME_FEATURES
 from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
@@ -53,8 +54,9 @@ class ModelConfig:
             raise ConfigError(f"blocks must be >= 1 with 2^blocks <= l_in={self.l_in}, got {self.blocks}")
         if self.l_in % (1 << self.blocks):
             raise ConfigError(f"l_in={self.l_in} must be divisible by 2^blocks={1 << self.blocks}")
-        if self.l_out < 1:
-            raise ConfigError(f"l_out must be >= 1, got {self.l_out}")
+        for name in ("l_out", "d_channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.groups < 1 or self.groups not in (1, self.n_variates):
             raise ConfigError(f"groups must be 1 or n_variates={self.n_variates}, got {self.groups}")
         if self.d_channels % self.groups:
@@ -67,30 +69,40 @@ class ModelConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.time_mode not in TIME_MODES:
             raise ConfigError(f"time_mode must be one of {TIME_MODES}, got {self.time_mode!r}")
-        if self.time_mode != "none" and self.n_time < 1:
-            raise ConfigError("time features enabled but n_time < 1")
+        if self.time_mode != "none" and self.n_time != N_TIME_FEATURES:
+            raise ConfigError(f"n_time must be {N_TIME_FEATURES}, the calendar feature count, "
+                              f"with time_mode {self.time_mode!r}; got {self.n_time}")
         if not 0.0 <= self.theta_degrees <= 90.0:
             raise ConfigError(f"theta_degrees must lie in [0, 90], got {self.theta_degrees}")
 
 
 def load_config(cls, obj, what: str):
-    """The one path from a parsed JSON object to a validated config dataclass: a
-    non-object, an unknown or missing key, or a value of the wrong JSON type
-    (``check_json_type``) is a ``ConfigError`` naming the field."""
-    check_json_type(obj, dict, what)
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(obj) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
+    """The one path from a parsed JSON object to a validated config dataclass:
+    ``check_fields``, a missing required key, then ``cls.validate``."""
+    check_fields(cls, obj, what)
     missing = [f.name for f in fields(cls)
                if f.name not in obj and f.default is f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{what} needs the keys {missing}")
-    for key, value in obj.items():
-        check_json_type(value, hints[key], f"{what} {key}")
     cfg = cls(**obj)
     cfg.validate()
     return cfg
+
+
+def check_fields(cls, obj, what: str) -> None:
+    """A ``ConfigError`` naming the field unless ``obj`` is a JSON object of fields
+    of ``cls`` holding values of their JSON types (``check_json_type``).  An
+    unknown key that is a field of one of ``cls.BLOCKS`` is named with its block."""
+    check_json_type(obj, dict, what)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        homes = "".join(f"; {key} is set by {block}.{key}" for key in unknown
+                        for block, sub in getattr(cls, "BLOCKS", {}).items()
+                        if key in typing.get_type_hints(sub))
+        raise ConfigError(f"unknown {what} keys: {unknown}{homes}")
+    for key, value in obj.items():
+        check_json_type(value, hints[key], f"{what} {key}")
 
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
@@ -155,8 +167,8 @@ class ConvUnit(WeightedUnit):
         cpg = c_in // groups
         super().__init__(rng.normal(0.0, np.sqrt(2.0 / (cpg * kernel)), (c_out, cpg, kernel)),
                          norm_kind)
-        self.bn = BatchNormParams.create(c_out) if (post_norm and norm_kind == "bn") else None
-        self.ln = LayerNormParams.create(c_out) if (post_norm and norm_kind == "ln") else None
+        self.bn = BatchNormParams(c_out) if (post_norm and norm_kind == "bn") else None
+        self.ln = LayerNormParams(c_out) if (post_norm and norm_kind == "ln") else None
         if self.ln is not None and c_out // groups < 2:
             raise ConfigError(f"layer norm needs >= 2 channels per group, got {c_out} "
                               f"channels in {groups} groups")

@@ -10,8 +10,6 @@ distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
@@ -20,33 +18,26 @@ from .tensor import Module, Tensor, _make
 NORM_KINDS = ("wn", "bn", "ln", "none")
 
 
-@dataclass
+NORM_EPS = 1e-5  # added to every variance before its square root
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+
+
 class BatchNormParams(Module):
-    gamma: Tensor
-    beta: Tensor
-    eps: float = 1e-5
-    momentum: float = 0.1
-    running_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    running_var: np.ndarray = field(default=None)  # type: ignore[assignment]
+    """Affine gamma/beta and the running mean/variance of one batch-norm layer."""
 
-    @classmethod
-    def create(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1) -> "BatchNormParams":
-        return cls(gamma=Tensor(np.ones(channels), requires_grad=True),
-                   beta=Tensor(np.zeros(channels), requires_grad=True),
-                   eps=eps, momentum=momentum,
-                   running_mean=np.zeros(channels), running_var=np.ones(channels))
+    def __init__(self, channels: int):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
 
-@dataclass
 class LayerNormParams(Module):
-    gain: Tensor
-    bias: Tensor
-    eps: float = 1e-5
+    """Affine gain/bias of one layer-norm layer."""
 
-    @classmethod
-    def create(cls, channels: int, eps: float = 1e-5) -> "LayerNormParams":
-        return cls(gain=Tensor(np.ones(channels), requires_grad=True),
-                   bias=Tensor(np.zeros(channels), requires_grad=True), eps=eps)
+    def __init__(self, channels: int):
+        self.gain = Tensor(np.ones(channels), requires_grad=True)
+        self.bias = Tensor(np.zeros(channels), requires_grad=True)
 
 
 def _check_ndim(x: Tensor, op: str) -> None:
@@ -75,13 +66,13 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
             raise ConfigError("batch_norm: training requires batch size >= 2")
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        p.running_mean += p.momentum * (mean - p.running_mean)
-        p.running_var += p.momentum * (var - p.running_var)
+        p.running_mean += BN_MOMENTUM * (mean - p.running_mean)
+        p.running_var += BN_MOMENTUM * (var - p.running_var)
     else:
         mean = p.running_mean
         var = p.running_var
 
-    inv_std = 1.0 / np.sqrt(var + p.eps)
+    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - _expand(mean, ndim)) * _expand(inv_std, ndim)
     out = _expand(p.gamma.data, ndim) * xhat + _expand(p.beta.data, ndim)
     n = x.data.size // channels
@@ -120,7 +111,7 @@ def layer_norm(x: Tensor, p: LayerNormParams, groups: int = 1) -> Tensor:
     xg = x.data.reshape(grouped)
     mean = xg.mean(axis=1, keepdims=True)
     var = xg.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + p.eps)
+    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (xg - mean) * inv_std
     out = _expand(p.gain.data, ndim) * xhat.reshape(shape) + _expand(p.bias.data, ndim)
     stat_axes = tuple(range(1, ndim))

@@ -210,7 +210,6 @@ def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
 class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
-    best_val_mse: float = float("inf")
 
     def write_history_csv(self, path: str) -> None:
         if not self.history:
@@ -342,7 +341,6 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
             else:
                 best_state = {n: a.copy() for n, a in model.state().items()}
             result.best_epoch = epoch
-            result.best_val_mse = val_mse
         if stop:
             break
     model.load_state(best_state)

@@ -62,8 +62,8 @@ class TestCriterion1GradientSoundness:
         cmask = rng.normal(size=(3, 5))
         truth = rng.normal(size=(2, 3, 2))
         bn_x = Tensor(swap_bc(rng.normal(size=(5, 3, 4))), requires_grad=True)
-        bn = BatchNormParams.create(3)
-        ln = LayerNormParams.create(3)
+        bn = BatchNormParams(3)
+        ln = LayerNormParams(3)
         wv, wg = T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)
         c6 = T(8, 2, 10)  # two repeats of c3's channels
 
@@ -219,12 +219,13 @@ class TestCriterion4Pacf:
 
 
 def _desk_experiment(data_file, split_mode, task, ablation, values, pred, seeds,
-                     l_in, d_per_group, epochs, steps, theta=45.0):
+                     d_per_group, epochs, steps, l_in=None):
+    """``l_in`` is left out under the input_length axis, which sets it per cell."""
     return ExperimentSpec(
         data_path=data_file, pred_lengths=[pred], seeds=seeds, task=task,
         split_mode=split_mode, ablation=ablation, ablation_values=values,
-        fidelity="desk", theta_degrees=theta,
-        model={"l_in": l_in, "d_channels": d_per_group, "blocks": 3},
+        fidelity="desk",
+        model={"d_channels": d_per_group, "blocks": 3, **({"l_in": l_in} if l_in else {})},
         train={"epochs": epochs, "max_steps_per_epoch": steps, "lr": 1e-3,
                "patience": 2})
 
@@ -260,7 +261,7 @@ class TestCriterion7InputLengthOrdering:
     def test_short_input_beats_long(self):
         spec = _desk_experiment(dataset_path("WTH"), "ratio", "univariate",
                                 "input_length", [48, 384], pred=24,
-                                seeds=[0, 1, 2], l_in=48, d_per_group=8,
+                                seeds=[0, 1, 2], d_per_group=8,
                                 epochs=3, steps=300)
         report = run_experiment(spec)
         means = {row["axis_value"]: row["mean_mse"] for row in report.summary}

@@ -61,10 +61,21 @@ class TestParseArgs:
         assert exc.value.code == 2
 
     def test_seed_twice_warns_last_wins(self, capsys):
-        cfg = parse_args(["relate", "--data", "d.csv", "--out", "o",
+        cfg = parse_args(["train", "--config", "c.json", "--data", "d.csv", "--out", "o",
                           "--seed", "1", "--seed", "7"])
         assert cfg.seed == 7
         assert "last value wins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--spec", "s.json", "--out", "o", "--compare-formats"],
+        ["relate", "--data", "d.csv", "--out", "o", "--seed", "1"],
+        ["pacf", "--data", "d.csv", "--out", "o", "--seed", "1"]])
+    def test_removed_flags_are_usage_errors(self, argv):
+        """`"ablation": "format"` is the format comparison; relate and pacf draw
+        nothing at random."""
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestRelate:
@@ -245,6 +256,45 @@ class TestTrainEval:
         assert "error:" in proc.stderr and proc.stdout == ""
 
 
+def base_config(command, data_csv):
+    """A valid config of each command: l_in 16, two blocks, l_out 4.  The sweep's
+    lengths set its l_in, and the experiment's pred_lengths its l_out."""
+    model = {"d_channels": 4, "blocks": 2}
+    train = {"epochs": 1, "max_steps_per_epoch": 2}
+    return {"train": {"task": "multivariate", "model": {**model, "l_in": 16, "l_out": 4},
+                      "train": train},
+            "sweep": {"task": "multivariate", "lengths": [16], "model": {**model, "l_out": 4},
+                      "train": train},
+            "experiment": {"data_path": data_csv, "pred_lengths": [4], "seeds": [0],
+                           "task": "univariate", "ablation": "norm_kind",
+                           "ablation_values": ["wn"], "model": {**model, "l_in": 16},
+                           "train": train}}[command]
+
+
+def patched(base, patch):
+    """``base`` with the keys of ``patch``; a dict value is merged into base's block."""
+    return {**base, **{k: {**base[k], **v} if isinstance(v, dict) else v
+                       for k, v in patch.items()}}
+
+
+def run_refused(capsys, tmp_path, data_csv, command, config, flags=()):
+    """Run ``command`` on ``config`` (JSON text or a JSON value) and check that it
+    ends before any output with exit code 1 and one last ``error:`` line, which
+    it returns."""
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    source = ["--spec", str(path)] if command == "experiment" else \
+        ["--config", str(path), "--data", data_csv, *flags]
+    assert main([command, *source, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and err.splitlines()[-1] == errors[0], err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+    return errors[0]
+
+
 BAD_CONFIGS = [
     ("train", {"model": [1]}, ()),
     ("train", {"model": {"l_in": "abc"}}, ()),
@@ -275,31 +325,62 @@ class TestBadConfigs:
     def test_exits_1_with_one_error_line_and_no_output(self, data_csv, tmp_path, capsys,
                                                        command, patch, flags):
         """A bad config value ends the command before any output is written."""
-        model = {"l_in": 16, "d_channels": 4, "blocks": 2, "l_out": 4}
-        train = {"epochs": 1, "max_steps_per_epoch": 2}
-        base = {"train": {"task": "multivariate", "model": model, "train": train},
-                "sweep": {"task": "multivariate", "lengths": [16], "model": model,
-                          "train": train},
-                "experiment": {"data_path": data_csv, "pred_lengths": [4], "seeds": [0],
-                               "task": "univariate", "ablation": "norm_kind",
-                               "ablation_values": ["wn"], "model": model,
-                               "train": train}}[command]
         if isinstance(patch, dict):
-            patch = json.dumps({**base, **{k: {**base[k], **v} if isinstance(v, dict) else v
-                                           for k, v in patch.items()}})
-        elif not isinstance(patch, str):
-            patch = json.dumps(patch)
-        path = tmp_path / "config.json"
-        path.write_text(patch)
-        out = tmp_path / "out"
-        source = ["--spec", str(path)] if command == "experiment" else \
-            ["--config", str(path), "--data", data_csv, *flags]
-        assert main([command, *source, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and err.splitlines()[-1] == errors[0], err
-        assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+            patch = patched(base_config(command, data_csv), patch)
+        run_refused(capsys, tmp_path, data_csv, command, patch, flags)
+
+
+OUT_OF_RANGE = [
+    ("train", {"model": {"d_channels": 0}}, "d_channels"),
+    ("train", {"model": {"d_channels": -4}}, "d_channels"),
+    ("train", {"model": {"time_mode": "decoupled", "n_time": 7}}, "n_time"),
+    ("train", {"model": {"time_mode": "input", "n_time": 50}}, "n_time"),
+    ("experiment", {"pred_lengths": []}, "pred_lengths"),
+    ("experiment", {"pred_lengths": [4, 0]}, "pred_lengths"),
+    ("experiment", {"model": {"l_inn": 16}}, "l_inn"),
+    ("experiment", {"train": {"epochs": "3"}}, "epochs"),
+]
+
+
+@pytest.mark.parametrize("command,patch,field", OUT_OF_RANGE,
+                         ids=[f"{c}-{json.dumps(p)}" for c, p, _ in OUT_OF_RANGE])
+def test_out_of_range_value_is_refused_before_any_cell(data_csv, tmp_path, capsys, command,
+                                                       patch, field):
+    """An empty grid, a zero width, a time branch that does not read every
+    calendar feature, or a bad block key: one error naming the field, no report."""
+    error = run_refused(capsys, tmp_path, data_csv, command,
+                        patched(base_config(command, data_csv), patch))
+    assert field in error
+
+
+OWNED = [
+    ("experiment", {"train": {"seed": 123}}, "train.seed", "seeds"),
+    ("experiment", {"model": {"l_out": 8}}, "model.l_out", "pred_lengths"),
+    ("experiment", {"model": {"groups": 1, "n_variates": 2}}, "model.groups",
+     "task and use_relation"),
+    ("experiment", {"model": {"n_variates": 2}}, "model.n_variates", "the data"),
+    ("experiment", {"model": {"norm_kind": "bn"}}, "model.norm_kind", "the norm_kind axis"),
+    ("experiment", {"ablation": "input_length", "ablation_values": [16],
+                    "model": {"l_in": 32}}, "model.l_in", "the input_length axis"),
+    ("experiment", {"theta_degrees": 0, "model": {"theta_degrees": 45}}, "theta_degrees",
+     "model.theta_degrees"),
+    ("train", {"model": {"groups": 1, "n_variates": 3}}, "model.groups",
+     "task and use_relation"),
+    ("train", {"train": {"seed": 5}}, "train.seed", "--seed"),
+    ("sweep", {"model": {"l_in": 32}}, "model.l_in", "the input_length axis"),
+]
+
+
+@pytest.mark.parametrize("command,patch,key,owner", OWNED,
+                         ids=[f"{c}-{json.dumps(p)}" for c, p, _, _ in OWNED])
+def test_a_setting_given_outside_its_owner_is_refused(data_csv, tmp_path, capsys, command,
+                                                      patch, key, owner):
+    """Each setting has one source.  A block key that every cell sets itself, or
+    a top-level key that lives in a block, names the key and what owns it
+    instead of being overwritten."""
+    error = run_refused(capsys, tmp_path, data_csv, command,
+                        patched(base_config(command, data_csv), patch))
+    assert key in error and owner in error, error
 
 
 class TestPacfCommand:

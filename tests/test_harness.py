@@ -12,7 +12,7 @@ from conftest import hourly, write_csv
 from rtnet import harness
 from rtnet.errors import ConfigError
 from rtnet.cli import main
-from rtnet.harness import ExperimentSpec, build_job, load_splits, run_experiment
+from rtnet.harness import ExperimentSpec, load_splits, resolve_cell, run_experiment
 from rtnet.model import ModelConfig, load_config
 from rtnet.training import TrainConfig
 
@@ -43,6 +43,8 @@ def desk_spec(small_csv, **kw):
         train={"epochs": 1, "max_steps_per_epoch": 4, "lr": 1e-3,
                "stage1_batch_size": 8},
     )
+    if kw.get("ablation") == "input_length":
+        base["model"] = {"d_channels": 4, "blocks": 2}  # the axis sets l_in
     base.update(kw)
     return ExperimentSpec(**base)
 
@@ -71,6 +73,24 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="paper"):
             desk_spec(small_csv, fidelity="paper", pred_lengths=[13]).validate()
         desk_spec(small_csv, fidelity="paper", pred_lengths=[24, 48]).validate()
+
+    @pytest.mark.parametrize("pred_lengths", [[], [4, 0], [-24]])
+    def test_pred_lengths_needs_a_positive_length(self, small_csv, pred_lengths):
+        """An empty grid would run no cell and report nothing as "every cell failed"."""
+        with pytest.raises(ConfigError, match="^pred_lengths must hold at least one length"):
+            desk_spec(small_csv, pred_lengths=pred_lengths).validate()
+
+    @pytest.mark.parametrize("block,patch,message", [
+        ("model", {"l_inn": 16}, r"unknown model keys: \['l_inn'\]"),
+        ("model", {"dropout": "0.1"}, "model dropout must be a number"),
+        ("train", {"epochs": 2.5}, "train epochs must be an integer"),
+        ("train", [], "train must be an object")])
+    def test_blocks_are_checked_before_any_cell(self, small_csv, block, patch, message):
+        valid = getattr(desk_spec(small_csv), block)
+        spec = desk_spec(small_csv, **{block: {**valid, **patch} if isinstance(patch, dict)
+                                        else patch})
+        with pytest.raises(ConfigError, match=message):
+            spec.validate()
 
     def test_bad_ablation_axis(self, small_csv):
         with pytest.raises(ConfigError):
@@ -274,25 +294,13 @@ class TestCompareFormats:
         assert [c.status for c in report.cells] == ["ok", "ok"]
         assert seen == ["train_end_to_end", "train_contrastive"]
 
-    def test_rejects_ablation(self, small_csv, tmp_path, capsys):
-        spec = write_spec(tmp_path, desk_spec(small_csv, seeds=[0], ablation="norm_kind",
-                                              ablation_values=["wn"]))
+    def test_golden_format_axis(self, small_csv, tmp_path):
+        """The format axis reproduces, bit for bit, the cells and summary recorded
+        from the dedicated format-comparison runner it replaced."""
+        path = write_spec(tmp_path, format_spec(small_csv, seeds=[0, 3]))
         out = tmp_path / "out"
-        assert main(["experiment", "--spec", str(spec), "--out", str(out),
-                     "--compare-formats"]) == 1
-        assert "--compare-formats does not take an ablation axis" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
-
-    def test_golden_cli_alias(self, small_csv, tmp_path):
-        """--compare-formats reproduces, bit for bit, the cells and summary
-        recorded from the dedicated format-comparison runner it replaced."""
-        path = write_spec(tmp_path, desk_spec(small_csv, seeds=[0, 3]))
-        out = tmp_path / "out"
-        assert main(["experiment", "--spec", str(path), "--out", str(out),
-                     "--compare-formats"]) == 0
+        assert main(["experiment", "--spec", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert (report["spec"]["ablation"], report["spec"]["ablation_values"]) == (
-            "format", ["e2e", "contrastive"])
         assert [(c["axis_value"], c["seed"], c["status"], c["mse"].hex(), c["mae"].hex())
                 for c in report["cells"]] == [
             ("e2e", 0, "ok", "0x1.748340faabc85p+2", "0x1.d93f8f190ad2ap+0"),
@@ -375,7 +383,8 @@ class TestFormatComparisonOnBenchmark:
 class TestFidelityDefaults:
     def test_paper_mode_resolves_published_settings(self, small_csv):
         splits, _ = load_splits(small_csv, "ratio", "univariate")
-        mcfg, tcfg, relation = build_job(splits[0], "univariate", True, "paper", {}, {}, 0)
+        spec = desk_spec(small_csv, fidelity="paper", pred_lengths=[24], model={}, train={})
+        mcfg, tcfg, relation, fmt = resolve_cell(spec, splits[0], None, 24, 0)
         assert mcfg.kernel == 3
         assert mcfg.dropout == 0.1
         assert mcfg.d_channels == 32
@@ -386,13 +395,30 @@ class TestFidelityDefaults:
         assert tcfg.n_augments == 3       # 4 sequences counting the original
         assert tcfg.max_steps_per_epoch is None
         assert relation is None
+        assert fmt == "e2e"
 
     def test_desk_mode_shrinks_budget(self, small_csv):
         splits, _ = load_splits(small_csv, "ratio", "univariate")
-        mcfg, tcfg, _ = build_job(splits[0], "univariate", True, "desk", {}, {}, 0)
+        mcfg, tcfg, _, _ = resolve_cell(desk_spec(small_csv, model={}, train={}), splits[0],
+                                        None, 4, 0)
         assert mcfg.d_channels < 32
         assert tcfg.epochs < 20
         assert tcfg.max_steps_per_epoch is not None
+
+    def test_the_cell_sets_what_it_owns(self, small_csv):
+        """The prediction length, the variate count, the grouping, the seed and
+        the axis's field come from the cell; the blocks give the rest."""
+        splits, _ = load_splits(small_csv, "ratio", "multivariate")
+        spec = desk_spec(small_csv, task="multivariate", ablation="input_length",
+                         ablation_values=[32], model={"d_channels": 6, "blocks": 2},
+                         train={"epochs": 2})
+        mcfg, tcfg, relation, _ = resolve_cell(spec, splits[0], 32, 8, 5)
+        assert (mcfg.l_in, mcfg.l_out, mcfg.n_variates, mcfg.groups) == (32, 8, 2, 2)
+        assert (mcfg.d_channels, mcfg.blocks, tcfg.epochs, tcfg.seed) == (6, 2, 2, 5)
+        assert relation.shape == (2, 2)
+        spec = dataclasses.replace(spec, ablation="relation", ablation_values=[True, False])
+        mcfg, _, relation, _ = resolve_cell(spec, splits[0], False, 8, 5)
+        assert (mcfg.l_in, mcfg.groups, relation) == (168, 1, None)
 
 
 class TestPreparedData:

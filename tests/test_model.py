@@ -12,6 +12,7 @@ from conftest import closure_arrays, sq_sum, swap_bc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtnet.data import N_TIME_FEATURES
 from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          load_config, save_checkpoint)
@@ -41,6 +42,19 @@ class TestConfig:
             small_cfg(groups=2).validate()  # groups must be 1 or N
         with pytest.raises(ConfigError):
             small_cfg(kernel=4).validate()
+
+    @pytest.mark.parametrize("kw", [{"d_channels": 0}, {"d_channels": -3},
+                                    {"time_mode": "decoupled", "n_time": 7},
+                                    {"time_mode": "input", "n_time": 50},
+                                    {"time_mode": "input", "n_time": 0}])
+    def test_out_of_range_width_or_time_features_refused(self, kw):
+        """The time branch reads all N_TIME_FEATURES calendar columns; any other
+        n_time would fail only inside the first step."""
+        with pytest.raises(ConfigError, match=next(iter(kw.keys() - {"time_mode"}))):
+            small_cfg(**kw).validate()
+
+    def test_n_time_is_free_without_a_time_mode(self):
+        small_cfg(time_mode="none", n_time=7).validate()
 
     def test_loader_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -550,11 +564,14 @@ def checkpoint_cases(draw):
     n_variates = draw(st.integers(1, 3))
     groups = draw(st.sampled_from([1, n_variates]))
     blocks = draw(st.integers(1, 2))
+    l_in, l_out = draw(st.integers(1, 3)) << blocks, draw(st.integers(1, 3))
+    d_channels, n_time = groups * draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    time_mode = draw(st.sampled_from(TIME_MODES))
     return dict(
-        cfg=ModelConfig(l_in=draw(st.integers(1, 3)) << blocks, l_out=draw(st.integers(1, 3)),
-                        n_variates=n_variates, d_channels=groups * draw(st.integers(2, 3)),
-                        blocks=blocks, groups=groups, n_time=draw(st.integers(1, 3)),
-                        time_mode=draw(st.sampled_from(TIME_MODES)),
+        cfg=ModelConfig(l_in=l_in, l_out=l_out, n_variates=n_variates, d_channels=d_channels,
+                        blocks=blocks, groups=groups, time_mode=time_mode,
+                        # a time mode reads every calendar feature
+                        n_time=n_time if time_mode == "none" else N_TIME_FEATURES,
                         norm_kind=draw(st.sampled_from(NORM_KINDS)), dropout=0.1),
         relation=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),

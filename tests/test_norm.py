@@ -10,7 +10,8 @@ from conftest import sq_sum, swap_bc
 
 from rtnet.errors import ConfigError, NumericalError
 from rtnet.model import WeightedUnit
-from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
+from rtnet.norm import (BN_MOMENTUM, NORM_EPS, BatchNormParams, LayerNormParams, batch_norm,
+                        layer_norm, weight_norm_effective)
 from rtnet.tensor import Tensor
 
 
@@ -18,54 +19,56 @@ def t(data, grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
+# [1, 2, 3] normalized: mean 2, variance 2/3, plus the norms' fixed epsilon
+UNIT_123 = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0 + NORM_EPS)
+
+
 class TestBatchNorm:
     def test_unit_variance_normalization(self):
-        p = BatchNormParams.create(1, eps=1e-12)
+        p = BatchNormParams(1)
         out = batch_norm(t(swap_bc([[1.0], [2.0], [3.0]])), p, training=True)
-        expected = np.array([-1.2247448, 0.0, 1.2247448])
-        assert swap_bc(out.data)[:, 0] == pytest.approx(expected, abs=1e-6)
+        assert swap_bc(out.data)[:, 0] == pytest.approx(UNIT_123, abs=1e-6)
 
     def test_affine_rescaling_invariance(self):
         """Training-mode output ignores per-batch affine rescaling of its input."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3, 10))
-        p1 = BatchNormParams.create(3)
-        p2 = BatchNormParams.create(3)
+        p1 = BatchNormParams(3)
+        p2 = BatchNormParams(3)
         y1 = batch_norm(t(swap_bc(x)), p1, training=True)
         y2 = batch_norm(t(swap_bc(3.7 * x + 11.0)), p2, training=True)
         assert np.allclose(y1.data, y2.data, atol=1e-9)
 
     def test_gamma_beta(self):
-        p = BatchNormParams.create(1, eps=1e-12)
+        p = BatchNormParams(1)
         p.gamma.data[:] = 2.0
         p.beta.data[:] = 1.0
         out = batch_norm(t(swap_bc([[1.0], [2.0], [3.0]])), p, training=True)
-        plain = np.array([-1.2247448, 0.0, 1.2247448])
-        assert swap_bc(out.data)[:, 0] == pytest.approx(2.0 * plain + 1.0, abs=1e-6)
+        assert swap_bc(out.data)[:, 0] == pytest.approx(2.0 * UNIT_123 + 1.0, abs=1e-6)
 
     def test_batch_of_one_rejected_in_training(self):
-        p = BatchNormParams.create(2)
+        p = BatchNormParams(2)
         with pytest.raises(ConfigError):
             batch_norm(t(swap_bc([[1.0, 2.0]])), p, training=True)
 
     def test_eval_uses_running_stats(self):
-        p = BatchNormParams.create(1)
+        p = BatchNormParams(1)
         p.running_mean[:] = 5.0
         p.running_var[:] = 4.0
         out = batch_norm(t([[7.0]]), p, training=False)
         assert out.data[0, 0] == pytest.approx(1.0, rel=1e-4)
 
     def test_running_stats_update(self):
-        p = BatchNormParams.create(1, momentum=0.1)
+        p = BatchNormParams(1)
         batch_norm(t(swap_bc([[0.0], [2.0]])), p, training=True)
-        assert p.running_mean[0] == pytest.approx(0.1)
-        assert p.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
+        assert p.running_mean[0] == pytest.approx(BN_MOMENTUM * 1.0)
+        assert p.running_var[0] == pytest.approx((1 - BN_MOMENTUM) * 1.0 + BN_MOMENTUM * 1.0)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_gradients(self, gradcheck, training):
         rng = np.random.default_rng(3)
         x = t(swap_bc(rng.normal(size=(4, 3, 5))), grad=True)
-        p = BatchNormParams.create(3)
+        p = BatchNormParams(3)
         p.running_mean[:] = rng.normal(size=3)
         p.running_var[:] = rng.uniform(0.5, 2.0, size=3)
         frozen_mean = p.running_mean.copy()
@@ -82,22 +85,22 @@ class TestBatchNorm:
 
 class TestLayerNorm:
     def test_unit_variance_normalization(self):
-        p = LayerNormParams.create(3, eps=1e-12)
+        p = LayerNormParams(3)
         out = layer_norm(t(swap_bc([[1.0, 2.0, 3.0]])), p)
-        assert swap_bc(out.data)[0] == pytest.approx([-1.2247448, 0.0, 1.2247448], abs=1e-6)
+        assert swap_bc(out.data)[0] == pytest.approx(UNIT_123, abs=1e-6)
 
     def test_shift_invariance(self):
         """Adding a per-instance constant to the feature vector changes nothing."""
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 8))
         shifts = rng.normal(size=(6, 1)) * 100
-        p = LayerNormParams.create(8)
+        p = LayerNormParams(8)
         y1 = layer_norm(t(swap_bc(x)), p)
         y2 = layer_norm(t(swap_bc(x + shifts)), p)
         assert np.allclose(y1.data, y2.data, atol=1e-9)
 
     def test_zero_gain_gives_bias(self):
-        p = LayerNormParams.create(4)
+        p = LayerNormParams(4)
         p.gain.data[:] = 0.0
         p.bias.data[:] = 7.0
         out = layer_norm(t(swap_bc(np.random.default_rng(0).normal(size=(3, 4)))), p)
@@ -105,12 +108,12 @@ class TestLayerNorm:
 
     def test_length_one_axis_rejected(self):
         with pytest.raises(ConfigError):
-            layer_norm(t([[1.0]]), LayerNormParams.create(1))
+            layer_norm(t([[1.0]]), LayerNormParams(1))
 
     def test_gradients(self, gradcheck):
         rng = np.random.default_rng(6)
         x = t(swap_bc(rng.normal(size=(3, 4, 6))), grad=True)
-        p = LayerNormParams.create(4)
+        p = LayerNormParams(4)
 
         def build():
             y = layer_norm(x, p)
