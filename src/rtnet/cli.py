@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config path")
             p.add_argument("--fidelity", choices=("desk", "paper"), default="desk")
             p.add_argument("--format", choices=("e2e", "contrastive"), default="e2e")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int)
         p.add_argument("--split-mode", choices=("ratio", "months"), default="ratio")
 
     p = sub.add_parser("relate", help="emit raw and processed relation matrices as CSV")
@@ -140,9 +140,11 @@ def _job_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
     with open(args.config, encoding="utf-8") as fh:
         job = load_config(SweepFile if args.subcommand == "sweep" else TrainFile,
                           json.load(fh), what)
+    if isinstance(job, SweepFile) and job.seeds is not None and args.seed is not None:
+        raise ConfigError("--seed is set by the sweep config's seeds, not by the command line")
     model = dict(job.model)  # its l_out is the one prediction length
     spec = {"data_path": args.data, "pred_lengths": [model.pop("l_out", 24)],
-            "seeds": [args.seed], "split_mode": args.split_mode, "fidelity": args.fidelity,
+            "seeds": [args.seed or 0], "split_mode": args.split_mode, "fidelity": args.fidelity,
             "format": args.format, **{k: v for k, v in asdict(job).items() if v is not None},
             "model": model}
     if isinstance(job, SweepFile):

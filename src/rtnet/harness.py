@@ -72,6 +72,8 @@ class ExperimentSpec:
                 if v < 1 if allowed is None else v not in allowed:
                     rule = f"one of {allowed}" if allowed else "positive"
                     raise ConfigError(f"{self.ablation} values must be {rule}, got {v!r}")
+        elif self.ablation_values:
+            raise ConfigError("ablation_values given without an ablation axis")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if len({str(v) for v in self.ablation_values}) != len(self.ablation_values):

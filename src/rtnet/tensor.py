@@ -219,34 +219,10 @@ def _accumulate(flowing: dict[int, np.ndarray], inputs: tuple[Tensor, ...],
 # elementwise and structural primitives
 # ---------------------------------------------------------------------------
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     return _make([a, b], a.data + b.data, lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _make([a, b], a.data - b.data, lambda g: (g, -g))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _make([a], a.data + c, lambda g: (g,))
-
-
-def mul_scalar(a: Tensor, c: float) -> Tensor:
-    return _make([a], a.data * c, lambda g: (g * c,))
-
-
-def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != a.data.shape:
-        raise DimensionError(f"mul_const: shape mismatch {a.data.shape} vs {c.shape}")
-    return _make([a], a.data * c, lambda g: (g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -325,60 +301,6 @@ def relu_dropout(x: Tensor, rate: float, rng: np.random.Generator | None, traini
         return (g_x, g_x.reshape(split).sum(axis=1))
 
     return _make(inputs, out, grad_fn)
-
-
-def abs_op(a: Tensor) -> Tensor:
-    ad = a.data
-    return _make([a], np.abs(ad), lambda g: (g * np.sign(ad),))
-
-
-def exp_op(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make([a], out, lambda g: (g * out,))
-
-
-def log_op(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericalError("log of non-positive value")
-    ad = a.data
-    return _make([a], np.log(ad), lambda g: (g / ad,))
-
-
-def normalize_rows(a: Tensor) -> Tensor:
-    """Scale each vector along the last axis to unit Euclidean norm."""
-    norms = np.linalg.norm(a.data, axis=-1)
-    bad = np.argwhere(norms == 0.0)
-    if bad.size:
-        raise NumericalError(f"zero-norm rows at indices {bad.tolist()}")
-    inv = 1.0 / norms[..., None]
-    out = a.data * inv
-
-    def grad_fn(g):
-        # d(x/|x|) = (g - x_hat (g . x_hat)) / |x|, along the last axis
-        g_a = out * np.einsum("...f,...f->...", g, out)[..., None]
-        np.subtract(g, g_a, out=g_a)
-        g_a *= inv
-        return (g_a,)
-
-    return _make([a], out, grad_fn)
-
-
-def gram_rows(a: Tensor, rows: int) -> Tensor:
-    """(T, G, F) -> (G, rows, T): per group, the dot products of the first
-    ``rows`` of the T vectors with all of them, in one batched GEMM."""
-    if a.data.ndim != 3 or not 0 < rows <= a.data.shape[0]:
-        raise DimensionError(f"gram_rows: {rows} rows of {a.data.shape}")
-    ag = a.data.transpose(1, 0, 2)  # (G, T, F) view
-    out = np.matmul(ag[:, :rows], ag.transpose(0, 2, 1))
-
-    def grad_fn(g):
-        # a is both factors: the first rows take both gradients, the rest one
-        g_a = np.empty(a.data.shape)
-        np.matmul(g.transpose(0, 2, 1), ag[:, :rows], out=g_a.transpose(1, 0, 2))
-        g_a[:rows] += np.matmul(g, ag).transpose(1, 0, 2)
-        return (g_a,)
-
-    return _make([a], out, grad_fn)
 
 
 def sum_axis(a: Tensor, axis: int | None = None) -> Tensor:
@@ -639,3 +561,65 @@ def mse_per_variate(pred: Tensor, truth: np.ndarray) -> Tensor:
         return (diff * (2.0 * g[None, None, :] / denom),)
 
     return _make([pred], out, grad_fn)
+
+
+def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
+                     ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Similarity-ratio loss over (total, groups, features) representations.
+
+    Returns (scalar total for backward, per-variate means, per-window losses).
+    For window m: -log[(e + sum_i sim(h_m, h_mi)) / sum over all instances of
+    sim(h_m, .)], with sim(u, v) = exp(|u.v| / (|u||v|)); the literal constant
+    e stands in for the self-similarity sim(h_m, h_m).  Instance i of window
+    m sits at n_windows + m*n_augments + i.
+
+    Every group runs at once, as one node: h scales each representation to
+    unit norm, and one batched GEMM of the n original windows against all T
+    instances gives the (G, n, T) dot products.  The node keeps the inverse
+    norms, the dot products, their similarities and the (G, n) sums, not h:
+    backward rebuilds h from ``reps``, bit for bit.
+    """
+    x = reps.data
+    total_inst, _, _ = x.shape
+    n = n_windows
+    if total_inst != (1 + n_augments) * n:
+        raise ConfigError(f"{total_inst} instances != (1+{n_augments})*{n}")
+    mask = np.zeros((n, total_inst))
+    for m in range(n):
+        mask[m, n + m * n_augments: n + (m + 1) * n_augments] = 1.0
+    norms = np.linalg.norm(x, axis=-1)
+    bad = np.argwhere(norms == 0.0)
+    if bad.size:
+        raise NumericalError(f"contrastive_loss: zero-norm representations at "
+                             f"(instance, group) {bad.tolist()}")
+    if not 0 < n <= total_inst:
+        raise DimensionError(f"contrastive_loss: {n} windows of {x.shape}")
+    inv = 1.0 / norms[..., None]
+    h = (x * inv).transpose(1, 0, 2)  # (G, T, F) view
+    dots = np.matmul(h[:, :n], h.transpose(0, 2, 1))
+    sims = np.exp(np.abs(dots))
+    den = sims.sum(axis=2)
+    num = (sims * mask).sum(axis=2) + np.e
+    per_window = np.log(den) - np.log(num)
+    per_variate = per_window.sum(axis=1) * (1.0 / n)
+
+    def grad_fn(g):
+        g_win = g * (1.0 / n)
+        g_dots = (-g_win / num)[..., None] * mask
+        g_dots += (g_win / den)[..., None]
+        g_dots *= sims
+        g_dots *= np.sign(dots)
+        # d(h_m . h_t) reaches both factors: every instance takes the original
+        # windows' share, and the originals also take every instance's
+        h = x * inv
+        ag = h.transpose(1, 0, 2)
+        g_h = np.empty(x.shape)
+        np.matmul(g_dots.transpose(0, 2, 1), ag[:, :n], out=g_h.transpose(1, 0, 2))
+        g_h[:n] += np.matmul(g_dots, ag).transpose(1, 0, 2)
+        # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis
+        g_x = h * np.einsum("...f,...f->...", g_h, h)[..., None]
+        np.subtract(g_h, g_x, out=g_x)
+        g_x *= inv
+        return (g_x,)
+
+    return _make([reps], np.asarray(per_variate.sum()), grad_fn), per_variate, per_window

@@ -20,9 +20,7 @@ from .data import TimeSeriesDataset, gather_batch, make_windows
 from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
-from .tensor import (GradTape, Tensor, abs_op, add_scalar, backward, exp_op, gram_rows,
-                     log_op, mse_per_variate, mul_const, mul_scalar, normalize_rows, sub,
-                     sum_axis)
+from .tensor import GradTape, backward, contrastive_loss, mse_per_variate, sum_axis
 
 AUGMENT_KINDS = ("scaling", "jittering", "entirety_scaling")
 
@@ -113,10 +111,6 @@ class ContrastiveBatch:
     n_windows: int
     n_augments: int
 
-    @property
-    def total_instances(self) -> int:
-        return (1 + self.n_augments) * self.n_windows
-
 
 def make_contrastive_batch(ds: TimeSeriesDataset, batch: int, l_in: int, alpha: float,
                            n_augments: int, beta: float,
@@ -129,33 +123,6 @@ def make_contrastive_batch(ds: TimeSeriesDataset, batch: int, l_in: int, alpha: 
             kind = AUGMENT_KINDS[rng.integers(0, len(AUGMENT_KINDS))]
             pieces.append(augment(originals[m], AugmentSpec(kind, beta), rng)[None])
     return ContrastiveBatch(np.concatenate(pieces, axis=0), offsets, batch, n_augments)
-
-
-def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
-                     ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Similarity-ratio loss over (total, groups, features) representations.
-
-    Returns (scalar total for backward, per-variate means, per-window losses).
-    For window m: -log[(e + sum_i sim(h_m, h_mi)) / sum over all instances of
-    sim(h_m, .)], with sim(u, v) = exp(|u.v| / (|u||v|)); the literal constant
-    e stands in for the self-similarity sim(h_m, h_m).
-    """
-    total_inst, _, _ = reps.data.shape
-    if total_inst != (1 + n_augments) * n_windows:
-        raise ConfigError(f"{total_inst} instances != (1+{n_augments})*{n_windows}")
-    mask = np.zeros((n_windows, total_inst))
-    for m in range(n_windows):
-        mask[m, n_windows + m * n_augments: n_windows + (m + 1) * n_augments] = 1.0
-
-    # every group at once: (G, n_windows, total) similarities of each
-    # original window to every instance
-    sims = exp_op(abs_op(gram_rows(normalize_rows(reps), n_windows)))
-    den = sum_axis(sims, 2)
-    num = add_scalar(sum_axis(mul_const(sims, np.broadcast_to(mask, sims.shape)), 2),
-                     float(np.e))
-    per_window = sub(log_op(den), log_op(num))
-    per_variate = mul_scalar(sum_axis(per_window, 1), 1.0 / n_windows)
-    return sum_axis(per_variate), per_variate.data, per_window.data
 
 
 @dataclass

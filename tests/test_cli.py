@@ -383,6 +383,23 @@ def test_a_setting_given_outside_its_owner_is_refused(data_csv, tmp_path, capsys
     assert key in error and owner in error, error
 
 
+def test_ablation_values_without_an_axis_are_refused(data_csv, tmp_path, capsys):
+    """Values with no axis to vary would run the plain spec under the label of
+    none of them."""
+    spec = patched(base_config("experiment", data_csv),
+                   {"ablation": None, "ablation_values": ["wn", "bn"]})
+    assert "ablation_values" in run_refused(capsys, tmp_path, data_csv, "experiment", spec)
+
+
+@pytest.mark.parametrize("flags", [("--seed", "9"), ("--seed=5",), ("--seed", "0")])
+def test_seed_flag_beside_sweep_seeds_is_refused(data_csv, tmp_path, capsys, flags):
+    """A sweep file's seeds own the seed, so --seed, even at its old default 0,
+    is refused rather than ignored."""
+    config = patched(base_config("sweep", data_csv), {"seeds": [0]})
+    error = run_refused(capsys, tmp_path, data_csv, "sweep", config, flags)
+    assert "--seed" in error and "seeds" in error.replace("--seed", ""), error
+
+
 class TestPacfCommand:
     def test_writes_csv(self, data_csv, tmp_path):
         out = str(tmp_path / "pacf")

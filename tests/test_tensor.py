@@ -7,13 +7,11 @@ import pytest
 from conftest import closure_arrays, root_base, sq_sum, swap_bc
 from test_kernel_fuzz import conv_reference
 
-from rtnet.errors import ConfigError, DimensionError, NumericalError
-from rtnet.tensor import (GradTape, Tensor, abs_op, add, add_scalar, backward,
-                          channel_upsample, concat, conv1d_grouped, dropout,
-                          exp_op, gram_rows, group_features, linear_grouped, log_op,
-                          maxpool1d, mse_per_variate, mul_const, mul_scalar,
-                          normalize_rows, permute, relu, relu_dropout, reshape, sub,
-                          sum_axis, transpose_12)
+from rtnet.errors import ConfigError, DimensionError
+from rtnet.tensor import (GradTape, Tensor, add, backward, channel_upsample, concat,
+                          contrastive_loss, conv1d_grouped, dropout, group_features,
+                          linear_grouped, maxpool1d, mse_per_variate, permute, relu,
+                          relu_dropout, reshape, sum_axis, transpose_12)
 
 
 def t(data, grad=True):
@@ -24,30 +22,30 @@ class TestBackward:
     def test_linear_chain(self):
         x = t([3.0])
         with GradTape() as tape:
-            y = mul_scalar(x, 2.0)
-        backward(tape, y, params=[x], seed=np.ones(1))
+            y = reshape(x, (1, 1))
+        backward(tape, y, params=[x], seed=np.full((1, 1), 2.0))
         assert x.grad == pytest.approx([2.0])
 
     def test_unused_parameter_gets_exact_zero(self):
         x = t([1.0, 2.0])
         unused = t([5.0])
         with GradTape() as tape:
-            y = sum_axis(mul_scalar(x, 3.0))
+            y = sq_sum(x)
         backward(tape, y, params=[x, unused])
         assert np.array_equal(unused.grad, np.zeros(1))
 
     def test_fanout_accumulates(self):
         x = t([2.0])
         with GradTape() as tape:
-            y = add(mul_scalar(x, 1.0), mul_scalar(x, 4.0))
+            y = add(x, add(x, x))
             z = sum_axis(y)
         backward(tape, z, params=[x])
-        assert x.grad == pytest.approx([5.0])
+        assert x.grad == pytest.approx([3.0])
 
     def test_nonscalar_root_needs_seed(self):
         x = t([1.0, 2.0])
         with GradTape() as tape:
-            y = mul_scalar(x, 2.0)
+            y = add(x, x)
         with pytest.raises(DimensionError):
             backward(tape, y, params=[x])
 
@@ -73,7 +71,7 @@ class TestBackward:
         z = t([9.0, 9.0])
         with GradTape() as tape:
             dead = add(z, z)  # recorded but never feeds the root
-            y = sum_axis(mul_scalar(x, 2.0))
+            y = sq_sum(x)
         assert dead.requires_grad
         backward(tape, y, params=[x, z])
         assert np.array_equal(z.grad, np.zeros(2))
@@ -84,7 +82,7 @@ class TestBackward:
         frozen = t([3.0, 4.0], grad=False)
         with GradTape() as tape:
             h = add(x, frozen)
-            y = sum_axis(mul_scalar(h, 2.0))
+            y = sum_axis(add(h, h))
         backward(tape, y, params=[x, unreached, frozen])
         assert np.array_equal(x.grad, [2.0, 2.0])
         assert np.array_equal(unreached.grad, np.zeros(1))
@@ -97,7 +95,7 @@ class TestBackward:
         node's gradient runs, and the tape is empty afterwards."""
         x = t(np.random.default_rng(3).normal(size=(2, 3, 4)))
         with GradTape() as tape:
-            y = mul_scalar(x, 2.0)
+            y = add(x, x)
             loss = sum_axis(mse_per_variate(y, np.zeros(y.shape)))
         first, mse = tape.nodes[0], tape.nodes[1]
         (diff,) = closure_arrays(mse.grad_fn)
@@ -452,12 +450,22 @@ class TestTapeContents:
         for got, want in zip(grads[False][1:], grads[True][1:]):
             assert np.array_equal(got, want)
 
-    def test_abs(self):
-        x = tied_input((4, 9), 3)
-        out, gx, g, extra = self.run(abs_op, x)
-        assert extra == []
-        assert np.array_equal(out, np.abs(x))
-        assert np.array_equal(gx, g * np.sign(x))
+    @pytest.mark.parametrize("n,augments,groups", [(1, 0, 1), (4, 3, 7), (3, 1, 2)])
+    def test_contrastive_loss(self, n, augments, groups):
+        """One node.  Its closure holds ``reps``' own array, no normalized
+        copy, and besides it only the (T, G, 1) inverse norms, the (n, T)
+        positives' mask, the (G, n, T) dot products and similarities and the
+        (G, n) denominators and numerators."""
+        T = (1 + augments) * n
+        reps = t(np.random.default_rng(n).normal(size=(T, groups, 5)))
+        with GradTape() as tape:
+            total, _, _ = contrastive_loss(reps, n, augments)
+        assert len(tape.nodes) == 1 and tape.nodes[0].output is total
+        held = closure_arrays(tape.nodes[0].grad_fn)
+        assert sum(root_base(a) is reps.data for a in held) == 1
+        extra = sorted(a.shape for a in held if root_base(a) is not reps.data)
+        assert extra == sorted([(T, groups, 1), (n, T), (groups, n, T), (groups, n, T),
+                                (groups, n), (groups, n)])
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.75])
     def test_dropout(self, rate):
@@ -548,76 +556,27 @@ class TestElementwiseAndStructural:
         assert np.array_equal(y.data, ref.data)
         for h, g in zip(hs, want):
             assert h.grad.shape == h.shape and np.array_equal(h.grad, g)
-        gradcheck(lambda: sum_axis(mul_const(group_features(hs, groups), c)), hs)
+        gradcheck(lambda: sq_sum(group_features(hs, groups)), hs)
         with pytest.raises(DimensionError):
             group_features([t(np.zeros((4, B, 3)))], groups)
         with pytest.raises(DimensionError):
             group_features([hs[0], t(np.zeros((6, B + 1, 8)))], groups)
 
-    def test_normalize_rows_unit_norm(self):
-        x = t(np.random.default_rng(0).normal(size=(4, 7)))
-        out = normalize_rows(x)
-        assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0)
-
-    @pytest.mark.parametrize("shape", [(7,), (4, 7), (3, 2, 7)])
-    def test_normalize_rows_along_the_last_axis(self, shape, gradcheck):
-        x = t(np.random.default_rng(0).normal(size=shape))
-        out = normalize_rows(x)
-        inv = 1.0 / np.linalg.norm(x.data, axis=-1, keepdims=True)
-        assert np.array_equal(out.data, x.data * inv)
-        c = np.random.default_rng(1).normal(size=shape)
-        gradcheck(lambda: sum_axis(mul_const(normalize_rows(x), c)), [x])
-
-    def test_normalize_rows_zero_row(self):
-        x = np.ones((2, 3, 4))
-        x[1, 2] = 0.0
-        with pytest.raises(NumericalError, match=r"\[\[1, 2\]\]"):
-            normalize_rows(t(x))
-
-    @pytest.mark.parametrize("rows", [1, 3, 5])
-    def test_gram_rows(self, rows, gradcheck):
-        """Each group's first ``rows`` vectors against all of its vectors."""
-        rng = np.random.default_rng(rows)
-        x = t(rng.normal(size=(5, 3, 4)))
-        out = gram_rows(x, rows)
-        want = np.stack([x.data[:rows, g] @ x.data[:, g].T for g in range(3)])
-        assert out.shape == (3, rows, 5)
-        np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-13)
-        c = rng.normal(size=out.shape)
-        gradcheck(lambda: sum_axis(mul_const(gram_rows(x, rows), c)), [x])
-        for bad in (0, 6):
-            with pytest.raises(DimensionError):
-                gram_rows(x, bad)
-        with pytest.raises(DimensionError):
-            gram_rows(t(np.ones((5, 4))), 2)
-
-    def test_log_domain(self):
-        with pytest.raises(NumericalError):
-            log_op(t([0.0]))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_composite_gradients(self, gradcheck, seed):
-        """abs/exp/log/normalize/gram chain used by the contrastive loss."""
-        rng = np.random.default_rng(seed)
-        h = t(rng.normal(size=(5, 2, 4)) + 0.2)
-
-        def build():
-            sims = exp_op(abs_op(gram_rows(normalize_rows(h), 3)))
-            den = sum_axis(sims, 2)
-            return sum_axis(sub(log_op(den), log_op(add_scalar(den, 1.0))))
-
-        gradcheck(build, [h])
+    @pytest.mark.parametrize("n,augments,groups", [(1, 0, 1), (2, 0, 3), (1, 3, 2), (3, 1, 1),
+                                                   (2, 3, 3)])
+    def test_contrastive_loss_gradients(self, gradcheck, n, augments, groups):
+        rng = np.random.default_rng(n + 10 * augments + 100 * groups)
+        reps = t(rng.normal(size=((1 + augments) * n, groups, 4)) + 0.2)
+        gradcheck(lambda: contrastive_loss(reps, n, augments)[0], [reps])
 
     def test_structural_gradients(self, gradcheck):
         rng = np.random.default_rng(9)
         x = t(rng.normal(size=(2, 3, 4)))
-        c = rng.normal(size=(2, 3, 4))
 
         def build():
             y = transpose_12(x)
             y = reshape(y, (2, 12))
-            z = mul_const(transpose_12(reshape(y, (2, 4, 3))), c)
-            return sq_sum(z)
+            return sq_sum(transpose_12(reshape(y, (2, 4, 3))))
 
         gradcheck(build, [x])
 
@@ -630,13 +589,7 @@ class TestElementwiseAndStructural:
             permute(x, (0, 1))
         with pytest.raises(DimensionError):
             permute(x, (0, 1, 1))
-        c = np.random.default_rng(13).normal(size=(3, 4, 2))
-
-        def build():
-            z = mul_const(permute(x, (1, 2, 0)), c)
-            return sq_sum(z)
-
-        gradcheck(build, [x])
+        gradcheck(lambda: sq_sum(permute(x, (1, 2, 0))), [x])
 
 
 class TestMsePerVariate:

@@ -15,11 +15,10 @@ from conftest import (ar_series, check_condition1, closure_arrays, hourly,
 from rtnet import model as rtnet_model
 from rtnet import training
 from rtnet.data import TimeSeriesDataset, gather_batch, make_windows
-from rtnet.errors import ConfigError, DataError, SamplerError
+from rtnet.errors import ConfigError, DataError, DimensionError, NumericalError, SamplerError
 from rtnet.model import ModelConfig, RTNet, features_per_group, save_checkpoint
 from rtnet.optim import Adam
-from rtnet.tensor import (GradTape, Tensor, backward, mse_per_variate, mul_const,
-                          sum_axis)
+from rtnet.tensor import GradTape, Tensor, backward, mse_per_variate
 from rtnet.training import (AugmentSpec, TrainConfig, augment, contrastive_loss, early_stop,
                             evaluate, make_contrastive_batch, max_condition1_batch,
                             sample_batch_condition1, train_contrastive, train_end_to_end)
@@ -66,8 +65,7 @@ class TestMseLossVector:
         def grads(mask):
             with GradTape() as tape:
                 vec = mse_per_variate(model.forward(x), truth)
-                loss = sum_axis(mul_const(vec, mask))
-            backward(tape, loss, params=params)
+            backward(tape, vec, params=params, seed=mask)
             return {n: p.grad.copy() for n, p in model.named_parameters()}
 
         g_both = grads(np.array([1.0, 1.0]))
@@ -188,11 +186,32 @@ class TestContrastiveLoss:
         assert per_win[0] == pytest.approx([np.log(2.0)] * 2, abs=1e-12)
 
     def test_sim_values_lie_in_1_e(self):
+        """Without augments a window's loss is log(den / e), den the sum of
+        its T similarities, so similarities in [1, e] put it in
+        [log(T) - 1, log(T)].  Parallel representations, of either sign,
+        reach log(T); orthogonal ones give 1 everywhere but the self-similarity."""
+        T = 6
         rng = np.random.default_rng(2)
-        reps = Tensor(rng.normal(size=(6, 2, 5)))
-        from rtnet.tensor import abs_op, exp_op, gram_rows, normalize_rows
-        sims = exp_op(abs_op(gram_rows(normalize_rows(reps), 6))).data
-        assert np.all(sims >= 1.0) and np.all(sims <= np.e + 1e-12)
+        parallel = np.outer(rng.choice([-1.0, 1.0], T), rng.normal(size=T))
+        reps = Tensor(np.stack([rng.normal(size=(T, T)), parallel, np.eye(T)], axis=1))
+        _, _, per_win = contrastive_loss(reps, T, 0)
+        assert np.all(per_win[0] >= np.log(T) - 1.0) and np.all(per_win[0] <= np.log(T) + 1e-12)
+        assert per_win[1] == pytest.approx([np.log(T)] * T, rel=1e-12)
+        assert per_win[2] == pytest.approx([np.log(np.e + T - 1) - 1.0] * T, rel=1e-12)
+
+    @pytest.mark.parametrize("shape,n_windows,n_augments,error,match", [
+        ((7, 2, 3), 2, 3, ConfigError, r"7 instances != \(1\+3\)\*2"),
+        ((0, 2, 3), 0, 3, DimensionError, "0 windows"),
+        ((8, 2, 3), 2, 3, NumericalError, r"zero-norm .* \[\[5, 1\]\]"),
+    ])
+    def test_refused_inputs(self, shape, n_windows, n_augments, error, match):
+        """A wrong instance count, no windows, and zero-norm representations,
+        which are named by (instance, group)."""
+        data = np.ones(shape)
+        if error is NumericalError:
+            data[5, 1] = 0.0
+        with pytest.raises(error, match=match):
+            contrastive_loss(Tensor(data, requires_grad=True), n_windows, n_augments)
 
     def test_nonnegative_under_random_inputs(self):
         rng = np.random.default_rng(3)
@@ -260,7 +279,6 @@ class TestBatching:
         batch = make_contrastive_batch(ds, 4, l_in=32, alpha=4.0, n_augments=3,
                                        beta=0.2, rng=np.random.default_rng(0))
         assert batch.windows.shape == (16, 32, 1)
-        assert batch.total_instances == 16
         assert check_condition1(batch.offsets, 32, 4.0)
         for m, o in enumerate(batch.offsets):
             original = ds.values[o:o + 32]
@@ -563,12 +581,12 @@ class TestStepTape:
 
     def test_stage1_step_keeps_only_what_backward_needs(self, monkeypatch):
         """One stage-1 contrastive step records the pyramid as an end-to-end
-        step does, then one loss over all groups at once: the tape keeps the
-        normalized features and (groups, windows, instances) similarities,
-        and no per-group copy of either."""
+        step does, then the loss over all groups at once as one node: it
+        keeps the (groups, windows, instances) dot products and similarities,
+        and no normalized copy of the features."""
         cfg, nodes = self.one_step_nodes(monkeypatch, "contrastive")
         ops = [op_name(node) for node in nodes]
-        assert ops.count("normalize_rows") == 1 and ops.count("gram_rows") == 1
+        assert ops[-2:] == ["group_features", "contrastive_loss"]
 
         n, G = self.BATCH, cfg.groups
         T = (1 + self.AUGMENTS) * n
@@ -576,12 +594,11 @@ class TestStepTape:
         similarities = G * n * T
         floats = (self.pyramid(cfg, T)
                   + features                         # group_features
-                  + features + T * G                 # normalize_rows: output, inverse norms
-                  + 4 * similarities                 # gram_rows, abs, exp, masked by positives
+                  + T * G                            # inverse norms
+                  + 2 * similarities                 # dot products, similarities
                   + n * T                            # the positives' mask
-                  + 6 * G * n                        # denominators, numerators (sum, + e),
-                                                     # their logs, per-window losses
-                  + 2 * G + 1)                       # per-variate sum and mean, the total
+                  + 2 * G * n                        # denominators, numerators
+                  + 1)                               # the total
         assert self.kept_bytes(nodes) == 8 * floats
 
     @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
