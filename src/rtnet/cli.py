@@ -2,33 +2,40 @@
 
 Subcommands: relate, train, eval, sweep, pacf, experiment.  All outputs
 land under --out, stdout carries machine-readable JSON only (for `eval`), and
-human-readable logs go to stderr.  A lock file serializes invocations per
-output directory.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+human-readable logs go to stderr.  A lock serializes invocations per output
+directory.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import io
+import fcntl
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
 
 from . import harness
-from .data import SplitSpec, load_csv, split
+from .data import SplitSpec, atomic_open, load_csv, split
 from .diagnostics import line_plot_svg, pacf
 from .errors import ConfigError, RTNetError
 from .model import load_checkpoint, load_config, save_checkpoint
 from .relation import cos_relation_matrix, relation_csv, threshold_and_standardize
 from .training import evaluate
 
-LOCK_NAME = ".rtnet.lock"
-
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+class _SeedAction(argparse.Action):
+    """Store --seed, warning when an earlier occurrence in any spelling is overwritten."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            log("warning: --seed given more than once; the last value wins")
+        setattr(namespace, self.dest, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config path")
             p.add_argument("--fidelity", choices=("desk", "paper"), default="desk")
             p.add_argument("--format", choices=("e2e", "contrastive"), default="e2e")
-            p.add_argument("--seed", type=int)
+            p.add_argument("--seed", type=int, action=_SeedAction)
         p.add_argument("--split-mode", choices=("ratio", "months"), default="ratio")
 
     p = sub.add_parser("relate", help="emit raw and processed relation matrices as CSV")
@@ -72,47 +79,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Validated CLI arguments; duplicated --seed warns and keeps the last value."""
-    if sum(1 for a in argv if a == "--seed") > 1:
-        log("warning: --seed given more than once; the last value wins")
     return _build_parser().parse_args(argv)
 
 
 class OutDirLock:
+    """An exclusive flock on the output directory's ``.rtnet.lock``, which the kernel
+    drops however its holder ends.  The holder unlinks the file before letting go,
+    and a run that locked a file no longer at the path tries again."""
+
     def __init__(self, out_dir: str):
         os.makedirs(out_dir, exist_ok=True)
-        self.path = os.path.join(out_dir, LOCK_NAME)
+        self.path = os.path.join(out_dir, ".rtnet.lock")
         self.fd = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if not self._holder_is_dead():
-                raise RTNetError(f"output directory is locked by {self.path}; "
-                                 "remove the stale lock if no other run is active") from None
-            log(f"reclaiming stale lock {self.path}")
-            os.unlink(self.path)
-            return self.__enter__()
-        os.write(self.fd, str(os.getpid()).encode())
-        return self
-
-    def _holder_is_dead(self) -> bool:
-        """True only when the lock names a PID that no longer exists."""
-        try:
-            with open(self.path, encoding="ascii") as fh:
-                pid = int(fh.read())
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, ValueError):
-            return False
-        return False
+        while True:
+            # read-write, so that flock works where NFS emulates it by byte-range locks
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self.fd = fd
+                    return self
+            except BlockingIOError:
+                raise RTNetError(f"another run holds the lock {self.path}") from None
+            except FileNotFoundError:
+                pass  # its holder unlinked it after this run opened it
+            finally:
+                if self.fd is None:
+                    os.close(fd)
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            os.unlink(self.path)
+        os.unlink(self.path)
+        os.close(self.fd)
 
 
 @dataclass
@@ -149,7 +148,7 @@ def _job_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
             "model": model}
     if isinstance(job, SweepFile):
         spec.update(ablation="input_length", ablation_values=spec.pop("lengths"))
-    return load_config(harness.ExperimentSpec, spec, what)
+    return harness.load_spec(spec, what)
 
 
 def _cmd_relate(args: argparse.Namespace) -> int:
@@ -157,8 +156,8 @@ def _cmd_relate(args: argparse.Namespace) -> int:
     raw = cos_relation_matrix(train_std.values, train_std.variate_names)
     processed = threshold_and_standardize(raw, args.theta)
     for name, matrix in (("relation_raw.csv", raw), ("relation_processed.csv", processed)):
-        harness.write_atomic(os.path.join(args.out, name),
-                             relation_csv(matrix, train_std.variate_names))
+        with atomic_open(os.path.join(args.out, name)) as fh:
+            fh.write(relation_csv(matrix, train_std.variate_names))
     log(f"wrote relation matrices for {len(train_std.variate_names)} variates to {args.out}")
     return 0
 
@@ -170,7 +169,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     log(f"trained {args.format} model: {model.cfg}")
     save_checkpoint(model, os.path.join(args.out, "checkpoint.rtnet"))
     result.write_history_csv(os.path.join(args.out, "history.csv"))
-    harness.write_atomic(os.path.join(args.out, "scaler.json"), scaler.to_json())
+    with atomic_open(os.path.join(args.out, "scaler.json")) as fh:
+        fh.write(scaler.to_json())
     mse, mae = evaluate(model, splits[2])
     log(f"best epoch {result.best_epoch}; test mse {mse:.6f}, mae {mae:.6f}")
     return 0
@@ -204,20 +204,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     best = min(rows, key=lambda row: row["mean_mse"])
     near_best = [row["length"] for row in rows if row["mean_mse"] <= best["mean_mse"] * 1.05]
 
-    csv_text = io.StringIO()
-    w = csv_mod.writer(csv_text)
     columns = ["length", "mean_mse", "std_mse", "mean_mae", "std_mae"]
-    w.writerow(columns)
-    w.writerows([[row[c] for c in columns] for row in rows])
+    with atomic_open(os.path.join(args.out, "sweep.csv")) as fh:
+        csv_mod.writer(fh).writerows([columns, *([row[c] for c in columns] for row in rows)])
     svg = line_plot_svg([float(row["length"]) for row in rows],
                         {"mean MSE": [row["mean_mse"] for row in rows],
                          "mean MAE": [row["mean_mae"] for row in rows]},
                         "Forecast error vs input length", "input length", "error")
     payload = {"rows": rows, "best_length": best["length"], "near_best": near_best,
                "skipped": skipped}
-    harness.write_atomic(os.path.join(args.out, "sweep.csv"), csv_text.getvalue())
-    harness.write_atomic(os.path.join(args.out, "sweep.json"), json.dumps(payload, indent=2))
-    harness.write_atomic(os.path.join(args.out, "sweep.svg"), svg)
+    for name, text in (("sweep.json", json.dumps(payload, indent=2)), ("sweep.svg", svg)):
+        with atomic_open(os.path.join(args.out, name)) as fh:
+            fh.write(text)
     log(f"sweep complete; best length {best['length']}")
     return 0
 
@@ -228,7 +226,7 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
     series = train_ds.values[:, train_ds.target_index]
     result = pacf(series, args.max_lag)
     out_path = os.path.join(args.out, "pacf.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out_path) as fh:
         w = csv_mod.writer(fh)
         w.writerow(["lag", "phi_kk", "confidence_band"])
         for lag, phi in zip(result.lags, result.phi):
@@ -239,7 +237,7 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as fh:
-        spec = load_config(harness.ExperimentSpec, json.load(fh), "experiment spec")
+        spec = harness.load_spec(json.load(fh), "experiment spec")
     report = harness.run_experiment(spec)
     report.write(args.out)
     failed = [c for c in report.cells if c.status != "ok"]

@@ -1,4 +1,5 @@
-"""Dataset loading, chronological splitting, standardization, and windowing.
+"""Dataset loading, chronological splitting, standardization, and windowing,
+and `atomic_open`, through which every output file is written.
 
 CSV files carry a leading "date" column (zero-padded YYYY-MM-DD HH:MM:SS, one
 sampling interval) followed by numeric variate columns; the last column is the
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from calendar import monthrange
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -150,6 +153,26 @@ def load_csv(path: str) -> TimeSeriesDataset:
         raise DataError(f"{path}: row {line} breaks the sampling interval "
                         f"({delta[i].item()} != {delta[0].item()})")
     return TimeSeriesDataset(timestamps, values, names, target_index=len(names) - 1)
+
+
+@contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """``path`` opened for writing in ``mode`` ("w": UTF-8 text, line ends kept as
+    written; "wb": binary), through ``<path>.tmp`` in the same directory.  The
+    temporary file replaces ``path`` when the block ends; if the block raises,
+    it is deleted and ``path`` keeps its old bytes.  Two writers of one path at
+    once would share the temporary file: the CLI's output-directory lock keeps
+    them apart."""
+    tmp = path + ".tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    fh = open(tmp, mode, **text)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _add_months(ts: datetime, months: int) -> datetime:

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, make_windows,
-                   split, standardize)
+from .data import (SplitSpec, Standardizer, TimeSeriesDataset, atomic_open, load_csv,
+                   make_windows, split, standardize)
 from .errors import ConfigError
 from .model import TIME_MODES, ModelConfig, RTNet, check_fields, check_json_type, load_config
 from .norm import NORM_KINDS
@@ -93,6 +93,16 @@ class ExperimentSpec:
                 if (block, key) in owners:
                     raise ConfigError(f"{block}.{key} is set by {owners[block, key]}, "
                                       f"not by the {block} block")
+
+
+def load_spec(obj, what: str) -> ExperimentSpec:
+    """An experiment spec from parsed JSON.  A top-level key that the spec's axis
+    sets in every cell is refused here, where the keys that were given are known."""
+    spec = load_config(ExperimentSpec, obj, what)
+    name = ABLATION_AXES[spec.ablation][0] if spec.ablation else None
+    if name in obj:
+        raise ConfigError(f"{name} is set by the {spec.ablation} axis, not by the spec")
+    return spec
 
 
 def load_splits(path: str, split_mode: str, task: str
@@ -186,15 +196,8 @@ class ExperimentReport:
     def write(self, out_dir: str, stem: str = "report") -> None:
         os.makedirs(out_dir, exist_ok=True)
         for ext, text in (("json", self.to_json()), ("csv", self.to_csv())):
-            write_atomic(os.path.join(out_dir, f"{stem}.{ext}"), text)
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write text verbatim via a temporary file; a killed run leaves no partial file."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+            with atomic_open(os.path.join(out_dir, f"{stem}.{ext}")) as fh:
+                fh.write(text)
 
 
 def train_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,

@@ -20,7 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .data import N_TIME_FEATURES
+from .data import N_TIME_FEATURES, atomic_open
 from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
@@ -420,7 +420,7 @@ def save_checkpoint(model: RTNet, path: str) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

@@ -580,8 +580,11 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
     backward rebuilds h from ``reps``, bit for bit.
     """
     x = reps.data
-    total_inst, _, _ = x.shape
     n = n_windows
+    if x.ndim != 3 or not 0 < n <= x.shape[0]:  # before any array is sized by them
+        raise DimensionError(f"contrastive_loss: {n} windows of {x.shape}; needs 3-D "
+                             f"representations and 1 <= windows <= instances")
+    total_inst = x.shape[0]
     if total_inst != (1 + n_augments) * n:
         raise ConfigError(f"{total_inst} instances != (1+{n_augments})*{n}")
     mask = np.zeros((n, total_inst))
@@ -592,8 +595,6 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
     if bad.size:
         raise NumericalError(f"contrastive_loss: zero-norm representations at "
                              f"(instance, group) {bad.tolist()}")
-    if not 0 < n <= total_inst:
-        raise DimensionError(f"contrastive_loss: {n} windows of {x.shape}")
     inv = 1.0 / norms[..., None]
     h = (x * inv).transpose(1, 0, 2)  # (G, T, F) view
     dots = np.matmul(h[:, :n], h.transpose(0, 2, 1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeSeriesDataset, gather_batch, make_windows
+from .data import TimeSeriesDataset, atomic_open, gather_batch, make_windows
 from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
@@ -184,7 +184,7 @@ class TrainResult:
         keys: list[str] = []
         for row in self.history:
             keys.extend(k for k in row if k not in keys)
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path) as fh:
             w = csv.writer(fh)
             w.writerow(keys)
             for row in self.history:

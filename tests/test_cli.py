@@ -1,11 +1,16 @@
 """CLI contract: exit codes, outputs under --out, lock file, JSON-only stdout."""
 
+import fcntl
 import hashlib
+import itertools
 import json
 import os
 import re
+import signal
+import struct
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +18,13 @@ import pytest
 
 import rtnet
 from conftest import hourly, write_csv
-from rtnet import harness
-from rtnet.cli import main, parse_args
-from rtnet.model import RTNet
+from rtnet import cli, harness
+from rtnet.cli import OutDirLock, main, parse_args
+from rtnet.data import atomic_open
+from rtnet.errors import RTNetError
+from rtnet.model import RTNet, save_checkpoint
 from rtnet.optim import Adam
+from rtnet.training import TrainResult
 
 
 @pytest.fixture
@@ -60,11 +68,19 @@ class TestParseArgs:
             parse_args(["transmogrify"])
         assert exc.value.code == 2
 
-    def test_seed_twice_warns_last_wins(self, capsys):
+    @pytest.mark.parametrize("first", [["--seed", "1"], ["--seed=1"], ["--se", "1"]])
+    def test_seed_twice_warns_last_wins(self, capsys, first):
+        """Every spelling argparse accepts counts as a --seed."""
         cfg = parse_args(["train", "--config", "c.json", "--data", "d.csv", "--out", "o",
-                          "--seed", "1", "--seed", "7"])
+                          *first, "--seed", "7"])
         assert cfg.seed == 7
-        assert "last value wins" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "warning: --seed given more than once; the last value wins\n")
+
+    def test_seed_once_does_not_warn(self, capsys):
+        assert parse_args(["train", "--config", "c.json", "--data", "d.csv", "--out", "o",
+                           "--seed=0"]).seed == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "--spec", "s.json", "--out", "o", "--compare-formats"],
@@ -211,32 +227,44 @@ class TestTrainEval:
         assert steps == []
         assert not (out / "checkpoint.rtnet").exists()
 
-    def test_lock_file_blocks_second_invocation(self, data_csv, train_config, tmp_path):
-        out = str(tmp_path / "locked")
-        os.makedirs(out)
-        open(os.path.join(out, ".rtnet.lock"), "w").close()
-        code = main(["train", "--config", train_config, "--data", data_csv,
-                     "--out", out])
-        assert code == 1
+    def test_lock_file_blocks_second_invocation(self, data_csv, train_config, tmp_path,
+                                                capsys):
+        """A run that finds the directory's flock held, here by another open file
+        of this process, ends with one error line and writes nothing."""
+        out = tmp_path / "locked"
+        with OutDirLock(str(out)):
+            assert main(["train", "--config", train_config, "--data", data_csv,
+                         "--out", str(out)]) == 1
+            assert one_error_line(capsys) == f"error: another run holds the lock {out / LOCK}"
+            assert sorted(p.name for p in out.iterdir()) == [LOCK]
+        assert list(out.iterdir()) == []
 
-    def test_lock_of_a_live_pid_still_blocks(self, data_csv, train_config, tmp_path):
+    def test_lock_of_a_live_pid_still_blocks(self, data_csv, train_config, tmp_path, capsys):
+        """A live process holding the flock refuses the run; once it ends, the
+        next run goes ahead."""
         out = tmp_path / "live"
-        out.mkdir()
-        (out / ".rtnet.lock").write_text(str(os.getpid()))
+        with lock_holder(out) as holder:
+            assert main(["train", "--config", train_config, "--data", data_csv,
+                         "--out", str(out)]) == 1
+            assert "another run holds the lock" in one_error_line(capsys)
+            holder.stdin.close()
+            assert holder.wait(timeout=60) == 0
+        assert list(out.iterdir()) == []
         assert main(["train", "--config", train_config, "--data", data_csv,
-                     "--out", str(out)]) == 1
-        assert (out / ".rtnet.lock").read_text() == str(os.getpid())
+                     "--out", str(out)]) == 0
 
     def test_lock_of_a_dead_pid_is_reclaimed(self, data_csv, train_config, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        assert child.wait(timeout=60) == 0  # reaped, so its PID names no process
+        """A holder killed with SIGKILL leaves its lock file, but the kernel has
+        dropped its flock, so nothing blocks the next run."""
         out = tmp_path / "stale"
-        out.mkdir()
-        (out / ".rtnet.lock").write_text(str(child.pid))
+        with lock_holder(out) as holder:
+            holder.kill()
+            assert holder.wait(timeout=60) == -signal.SIGKILL
+        assert (out / LOCK).exists()
         assert main(["train", "--config", train_config, "--data", data_csv,
                      "--out", str(out)]) == 0
         assert (out / "checkpoint.rtnet").exists()
-        assert not (out / ".rtnet.lock").exists()
+        assert not (out / LOCK).exists()
 
     def test_eval_of_a_truncated_checkpoint_exits_1_without_traceback(
             self, data_csv, train_config, tmp_path):
@@ -245,15 +273,217 @@ class TestTrainEval:
                      "--out", str(out)]) == 0
         ckpt = out / "checkpoint.rtnet"
         ckpt.write_bytes(ckpt.read_bytes()[:-100])
-        src = Path(rtnet.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "rtnet.cli", "eval", "--checkpoint", str(ckpt),
              "--data", data_csv],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(src)))
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error:" in proc.stderr and proc.stdout == ""
+
+
+LOCK = ".rtnet.lock"
+
+
+def child_env():
+    """The environment of a child Python that imports this rtnet."""
+    return dict(os.environ, PYTHONPATH=str(Path(rtnet.__file__).resolve().parents[1]))
+
+
+def one_error_line(capsys):
+    """The one ``error:`` line of the captured stderr, which is its last line."""
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and err.splitlines()[-1] == errors[0], err
+    assert "Traceback" not in err
+    return errors[0]
+
+
+@contextmanager
+def lock_holder(out):
+    """A child process that holds ``out``'s lock until its stdin closes; yields
+    once it holds the lock."""
+    code = ("import sys\nfrom rtnet.cli import OutDirLock\n"
+            "with OutDirLock(sys.argv[1]):\n    print('held', flush=True)\n    sys.stdin.read()\n")
+    with subprocess.Popen([sys.executable, "-c", code, str(out)], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=child_env()) as holder:
+        try:
+            assert holder.stdout.readline() == "held\n"
+            yield holder
+        finally:
+            holder.kill()
+
+
+class TestOutDirLock:
+    @pytest.mark.parametrize("content", ["", "1"])
+    def test_an_unheld_lock_file_does_not_block(self, data_csv, train_config, tmp_path,
+                                                content):
+        """A lock file that no run holds, empty (a kill right after it was made)
+        or naming a live unrelated PID, is no lock."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / LOCK).write_text(content)
+        assert main(["train", "--config", train_config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.rtnet", "history.csv", "scaler.json"]
+
+    @pytest.mark.parametrize("a_finishes", [False, True], ids=["a-holds", "a-runs-whole"])
+    def test_no_interleaving_gives_two_holders(self, tmp_path, monkeypatch, a_finishes):
+        """Run A takes the lock (and, with ``a_finishes``, releases it) between
+        any two of run B's system calls, on a lock file left by a dead run.  At
+        most one of them holds the lock, a held lock is the file at the path,
+        and the path is free once both are done."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0  # reaped, so its PID names no process
+        state = {"calls": 0}
+
+        def before_each_call():
+            state["calls"] += 1
+            if state["calls"] == state["at"]:
+                state["at"] = None  # A's own calls run straight through
+                try:
+                    a.__enter__()
+                except RTNetError:
+                    return
+                state["a"] = not a_finishes
+                if a_finishes:
+                    a.__exit__(None, None, None)
+
+        class Interleaved:
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                attr = getattr(self.module, name)
+                if not callable(attr) or isinstance(attr, type):
+                    return attr
+
+                def call(*args, **kwargs):
+                    before_each_call()
+                    return attr(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(cli, "os", Interleaved(os))
+        monkeypatch.setattr(cli, "fcntl", Interleaved(fcntl), raising=False)
+        for at in itertools.count(1):
+            out = tmp_path / str(at)
+            state.update(at=None, a=False)
+            a, b = cli.OutDirLock(str(out)), cli.OutDirLock(str(out))
+            (out / LOCK).write_text(str(child.pid))
+            state.update(calls=0, at=at)
+            try:
+                b.__enter__()
+                b_holds = True
+            except RTNetError:
+                b_holds = False
+            a_ran, state["at"] = state["at"] is None, None
+            assert [state["a"], b_holds].count(True) == 1, at
+            holder = a if state["a"] else b
+            assert os.path.samestat(os.fstat(holder.fd), os.stat(holder.path)), at
+            holder.__exit__(None, None, None)
+            assert list(out.iterdir()) == [], at
+            if not a_ran:
+                break
+        assert at > 3
+
+    @pytest.mark.parametrize("command", ["relate", "pacf", "train", "sweep", "experiment"])
+    @pytest.mark.parametrize("ok", [True, False], ids=["ok", "refused"])
+    def test_no_lock_file_is_left(self, data_csv, tmp_path, capsys, command, ok):
+        """The lock file is gone after every command, whether it succeeded or
+        failed."""
+        data = data_csv if ok else str(tmp_path / "missing.csv")
+        source = ["--data", data]
+        if command in ("train", "sweep", "experiment"):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(base_config(command, data)))
+            source = (["--spec", str(config)] if command == "experiment"
+                      else [*source, "--config", str(config)])
+        out = tmp_path / "out"
+        assert main([command, *source, "--out", str(out)]) == (0 if ok else 1)
+        if not ok:
+            assert "missing.csv" in one_error_line(capsys)
+        assert not (out / LOCK).exists()
+        assert ok or list(out.iterdir()) == []
+
+
+class TestAtomicOutputs:
+    """Every output goes through a temporary file that replaces its target only
+    when the write completes."""
+
+    @pytest.mark.parametrize("mode,payload", [("w", "a,b\r\n1,2\n"), ("wb", b"\x00\r\n")])
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, mode, payload):
+        path = tmp_path / "out.bin"
+        with atomic_open(str(path), mode) as fh:
+            fh.write(payload)
+        assert path.read_bytes() == (payload.encode() if mode == "w" else payload)
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(path), mode) as fh:
+                fh.write(payload * 2)
+                raise RuntimeError("killed mid-write")
+        assert path.read_bytes() == (payload.encode() if mode == "w" else payload)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @staticmethod
+    def small_model():
+        return RTNet(rtnet.ModelConfig(l_in=8, l_out=2, n_variates=2, d_channels=4, blocks=2,
+                                       groups=2), np.random.default_rng(0), relation=np.eye(2))
+
+    def test_a_checkpoint_save_that_fails_part_way_keeps_the_old_checkpoint(self, tmp_path):
+        model = self.small_model()
+        path = tmp_path / "checkpoint.rtnet"
+        save_checkpoint(model, str(path))
+        before = path.read_bytes()
+        for p in model.parameters():
+            p.data += 1.0
+        model.relation = np.array([["not a number"] * 2] * 2, dtype=object)  # written last
+        with pytest.raises(ValueError):
+            save_checkpoint(model, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.rtnet"]
+
+    def test_a_checkpoint_save_killed_part_way_keeps_the_old_checkpoint(self, tmp_path):
+        """SIGKILL in the middle of a save, while the last array is being
+        converted, leaves the old checkpoint; only its temporary file remains."""
+        path = tmp_path / "checkpoint.rtnet"
+        save_checkpoint(self.small_model(), str(path))
+        before = path.read_bytes()
+        code = ("import sys, numpy as np\n"
+                "from rtnet.model import ModelConfig, RTNet, save_checkpoint\n"
+                "class Stall:\n"
+                "    shape = (2, 2)\n"
+                "    def __array__(self, dtype=None, copy=None):\n"
+                "        print('saving', flush=True)\n"
+                "        sys.stdin.read()\n"
+                "m = RTNet(ModelConfig(l_in=8, l_out=2, n_variates=2, d_channels=4, blocks=2,"
+                " groups=2), np.random.default_rng(1), relation=np.eye(2))\n"
+                "m.relation = Stall()\n"
+                "save_checkpoint(m, sys.argv[1])\n")
+        with subprocess.Popen([sys.executable, "-c", code, str(path)], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True, env=child_env()) as saver:
+            try:
+                assert saver.stdout.readline() == "saving\n"
+            finally:
+                saver.kill()
+        assert saver.returncode == -signal.SIGKILL
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.rtnet",
+                                                              "checkpoint.rtnet.tmp"]
+
+    def test_a_history_write_that_fails_part_way_keeps_the_old_history(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("killed mid-write")
+
+        path = tmp_path / "history.csv"
+        TrainResult(history=[{"epoch": 0, "val_mse": 1.5}]).write_history_csv(str(path))
+        before = path.read_bytes()
+        assert before == b"epoch,val_mse\r\n0,1.5\r\n"
+        rows = [{"epoch": e, "val_mse": 0.5} for e in range(500)] + [{"epoch": Unprintable()}]
+        with pytest.raises(RuntimeError):
+            TrainResult(history=rows).write_history_csv(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
 
 def base_config(command, data_csv):
@@ -287,12 +517,9 @@ def run_refused(capsys, tmp_path, data_csv, command, config, flags=()):
     source = ["--spec", str(path)] if command == "experiment" else \
         ["--config", str(path), "--data", data_csv, *flags]
     assert main([command, *source, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and err.splitlines()[-1] == errors[0], err
-    assert "Traceback" not in err
+    error = one_error_line(capsys)
     assert list(out.iterdir()) == []
-    return errors[0]
+    return error
 
 
 BAD_CONFIGS = [
@@ -383,6 +610,23 @@ def test_a_setting_given_outside_its_owner_is_refused(data_csv, tmp_path, capsys
     assert key in error and owner in error, error
 
 
+@pytest.mark.parametrize("key,value,axis,values", [
+    ("format", "e2e", "format", ["e2e", "contrastive"]),
+    ("format", "contrastive", "format", ["e2e"]),
+    ("use_relation", True, "relation", [True, False]),
+    ("use_relation", False, "relation", [True])])
+def test_a_top_level_key_beside_its_axis_is_refused(data_csv, tmp_path, capsys, key, value,
+                                                    axis, values):
+    """The format and relation axes set the spec's own ``format`` and
+    ``use_relation`` in every cell, so a top-level value beside them, even the
+    default, would be overwritten without a word."""
+    spec = patched(base_config("experiment", data_csv),
+                   {"task": "multivariate", "ablation": axis, "ablation_values": values,
+                    key: value})
+    error = run_refused(capsys, tmp_path, data_csv, "experiment", spec)
+    assert error == f"error: {key} is set by the {axis} axis, not by the spec"
+
+
 def test_ablation_values_without_an_axis_are_refused(data_csv, tmp_path, capsys):
     """Values with no axis to vary would run the plain spec under the label of
     none of them."""
@@ -398,6 +642,58 @@ def test_seed_flag_beside_sweep_seeds_is_refused(data_csv, tmp_path, capsys, fla
     config = patched(base_config("sweep", data_csv), {"seeds": [0]})
     error = run_refused(capsys, tmp_path, data_csv, "sweep", config, flags)
     assert "--seed" in error and "seeds" in error.replace("--seed", ""), error
+
+
+UNREACHED = [  # refusals that no other test reaches: config patch, flags, error phrase
+    ({"train": {"patience": 0}}, (), "patience must be >= 1, got 0"),
+    ({"train": {"epochs": 0}}, (), "epochs must be >= 1, got 0"),
+    ({"train": {"max_steps_per_epoch": 0}}, (), "max_steps_per_epoch must be >= 1, got 0"),
+    ({"model": {"norm_kind": "xx"}}, (), "norm_kind must be one of"),
+    ({"model": {"dropout": 1.0}}, (), "dropout must lie in [0, 1), got 1.0"),
+    ({"model": {"time_mode": "xx"}}, (), "time_mode must be one of"),
+    ({"train": {"batch_size": 1000}}, (), "batch size 1000 exceeds the 341 available"),
+    ({"model": {"time_mode": "input"}}, ("--format", "contrastive"),
+     "contrastive training expects decoupled or absent time features"),
+]
+
+
+@pytest.mark.parametrize("patch,flags,phrase", UNREACHED,
+                         ids=[f"{json.dumps(p)}{''.join(f)}" for p, f, _ in UNREACHED])
+def test_train_refusal_exits_1_with_one_error_line(data_csv, tmp_path, capsys, patch, flags,
+                                                   phrase):
+    error = run_refused(capsys, tmp_path, data_csv, "train",
+                        patched(base_config("train", data_csv), patch), flags)
+    assert phrase in error, error
+
+
+@pytest.mark.parametrize("key,value,phrase", [
+    ("name", "cpn.branch0.embed.bias", "checkpoint lists an array name twice"),
+    ("shape", [-1, 4], "checkpoint header has a negative array dimension")])
+def test_eval_of_a_checkpoint_whose_header_cannot_name_its_payload(
+        data_csv, tmp_path, capsys, key, value, phrase):
+    path = tmp_path / "checkpoint.rtnet"
+    save_checkpoint(RTNet(rtnet.ModelConfig(l_in=16, l_out=4, n_variates=1, d_channels=4,
+                                            blocks=2, groups=1), np.random.default_rng(0)),
+                    str(path))
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<Q", raw[6:14])
+    header = json.loads(raw[14:14 + length])
+    header["arrays"][1][key] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + length:])
+    assert main(["eval", "--checkpoint", str(path), "--data", data_csv]) == 1
+    assert one_error_line(capsys) == f"error: {path}: {phrase}"
+
+
+@pytest.mark.parametrize("header,phrase", [("date", "no variate columns"),
+                                           ("date,OT,OT", "duplicate variate names")])
+def test_a_csv_header_without_distinct_variates_exits_1(tmp_path, capsys, header, phrase):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"{header}\n2016-07-01 00:00:00,1,2\n")
+    out = tmp_path / "out"
+    assert main(["relate", "--data", str(data), "--out", str(out)]) == 1
+    assert one_error_line(capsys).startswith(f"error: {data}: {phrase}")
+    assert list(out.iterdir()) == []
 
 
 class TestPacfCommand:

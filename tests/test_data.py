@@ -9,7 +9,7 @@ import pytest
 from conftest import hourly, write_csv
 from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
                         make_windows, split, standardize, time_features)
-from rtnet.errors import DataError
+from rtnet.errors import DataError, DimensionError
 
 
 def per_row_reference(path):
@@ -122,6 +122,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="date"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("header,problem", [("date", "no variate columns"),
+                                                ("date,a, a", "duplicate variate names")])
+    def test_header_without_distinct_variates(self, tmp_path, header, problem):
+        path = tmp_path / "header.csv"
+        path.write_text(f"{header}\n2016-07-01 00:00:00,1,2\n")
+        with pytest.raises(DataError, match=f"^{path}: {problem}"):
+            load_csv(str(path))
+
 
 class TestSplit:
     def test_ratio_row_counts(self, tmp_path):
@@ -198,6 +206,15 @@ class TestWindows:
     def test_too_short(self):
         with pytest.raises(DataError, match="191"):
             make_windows(191, 168, 24)
+
+    @pytest.mark.parametrize("offsets", [[-1], [0, 4], [5]])
+    def test_offsets_outside_the_split(self, offsets):
+        """A window must lie wholly inside the split: 10 rows hold offsets 0-3
+        of a 4 + 3 row window."""
+        ds = TimeSeriesDataset(hourly(10), np.zeros((10, 1)), ["OT"], 0)
+        gather_batch(ds, np.arange(4), 4, 3)
+        with pytest.raises(DimensionError, match="window offsets fall outside the split"):
+            gather_batch(ds, np.array(offsets), 4, 3)
 
     def test_batch_slices_are_adjacent(self, ett_like_csv):
         ds = load_csv(ett_like_csv)

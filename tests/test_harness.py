@@ -50,8 +50,11 @@ def desk_spec(small_csv, **kw):
 
 
 def write_spec(tmp_path, spec):
+    """A spec file of every field of ``spec`` but the one its axis sets."""
+    owned = harness.ABLATION_AXES[spec.ablation][0] if spec.ablation else None
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(dataclasses.asdict(spec)))
+    path.write_text(json.dumps({k: v for k, v in dataclasses.asdict(spec).items()
+                                if k != owned}))
     return path
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -51,6 +52,14 @@ class TestConfig:
         """The time branch reads all N_TIME_FEATURES calendar columns; any other
         n_time would fail only inside the first step."""
         with pytest.raises(ConfigError, match=next(iter(kw.keys() - {"time_mode"}))):
+            small_cfg(**kw).validate()
+
+    @pytest.mark.parametrize("kw,phrase", [
+        ({"norm_kind": "xx"}, r"norm_kind must be one of \('wn', 'bn', 'ln', 'none'\), got 'xx'"),
+        ({"dropout": 1.0}, r"dropout must lie in \[0, 1\), got 1.0"),
+        ({"time_mode": "xx"}, "time_mode must be one of .*, got 'xx'")])
+    def test_unknown_kind_or_full_dropout_refused(self, kw, phrase):
+        with pytest.raises(ConfigError, match=phrase):
             small_cfg(**kw).validate()
 
     def test_n_time_is_free_without_a_time_mode(self):
@@ -207,6 +216,19 @@ class TestPyramid:
 
 
 class TestForward:
+    @pytest.mark.parametrize("shape", [(2, 31, 3), (2, 32, 2), (32, 3)])
+    def test_misshapen_inputs_refused(self, shape):
+        with pytest.raises(DimensionError, match=rf"inputs must be \(B, 32, 3\), got "
+                                                 rf"{re.escape(str(shape))}"):
+            make_model().forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 6), (2, 4, 5), (3, 4, 6)])
+    def test_misshapen_marks_refused(self, shape):
+        model = make_model(time_mode="decoupled")
+        with pytest.raises(DimensionError, match=rf"marks must be \(B, 4, 6\), got "
+                                                 rf"{re.escape(str(shape))}"):
+            model.forward(np.zeros((2, 32, 3)), np.zeros(shape))
+
     def test_output_shape_univariate(self):
         cfg = small_cfg(n_variates=1, groups=1, d_channels=4, l_out=24)
         model = make_model(cfg)
@@ -548,6 +570,18 @@ class TestCheckpoint:
             path, lambda h: h["arrays"].append({"name": "stray", "shape": [2]}))
         path.write_bytes(head + payload + np.zeros(2).tobytes())
         with pytest.raises(DataError, match="stray"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit,phrase", [
+        (lambda h: h["arrays"][1].update(name=h["arrays"][0]["name"]),
+         "checkpoint lists an array name twice"),
+        (lambda h: h["arrays"][0].update(shape=[-1, *h["arrays"][0]["shape"][1:]]),
+         "checkpoint header has a negative array dimension")])
+    def test_header_that_cannot_name_the_payload_is_data_error(self, tmp_path, edit, phrase):
+        _, path = self.saved(tmp_path)
+        head, payload = self.rewrite(path, edit)
+        path.write_bytes(head + payload)
+        with pytest.raises(DataError, match=f"^{path}: {phrase}$"):
             load_checkpoint(str(path))
 
     def test_missing_relation_is_data_error(self, tmp_path):

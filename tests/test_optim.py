@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rtnet.errors import NumericalError
+from rtnet.errors import DimensionError, NumericalError
 from rtnet.optim import CHUNK, Adam
 from rtnet.tensor import Tensor
 
@@ -74,6 +74,13 @@ class TestAdamWrapper:
         opt = Adam([("p", p)])
         with pytest.raises(NumericalError, match="'p'"):
             opt.step()
+
+    def test_misshapen_grad_names_parameter(self):
+        (p,) = params_of([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionError,
+                           match=r"adam: grad shape \(1, 3\) != shape \(3,\) of parameter 'p'"):
+            step_with(p, [[0.1, 0.2, 0.3]])
+        assert np.array_equal(p.data, [1.0, 2.0, 3.0])
 
 
 def reference_adam(p, grads, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -203,10 +203,17 @@ class TestContrastiveLoss:
         ((7, 2, 3), 2, 3, ConfigError, r"7 instances != \(1\+3\)\*2"),
         ((0, 2, 3), 0, 3, DimensionError, "0 windows"),
         ((8, 2, 3), 2, 3, NumericalError, r"zero-norm .* \[\[5, 1\]\]"),
+        ((8, 3), 2, 3, DimensionError, r"2 windows of \(8, 3\); needs 3-D"),
+        ((8, 1, 2, 3), 2, 3, DimensionError, "needs 3-D"),
+        ((1, 2, 3), -1, -2, DimensionError, "-1 windows"),
+        ((3, 2, 3), 0, 3, DimensionError, "0 windows"),
+        ((0, 2, 3), 1, -1, DimensionError, "1 windows"),
     ])
     def test_refused_inputs(self, shape, n_windows, n_augments, error, match):
-        """A wrong instance count, no windows, and zero-norm representations,
-        which are named by (instance, group)."""
+        """A wrong instance count, zero-norm representations, which are named by
+        (instance, group), and, before any array is sized by them, a shape that
+        is not (instances, groups, features) or a window count outside
+        [1, instances]."""
         data = np.ones(shape)
         if error is NumericalError:
             data[5, 1] = 0.0
@@ -725,6 +732,45 @@ class TestDivergenceAbort:
         model = tiny_model()
         with pytest.raises(DataError):
             train_end_to_end(model, ds, ds, TrainConfig(epochs=1))
+
+
+class TestTrainingRefusals:
+    @pytest.mark.parametrize("key", ["patience", "epochs", "max_steps_per_epoch"])
+    def test_counts_below_one(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0$"):
+            TrainConfig(**{key: 0}).validate()
+
+    def test_batch_larger_than_the_training_windows(self):
+        ds = ar_dataset(60, seed=0)  # 60 - 16 - 2 + 1 windows
+        with pytest.raises(ConfigError, match="^batch size 44 exceeds the 43 available "
+                                              "training windows$"):
+            train_end_to_end(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=44))
+
+    def test_non_finite_loss_names_epoch_and_step(self, monkeypatch):
+        """The sixth step's loss is made infinite: four steps in epoch 0, then
+        step 1 of epoch 1."""
+        calls, sum_axis = [], training.sum_axis
+
+        def poisoned(x, *args):
+            out = sum_axis(x, *args)
+            calls.append(out)
+            if len(calls) == 6:
+                out.data[...] = np.inf
+            return out
+
+        monkeypatch.setattr(training, "sum_axis", poisoned)
+        ds = ar_dataset(120, seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=8, max_steps_per_epoch=4)
+        with pytest.raises(NumericalError, match="^training diverged: non-finite loss at "
+                                                 "epoch 1, step 1$"):
+            train_end_to_end(tiny_model(), ds, ds, cfg)
+        assert len(calls) == 6
+
+    def test_contrastive_training_refuses_input_time_features(self):
+        ds = ar_dataset(120, seed=0)
+        with pytest.raises(ConfigError, match="^contrastive training expects decoupled or "
+                                              "absent time features$"):
+            train_contrastive(tiny_model(time_mode="input"), ds, ds, TrainConfig(epochs=1))
 
 
 class TestTrainContrastive:
