@@ -262,4 +262,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(lambda job: run_cell(*job), jobs))
-    return ExperimentReport(spec=asdict(spec), cells=cells, summary=_summarize(cells))
+    # the key the axis sets is left out, so the report's spec reruns as a spec
+    owned = ABLATION_AXES[spec.ablation][0] if spec.ablation else None
+    report_spec = {k: v for k, v in asdict(spec).items() if k != owned}
+    return ExperimentReport(spec=report_spec, cells=cells, summary=_summarize(cells))

@@ -300,39 +300,35 @@ class RTNet(Module):
 
     # -- input assembly (numpy; gradients are tracked w.r.t. parameters) -----
 
-    def _assemble_channels(self, window: np.ndarray,
-                           input_marks: np.ndarray | None) -> np.ndarray:
-        """(B, L, N) window -> (C, B, L) channels, marks interleaved per group."""
-        x = window.transpose(2, 0, 1)
-        if self.cfg.time_mode != "input":
-            return np.ascontiguousarray(x)
-        if input_marks is None:
-            raise DimensionError("time_mode='input' requires input-window marks")
-        marks = input_marks.transpose(2, 0, 1)
-        g = self.cfg.groups
-        npg = self.cfg.n_variates // g
-        pieces = []
-        for gi in range(g):
-            pieces.append(x[gi * npg:(gi + 1) * npg])
-            pieces.append(marks)
-        return np.concatenate(pieces, axis=0)
-
     def _prepare_input(self, inputs: np.ndarray,
                        input_marks: np.ndarray | None) -> np.ndarray:
+        """(B, L, N) window -> (C, B, L) pyramid channels, relation-mixed; under
+        time_mode 'input' each group's variates are followed by the marks."""
         cfg = self.cfg
+        inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3 or inputs.shape[1] != cfg.l_in or inputs.shape[2] != cfg.n_variates:
             raise DimensionError(f"inputs must be (B, {cfg.l_in}, {cfg.n_variates}), "
                                  f"got {inputs.shape}")
         if self.relation is not None:
             inputs = inputs @ self.relation
-        return self._assemble_channels(inputs, input_marks)
+        x = inputs.transpose(2, 0, 1)
+        if cfg.time_mode != "input":
+            return np.ascontiguousarray(x)
+        batch = inputs.shape[0]
+        if input_marks is None or np.shape(input_marks) != (batch, cfg.l_in, cfg.n_time):
+            raise DimensionError(f"time_mode='input' requires input-window marks of shape "
+                                 f"(B, {cfg.l_in}, {cfg.n_time})")
+        marks = input_marks.transpose(2, 0, 1)
+        per_group = [x.reshape(cfg.groups, -1, batch, cfg.l_in),
+                     np.broadcast_to(marks, (cfg.groups, *marks.shape))]
+        return np.concatenate(per_group, axis=1).reshape(-1, batch, cfg.l_in)
 
     def representations(self, inputs: np.ndarray, *, training: bool = False,
                         rng: np.random.Generator | None = None,
                         input_marks: np.ndarray | None = None) -> Tensor:
         """Per-group pyramid features, (B, groups, features_per_group)."""
         cfg = self.cfg
-        x = self._prepare_input(np.asarray(inputs, dtype=np.float64), input_marks)
+        x = self._prepare_input(inputs, input_marks)
         hs = []
         for i, branch in enumerate(self.branches):
             sliced = x[:, :, x.shape[2] - (cfg.l_in >> i):]

@@ -303,19 +303,6 @@ def relu_dropout(x: Tensor, rate: float, rng: np.random.Generator | None, traini
     return _make(inputs, out, grad_fn)
 
 
-def sum_axis(a: Tensor, axis: int | None = None) -> Tensor:
-    shape = a.data.shape
-    if axis is None:
-        return _make([a], np.asarray(a.data.sum()),
-                     lambda g: (np.broadcast_to(np.asarray(g, dtype=np.float64), shape).copy(),))
-    out = a.data.sum(axis=axis)
-
-    def grad_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _make([a], out, grad_fn)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.data.shape
     return _make([a], a.data.reshape(shape), lambda g: (g.reshape(old),))
@@ -546,21 +533,22 @@ def linear_grouped(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1) -> 
     return _make([x, weight, bias], out, grad_fn)
 
 
-def mse_per_variate(pred: Tensor, truth: np.ndarray) -> Tensor:
-    """Per-variate mean squared error of a (B, L_out, N) prediction -> (N,)."""
+def mse_loss(pred: Tensor, truth: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Mean squared error of a (B, L_out, N) prediction, as one node.
+
+    Returns (scalar sum of the per-variate means for backward, the (N,)
+    per-variate means).  The node keeps only the difference ``pred - truth``.
+    """
     truth = np.asarray(truth, dtype=np.float64)
     if pred.data.shape != truth.shape:
-        raise DimensionError(f"mse_per_variate: {pred.data.shape} vs {truth.shape}")
+        raise DimensionError(f"mse_loss: {pred.data.shape} vs {truth.shape}")
     if pred.data.ndim != 3:
-        raise DimensionError("mse_per_variate expects (B, L_out, N)")
+        raise DimensionError("mse_loss expects (B, L_out, N)")
     diff = pred.data - truth
     denom = diff.shape[0] * diff.shape[1]
-    out = np.einsum("bln,bln->n", diff, diff) / denom
-
-    def grad_fn(g):
-        return (diff * (2.0 * g[None, None, :] / denom),)
-
-    return _make([pred], out, grad_fn)
+    per_variate = np.einsum("bln,bln->n", diff, diff) / denom
+    total = _make([pred], np.asarray(per_variate.sum()), lambda g: (diff * (2.0 * g / denom),))
+    return total, per_variate
 
 
 def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int

@@ -20,20 +20,10 @@ from .data import TimeSeriesDataset, atomic_open, gather_batch, make_windows
 from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
-from .tensor import GradTape, backward, contrastive_loss, mse_per_variate, sum_axis
+from .tensor import GradTape, backward, contrastive_loss, mse_loss
 
 AUGMENT_KINDS = ("scaling", "jittering", "entirety_scaling")
-
-
-@dataclass
-class AugmentSpec:
-    kind: str
-    beta: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in AUGMENT_KINDS:
-            raise ConfigError(f"augmentation kind must be one of {AUGMENT_KINDS}, got {self.kind!r}")
-        _check_beta(self.beta, "augmentation beta")
+EVAL_BATCH = 64  # windows per evaluate forward; the fastest measured batch
 
 
 def _finite(value: float) -> bool:
@@ -56,14 +46,19 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be a finite number >= 1, got {alpha}")
 
 
-def augment(window: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    """Perturb one input window; every drawn amplitude lies in [-beta, beta]."""
+def augment(window: np.ndarray, kind: str, beta: float,
+            rng: np.random.Generator) -> np.ndarray:
+    """Perturb one input window by one of ``AUGMENT_KINDS``; every drawn
+    amplitude lies in [-beta, beta]."""
+    if kind not in AUGMENT_KINDS:
+        raise ConfigError(f"augmentation kind must be one of {AUGMENT_KINDS}, got {kind!r}")
+    _check_beta(beta, "augmentation beta")
     window = np.asarray(window, dtype=np.float64)
-    if spec.kind == "scaling":
-        return window * (1.0 + rng.uniform(-spec.beta, spec.beta, window.shape))
-    if spec.kind == "jittering":
-        return window + rng.uniform(-spec.beta, spec.beta, window.shape)
-    return window * (1.0 + rng.uniform(-spec.beta, spec.beta))
+    if kind == "scaling":
+        return window * (1.0 + rng.uniform(-beta, beta, window.shape))
+    if kind == "jittering":
+        return window + rng.uniform(-beta, beta, window.shape)
+    return window * (1.0 + rng.uniform(-beta, beta))
 
 
 def max_condition1_batch(n_rows: int, l_in: int, alpha: float) -> tuple[int, int]:
@@ -98,31 +93,21 @@ def sample_batch_condition1(n_rows: int, batch: int, l_in: int, alpha: float,
     return start + gap * np.arange(batch)
 
 
-@dataclass
-class ContrastiveBatch:
-    """Original windows followed by their augmented instances.
-
-    Instance layout along axis 0: the B originals first, then instance i of
-    window m at index B + m*I + i.
-    """
-
-    windows: np.ndarray          # ((1+I)*B, L_in, N)
-    offsets: np.ndarray          # (B,)
-    n_windows: int
-    n_augments: int
-
-
 def make_contrastive_batch(ds: TimeSeriesDataset, batch: int, l_in: int, alpha: float,
                            n_augments: int, beta: float,
-                           rng: np.random.Generator) -> ContrastiveBatch:
+                           rng: np.random.Generator) -> np.ndarray:
+    """A ((1+I)*B, L_in, N) array: the B windows at overlap-limited offsets
+    first, then instance i of window m, augmented by a kind drawn for it, at
+    row B + m*I + i."""
     offsets = sample_batch_condition1(len(ds), batch, l_in, alpha, rng)
-    originals = ds.values[offsets[:, None] + np.arange(l_in)]
-    pieces = [originals]
+    windows = np.empty(((1 + n_augments) * batch, l_in, ds.values.shape[1]))
+    originals = windows[:batch]
+    originals[...] = ds.values[offsets[:, None] + np.arange(l_in)]
     for m in range(batch):
-        for _ in range(n_augments):
+        for i in range(n_augments):
             kind = AUGMENT_KINDS[rng.integers(0, len(AUGMENT_KINDS))]
-            pieces.append(augment(originals[m], AugmentSpec(kind, beta), rng)[None])
-    return ContrastiveBatch(np.concatenate(pieces, axis=0), offsets, batch, n_augments)
+            windows[batch + m * n_augments + i] = augment(originals[m], kind, beta, rng)
+    return windows
 
 
 @dataclass
@@ -203,21 +188,20 @@ def _history_row(epoch: int, per_variate_loss: np.ndarray, val_mse: float,
     return row
 
 
-def evaluate(model: RTNet, ds: TimeSeriesDataset, batch_size: int = 64) -> tuple[float, float]:
+def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
     """Mean squared / absolute error over every window of a split (eval mode).
 
-    Every batch's forward reads effective weights built once for this call.
+    Runs ``EVAL_BATCH`` windows per forward, each reading effective weights
+    built once for this call.
     """
-    if batch_size < 1:
-        raise ConfigError(f"evaluate: batch_size must be >= 1, got {batch_size}")
     cfg = model.cfg
     offsets = make_windows(len(ds), cfg.l_in, cfg.l_out)
     se = 0.0
     ae = 0.0
     count = 0
     with model.weights_held():
-        for start in range(0, offsets.size, batch_size):
-            chunk = offsets[start:start + batch_size]
+        for start in range(0, offsets.size, EVAL_BATCH):
+            chunk = offsets[start:start + EVAL_BATCH]
             wb = gather_batch(ds, chunk, cfg.l_in, cfg.l_out,
                               with_marks=cfg.time_mode == "decoupled",
                               with_input_marks=cfg.time_mode == "input")
@@ -253,12 +237,21 @@ def _window_batches(model: RTNet, ds: TimeSeriesDataset, batch_size: int,
 
 
 def _mse_step(model: RTNet, rng: np.random.Generator):
-    """Supervised step loss: per-variate MSE, backpropagated through its sum."""
+    """Supervised step loss of a ``WindowBatch``: the per-variate MSE and its sum."""
     def step_loss(wb):
         pred = model.forward(wb.inputs, wb.time_marks, training=True, rng=rng,
                              input_marks=wb.input_marks)
-        loss_vec = mse_per_variate(pred, wb.targets)
-        return sum_axis(loss_vec), loss_vec.data
+        return mse_loss(pred, wb.targets)
+    return step_loss
+
+
+def _contrastive_step(model: RTNet, n_windows: int, n_augments: int, training: bool,
+                      rng: np.random.Generator | None):
+    """Stage-1 step loss of a ``make_contrastive_batch`` array: the per-variate
+    contrastive loss and its sum."""
+    def step_loss(windows):
+        reps = model.representations(windows, training=training, rng=rng)
+        return contrastive_loss(reps, n_windows, n_augments)[:2]
     return step_loss
 
 
@@ -327,12 +320,6 @@ def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeri
     return result
 
 
-def _stage1_loss(model: RTNet, batch: ContrastiveBatch, training: bool,
-                 rng: np.random.Generator | None):
-    reps = model.representations(batch.windows, training=training, rng=rng)
-    return contrastive_loss(reps, batch.n_windows, batch.n_augments)
-
-
 def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeriesDataset,
                       cfg: TrainConfig) -> TrainResult:
     """Two stages: representation learning on the pyramid, then frozen-backbone heads."""
@@ -350,9 +337,10 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
         steps_per_epoch = min(steps_per_epoch, cfg.max_steps_per_epoch)
 
     feasible, _ = max_condition1_batch(len(val_ds), mcfg.l_in, cfg.alpha)
-    val_batch = make_contrastive_batch(val_ds, min(cfg.stage1_batch_size, feasible),
-                                       mcfg.l_in, cfg.alpha, cfg.n_augments,
-                                       cfg.beta, val_rng)
+    val_windows = min(cfg.stage1_batch_size, feasible)
+    val_batch = make_contrastive_batch(val_ds, val_windows, mcfg.l_in, cfg.alpha,
+                                       cfg.n_augments, cfg.beta, val_rng)
+    val_loss = _contrastive_step(model, val_windows, cfg.n_augments, False, None)
 
     def stage1_batches():
         for _ in range(steps_per_epoch):
@@ -360,13 +348,13 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
                                          cfg.alpha, cfg.n_augments, cfg.beta, sample_rng)
 
     def stage1_validate():
-        val_total, _, _ = _stage1_loss(model, val_batch, False, None)
+        val_total, _ = val_loss(val_batch)
         return val_total.item() / mcfg.groups, float("nan")
 
     result = TrainResult()
     _fit(model, model.cpn_named_parameters(), cfg, stage1_epochs, stage1_batches,
-         lambda batch: _stage1_loss(model, batch, True, drop_rng)[:2], stage1_validate,
-         result, "stage 1", stage=1)
+         _contrastive_step(model, cfg.stage1_batch_size, cfg.n_augments, True, drop_rng),
+         stage1_validate, result, "stage 1", stage=1)
 
     model.freeze_cpn()
     batches = _window_batches(model, train_ds, cfg.stage2_batch_size, shuffle_rng,

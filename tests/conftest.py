@@ -1,5 +1,6 @@
 """Shared fixtures: gradient checking, synthetic series, dataset discovery."""
 
+import importlib.util
 import os
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtnet.tensor import GradTape, Tensor, backward, mse_per_variate, reshape, sum_axis
+from rtnet.tensor import GradTape, Tensor, backward, mse_loss, reshape
+from rtnet.training import AUGMENT_KINDS, sample_batch_condition1
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient oracle
@@ -74,7 +76,7 @@ def sq_sum(t: Tensor) -> Tensor:
     """sum(t * t) as a recorded scalar, through the model's own MSE op, so
     the gradient reaching ``t`` is 2t: a different seed at every element."""
     flat = reshape(t, (1, 1, t.size))
-    return sum_axis(mse_per_variate(flat, np.zeros(flat.shape)))
+    return mse_loss(flat, np.zeros(flat.shape))[0]
 
 
 def check_condition1(offsets: np.ndarray, l_in: int, alpha: float) -> bool:
@@ -85,6 +87,27 @@ def check_condition1(offsets: np.ndarray, l_in: int, alpha: float) -> bool:
         return True
     overlap = np.maximum(0, l_in - np.diff(off))
     return bool(np.all(overlap <= l_in - l_in / alpha + 1e-9))
+
+
+def piecewise_contrastive_batch(ds, batch: int, l_in: int, alpha: float, n_augments: int,
+                                beta: float, rng: np.random.Generator) -> np.ndarray:
+    """Oracle for ``training.make_contrastive_batch``: the originals, then each
+    augmented instance as its own piece, a kind drawn for it, concatenated."""
+    offsets = sample_batch_condition1(len(ds), batch, l_in, alpha, rng)
+    originals = ds.values[offsets[:, None] + np.arange(l_in)]
+    pieces = [originals]
+    for m in range(batch):
+        for _ in range(n_augments):
+            kind = AUGMENT_KINDS[rng.integers(0, len(AUGMENT_KINDS))]
+            w = originals[m]
+            if kind == "scaling":
+                piece = w * (1.0 + rng.uniform(-beta, beta, w.shape))
+            elif kind == "jittering":
+                piece = w + rng.uniform(-beta, beta, w.shape)
+            else:
+                piece = w * (1.0 + rng.uniform(-beta, beta))
+            pieces.append(piece[None])
+    return np.concatenate(pieces, axis=0)
 
 
 def per_group_contrastive_loss(reps: np.ndarray, n_windows: int, n_augments: int):
@@ -189,24 +212,19 @@ def hourly(n, start="2016-07-01 00:00:00"):
     return [t0 + timedelta(hours=i) for i in range(n)]
 
 
-def synthetic_multivariate(n, seed=0):
-    """Seven variates shaped like a transformer-load file: two tightly coupled
-    pairs, two independents, and an AR(2) target."""
-    rng = np.random.default_rng(seed)
-    base1 = ar_series([0.7], n, seed=seed + 1)
-    base2 = ar_series([0.6], n, seed=seed + 2)
-    target = ar_series([0.5, -0.3], n, seed=seed + 3)
-    cols = {
-        "HUFL": base1,
-        "HULL": base2,
-        "MUFL": base1 * 1.1 + rng.normal(0, 0.12, n),
-        "MULL": base2 * 0.9 + rng.normal(0, 0.25, n),
-        "LUFL": ar_series([0.4], n, seed=seed + 4),
-        "LULL": rng.normal(0, 1, n),
-        "OT": target,
-    }
-    names = list(cols)
-    return np.column_stack([cols[k] for k in names]), names
+def _load_by_path(name: str, path: Path):
+    """Import one file as a module without putting its directory on sys.path,
+    where perfbench's run, layers and machine modules could shadow others."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's ETT-shaped generator: (n, 7) values and their names, target last
+synthetic_multivariate = _load_by_path(
+    "perfbench_synth", Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
+).synthetic_multivariate
 
 
 @pytest.fixture

@@ -28,8 +28,7 @@ from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm,
 from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import (Tensor, add, channel_upsample, concat, contrastive_loss,
                           conv1d_grouped, dropout, group_features, linear_grouped, maxpool1d,
-                          mse_per_variate, permute, relu, relu_dropout, reshape, sum_axis,
-                          transpose_12)
+                          mse_loss, permute, relu, relu_dropout, reshape, transpose_12)
 from rtnet.training import TrainConfig, train_end_to_end
 
 
@@ -85,13 +84,12 @@ class TestCriterion1GradientSoundness:
                                                          shortcut=c3)), [c6, c3]),
             ("add", lambda: sq_sum(add(a1, a2)), [a1, a2]),
             ("contrastive_loss", lambda: contrastive_loss(reps, 2, 3)[0], [reps]),
-            ("sum_axis", lambda: sq_sum(sum_axis(x3, 1)), [x3]),
             ("reshape", lambda: sq_sum(reshape(x3, (2, 40))), [x3]),
             ("transpose_12", lambda: sq_sum(transpose_12(x3)), [x3]),
             ("permute", lambda: sq_sum(permute(x3, (2, 0, 1))), [x3]),
             ("concat", lambda: sq_sum(concat([a1, a2], 1)), [a1, a2]),
             ("group_features", lambda: sq_sum(group_features([c3, w], 2)), [c3, w]),
-            ("mse_per_variate", lambda: sum_axis(mse_per_variate(pred, truth)), [pred]),
+            ("mse_loss", lambda: mse_loss(pred, truth)[0], [pred]),
             ("batch_norm", lambda: sq_sum(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),
             ("layer_norm", lambda: sq_sum(layer_norm(bn_x, ln)), [bn_x, ln.gain, ln.bias]),
             ("weight_norm_effective", lambda: sq_sum(weight_norm_effective(wv, wg)), [wv, wg]),
@@ -123,7 +121,7 @@ class TestCriterion1GradientSoundness:
         params = [p for _, p in model.named_parameters()]
 
         def build():
-            return sum_axis(mse_per_variate(model.forward(x, marks), truth))
+            return mse_loss(model.forward(x, marks), truth)[0]
 
         worst = check_gradients(build, params, n_coords=10, seed=7)
         assert worst < 1e-4

@@ -12,7 +12,8 @@ from conftest import hourly, write_csv
 from rtnet import harness
 from rtnet.errors import ConfigError
 from rtnet.cli import main
-from rtnet.harness import ExperimentSpec, load_splits, resolve_cell, run_experiment
+from rtnet.harness import (ABLATION_AXES, ExperimentSpec, load_splits, resolve_cell,
+                           run_experiment)
 from rtnet.model import ModelConfig, load_config
 from rtnet.training import TrainConfig
 
@@ -335,6 +336,29 @@ class TestReportFiles:
         csv_text = (out / "report.csv").read_text()
         assert csv_text.splitlines()[0] == \
             "axis_value,pred_len,mean_mse,std_mse,mean_mae,std_mae,n_seeds"
+
+    @pytest.mark.parametrize("axis,values,task", [("format", ["e2e", "contrastive"], "univariate"),
+                                                  ("relation", [True, False], "multivariate")])
+    def test_a_report_spec_reruns_to_the_same_cells(self, small_csv, tmp_path, axis, values,
+                                                    task):
+        """A report's spec leaves out the key its axis sets, so fed back to
+        ``rtnet experiment`` it runs the same cells and reports the same spec."""
+        spec = desk_spec(small_csv, seeds=[0], task=task, ablation=axis, ablation_values=values)
+        reports = []
+        path = write_spec(tmp_path, spec)
+        for run in ("first", "rerun"):
+            assert main(["experiment", "--spec", str(path), "--out", str(tmp_path / run)]) == 0
+            reports.append(json.loads((tmp_path / run / "report.json").read_text()))
+            path = tmp_path / f"{run}.json"
+            path.write_text(json.dumps(reports[-1]["spec"]))
+        first, rerun = reports
+        assert ABLATION_AXES[axis][0] not in first["spec"]
+        assert rerun["spec"] == first["spec"] == json.loads(write_spec(tmp_path, spec).read_text())
+        for cells in (first["cells"], rerun["cells"]):
+            for cell in cells:
+                cell["seconds"] = 0.0
+        assert rerun["cells"] == first["cells"]
+        assert [c["status"] for c in first["cells"]] == ["ok", "ok"]
 
     def test_rerun_reproduces_metrics(self, small_csv, tmp_path):
         spec = desk_spec(small_csv, seeds=[5])

@@ -18,7 +18,7 @@ from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          load_config, save_checkpoint)
 from rtnet.norm import NORM_KINDS
-from rtnet.tensor import GradTape, Tensor, backward, relu_dropout, sum_axis
+from rtnet.tensor import GradTape, Tensor, backward, mse_loss, relu_dropout
 
 
 def small_cfg(**kw):
@@ -228,6 +228,14 @@ class TestForward:
         with pytest.raises(DimensionError, match=rf"marks must be \(B, 4, 6\), got "
                                                  rf"{re.escape(str(shape))}"):
             model.forward(np.zeros((2, 32, 3)), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [None, (2, 32, 5), (2, 16, 6), (3, 32, 6)])
+    def test_misshapen_input_marks_refused(self, shape):
+        model = make_model(time_mode="input")
+        marks = None if shape is None else np.zeros(shape)
+        with pytest.raises(DimensionError, match=r"^time_mode='input' requires input-window "
+                                                 r"marks of shape \(B, 32, 6\)$"):
+            model.forward(np.zeros((2, 32, 3)), input_marks=marks)
 
     def test_output_shape_univariate(self):
         cfg = small_cfg(n_variates=1, groups=1, d_channels=4, l_out=24)
@@ -677,9 +685,7 @@ class TestFullModelGradients:
         params = [p for _, p in model.named_parameters()]
 
         def build():
-            from rtnet.tensor import mse_per_variate
-            pred = model.forward(x)
-            return sum_axis(mse_per_variate(pred, truth))
+            return mse_loss(model.forward(x), truth)[0]
 
         gradcheck(build, params, n_coords=4)
 
@@ -693,8 +699,6 @@ class TestFullModelGradients:
         params = [p for _, p in model.named_parameters()]
 
         def build():
-            from rtnet.tensor import mse_per_variate
-            pred = model.forward(x, marks)
-            return sum_axis(mse_per_variate(pred, np.zeros((2, 2, 1))))
+            return mse_loss(model.forward(x, marks), np.zeros((2, 2, 1)))[0]
 
         gradcheck(build, params, n_coords=3)

@@ -10,8 +10,8 @@ from test_kernel_fuzz import conv_reference
 from rtnet.errors import ConfigError, DimensionError
 from rtnet.tensor import (GradTape, Tensor, add, backward, channel_upsample, concat,
                           contrastive_loss, conv1d_grouped, dropout, group_features,
-                          linear_grouped, maxpool1d, mse_per_variate, permute, relu,
-                          relu_dropout, reshape, sum_axis, transpose_12)
+                          linear_grouped, maxpool1d, mse_loss, permute, relu, relu_dropout,
+                          reshape, transpose_12)
 
 
 def t(data, grad=True):
@@ -38,8 +38,7 @@ class TestBackward:
         x = t([2.0])
         with GradTape() as tape:
             y = add(x, add(x, x))
-            z = sum_axis(y)
-        backward(tape, z, params=[x])
+        backward(tape, y, params=[x], seed=np.ones(1))
         assert x.grad == pytest.approx([3.0])
 
     def test_nonscalar_root_needs_seed(self):
@@ -50,14 +49,14 @@ class TestBackward:
             backward(tape, y, params=[x])
 
     def test_scalar_root_takes_a_scalar_seed(self):
-        """A full sum is 0-d, so a float seed matches it and ``item`` reads it."""
-        x = t(np.arange(6.0).reshape(2, 3))
+        """A loss total is 0-d, so a float seed matches it and ``item`` reads it."""
+        x = t(np.arange(6.0).reshape(1, 2, 3))
         with GradTape() as tape:
-            y = sum_axis(x)
+            y, _ = mse_loss(x, np.zeros(x.shape))
         assert y.shape == () and Tensor(2.5).shape == ()
-        assert y.item() == 15.0
+        assert y.item() == 27.5  # (0 + 1 + 4 + 9 + 16 + 25) / 2
         backward(tape, y, params=[x], seed=1.0)
-        assert np.array_equal(x.grad, np.ones((2, 3)))
+        assert np.array_equal(x.grad, x.data)
 
     def test_strided_data_is_made_contiguous(self):
         a = np.arange(6.0).reshape(2, 3).T
@@ -82,8 +81,8 @@ class TestBackward:
         frozen = t([3.0, 4.0], grad=False)
         with GradTape() as tape:
             h = add(x, frozen)
-            y = sum_axis(add(h, h))
-        backward(tape, y, params=[x, unreached, frozen])
+            y = add(h, h)
+        backward(tape, y, params=[x, unreached, frozen], seed=np.ones(2))
         assert np.array_equal(x.grad, [2.0, 2.0])
         assert np.array_equal(unreached.grad, np.zeros(1))
         assert np.array_equal(frozen.grad, np.zeros(2))
@@ -96,7 +95,7 @@ class TestBackward:
         x = t(np.random.default_rng(3).normal(size=(2, 3, 4)))
         with GradTape() as tape:
             y = add(x, x)
-            loss = sum_axis(mse_per_variate(y, np.zeros(y.shape)))
+            loss, _ = mse_loss(y, np.zeros(y.shape))
         first, mse = tape.nodes[0], tape.nodes[1]
         (diff,) = closure_arrays(mse.grad_fn)
         diff_ref = weakref.ref(diff)
@@ -188,8 +187,8 @@ class TestMaxpool:
     def test_gradient_routes_to_first_argmax(self):
         x = t(np.array([[[2.0, 2.0, 1.0]]]))
         with GradTape() as tape:
-            y = sum_axis(maxpool1d(x, 3, 1, 0))
-        backward(tape, y, params=[x])
+            y = maxpool1d(x, 3, 1, 0)
+        backward(tape, y, params=[x], seed=np.ones(y.shape))
         assert np.array_equal(x.grad, [[[1.0, 0.0, 0.0]]])
 
     def test_gradients(self, gradcheck):
@@ -226,8 +225,8 @@ class TestChannelUpsample:
     def test_gradient_sums_over_copies(self):
         x = t(np.ones((1, 2, 3)))
         with GradTape() as tape:
-            y = sum_axis(channel_upsample(x, 4))
-        backward(tape, y, params=[x])
+            y = channel_upsample(x, 4)
+        backward(tape, y, params=[x], seed=np.ones(y.shape))
         assert np.array_equal(x.grad, np.full((1, 2, 3), 4.0))
 
 
@@ -533,8 +532,8 @@ class TestElementwiseAndStructural:
         a = t(np.ones((2, 3)))
         b = t(np.ones((2, 5)))
         with GradTape() as tape:
-            y = sum_axis(concat([a, b], axis=1))
-        backward(tape, y, params=[a, b])
+            y = concat([a, b], axis=1)
+        backward(tape, y, params=[a, b], seed=np.ones(y.shape))
         assert np.array_equal(a.grad, np.ones((2, 3)))
         assert np.array_equal(b.grad, np.ones((2, 5)))
 
@@ -592,30 +591,53 @@ class TestElementwiseAndStructural:
         gradcheck(lambda: sq_sum(permute(x, (1, 2, 0))), [x])
 
 
-class TestMsePerVariate:
+class TestMseLoss:
     def test_zero_on_equal(self):
         pred = t(np.random.default_rng(0).normal(size=(4, 6, 3)))
-        out = mse_per_variate(pred, pred.data.copy())
-        assert np.array_equal(out.data, np.zeros(3))
+        total, per_variate = mse_loss(pred, pred.data.copy())
+        assert np.array_equal(per_variate, np.zeros(3)) and total.item() == 0.0
 
     def test_constant_offset(self):
         pred = t(np.zeros((2, 5, 3)))
         truth = np.full((2, 5, 3), -1.5)
-        assert np.allclose(mse_per_variate(pred, truth).data, 2.25)
+        assert np.allclose(mse_loss(pred, truth)[1], 2.25)
 
     def test_length_is_variate_count(self):
         pred = t(np.zeros((2, 4, 7)))
-        assert mse_per_variate(pred, np.zeros((2, 4, 7))).shape == (7,)
+        assert mse_loss(pred, np.zeros((2, 4, 7)))[1].shape == (7,)
+
+    def test_values_match_the_numpy_formula(self):
+        rng = np.random.default_rng(4)
+        pred = t(rng.normal(size=(3, 5, 4)))
+        truth = rng.normal(size=(3, 5, 4))
+        total, per_variate = mse_loss(pred, truth)
+        want = ((pred.data - truth) ** 2).mean(axis=(0, 1))
+        np.testing.assert_allclose(per_variate, want, rtol=1e-14)
+        assert total.shape == () and total.item() == per_variate.sum()
+
+    def test_one_node_that_keeps_only_the_difference(self):
+        pred = t(np.random.default_rng(5).normal(size=(2, 3, 4)))
+        truth = np.zeros((2, 3, 4))
+        with GradTape() as tape:
+            total, _ = mse_loss(pred, truth)
+        (node,) = tape.nodes
+        assert node.output is total
+        (diff,) = closure_arrays(node.grad_fn)
+        assert np.array_equal(diff, pred.data - truth)
+
+    @pytest.mark.parametrize("pred,truth,message", [
+        ((2, 3), (2, 3), r"mse_loss expects \(B, L_out, N\)"),
+        ((2, 3, 4, 1), (2, 3, 4, 1), r"mse_loss expects \(B, L_out, N\)"),
+        ((2, 3, 4), (2, 3, 5), r"mse_loss: \(2, 3, 4\) vs \(2, 3, 5\)")])
+    def test_refuses_what_is_not_a_batch_of_forecasts(self, pred, truth, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            mse_loss(t(np.zeros(pred)), np.zeros(truth))
 
     def test_gradients(self, gradcheck):
         rng = np.random.default_rng(8)
         pred = t(rng.normal(size=(3, 4, 2)))
         truth = rng.normal(size=(3, 4, 2))
-
-        def build():
-            return sum_axis(mse_per_variate(pred, truth))
-
-        gradcheck(build, [pred])
+        gradcheck(lambda: mse_loss(pred, truth)[0], [pred])
 
 
 class TestDeterminism:
@@ -655,9 +677,8 @@ class TestDeterminism:
             l_out = (length + 2 * p - k) // s + 1
             with GradTape() as tape:
                 y = conv1d_grouped(x, w, b, s, p, groups)
-                loss = sum_axis(y)
             assert y.shape == (c_out, 2, l_out)
-            backward(tape, loss, params=[x, w, b])
+            backward(tape, y, params=[x, w, b], seed=np.ones(y.shape))
             assert x.grad.shape == x.data.shape
             assert w.grad.shape == w.data.shape
             assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))

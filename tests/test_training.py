@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ar_series, check_condition1, closure_arrays, hourly,
-                      per_group_contrastive_loss, root_base, state_checksum,
-                      synthetic_multivariate)
+                      per_group_contrastive_loss, piecewise_contrastive_batch, root_base,
+                      state_checksum, synthetic_multivariate)
 from rtnet import model as rtnet_model
-from rtnet import training
+from rtnet import tensor, training
 from rtnet.data import TimeSeriesDataset, gather_batch, make_windows
 from rtnet.errors import ConfigError, DataError, DimensionError, NumericalError, SamplerError
 from rtnet.model import ModelConfig, RTNet, features_per_group, save_checkpoint
 from rtnet.optim import Adam
-from rtnet.tensor import GradTape, Tensor, backward, mse_per_variate
-from rtnet.training import (AugmentSpec, TrainConfig, augment, contrastive_loss, early_stop,
-                            evaluate, make_contrastive_batch, max_condition1_batch,
+from rtnet.tensor import GradTape, Tensor, backward, mse_loss
+from rtnet.training import (TrainConfig, augment, contrastive_loss, early_stop, evaluate,
+                            make_contrastive_batch, max_condition1_batch,
                             sample_batch_condition1, train_contrastive, train_end_to_end)
 
 
@@ -45,16 +45,18 @@ def tiny_model(l_in=16, l_out=2, seed=0, **kw):
 class TestMseLossVector:
     def test_zero_on_match(self):
         pred = Tensor(np.ones((2, 3, 4)))
-        assert np.array_equal(mse_per_variate(pred, np.ones((2, 3, 4))).data, np.zeros(4))
+        total, per_variate = mse_loss(pred, np.ones((2, 3, 4)))
+        assert np.array_equal(per_variate, np.zeros(4)) and total.item() == 0.0
 
     def test_constant_offset_squares(self):
         pred = Tensor(np.zeros((2, 3, 7)))
-        out = mse_per_variate(pred, np.full((2, 3, 7), 3.0))
-        assert out.shape == (7,)
-        assert np.allclose(out.data, 9.0)
+        total, per_variate = mse_loss(pred, np.full((2, 3, 7), 3.0))
+        assert per_variate.shape == (7,) and total.shape == ()
+        assert np.allclose(per_variate, 9.0) and total.item() == pytest.approx(63.0)
 
     def test_per_variate_isolation_under_grouping(self):
-        """Masking variate i zeroes group i's head gradients and leaves others bit-equal."""
+        """A variate whose target equals its prediction zeroes its group's head
+        gradients and leaves the other groups' bit-equal."""
         model = RTNet(ModelConfig(l_in=8, l_out=2, n_variates=2, d_channels=4, blocks=2,
                                   groups=2, time_mode="none", norm_kind="none",
                                   dropout=0.0, kernel=3), np.random.default_rng(0))
@@ -62,14 +64,16 @@ class TestMseLossVector:
         truth = np.random.default_rng(2).normal(size=(3, 2, 2))
         params = [p for _, p in model.named_parameters()]
 
-        def grads(mask):
+        def grads(target):
             with GradTape() as tape:
-                vec = mse_per_variate(model.forward(x), truth)
-            backward(tape, vec, params=params, seed=mask)
+                total, _ = mse_loss(model.forward(x), target)
+            backward(tape, total, params=params)
             return {n: p.grad.copy() for n, p in model.named_parameters()}
 
-        g_both = grads(np.array([1.0, 1.0]))
-        g_only0 = grads(np.array([1.0, 0.0]))
+        only0 = truth.copy()
+        only0[..., 1] = model.forward(x).data[..., 1]
+        g_both = grads(truth)
+        g_only0 = grads(only0)
         w = g_only0["head.linear.weight"]
         f_out, fpg = w.shape
         assert np.all(w[f_out // 2:] == 0.0)          # variate-1 head rows silent
@@ -80,41 +84,49 @@ class TestAugment:
     def test_beta_zero_is_identity(self):
         w = np.random.default_rng(0).normal(size=(16, 3))
         for kind in ("scaling", "jittering", "entirety_scaling"):
-            out = augment(w, AugmentSpec(kind, beta=0.0), np.random.default_rng(1))
+            out = augment(w, kind, 0.0, np.random.default_rng(1))
             assert np.allclose(out, w)
 
     def test_jitter_bounded(self):
         w = np.zeros((64, 2))
-        out = augment(w, AugmentSpec("jittering", beta=0.2), np.random.default_rng(2))
+        out = augment(w, "jittering", 0.2, np.random.default_rng(2))
         assert np.all(np.abs(out) <= 0.2)
 
     def test_entirety_scaling_constant_ratio(self):
         w = np.random.default_rng(3).uniform(1.0, 2.0, size=(32, 2))
-        out = augment(w, AugmentSpec("entirety_scaling", beta=0.2), np.random.default_rng(4))
+        out = augment(w, "entirety_scaling", 0.2, np.random.default_rng(4))
         ratios = out / w
         assert np.allclose(ratios, ratios.flat[0])
         assert abs(ratios.flat[0] - 1.0) <= 0.2
 
     def test_scaling_is_elementwise(self):
         w = np.ones((50, 1))
-        out = augment(w, AugmentSpec("scaling", beta=0.2), np.random.default_rng(5))
+        out = augment(w, "scaling", 0.2, np.random.default_rng(5))
         assert np.unique(out).size > 10
         assert np.all(np.abs(out - 1.0) <= 0.2)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            AugmentSpec("warping")
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=r"^augmentation kind must be one of \('scaling', "
+                                              r"'jittering', 'entirety_scaling'\), got 'warping'$"):
+            augment(np.zeros(4), "warping", 0.2, rng)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf"), 1e308, 10**400])
     def test_unusable_beta_rejected(self, beta):
         """A beta whose draw range 2*beta is not finite would overflow in
-        the generator; it is refused when the spec is built."""
+        the generator; it is refused before anything is drawn."""
         for kind in ("scaling", "jittering", "entirety_scaling"):
-            with pytest.raises(ConfigError, match="beta"):
-                AugmentSpec(kind, beta)
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(ConfigError, match="^augmentation beta must be >= 0 with "
+                                                  "2\\*beta finite, got "):
+                augment(np.zeros(4), kind, beta, rng)
+            assert rng.bit_generator.state == before
 
     def test_largest_usable_beta_draws(self):
-        out = augment(np.zeros(4), AugmentSpec("jittering", 8.9e307), np.random.default_rng(0))
+        out = augment(np.zeros(4), "jittering", 8.9e307, np.random.default_rng(0))
         assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 8.9e307)
 
 
@@ -283,18 +295,33 @@ class TestEarlyStop:
 class TestBatching:
     def test_contrastive_batch_layout(self):
         ds = series_dataset(ar_series([0.5], 500, seed=0))
-        batch = make_contrastive_batch(ds, 4, l_in=32, alpha=4.0, n_augments=3,
-                                       beta=0.2, rng=np.random.default_rng(0))
-        assert batch.windows.shape == (16, 32, 1)
-        assert check_condition1(batch.offsets, 32, 4.0)
-        for m, o in enumerate(batch.offsets):
+        windows = make_contrastive_batch(ds, 4, l_in=32, alpha=4.0, n_augments=3,
+                                         beta=0.2, rng=np.random.default_rng(0))
+        # the batch's first draws are the sampler's
+        offsets = sample_batch_condition1(500, 4, 32, 4.0, np.random.default_rng(0))
+        assert windows.shape == (16, 32, 1)
+        assert check_condition1(offsets, 32, 4.0)
+        for m, o in enumerate(offsets):
             original = ds.values[o:o + 32]
-            assert np.array_equal(batch.windows[m], original)
+            assert np.array_equal(windows[m], original)
             # instance i of window m sits at B + m*I + i and stays within the
             # augmentation amplitude of its own original
             bound = 0.2 * np.maximum(np.abs(original), 1.0) + 1e-12
             for i in range(3):
-                assert np.all(np.abs(batch.windows[4 + m * 3 + i] - original) <= bound)
+                assert np.all(np.abs(windows[4 + m * 3 + i] - original) <= bound)
+
+    @pytest.mark.parametrize("batch,n_augments", [(1, 1), (1, 3), (4, 1), (5, 3), (8, 2)])
+    def test_contrastive_batch_matches_the_piecewise_reference(self, batch, n_augments):
+        """Element for element the array the piece-by-piece construction
+        concatenates, with the generator left in the same state."""
+        values, names = synthetic_multivariate(300, seed=batch)
+        ds = TimeSeriesDataset(hourly(300), values, names, 6)
+        rng, ref_rng = np.random.default_rng(40 + batch), np.random.default_rng(40 + batch)
+        windows = make_contrastive_batch(ds, batch, 16, 4.0, n_augments, 0.2, rng)
+        want = piecewise_contrastive_batch(ds, batch, 16, 4.0, n_augments, 0.2, ref_rng)
+        assert windows.shape == want.shape == ((1 + n_augments) * batch, 16, 7)
+        assert np.array_equal(windows, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestTrainEndToEnd:
@@ -383,28 +410,25 @@ def weight_norm_calls(monkeypatch):
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}$"):
-            evaluate(tiny_model(), ar_dataset(60, 1), batch_size=batch_size)
-
     @pytest.mark.parametrize("time_mode", ["none", "decoupled", "input"])
     @pytest.mark.parametrize("norm_kind", ["wn", "bn", "ln", "none"])
-    def test_equals_a_per_batch_forward_loop_bitwise(self, norm_kind, time_mode):
+    def test_equals_a_per_batch_forward_loop_bitwise(self, monkeypatch, norm_kind, time_mode):
+        monkeypatch.setattr(training, "EVAL_BATCH", 7)
         model = perturbed_model(3, norm_kind=norm_kind, time_mode=time_mode)
         ds = ar_dataset(120, 4)
-        assert evaluate(model, ds, batch_size=7) == per_batch_errors(model, ds, 7)
+        assert evaluate(model, ds) == per_batch_errors(model, ds, 7)
 
-    def test_sees_the_weights_after_an_adam_step(self):
+    def test_sees_the_weights_after_an_adam_step(self, monkeypatch):
+        monkeypatch.setattr(training, "EVAL_BATCH", 16)
         model = perturbed_model(5)
         ds = ar_dataset(120, 6)
-        before = evaluate(model, ds, batch_size=16)
+        before = evaluate(model, ds)
         opt = Adam(list(model.named_parameters()), lr=1e-2)
         rng = np.random.default_rng(7)
         for p in opt.params:
             p.grad = rng.normal(size=p.data.shape)
         opt.step()
-        after = evaluate(model, ds, batch_size=16)
+        after = evaluate(model, ds)
         assert after != before
         assert after == per_batch_errors(model, ds, 16)
 
@@ -414,23 +438,24 @@ class TestEvaluate:
         save_checkpoint(model, str(tmp_path / "before.rtnet"))
         with model.weights_held():
             assert list(model.state()) == names
-        evaluate(model, ar_dataset(120, 9), batch_size=8)
+        evaluate(model, ar_dataset(120, 9))
         save_checkpoint(model, str(tmp_path / "after.rtnet"))
         assert list(model.state()) == names
         assert ((tmp_path / "before.rtnet").read_bytes()
                 == (tmp_path / "after.rtnet").read_bytes())
 
-    def test_two_threads_on_two_models_give_the_serial_results(self):
+    def test_two_threads_on_two_models_give_the_serial_results(self, monkeypatch):
+        monkeypatch.setattr(training, "EVAL_BATCH", 4)
         models = [perturbed_model(s, time_mode="decoupled") for s in (10, 11)]
         ds = ar_dataset(200, 12)
-        serial = [[evaluate(m, ds, batch_size=4) for _ in range(3)] for m in models]
+        serial = [[evaluate(m, ds) for _ in range(3)] for m in models]
         assert serial[0] != serial[1]
         barrier = threading.Barrier(2, timeout=60)
         results = [None, None]
 
         def run(i):
             barrier.wait()
-            results[i] = [evaluate(models[i], ds, batch_size=4) for _ in range(3)]
+            results[i] = [evaluate(models[i], ds) for _ in range(3)]
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
         for t in threads:
@@ -441,17 +466,20 @@ class TestEvaluate:
         assert results == serial
 
     @pytest.mark.parametrize("batch_size", [1, 16, 64])
-    def test_weight_norm_runs_once_per_unit_per_call(self, weight_norm_calls, batch_size):
+    def test_weight_norm_runs_once_per_unit_per_call(self, monkeypatch, weight_norm_calls,
+                                                     batch_size):
+        monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
         model = perturbed_model(13, time_mode="decoupled")
         units = [p for n, p in model.named_parameters() if n.endswith(".v")]
         ds = ar_dataset(120, 14)
         assert make_windows(len(ds), 16, 2).size > 64
         for call in range(1, 3):
-            evaluate(model, ds, batch_size=batch_size)
+            evaluate(model, ds)
             assert len(weight_norm_calls) == call * len(units)
         assert {id(v) for v in weight_norm_calls} == {id(v) for v in units}
 
     def test_held_weights_are_dropped_on_error(self, monkeypatch, weight_norm_calls):
+        monkeypatch.setattr(training, "EVAL_BATCH", 8)
         model = perturbed_model(15)
         ds = ar_dataset(120, 16)
         n_units = sum(n.endswith(".v") for n, _ in model.named_parameters())
@@ -466,7 +494,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "gather_batch", gather_then_fail)
         with pytest.raises(DataError):
-            evaluate(model, ds, batch_size=8)
+            evaluate(model, ds)
         assert len(weight_norm_calls) == n_units
         # a forward after the failed call builds its own effective weights
         model.forward(np.zeros((2, 16, 1)))
@@ -583,8 +611,13 @@ class TestStepTape:
                   + self.extractor(cfg, B, G * cfg.n_time, l_out, 2, 1)
                   + self.unit(N, 4 * cfg.d_channels // G) + prediction  # time head conv
                   + 2 * prediction                   # permute, add
-                  + N + prediction + 1)              # per-variate MSE and its diff, the sum
+                  + prediction + 1)                  # the MSE's diff and its total
         assert self.kept_bytes(nodes) == 8 * floats
+
+    def test_the_e2e_step_tape_ends_in_one_loss_node(self, monkeypatch):
+        _, nodes = self.one_step_nodes(monkeypatch)
+        ops = [op_name(node) for node in nodes]
+        assert ops[-2:] == ["add", "mse_loss"] and ops.count("mse_loss") == 1
 
     def test_stage1_step_keeps_only_what_backward_needs(self, monkeypatch):
         """One stage-1 contrastive step records the pyramid as an end-to-end
@@ -622,20 +655,20 @@ class TestStepTape:
         def count_live_tapes():
             alive_at_validation.append(sum(ref() is not None for ref in tapes))
 
-        real_evaluate, real_stage1_loss = training.evaluate, training._stage1_loss
+        real_evaluate, real_loss = training.evaluate, training.contrastive_loss
 
         def evaluate(*args, **kwargs):
             count_live_tapes()
             return real_evaluate(*args, **kwargs)
 
-        def stage1_loss(model, batch, training_mode, rng):
-            if not training_mode:  # the stage-1 validation loss
+        def stage1_loss(*args):
+            if tensor._active_tape() is None:  # the stage-1 validation loss
                 count_live_tapes()
-            return real_stage1_loss(model, batch, training_mode, rng)
+            return real_loss(*args)
 
         monkeypatch.setattr(training, "GradTape", RecordedTape)
         monkeypatch.setattr(training, "evaluate", evaluate)
-        monkeypatch.setattr(training, "_stage1_loss", stage1_loss)
+        monkeypatch.setattr(training, "contrastive_loss", stage1_loss)
         cfg = TrainConfig(epochs=2, stage1_epochs=2, batch_size=8, stage1_batch_size=8,
                           stage2_batch_size=8, patience=5, seed=4, max_steps_per_epoch=2)
         train = train_end_to_end if fmt == "e2e" else train_contrastive
@@ -749,16 +782,16 @@ class TestTrainingRefusals:
     def test_non_finite_loss_names_epoch_and_step(self, monkeypatch):
         """The sixth step's loss is made infinite: four steps in epoch 0, then
         step 1 of epoch 1."""
-        calls, sum_axis = [], training.sum_axis
+        calls, mse_loss = [], training.mse_loss
 
-        def poisoned(x, *args):
-            out = sum_axis(x, *args)
-            calls.append(out)
+        def poisoned(pred, truth):
+            total, per_variate = mse_loss(pred, truth)
+            calls.append(total)
             if len(calls) == 6:
-                out.data[...] = np.inf
-            return out
+                total.data[...] = np.inf
+            return total, per_variate
 
-        monkeypatch.setattr(training, "sum_axis", poisoned)
+        monkeypatch.setattr(training, "mse_loss", poisoned)
         ds = ar_dataset(120, seed=0)
         cfg = TrainConfig(epochs=3, batch_size=8, max_steps_per_epoch=4)
         with pytest.raises(NumericalError, match="^training diverged: non-finite loss at "
@@ -781,17 +814,17 @@ class TestTrainContrastive:
         ds = self.make_data(seed=11)
         model = tiny_model(seed=11, l_in=16)
         from rtnet.optim import Adam
-        from rtnet.training import _stage1_loss
         rng = np.random.default_rng(12)
         batch = make_contrastive_batch(ds, 8, 16, 4.0, 3, 0.2, rng)
-        first, _, _ = _stage1_loss(model, batch, False, None)
+        first, _ = training._contrastive_step(model, 8, 3, False, None)(batch)
         assert np.isfinite(first.item()) and first.item() >= 0.0
         opt = Adam(list(model.cpn_named_parameters()), lr=1e-3)
+        step_loss = training._contrastive_step(model, 8, 3, True, None)
         losses = []
         for step in range(50):
             b = make_contrastive_batch(ds, 8, 16, 4.0, 3, 0.2, rng)
             with GradTape() as tape:
-                total, _, _ = _stage1_loss(model, b, True, None)
+                total, _ = step_loss(b)
             opt.zero_grad()
             backward(tape, total, params=opt.params)
             opt.step()
