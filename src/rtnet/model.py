@@ -10,11 +10,11 @@ through a separate stride-1 network over the prediction window's time marks.
 from __future__ import annotations
 
 import json
-import math
-import os
-import struct
 import types
 import typing
+import zipfile
+import zlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -30,7 +30,6 @@ from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_group
                      group_features, linear_grouped, maxpool1d, permute, relu, relu_dropout,
                      reshape, transpose_12)
 
-CHECKPOINT_MAGIC = b"RTNET1"
 TIME_MODES = ("decoupled", "input", "none")
 
 
@@ -54,7 +53,7 @@ class ModelConfig:
             raise ConfigError(f"blocks must be >= 1 with 2^blocks <= l_in={self.l_in}, got {self.blocks}")
         if self.l_in % (1 << self.blocks):
             raise ConfigError(f"l_in={self.l_in} must be divisible by 2^blocks={1 << self.blocks}")
-        for name in ("l_out", "d_channels"):
+        for name in ("l_out", "n_variates", "d_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.groups < 1 or self.groups not in (1, self.n_variates):
@@ -402,72 +401,58 @@ class RTNet(Module):
             p.requires_grad = False
 
 
-# ---------------------------------------------------------------------------
-# checkpoints: magic, JSON header, raw float64 buffers
-# ---------------------------------------------------------------------------
+# Checkpoints: a stored zip of header.json and one .npy member per array of _arrays.
+# Each member keeps ZipInfo's default date, 1980-01-01, so a model saves one byte string.
+
+def _arrays(model: RTNet) -> dict[str, np.ndarray]:
+    return model.state() | ({} if model.relation is None else {"relation": model.relation})
+
 
 def save_checkpoint(model: RTNet, path: str) -> None:
-    arrays = list(model.state().items())
-    if model.relation is not None:
-        arrays.append(("relation", model.relation))
-    header = {
-        "config": asdict(model.cfg),
-        "has_relation": model.relation is not None,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
-    }
-    blob = json.dumps(header).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    header = {"config": asdict(model.cfg), "has_relation": model.relation is not None}
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        zf.writestr(zipfile.ZipInfo("header.json"), json.dumps(header))
+        for name, array in _arrays(model).items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as member:
+                np.lib.format.write_array(member, np.ascontiguousarray(array, dtype=np.float64),
+                                          version=(1, 0), allow_pickle=False)
 
 
 def load_checkpoint(path: str) -> RTNet:
-    """Rebuild a saved model; a corrupt or mismatched file raises ``DataError``."""
+    """Rebuild a saved model; a corrupt or mismatched file raises ``DataError``.  No data
+    is read before its ``.npy`` header fits the model; reading to its end checks its CRC-32."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not an RTNET1 checkpoint (magic {magic!r})")
-        length_field = fh.read(8)
-        if len(length_field) != 8:
-            raise DataError(f"{path}: checkpoint truncated inside the header length")
-        (blob_len,) = struct.unpack("<Q", length_field)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if blob_len > left:
-            raise DataError(f"{path}: header length {blob_len} exceeds the {left} bytes left in the file")
-        blob = fh.read(blob_len)
-        payload = fh.read()
+        if fh.read(6) == b"RTNET1":
+            raise DataError(f"{path}: an RTNET1 checkpoint, a format no longer read; train again")
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                return _read_members(zf, path)
+        # what corrupt bytes raise besides BadZipFile, as found by flipping each bit
+        except (zipfile.BadZipFile, OSError, EOFError, RuntimeError, zlib.error, ValueError) as exc:
+            raise DataError(f"{path}: corrupt checkpoint ({exc!r})") from None
+
+
+def _read_members(zf: zipfile.ZipFile, path: str) -> RTNet:
     try:
-        header = json.loads(blob.decode("utf-8"))
+        header = json.loads(zf.read("header.json"))
         cfg = load_config(ModelConfig, header["config"], "checkpoint config")
-        entries = [(str(e["name"]), tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
-        has_relation = bool(header["has_relation"])
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        check_json_type(header["has_relation"], bool, "checkpoint has_relation")
+    except (KeyError, ValueError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: unreadable checkpoint header ({exc!r})") from None
-    names = [name for name, _ in entries]
-    if len(set(names)) != len(names):
-        raise DataError(f"{path}: checkpoint lists an array name twice")
-    if any(d < 0 for _, shape in entries for d in shape):
-        raise DataError(f"{path}: checkpoint header has a negative array dimension")
-    expected_bytes = 8 * sum(math.prod(shape) for _, shape in entries)
-    if len(payload) != expected_bytes:
-        raise DataError(f"{path}: payload is {len(payload)} bytes, header describes {expected_bytes}")
-    values: dict[str, np.ndarray] = {}
-    cursor = 0
-    for name, shape in entries:
-        n = math.prod(shape)
-        arr = np.frombuffer(payload, dtype=np.float64, count=n, offset=cursor)
-        values[name] = arr.reshape(shape).copy()
-        cursor += n * 8
-    relation = values.get("relation") if has_relation else None
-    model = RTNet(cfg, np.random.default_rng(0), relation=relation)
-    expected = {*model.state(), *(["relation"] if has_relation else [])}
-    missing = sorted(expected - set(values))
-    extra = sorted(set(values) - expected)
-    if missing or extra:
-        raise DataError(f"{path}: checkpoint arrays do not match the model "
-                        f"(missing {missing}, unexpected {extra})")
-    model.load_state(values)
+    model = RTNet(cfg, np.random.default_rng(0), relation=np.zeros((cfg.n_variates,) * 2)
+                  if header["has_relation"] else None)
+    targets = _arrays(model)
+    found, wanted = Counter(zf.namelist()), Counter(["header.json", *(f"{n}.npy" for n in targets)])
+    if found != wanted:  # a name found twice is unexpected the second time
+        raise DataError(f"{path}: checkpoint members do not match the model (missing "
+                        f"{sorted(wanted - found)}, unexpected {sorted(found - wanted)})")
+    for name, target in targets.items():
+        with zf.open(f"{name}.npy") as member:
+            stored = (np.lib.format.read_magic(member),
+                      *np.lib.format.read_array_header_1_0(member))
+            if stored != ((1, 0), target.shape, False, np.dtype(np.float64)):
+                raise DataError(f"{path}: array {name!r} is stored as {stored}, "
+                                f"the model needs {target.shape} in C order as float64")
+            if member.readinto(target) != target.nbytes or member.read(1):
+                raise DataError(f"{path}: array {name!r} does not hold {target.nbytes} bytes")
     return model

@@ -1,7 +1,10 @@
 """Shared fixtures: gradient checking, synthetic series, dataset discovery."""
 
 import importlib.util
+import io
 import os
+import warnings
+import zipfile
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -176,6 +179,25 @@ def state_checksum(model, names: set[str] | None = None) -> float:
     """Sum of absolute parameter values, over ``names`` or every parameter."""
     return sum(float(np.abs(p.data).sum()) for name, p in model.named_parameters()
                if names is None or name in names)
+
+
+def rewrite_members(path, edit):
+    """Rewrite the zip at ``path`` after ``edit`` changes, in place, the list of its
+    ``[name, bytes]`` members in their order; a name may then appear twice."""
+    with zipfile.ZipFile(path) as zf:
+        members = [[info.filename, zf.read(info)] for info in zf.infolist()]
+    edit(members)
+    with warnings.catch_warnings(), zipfile.ZipFile(path, "w") as zf:
+        warnings.simplefilter("ignore", UserWarning)  # zipfile warns of a repeated name
+        for name, data in members:
+            zf.writestr(name, data)
+
+
+def npy_bytes(array) -> bytes:
+    """``array`` in the ``.npy`` format, as ``np.save`` writes it."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

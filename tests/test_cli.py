@@ -7,7 +7,6 @@ import json
 import os
 import re
 import signal
-import struct
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 import rtnet
-from conftest import hourly, write_csv
+from conftest import hourly, npy_bytes, rewrite_members, write_csv
 from rtnet import cli, harness
 from rtnet.cli import OutDirLock, main, parse_args
 from rtnet.data import atomic_open
@@ -666,23 +665,37 @@ def test_train_refusal_exits_1_with_one_error_line(data_csv, tmp_path, capsys, p
     assert phrase in error, error
 
 
-@pytest.mark.parametrize("key,value,phrase", [
-    ("name", "cpn.branch0.embed.bias", "checkpoint lists an array name twice"),
-    ("shape", [-1, 4], "checkpoint header has a negative array dimension")])
-def test_eval_of_a_checkpoint_whose_header_cannot_name_its_payload(
-        data_csv, tmp_path, capsys, key, value, phrase):
+def _zero_variates(members):
+    header = json.loads(members[0][1])
+    header["config"]["n_variates"] = 0
+    members[0][1] = json.dumps(header).encode()
+
+
+@pytest.mark.parametrize("edit,phrase", [
+    (lambda members: members.insert(2, list(members[1])),
+     "checkpoint members do not match the model "
+     "(missing [], unexpected ['cpn.branch0.embed.v.npy'])"),
+    (lambda members: members[2].__setitem__(1, npy_bytes(np.zeros(5))),
+     "array 'cpn.branch0.embed.g' is stored as ((1, 0), (5,), False, dtype('float64')), "
+     "the model needs (4,) in C order as float64"),
+    (_zero_variates, "unreadable checkpoint header "
+                     "(ConfigError('n_variates must be >= 1, got 0'))")],
+    ids=["repeated", "shape", "zero-variates"])
+def test_eval_of_a_checkpoint_whose_members_do_not_fit_its_model(
+        data_csv, tmp_path, capsys, edit, phrase):
     path = tmp_path / "checkpoint.rtnet"
     save_checkpoint(RTNet(rtnet.ModelConfig(l_in=16, l_out=4, n_variates=1, d_channels=4,
                                             blocks=2, groups=1), np.random.default_rng(0)),
                     str(path))
-    raw = path.read_bytes()
-    (length,) = struct.unpack("<Q", raw[6:14])
-    header = json.loads(raw[14:14 + length])
-    header["arrays"][1][key] = value
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + length:])
+    rewrite_members(path, edit)
     assert main(["eval", "--checkpoint", str(path), "--data", data_csv]) == 1
     assert one_error_line(capsys) == f"error: {path}: {phrase}"
+
+
+def test_eval_of_a_missing_checkpoint_exits_1(data_csv, tmp_path, capsys):
+    path = tmp_path / "none.rtnet"
+    assert main(["eval", "--checkpoint", str(path), "--data", data_csv]) == 1
+    assert one_error_line(capsys) == f"error: [Errno 2] No such file or directory: '{path}'"
 
 
 @pytest.mark.parametrize("header,phrase", [("date", "no variate columns"),

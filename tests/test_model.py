@@ -1,15 +1,19 @@
 """Architecture tests: shape contracts, group independence, heads, checkpoints."""
 
 import dataclasses
+import io
 import json
 import re
 import struct
 import tempfile
+import time
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import closure_arrays, sq_sum, swap_bc
+from conftest import closure_arrays, npy_bytes, rewrite_members, sq_sum, swap_bc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,13 +49,15 @@ class TestConfig:
             small_cfg(kernel=4).validate()
 
     @pytest.mark.parametrize("kw", [{"d_channels": 0}, {"d_channels": -3},
+                                    {"n_variates": 0, "groups": 1},
+                                    {"n_variates": -2, "groups": 1},
                                     {"time_mode": "decoupled", "n_time": 7},
                                     {"time_mode": "input", "n_time": 50},
                                     {"time_mode": "input", "n_time": 0}])
     def test_out_of_range_width_or_time_features_refused(self, kw):
         """The time branch reads all N_TIME_FEATURES calendar columns; any other
         n_time would fail only inside the first step."""
-        with pytest.raises(ConfigError, match=next(iter(kw.keys() - {"time_mode"}))):
+        with pytest.raises(ConfigError, match=f"^{next(k for k in kw if k != 'time_mode')} must"):
             small_cfg(**kw).validate()
 
     @pytest.mark.parametrize("kw,phrase", [
@@ -497,8 +503,10 @@ class TestCheckpoint:
         model.forward(x, marks, training=True, rng=np.random.default_rng(15))
         path = str(tmp_path / "model.rtnet")
         save_checkpoint(model, path)
-        with open(path, "rb") as fh:
-            assert fh.read(6) == b"RTNET1"
+        with zipfile.ZipFile(path) as zf:
+            assert zf.namelist() == ["header.json", *(f"{n}.npy" for n in model.state()),
+                                     "relation.npy"]
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
         loaded = load_checkpoint(path)
         assert loaded.cfg == model.cfg
         assert np.array_equal(loaded.relation, model.relation)
@@ -509,9 +517,14 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.rtnet"
         path.write_bytes(b"NOTRTN" + b"\x00" * 32)
-        with pytest.raises(DataError, match="magic"):
+        with pytest.raises(DataError, match=r"corrupt checkpoint \(BadZipFile\('File is not a zip"):
             load_checkpoint(str(path))
 
+    def test_the_old_format_is_named(self, tmp_path):
+        path = tmp_path / "old.rtnet"
+        path.write_bytes(b"RTNET1" + struct.pack("<Q", 2) + b"{}")
+        with pytest.raises(DataError, match=f"^{path}: an RTNET1 checkpoint, a format no longer"):
+            load_checkpoint(str(path))
 
     @staticmethod
     def saved(tmp_path, **kw):
@@ -520,15 +533,22 @@ class TestCheckpoint:
         save_checkpoint(model, str(path))
         return model, path
 
-    @staticmethod
-    def rewrite(path, header_edit):
-        """Re-save with an edited JSON header; the payload bytes stay as they were."""
-        raw = path.read_bytes()
-        (blob_len,) = struct.unpack("<Q", raw[6:14])
-        header = json.loads(raw[14:14 + blob_len])
-        header_edit(header)
-        blob = json.dumps(header).encode("utf-8")
-        return raw[:6] + struct.pack("<Q", len(blob)) + blob, raw[14 + blob_len:]
+    def test_members_carry_one_date_so_saves_a_day_apart_are_equal(self, tmp_path, monkeypatch):
+        model, path = self.saved(tmp_path)
+        with zipfile.ZipFile(path) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        now = time.time()
+        monkeypatch.setattr(time, "time", lambda: now + 86400.0)
+        save_checkpoint(model, str(tmp_path / "later.rtnet"))
+        assert (tmp_path / "later.rtnet").read_bytes() == path.read_bytes()
+
+    def test_np_load_reads_every_array(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        with np.load(path, allow_pickle=False) as stored:
+            for name, value in model.state().items():
+                assert np.array_equal(stored[name], value), name
+            assert np.array_equal(stored["relation"], model.relation)
+            assert json.loads(stored["header.json"])["has_relation"] is True
 
     @pytest.mark.parametrize("cut", [3, 6, 10, 14, 40, -1000, -8, -1])
     def test_truncation_is_data_error(self, tmp_path, cut):
@@ -538,66 +558,166 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(str(path))
 
-    def test_trailing_bytes_are_data_error(self, tmp_path):
-        _, path = self.saved(tmp_path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(DataError, match="payload"):
-            load_checkpoint(str(path))
+    @pytest.mark.parametrize("tail", [b"\x00" * 8, bytes(range(256)) * 4], ids=["8", "1024"])
+    def test_trailing_bytes_change_no_loaded_value(self, tmp_path, tail):
+        """The reader reads only the members the central directory names, each
+        checked against its CRC-32, so bytes after the zip that are not a zip
+        of their own are never read as a member."""
+        model, path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + tail)
+        loaded = load_checkpoint(str(path))
+        for name, value in model.state().items():
+            assert np.array_equal(loaded.state()[name], value), name
 
-    @pytest.mark.parametrize("blob_len", [2**64 - 1, 2**40, 5])
-    def test_bad_header_length_is_data_error(self, tmp_path, blob_len):
+    @pytest.mark.parametrize("header", [
+        b"not json", b"[]", b"{}", b'{"config": {}, "has_relation": true}',
+        b'{"has_relation": true}', b'{"config": CONFIG, "has_relation": 1}',
+        b'{"config": CONFIG}', None])
+    def test_unreadable_header_is_data_error(self, tmp_path, header):
         _, path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:6] + struct.pack("<Q", blob_len) + raw[14:])
-        with pytest.raises(DataError):
+
+        def edit(members):
+            config = json.dumps(json.loads(members[0][1])["config"]).encode()
+            if header is None:
+                del members[0]
+            else:
+                members[0][1] = header.replace(b"CONFIG", config)
+
+        rewrite_members(path, edit)
+        with pytest.raises(DataError, match=f"^{path}: unreadable checkpoint header"):
             load_checkpoint(str(path))
 
     def test_missing_buffer_is_data_error(self, tmp_path):
         model, path = self.saved(tmp_path)
         buffer_name = next(name for name, _ in model.named_buffers())
-        kept = []
-
-        def drop(header):
-            sizes = [(e["name"], 8 * int(np.prod(e["shape"]))) for e in header["arrays"]]
-            kept.extend(sizes)
-            header["arrays"] = [e for e in header["arrays"] if e["name"] != buffer_name]
-
-        head, payload = self.rewrite(path, drop)
-        chunks, cursor = [], 0
-        for name, nbytes in kept:
-            if name != buffer_name:
-                chunks.append(payload[cursor:cursor + nbytes])
-            cursor += nbytes
-        path.write_bytes(head + b"".join(chunks))
-        with pytest.raises(DataError, match=buffer_name):
+        rewrite_members(path, lambda members: members.remove(
+            next(m for m in members if m[0] == f"{buffer_name}.npy")))
+        with pytest.raises(DataError, match=rf"missing \['{buffer_name}.npy'\]"):
             load_checkpoint(str(path))
 
     def test_extra_array_is_data_error(self, tmp_path):
         _, path = self.saved(tmp_path)
-        head, payload = self.rewrite(
-            path, lambda h: h["arrays"].append({"name": "stray", "shape": [2]}))
-        path.write_bytes(head + payload + np.zeros(2).tobytes())
-        with pytest.raises(DataError, match="stray"):
+        rewrite_members(path, lambda members: members.append(["stray.npy", npy_bytes(np.zeros(2))]))
+        with pytest.raises(DataError, match=r"unexpected \['stray.npy'\]"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("edit,phrase", [
-        (lambda h: h["arrays"][1].update(name=h["arrays"][0]["name"]),
-         "checkpoint lists an array name twice"),
-        (lambda h: h["arrays"][0].update(shape=[-1, *h["arrays"][0]["shape"][1:]]),
-         "checkpoint header has a negative array dimension")])
-    def test_header_that_cannot_name_the_payload_is_data_error(self, tmp_path, edit, phrase):
+    def test_repeated_member_is_data_error(self, tmp_path):
         _, path = self.saved(tmp_path)
-        head, payload = self.rewrite(path, edit)
-        path.write_bytes(head + payload)
-        with pytest.raises(DataError, match=f"^{path}: {phrase}$"):
+        rewrite_members(path, lambda members: members.insert(2, list(members[1])))
+        phrase = "(missing [], unexpected ['cpn.branch0.embed.weight.npy'])"
+        with pytest.raises(DataError, match=re.escape(f"{path}: checkpoint members do not match "
+                                                      f"the model {phrase}")):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("stored", [
+        lambda w: w.T.copy(), lambda w: w[..., :1], lambda w: w.ravel(), lambda w: w[None],
+        lambda w: np.asfortranarray(w), lambda w: w.astype(np.float32),
+        lambda w: w.astype(">f8"), lambda w: w.astype(np.int64), lambda w: w.astype(np.complex128)],
+        ids=["transposed", "narrower", "flat", "extra-axis", "fortran", "float32", "big-endian",
+             "int64", "complex"])
+    def test_wrong_shape_order_or_dtype_is_data_error(self, tmp_path, stored):
+        model, path = self.saved(tmp_path)
+        name = "cpn.branch0.embed.weight"
+        weight = model.state()[name]
+        assert weight.ndim == 3 and len(set(weight.shape)) == 3
+        rewrite_members(path, lambda members: members.__setitem__(
+            1, [f"{name}.npy", npy_bytes(stored(weight))]))
+        with pytest.raises(DataError, match=rf"array '{name}' is stored as .*, the model needs "
+                                            + re.escape(str(weight.shape))):
+            load_checkpoint(str(path))
+
+    def test_a_member_that_is_not_npy_is_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        rewrite_members(path, lambda members: members[1].__setitem__(1, b"not an array"))
+        with pytest.raises(DataError, match=r"corrupt checkpoint \(ValueError\(\"the magic string"):
+            load_checkpoint(str(path))
+
+    def test_a_huge_stored_shape_allocates_nothing(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+        rewrite_members(path, lambda members: members[1].__setitem__(1, header.getvalue()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"stored as \(\(1, 0\), \(1099511627776,\)"):
+                load_checkpoint(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("data", [b"", b"\x00" * 9], ids=["short", "long"])
+    def test_a_member_longer_or_shorter_than_its_array_is_data_error(self, tmp_path, data):
+        model, path = self.saved(tmp_path)
+        rewrite_members(path, lambda members: members[-1].__setitem__(
+            1, npy_bytes(model.relation)[:-8] + data))
+        with pytest.raises(DataError, match="array 'relation' does not hold 72 bytes"):
             load_checkpoint(str(path))
 
     def test_missing_relation_is_data_error(self, tmp_path):
         _, path = self.saved(tmp_path)
-        head, payload = self.rewrite(
-            path, lambda h: h["arrays"].pop())  # relation is written last
-        path.write_bytes(head + payload[:-9 * 8])
-        with pytest.raises(DataError, match="relation"):
+        rewrite_members(path, lambda members: members.pop())  # relation is written last
+        with pytest.raises(DataError, match=r"missing \['relation.npy'\]"):
+            load_checkpoint(str(path))
+
+    def test_a_relation_the_header_denies_is_data_error(self, tmp_path):
+        _, path = self.saved(tmp_path)
+
+        def deny(members):
+            members[0][1] = members[0][1].replace(b'"has_relation": true', b'"has_relation": false')
+
+        rewrite_members(path, deny)
+        with pytest.raises(DataError, match=r"unexpected \['relation.npy'\]"):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def tiny(tmp_path):
+        """A one-variate checkpoint of 3 KB, small enough to flip byte by byte."""
+        cfg = ModelConfig(l_in=4, l_out=1, n_variates=1, d_channels=2, blocks=1, kernel=1,
+                          norm_kind="none")
+        model = RTNet(cfg, np.random.default_rng(17), relation=np.full((1, 1), 0.5))
+        path = tmp_path / "tiny.rtnet"
+        save_checkpoint(model, str(path))
+        return model, path
+
+    def test_no_flipped_bit_loads_a_different_value(self, tmp_path):
+        """Bit ``i % 8`` of every third byte ``i``: each flip is refused or loads
+        the saved arrays bit for bit."""
+        model, path = self.tiny(tmp_path)
+        raw = path.read_bytes()
+        saved = [*model.state().values(), model.relation]
+        refused = 0
+        for i in range(0, len(raw), 3):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << i % 8
+            path.write_bytes(flipped)
+            try:
+                loaded = load_checkpoint(str(path))
+            except DataError:
+                refused += 1
+                continue
+            assert loaded.cfg == model.cfg, i
+            for got, want in zip([*loaded.state().values(), loaded.relation], saved, strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want), i
+        assert refused > len(raw) // 6
+
+    @pytest.mark.parametrize("record,offset,fmt,value,raised", [
+        (b"PK\x01\x02", 8, "<H", 1, "RuntimeError(\"File 'header.json' is encrypted"),
+        (b"PK\x01\x02", 10, "<H", 1, "NotImplementedError('That compression method"),
+        (b"PK\x01\x02", 10, "<H", 8, "error('Error -3 while decompressing"),  # zlib.error
+        (b"PK\x03\x04", 28, "<H", 0xFFFF, "EOFError()"),  # extra field runs past the end
+        (b"PK\x05\x06", 16, "<I", 0xFFFF0000, "OSError(22, 'Invalid argument')")],
+        ids=["encrypted", "compression", "deflate", "extra-field", "directory-offset"])
+    def test_each_error_a_corrupt_zip_raises_is_data_error(self, tmp_path, record, offset, fmt,
+                                                           value, raised):
+        """One field of the first record of its kind rewritten: each exception type
+        besides BadZipFile that flipped bits were seen to raise."""
+        _, path = self.tiny(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, raw.index(record) + offset, value)
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=re.escape(f"{path}: corrupt checkpoint ({raised}")):
             load_checkpoint(str(path))
 
 
