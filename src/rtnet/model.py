@@ -433,6 +433,9 @@ def load_checkpoint(path: str) -> RTNet:
 
 
 def _read_members(zf: zipfile.ZipFile, path: str) -> RTNet:
+    start = min((info.header_offset for info in zf.infolist()), default=0)
+    if start > 0:  # zipfile reads a file's last zip; a negative offset fails below as corrupt
+        raise DataError(f"{path}: {start} bytes precede its zip (prefixed or concatenated)")
     try:
         header = json.loads(zf.read("header.json"))
         cfg = load_config(ModelConfig, header["config"], "checkpoint config")

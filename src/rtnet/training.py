@@ -73,24 +73,19 @@ def max_condition1_batch(n_rows: int, l_in: int, alpha: float) -> tuple[int, int
 
 def sample_batch_condition1(n_rows: int, batch: int, l_in: int, alpha: float,
                             rng: np.random.Generator) -> np.ndarray:
-    """Draw ``batch`` window offsets whose pairwise overlaps satisfy the bound.
+    """Draw ``batch`` sorted window offsets whose pairwise overlaps satisfy the bound.
 
-    Rejection-samples random offset sets, then falls back to a deterministic
-    evenly spaced sweep with a random start.
+    One draw, uniform over every valid offset set: the k-th smallest of
+    ``batch`` distinct values from ``range(free)`` is shifted by
+    ``k * (min_gap - 1)``, which maps the subsets one to one onto the sets
+    whose gaps are all >= ``min_gap``.
     """
     feasible, min_gap = max_condition1_batch(n_rows, l_in, alpha)
     if batch > feasible:
         raise SamplerError(f"batch {batch} infeasible: at most {feasible} windows of "
                            f"length {l_in} fit {n_rows} rows at alpha={alpha}")
-    n_offsets = n_rows - l_in + 1
-    for _ in range(64):
-        cand = np.sort(rng.choice(n_offsets, size=batch, replace=False))
-        if batch == 1 or np.diff(cand).min() >= min_gap:
-            return cand
-    slack = (n_offsets - 1) - (batch - 1) * min_gap
-    start = int(rng.integers(0, slack + 1)) if slack > 0 else 0
-    gap = (n_offsets - 1 - start) // (batch - 1) if batch > 1 else 1
-    return start + gap * np.arange(batch)
+    free = n_rows - l_in + 1 - (batch - 1) * (min_gap - 1)
+    return np.sort(rng.choice(free, size=batch, replace=False)) + (min_gap - 1) * np.arange(batch)
 
 
 def make_contrastive_batch(ds: TimeSeriesDataset, batch: int, l_in: int, alpha: float,

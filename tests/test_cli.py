@@ -692,6 +692,21 @@ def test_eval_of_a_checkpoint_whose_members_do_not_fit_its_model(
     assert one_error_line(capsys) == f"error: {path}: {phrase}"
 
 
+@pytest.mark.parametrize("before", ["checkpoint", "junk"])
+def test_eval_of_a_concatenated_or_prefixed_checkpoint_exits_1(data_csv, tmp_path, capsys,
+                                                               before):
+    paths = [tmp_path / "first.rtnet", tmp_path / "checkpoint.rtnet"]
+    for seed, path in enumerate(paths):
+        save_checkpoint(RTNet(rtnet.ModelConfig(l_in=16, l_out=4, n_variates=1, d_channels=4,
+                                                blocks=2, groups=1), np.random.default_rng(seed)),
+                        str(path))
+    head = paths[0].read_bytes() if before == "checkpoint" else b"\x00" * 100
+    paths[1].write_bytes(head + paths[1].read_bytes())
+    assert main(["eval", "--checkpoint", str(paths[1]), "--data", data_csv]) == 1
+    assert one_error_line(capsys) == (f"error: {paths[1]}: {len(head)} bytes precede its "
+                                      f"zip (prefixed or concatenated)")
+
+
 def test_eval_of_a_missing_checkpoint_exits_1(data_csv, tmp_path, capsys):
     path = tmp_path / "none.rtnet"
     assert main(["eval", "--checkpoint", str(path), "--data", data_csv]) == 1

@@ -569,6 +569,29 @@ class TestCheckpoint:
         for name, value in model.state().items():
             assert np.array_equal(loaded.state()[name], value), name
 
+    @pytest.mark.parametrize("before", ["checkpoint", "junk"])
+    def test_bytes_before_the_zip_are_data_error(self, tmp_path, before):
+        """zipfile reads the last zip of a file, so without the check a second
+        checkpoint appended to a first, or bytes prepended to one, would load."""
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        if before == "checkpoint":
+            other = tmp_path / "other.rtnet"
+            save_checkpoint(make_model(small_cfg(), seed=17), str(other))
+            head = other.read_bytes()
+        else:
+            head = bytes(range(100))
+        path.write_bytes(head + raw)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: {len(head)} bytes precede its zip (prefixed or concatenated)")):
+            load_checkpoint(str(path))
+
+    def test_an_empty_zip_is_data_error(self, tmp_path):
+        path = tmp_path / "empty.rtnet"
+        zipfile.ZipFile(path, "w").close()
+        with pytest.raises(DataError, match=f"^{path}: unreadable checkpoint header"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("header", [
         b"not json", b"[]", b"{}", b'{"config": {}, "has_relation": true}',
         b'{"has_relation": true}', b'{"config": CONFIG, "has_relation": 1}',

@@ -1,12 +1,13 @@
 """Losses, augmentation, the overlap-limited sampler, and both training loops."""
 
+import itertools
 import sys
 import threading
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ar_series, check_condition1, closure_arrays, hourly,
@@ -168,13 +169,58 @@ class TestCondition1Sampler:
         assert check_condition1(np.array([0, 42, 84]), 168, 4.0)
         assert not check_condition1(np.array([0, 10]), 168, 4.0)
 
-    def test_fallback_sweep_used_when_dense(self):
-        """Tightest feasible packing forces the deterministic fallback."""
-        rng = np.random.default_rng(3)
+    def test_tightest_packing_is_the_one_valid_set(self):
+        """At the largest feasible batch only one offset set is valid: every
+        ``min_gap`` from 0, which also ends at the last offset here."""
         feasible, gap = max_condition1_batch(200, 100, 2.0)
-        offsets = sample_batch_condition1(200, feasible, 100, 2.0, rng)
-        assert offsets.size == feasible
-        assert np.diff(np.sort(offsets)).min() >= gap
+        offsets = sample_batch_condition1(200, feasible, 100, 2.0, np.random.default_rng(3))
+        assert offsets.tolist() == (gap * np.arange(feasible)).tolist() == [0, 50, 100]
+
+    def test_a_batch_at_the_etth1_shape_is_not_a_grid(self):
+        """A 64-window batch from a 12-month ETTh1 train split at l_in 168 and
+        alpha 4: a rejection sampler almost never finds one (4.5e-9 per batch in
+        64 tries), so an evenly spaced grid stood in for it with every gap equal."""
+        offsets = sample_batch_condition1(8640, 64, 168, 4.0, np.random.default_rng(5))
+        gaps = np.diff(offsets)
+        assert gaps.min() >= 42 and offsets[-1] <= 8640 - 168
+        assert np.unique(gaps).size > 1
+
+    def test_every_valid_set_is_equally_likely(self):
+        """14 rows, l_in 4, alpha 2: 11 offsets, gaps >= 2, and C(9, 3) = 84 valid
+        sets of 3.  The bound 128.6 is the chi-square 0.999 quantile on 83
+        degrees of freedom (Wilson-Hilferty), fixed before the first run."""
+        valid = [s for s in itertools.combinations(range(11), 3) if min(np.diff(s)) >= 2]
+        assert len(valid) == 84
+        rng = np.random.default_rng(11)
+        draws = np.array([sample_batch_condition1(14, 3, 4, 2.0, rng) for _ in range(60_000)])
+        sets, counts = np.unique(draws, axis=0, return_counts=True)
+        assert list(map(tuple, sets.tolist())) == valid
+        expected = len(draws) / len(valid)
+        assert ((counts - expected) ** 2 / expected).sum() < 128.6
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(l_in=st.integers(1, 48), extra_rows=st.integers(0, 400),
+           alpha=st.floats(1.0, 64.0),
+           pick=st.one_of(st.sampled_from(["one", "feasible", "over"]), st.integers(1, 300)))
+    @example(l_in=8, extra_rows=30, alpha=8.0, pick="feasible")  # min_gap 1: every offset
+    @example(l_in=8, extra_rows=30, alpha=50.0, pick="over")
+    @example(l_in=1, extra_rows=0, alpha=1.0, pick="one")  # one row, one offset
+    def test_draws_are_valid_and_refusals_exact(self, l_in, extra_rows, alpha, pick):
+        n_rows = l_in + extra_rows
+        feasible, min_gap = max_condition1_batch(n_rows, l_in, alpha)
+        batch = {"one": 1, "feasible": feasible, "over": feasible + 1}.get(pick, pick)
+        rng = np.random.default_rng(extra_rows)
+        if batch > feasible:
+            before = rng.bit_generator.state
+            with pytest.raises(SamplerError, match=f"at most {feasible} windows"):
+                sample_batch_condition1(n_rows, batch, l_in, alpha, rng)
+            assert rng.bit_generator.state == before
+            return
+        offsets = sample_batch_condition1(n_rows, batch, l_in, alpha, rng)
+        assert offsets.shape == (batch,)
+        assert offsets[0] >= 0 and offsets[-1] <= n_rows - l_in
+        assert np.all(np.diff(offsets) >= min_gap)
+        assert check_condition1(offsets, l_in, alpha)
 
     def test_every_emitted_batch_satisfies_the_bound(self):
         rng = np.random.default_rng(4)
@@ -928,18 +974,18 @@ class TestGoldenArithmetic:
         result = train_contrastive(model, ar_dataset(420, 15), val, cfg)
         nan = float("nan")
         assert_history_equal(result.history, [
-            {"epoch": 0, "stage": 1, "train_loss_0": 1.7397099163042422,
-             "val_mse": 1.6380648533353466, "val_mae": nan},
-            {"epoch": 1, "stage": 1, "train_loss_0": 1.6148068656448382,
-             "val_mse": 1.5297726729608554, "val_mae": nan},
-            {"epoch": 2, "stage": 1, "train_loss_0": 1.5845842229146334,
-             "val_mse": 1.484695560540254, "val_mae": nan},
-            {"epoch": 0, "stage": 2, "train_loss_0": 2.5214634913050475,
-             "val_mse": 1.2030885086039778, "val_mae": 0.8671605476422063},
-            {"epoch": 1, "stage": 2, "train_loss_0": 1.2621379544843516,
-             "val_mse": 0.7952437090800972, "val_mae": 0.7016386904310052},
-            {"epoch": 2, "stage": 2, "train_loss_0": 1.1008867913216038,
-             "val_mse": 0.809903081232851, "val_mae": 0.7045743366577537},
+            {"epoch": 0, "stage": 1, "train_loss_0": 1.732991727006259,
+             "val_mse": 1.545603113481615, "val_mae": nan},
+            {"epoch": 1, "stage": 1, "train_loss_0": 1.589500291305048,
+             "val_mse": 1.4704643124878196, "val_mae": nan},
+            {"epoch": 2, "stage": 1, "train_loss_0": 1.5270094135636363,
+             "val_mse": 1.4194253531313035, "val_mae": nan},
+            {"epoch": 0, "stage": 2, "train_loss_0": 5.12249998418597,
+             "val_mse": 2.641995873884801, "val_mae": 1.2628597477416261},
+            {"epoch": 1, "stage": 2, "train_loss_0": 3.845020621818989,
+             "val_mse": 1.0228865805859346, "val_mae": 0.7954218918758328},
+            {"epoch": 2, "stage": 2, "train_loss_0": 1.7552299986418527,
+             "val_mse": 0.9849001208951952, "val_mae": 0.7791401077152988},
         ])
-        assert result.best_epoch == 1
-        assert evaluate(model, val)[0] == pytest.approx(0.7952437090800972, rel=1e-10)
+        assert result.best_epoch == 2
+        assert evaluate(model, val)[0] == pytest.approx(0.9849001208951952, rel=1e-10)
