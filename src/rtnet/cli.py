@@ -9,7 +9,6 @@ directory.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
 import fcntl
 import json
 import os
@@ -17,11 +16,11 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import harness
-from .data import SplitSpec, atomic_open, load_csv, split
+from .data import SplitSpec, atomic_open, load_csv, split, write_csv
 from .diagnostics import line_plot_svg, pacf
 from .errors import ConfigError, RTNetError
 from .model import load_checkpoint, load_config, save_checkpoint
-from .relation import cos_relation_matrix, relation_csv, threshold_and_standardize
+from .relation import cos_relation_matrix, threshold_and_standardize
 from .training import evaluate
 
 
@@ -155,10 +154,11 @@ def _cmd_relate(args: argparse.Namespace) -> int:
     (train_std, _, _), _ = harness.load_splits(args.data, args.split_mode, "multivariate")
     raw = cos_relation_matrix(train_std.values, train_std.variate_names)
     processed = threshold_and_standardize(raw, args.theta)
+    names = train_std.variate_names
     for name, matrix in (("relation_raw.csv", raw), ("relation_processed.csv", processed)):
-        with atomic_open(os.path.join(args.out, name)) as fh:
-            fh.write(relation_csv(matrix, train_std.variate_names))
-    log(f"wrote relation matrices for {len(train_std.variate_names)} variates to {args.out}")
+        write_csv(os.path.join(args.out, name), [["", *names], *(
+            [label, *(f"{v:.6f}" for v in row)] for label, row in zip(names, matrix))])
+    log(f"wrote relation matrices for {len(names)} variates to {args.out}")
     return 0
 
 
@@ -205,8 +205,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     near_best = [row["length"] for row in rows if row["mean_mse"] <= best["mean_mse"] * 1.05]
 
     columns = ["length", "mean_mse", "std_mse", "mean_mae", "std_mae"]
-    with atomic_open(os.path.join(args.out, "sweep.csv")) as fh:
-        csv_mod.writer(fh).writerows([columns, *([row[c] for c in columns] for row in rows)])
+    write_csv(os.path.join(args.out, "sweep.csv"),
+              [columns, *([row[c] for c in columns] for row in rows)])
     svg = line_plot_svg([float(row["length"]) for row in rows],
                         {"mean MSE": [row["mean_mse"] for row in rows],
                          "mean MAE": [row["mean_mae"] for row in rows]},
@@ -226,11 +226,9 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
     series = train_ds.values[:, train_ds.target_index]
     result = pacf(series, args.max_lag)
     out_path = os.path.join(args.out, "pacf.csv")
-    with atomic_open(out_path) as fh:
-        w = csv_mod.writer(fh)
-        w.writerow(["lag", "phi_kk", "confidence_band"])
-        for lag, phi in zip(result.lags, result.phi):
-            w.writerow([int(lag), f"{phi:.8f}", f"{result.confidence_band:.8f}"])
+    write_csv(out_path, [["lag", "phi_kk", "confidence_band"], *(
+        [int(lag), f"{phi:.8f}", f"{result.confidence_band:.8f}"]
+        for lag, phi in zip(result.lags, result.phi))])
     log(f"wrote PACF for {train_ds.variate_names[train_ds.target_index]!r} to {out_path}")
     return 0
 

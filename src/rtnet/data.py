@@ -1,5 +1,5 @@
 """Dataset loading, chronological splitting, standardization, and windowing,
-and `atomic_open`, through which every output file is written.
+and the writers of every output file (`atomic_open`) and output CSV (`write_csv`).
 
 CSV files carry a leading "date" column (zero-padded YYYY-MM-DD HH:MM:SS, one
 sampling interval) followed by numeric variate columns; the last column is the
@@ -173,6 +173,13 @@ def atomic_open(path: str, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, rows) -> None:
+    """``rows``, the header row first, to ``path`` through `atomic_open`, with minimal
+    quoting and LF line ends; each caller formats its own numbers."""
+    with atomic_open(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _add_months(ts: datetime, months: int) -> datetime:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import (SplitSpec, Standardizer, TimeSeriesDataset, atomic_open, load_csv,
-                   make_windows, split, standardize)
+                   make_windows, split, standardize, write_csv)
 from .errors import ConfigError
 from .model import TIME_MODES, ModelConfig, RTNet, check_fields, check_json_type, load_config
 from .norm import NORM_KINDS
@@ -180,24 +180,28 @@ class ExperimentReport:
     def all_failed(self) -> bool:
         return all(c.status != "ok" for c in self.cells)
 
-    def to_json(self) -> str:
-        return json.dumps({"version": REPORT_VERSION, "spec": self.spec,
-                           "cells": [asdict(c) for c in self.cells],
-                           "summary": self.summary}, indent=2)
-
-    def to_csv(self) -> str:
-        lines = ["axis_value,pred_len,mean_mse,std_mse,mean_mae,std_mae,n_seeds"]
-        for row in self.summary:
-            lines.append(f"{row['axis_value']},{row['pred_len']},{row['mean_mse']:.6f},"
-                         f"{row['std_mse']:.6f},{row['mean_mae']:.6f},"
-                         f"{row['std_mae']:.6f},{row['n_seeds']}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, out_dir: str, stem: str = "report") -> None:
+    def write(self, out_dir: str) -> None:
+        """``report.json``, strict JSON in which every non-finite number (a failed
+        cell's MSE, say) is null, and ``report.csv``, the summary rows."""
         os.makedirs(out_dir, exist_ok=True)
-        for ext, text in (("json", self.to_json()), ("csv", self.to_csv())):
-            with atomic_open(os.path.join(out_dir, f"{stem}.{ext}")) as fh:
-                fh.write(text)
+        report = {"version": REPORT_VERSION, "spec": self.spec,
+                  "cells": [asdict(c) for c in self.cells], "summary": self.summary}
+        with atomic_open(os.path.join(out_dir, "report.json")) as fh:
+            fh.write(json.dumps(_finite_or_null(report), indent=2, allow_nan=False))
+        columns = ("mean_mse", "std_mse", "mean_mae", "std_mae")
+        write_csv(os.path.join(out_dir, "report.csv"), [
+            ["axis_value", "pred_len", *columns, "n_seeds"],
+            *([row["axis_value"], row["pred_len"], *(f"{row[c]:.6f}" for c in columns),
+               row["n_seeds"]] for row in self.summary)])
+
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_finite_or_null, obj))
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def train_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,

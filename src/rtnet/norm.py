@@ -61,9 +61,10 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     # a frozen layer (gamma not trained) normalizes with, and keeps, its
     # running statistics, so freezing a model part also freezes its buffers
     batch_stats = training and p.gamma.requires_grad
+    n = x.data.size // channels  # the values behind each channel's statistics
     if batch_stats:
-        if x.data.shape[1] < 2:
-            raise ConfigError("batch_norm: training requires batch size >= 2")
+        if n < 2:
+            raise ConfigError(f"batch_norm: training needs >= 2 values per channel, got {n}")
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         p.running_mean += BN_MOMENTUM * (mean - p.running_mean)
@@ -75,7 +76,6 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - _expand(mean, ndim)) * _expand(inv_std, ndim)
     out = _expand(p.gamma.data, ndim) * xhat + _expand(p.beta.data, ndim)
-    n = x.data.size // channels
 
     def grad_fn(g):
         g_gamma = (g * xhat).sum(axis=axes)

@@ -41,11 +41,3 @@ def threshold_and_standardize(raw: np.ndarray, theta_degrees: float) -> np.ndarr
     # the unit diagonal always survives the threshold, so no column can vanish
     assert np.all(col_sums > 0.0), "relation column summed to zero"
     return kept / col_sums
-
-
-def relation_csv(matrix: np.ndarray, names: list[str]) -> str:
-    """Render a square matrix as CSV with variate-name header and row labels."""
-    lines = ["," + ",".join(names)]
-    for name, row in zip(names, matrix):
-        lines.append(name + "," + ",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"

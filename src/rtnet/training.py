@@ -10,13 +10,12 @@ Both formats, and both contrastive stages, run the same loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeSeriesDataset, atomic_open, gather_batch, make_windows
+from .data import TimeSeriesDataset, gather_batch, make_windows, write_csv
 from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
@@ -161,14 +160,8 @@ class TrainResult:
     def write_history_csv(self, path: str) -> None:
         if not self.history:
             return
-        keys: list[str] = []
-        for row in self.history:
-            keys.extend(k for k in row if k not in keys)
-        with atomic_open(path) as fh:
-            w = csv.writer(fh)
-            w.writerow(keys)
-            for row in self.history:
-                w.writerow([row.get(k, "") for k in keys])
+        keys = list(dict.fromkeys(k for row in self.history for k in row))
+        write_csv(path, [keys, *([row.get(k, "") for k in keys] for row in self.history)])
 
 
 def _history_row(epoch: int, per_variate_loss: np.ndarray, val_mse: float,
@@ -285,6 +278,9 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
 
         opt.zero_grad()  # the epoch's last gradients must not outlive it into validate() either
         val_mse, val_mae = validate()
+        if not np.isfinite(val_mse):  # argmin would take it as the best epoch
+            raise NumericalError(f"{label} diverged: non-finite validation MSE {val_mse} "
+                                 f"at epoch {epoch}")
         val_history.append(val_mse)
         result.history.append(_history_row(epoch, epoch_loss / steps, val_mse, val_mae,
                                            stage))

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, outputs under --out, lock file, JSON-only stdout."""
 
+import csv
 import fcntl
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -17,7 +19,7 @@ import pytest
 
 import rtnet
 from conftest import hourly, npy_bytes, rewrite_members, write_csv
-from rtnet import cli, harness
+from rtnet import cli, harness, training
 from rtnet.cli import OutDirLock, main, parse_args
 from rtnet.data import atomic_open
 from rtnet.errors import RTNetError
@@ -118,6 +120,30 @@ class TestRelate:
                 "e2fccbef1cf3abdf00cf4152a2cabad7ba2128efd685a7c103d3544042f65bb0",
             "relation_processed.csv":
                 "9d34b90a4c57b633e314946294a1e1fac0f6b8d9112b201635c33d445600c684"}
+
+    def test_quoted_names_read_back_as_a_square_matrix(self, tmp_path):
+        """A header may quote a name with a comma or a quote in it; both
+        matrices read back under the same names, one row per column."""
+        names = ["load, kW", 'say "hi"', "OT"]
+        values = np.random.default_rng(1).normal(size=(100, 3))
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [["date", *names], *([ts.strftime("%Y-%m-%d %H:%M:%S"), *row]
+                                     for ts, row in zip(hourly(100), values.tolist()))])
+        out = tmp_path / "rel"
+        assert main(["relate", "--data", str(path), "--out", str(out)]) == 0
+        matrices = []
+        for name in ("relation_raw.csv", "relation_processed.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["", *names]
+            assert [row[0] for row in rows] == names
+            matrices.append(np.array([row[1:] for row in rows], dtype=float))
+        raw, processed = matrices
+        assert raw.shape == processed.shape == (3, 3)
+        assert np.diag(raw).tolist() == [1.0] * 3
+        assert np.allclose(processed.sum(axis=0), 1.0, atol=1e-5)
 
 
 class TestTrainEval:
@@ -477,12 +503,32 @@ class TestAtomicOutputs:
         path = tmp_path / "history.csv"
         TrainResult(history=[{"epoch": 0, "val_mse": 1.5}]).write_history_csv(str(path))
         before = path.read_bytes()
-        assert before == b"epoch,val_mse\r\n0,1.5\r\n"
+        assert before == b"epoch,val_mse\n0,1.5\n"
         rows = [{"epoch": e, "val_mse": 0.5} for e in range(500)] + [{"epoch": Unprintable()}]
         with pytest.raises(RuntimeError):
             TrainResult(history=rows).write_history_csv(str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+
+
+def test_every_csv_output_has_lf_line_ends_and_rectangular_rows(data_csv, tmp_path):
+    runs = {"relate": ["--data", data_csv], "pacf": ["--data", data_csv, "--max-lag", "8"]}
+    for command in ("train", "sweep", "experiment"):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(base_config(command, data_csv)))
+        runs[command] = (["--spec", str(path)] if command == "experiment"
+                         else ["--config", str(path), "--data", data_csv])
+    for command, flags in runs.items():
+        assert main([command, *flags, "--out", str(tmp_path / command)]) == 0
+    outputs = sorted(tmp_path.glob("*/*.csv"))
+    assert [f"{p.parent.name}/{p.name}" for p in outputs] == [
+        "experiment/report.csv", "pacf/pacf.csv", "relate/relation_processed.csv",
+        "relate/relation_raw.csv", "sweep/sweep.csv", "train/history.csv"]
+    for path in outputs:
+        text = path.read_bytes()
+        assert b"\r" not in text, path.name
+        rows = list(csv.reader(io.StringIO(text.decode("utf-8"), newline="")))
+        assert len(rows) >= 2 and len({len(row) for row in rows}) == 1, path.name
 
 
 def base_config(command, data_csv):
@@ -663,6 +709,63 @@ def test_train_refusal_exits_1_with_one_error_line(data_csv, tmp_path, capsys, p
     error = run_refused(capsys, tmp_path, data_csv, "train",
                         patched(base_config("train", data_csv), patch), flags)
     assert phrase in error, error
+
+
+def test_batch_norm_trains_at_batch_size_one(data_csv, tmp_path):
+    """A batch of one still gives each channel l_in values to normalize over."""
+    config = patched(base_config("train", data_csv),
+                     {"model": {"norm_kind": "bn"}, "train": {"batch_size": 1}})
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path), "--data", data_csv,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_a_non_finite_validation_mse_fails_the_run(data_csv, tmp_path, capsys, monkeypatch,
+                                                  command):
+    """NaN at epoch 1 would be the best epoch by argmin, and its weights the ones
+    kept; it is a NumericalError, so train exits 1 and the cell fails."""
+    real, calls = training.evaluate, []
+
+    def evaluate(model, ds):
+        calls.append(1)
+        return (float("nan"),) * 2 if len(calls) == 2 else real(model, ds)
+
+    monkeypatch.setattr(training, "evaluate", evaluate)
+    config = patched(base_config(command, data_csv), {"train": {"epochs": 2}})
+    message = "training diverged: non-finite validation MSE nan at epoch 1"
+    if command == "train":
+        assert message in run_refused(capsys, tmp_path, data_csv, command, config)
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "every experiment cell failed" in one_error_line(capsys)
+        cell, = json.loads((out / "report.json").read_text())["cells"]
+        assert (cell["status"], cell["reason"]) == ("failed", f"NumericalError: {message}")
+    assert len(calls) == 2
+
+
+def test_report_json_is_strict_json_with_a_failed_cell(data_csv, tmp_path):
+    """A failed cell's metrics and an all-failed summary row are null, which
+    every JSON reader parses; report.csv keeps its nan text."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(patched(base_config("experiment", data_csv),
+                                       {"pred_lengths": [4, 1000]})))
+    out = tmp_path / "out"
+    assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert [c["status"] for c in report["cells"]] == ["ok", "failed"]
+    assert [report["cells"][1][k] for k in ("mse", "mae")] == [None, None]
+    assert all(isinstance(report["cells"][0][k], float) for k in ("mse", "mae"))
+    assert [report["summary"][1][k] for k in ("mean_mse", "std_mse", "mean_mae",
+                                              "std_mae")] == [None] * 4
+    assert (out / "report.csv").read_text().splitlines()[2] == "wn,1000,nan,nan,nan,nan,0"
 
 
 def _zero_variates(members):

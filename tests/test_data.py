@@ -9,6 +9,7 @@ import pytest
 from conftest import hourly, write_csv
 from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
                         make_windows, split, standardize, time_features)
+from rtnet.data import write_csv as write_output_csv
 from rtnet.errors import DataError, DimensionError
 
 
@@ -129,6 +130,27 @@ class TestLoadCsv:
         path.write_text(f"{header}\n2016-07-01 00:00:00,1,2\n")
         with pytest.raises(DataError, match=f"^{path}: {problem}"):
             load_csv(str(path))
+
+
+class TestWriteCsv:
+    """The one encoder of output CSVs: minimal quoting and LF line ends."""
+
+    def test_names_are_quoted_only_when_needed_and_lines_end_in_lf(self, tmp_path):
+        path = tmp_path / "out.csv"
+        names = ["load, kW", 'say "hi"', "OT"]
+        write_output_csv(str(path), [["", *names], ["OT", "1.000000", "nan", 3]])
+        assert path.read_bytes() == b',"load, kW","say ""hi""",OT\nOT,1.000000,nan,3\n'
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["", *names], ["OT", "1.000000", "nan", "3"]]
+
+    def test_a_written_dataset_loads_back_under_the_same_names(self, tmp_path):
+        path = tmp_path / "in.csv"
+        names = ["load, kW", 'say "hi"']
+        write_output_csv(str(path), [["date", *names],
+                                     *([f"2016-07-01 0{h}:00:00", h, -h] for h in range(3))])
+        ds = load_csv(str(path))
+        assert ds.variate_names == names
+        assert ds.values.tolist() == [[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]]
 
 
 class TestSplit:

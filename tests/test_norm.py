@@ -12,7 +12,7 @@ from rtnet.errors import ConfigError, NumericalError
 from rtnet.model import WeightedUnit
 from rtnet.norm import (BN_MOMENTUM, NORM_EPS, BatchNormParams, LayerNormParams, batch_norm,
                         layer_norm, weight_norm_effective)
-from rtnet.tensor import Tensor
+from rtnet.tensor import Tensor, mse_loss, reshape
 
 
 def t(data, grad=False):
@@ -50,6 +50,29 @@ class TestBatchNorm:
         p = BatchNormParams(2)
         with pytest.raises(ConfigError):
             batch_norm(t(swap_bc([[1.0, 2.0]])), p, training=True)
+
+    def test_a_batch_of_one_trains_on_its_length_axis(self, gradcheck):
+        """A (C, 1, L) activation holds L values per channel: its training
+        statistics are taken over the length axis, and its gradients check."""
+        rng = np.random.default_rng(4)
+        x = t(rng.normal(loc=[0.0, 3.0, -1.0], scale=[1.0, 2.0, 0.5], size=(8, 1, 3)).T,
+              grad=True)
+        p = BatchNormParams(3)
+        out = batch_norm(x, p, training=True)
+        mean, var = x.data.mean(axis=(1, 2)), x.data.var(axis=(1, 2))
+        assert np.allclose(out.data, (x.data - mean[:, None, None])
+                           / np.sqrt(var[:, None, None] + NORM_EPS), atol=1e-12)
+        assert np.allclose(p.running_mean, BN_MOMENTUM * mean)
+        assert np.allclose(p.running_var, 1.0 + BN_MOMENTUM * (var - 1.0))
+        p.gamma.data[:] = rng.uniform(0.5, 2.0, size=3)
+        p.beta.data[:] = rng.normal(size=3)
+        target = rng.normal(size=(1, 1, x.size))
+        gradcheck(lambda: mse_loss(reshape(batch_norm(x, p, training=True), target.shape),
+                                   target)[0], [x, p.gamma, p.beta])
+
+    def test_a_single_value_per_channel_is_refused_with_its_count(self):
+        with pytest.raises(ConfigError, match="needs >= 2 values per channel, got 1"):
+            batch_norm(t(np.ones((2, 1, 1))), BatchNormParams(2), training=True)
 
     def test_eval_uses_running_stats(self):
         p = BatchNormParams(1)

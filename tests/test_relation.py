@@ -5,7 +5,7 @@ import pytest
 
 from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import ModelConfig, RTNet
-from rtnet.relation import cos_relation_matrix, relation_csv, threshold_and_standardize
+from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import Tensor
 
 
@@ -140,14 +140,3 @@ class TestLinearJacobianProportionality:
             for j in range(n):
                 assert np.allclose(jac[i, j], processed[j, i] * scale, atol=1e-4)
 
-
-class TestCsv:
-    def test_header_and_roundtrip(self):
-        raw = cos_relation_matrix(np.random.default_rng(0).normal(size=(20, 2)),
-                                  names=["a", "b"])
-        text = relation_csv(raw, ["a", "b"])
-        lines = text.strip().split("\n")
-        assert lines[0] == ",a,b"
-        assert lines[1].startswith("a,")
-        parsed = float(lines[1].split(",")[1])
-        assert parsed == pytest.approx(1.0)
