@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import harness
-from .data import SplitSpec, atomic_open, load_csv, split, write_csv
+from .data import SplitSpec, atomic_open, load_csv, split, write_csv, write_json
 from .diagnostics import line_plot_svg, pacf
 from .errors import ConfigError, RTNetError
 from .model import load_checkpoint, load_config, save_checkpoint
@@ -132,12 +132,21 @@ class SweepFile(TrainFile):
     seeds: list[int] | None = None
 
 
+def _read_json(path: str, what: str):
+    """The parsed content of a --config or --spec file; bytes that are not UTF-8
+    or text that is not JSON is a ``ConfigError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable {what} ({exc})") from None
+
+
 def _job_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
     """A train or sweep config file plus the command's flags, as an experiment spec."""
     what = f"{args.subcommand} config"
-    with open(args.config, encoding="utf-8") as fh:
-        job = load_config(SweepFile if args.subcommand == "sweep" else TrainFile,
-                          json.load(fh), what)
+    job = load_config(SweepFile if args.subcommand == "sweep" else TrainFile,
+                      _read_json(args.config, what), what)
     if isinstance(job, SweepFile) and job.seeds is not None and args.seed is not None:
         raise ConfigError("--seed is set by the sweep config's seeds, not by the command line")
     model = dict(job.model)  # its l_out is the one prediction length
@@ -167,11 +176,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     splits, scaler = harness.load_splits(args.data, args.split_mode, spec.task)
     model, result = harness.train_cell(spec, splits, None, spec.pred_lengths[0], spec.seeds[0])
     log(f"trained {args.format} model: {model.cfg}")
+    mse, mae = evaluate(model, splits[2])  # a failed forecast writes nothing
     save_checkpoint(model, os.path.join(args.out, "checkpoint.rtnet"))
     result.write_history_csv(os.path.join(args.out, "history.csv"))
-    with atomic_open(os.path.join(args.out, "scaler.json")) as fh:
-        fh.write(scaler.to_json())
-    mse, mae = evaluate(model, splits[2])
+    write_json(os.path.join(args.out, "scaler.json"),
+               {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()})
     log(f"best epoch {result.best_epoch}; test mse {mse:.6f}, mae {mae:.6f}")
     return 0
 
@@ -182,7 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     (_, val_ds, test_ds), _ = harness.load_splits(args.data, args.split_mode, task)
     ds = val_ds if args.split == "val" else test_ds
     mse, mae = evaluate(model, ds)
-    print(json.dumps({"split": args.split, "mse": mse, "mae": mae}))
+    print(json.dumps({"split": args.split, "mse": mse, "mae": mae}, allow_nan=False))
     return 0
 
 
@@ -211,11 +220,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         {"mean MSE": [row["mean_mse"] for row in rows],
                          "mean MAE": [row["mean_mae"] for row in rows]},
                         "Forecast error vs input length", "input length", "error")
-    payload = {"rows": rows, "best_length": best["length"], "near_best": near_best,
-               "skipped": skipped}
-    for name, text in (("sweep.json", json.dumps(payload, indent=2)), ("sweep.svg", svg)):
-        with atomic_open(os.path.join(args.out, name)) as fh:
-            fh.write(text)
+    write_json(os.path.join(args.out, "sweep.json"), {
+        "rows": rows, "best_length": best["length"], "near_best": near_best, "skipped": skipped})
+    with atomic_open(os.path.join(args.out, "sweep.svg")) as fh:
+        fh.write(svg)
     log(f"sweep complete; best length {best['length']}")
     return 0
 
@@ -234,8 +242,7 @@ def _cmd_pacf(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = harness.load_spec(json.load(fh), "experiment spec")
+    spec = harness.load_spec(_read_json(args.spec, "experiment spec"), "experiment spec")
     report = harness.run_experiment(spec)
     report.write(args.out)
     failed = [c for c in report.cells if c.status != "ok"]
@@ -265,7 +272,7 @@ def dispatch(args: argparse.Namespace) -> int:
             with OutDirLock(args.out):
                 return fn(args)
         return fn(args)
-    except (RTNetError, OSError, json.JSONDecodeError) as exc:
+    except (RTNetError, OSError) as exc:
         log(f"error: {exc}")
         return 1
 

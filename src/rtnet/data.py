@@ -1,5 +1,5 @@
 """Dataset loading, chronological splitting, standardization, and windowing,
-and the writers of every output file (`atomic_open`) and output CSV (`write_csv`).
+and the writers of every output file (`atomic_open`), CSV (`write_csv`) and JSON (`write_json`).
 
 CSV files carry a leading "date" column (zero-padded YYYY-MM-DD HH:MM:SS, one
 sampling interval) followed by numeric variate columns; the last column is the
@@ -116,13 +116,15 @@ def _first_bad_row(path: str, records: list[list[str]], width: int) -> DataError
 
 def load_csv(path: str) -> TimeSeriesDataset:
     """Parse a dataset CSV in bulk; a malformed row is reported by file line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        records = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            records = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes not UTF-8, a field over csv's limit
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
     if not header or header[0].strip() != "date":
         raise DataError(f"{path}: first column must be named 'date', got {header[:1]}")
     names = [h.strip() for h in header[1:]]
@@ -182,6 +184,13 @@ def write_csv(path: str, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def write_json(path: str, obj) -> None:
+    """``obj`` to ``path`` through `atomic_open` as strict JSON, indented by 2; a
+    missing value is None (``null``), and a NaN or infinity raises ValueError."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False)
+
+
 def _add_months(ts: datetime, months: int) -> datetime:
     month_index = ts.month - 1 + months
     year = ts.year + month_index // 12
@@ -231,9 +240,6 @@ class Standardizer:
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return values * self.denom + self.mean
-
-    def to_json(self) -> str:
-        return json.dumps({"mean": self.mean.tolist(), "std": self.std.tolist()}, indent=2)
 
 
 def standardize(train: TimeSeriesDataset, *others: TimeSeriesDataset,

@@ -9,7 +9,6 @@ may run them concurrently; a failed cell is recorded and the run continues.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import (SplitSpec, Standardizer, TimeSeriesDataset, atomic_open, load_csv,
-                   make_windows, split, standardize, write_csv)
+from .data import (SplitSpec, Standardizer, TimeSeriesDataset, load_csv, make_windows, split,
+                   standardize, write_csv, write_json)
 from .errors import ConfigError
 from .model import TIME_MODES, ModelConfig, RTNet, check_fields, check_json_type, load_config
 from .norm import NORM_KINDS
@@ -165,8 +164,8 @@ class CellResult:
     pred_len: int
     seed: int
     status: str = "ok"
-    mse: float = float("nan")
-    mae: float = float("nan")
+    mse: float | None = None  # None unless the cell finished
+    mae: float | None = None
     seconds: float = 0.0
     reason: str = ""
 
@@ -181,27 +180,18 @@ class ExperimentReport:
         return all(c.status != "ok" for c in self.cells)
 
     def write(self, out_dir: str) -> None:
-        """``report.json``, strict JSON in which every non-finite number (a failed
-        cell's MSE, say) is null, and ``report.csv``, the summary rows."""
+        """``report.json``, in which a failed cell's metrics are null, and
+        ``report.csv``, the summary rows, in which a row with no finished cell reads nan."""
         os.makedirs(out_dir, exist_ok=True)
-        report = {"version": REPORT_VERSION, "spec": self.spec,
-                  "cells": [asdict(c) for c in self.cells], "summary": self.summary}
-        with atomic_open(os.path.join(out_dir, "report.json")) as fh:
-            fh.write(json.dumps(_finite_or_null(report), indent=2, allow_nan=False))
+        write_json(os.path.join(out_dir, "report.json"), {
+            "version": REPORT_VERSION, "spec": self.spec,
+            "cells": [asdict(c) for c in self.cells], "summary": self.summary})
         columns = ("mean_mse", "std_mse", "mean_mae", "std_mae")
         write_csv(os.path.join(out_dir, "report.csv"), [
             ["axis_value", "pred_len", *columns, "n_seeds"],
-            *([row["axis_value"], row["pred_len"], *(f"{row[c]:.6f}" for c in columns),
+            *([row["axis_value"], row["pred_len"],
+               *(f"{row[c]:.6f}" if row["n_seeds"] else "nan" for c in columns),
                row["n_seeds"]] for row in self.summary)])
-
-
-def _finite_or_null(obj):
-    """``obj`` with every non-finite float in it, at any depth, replaced by None."""
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return list(map(_finite_or_null, obj))
-    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def train_cell(spec: ExperimentSpec, splits: list[TimeSeriesDataset], axis_value,
@@ -240,7 +230,7 @@ def _summarize(cells: list[CellResult]) -> list[dict]:
         for metric in ("mse", "mae"):
             values = [getattr(c, metric) for c in ok]
             row[f"mean_{metric}"], row[f"std_{metric}"] = (
-                (float(np.mean(values)), float(np.std(values))) if ok else (float("nan"),) * 2)
+                (float(np.mean(values)), float(np.std(values))) if ok else (None, None))
         out.append({**row, "n_seeds": len(ok)})
     return out
 

@@ -411,7 +411,7 @@ def _arrays(model: RTNet) -> dict[str, np.ndarray]:
 def save_checkpoint(model: RTNet, path: str) -> None:
     header = {"config": asdict(model.cfg), "has_relation": model.relation is not None}
     with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
-        zf.writestr(zipfile.ZipInfo("header.json"), json.dumps(header))
+        zf.writestr(zipfile.ZipInfo("header.json"), json.dumps(header, allow_nan=False))
         for name, array in _arrays(model).items():
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as member:
                 np.lib.format.write_array(member, np.ascontiguousarray(array, dtype=np.float64),

@@ -605,10 +605,11 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
         g_h = np.empty(x.shape)
         np.matmul(g_dots.transpose(0, 2, 1), ag[:, :n], out=g_h.transpose(1, 0, 2))
         g_h[:n] += np.matmul(g_dots, ag).transpose(1, 0, 2)
-        # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis
-        g_x = h * np.einsum("...f,...f->...", g_h, h)[..., None]
-        np.subtract(g_h, g_x, out=g_x)
-        g_x *= inv
-        return (g_x,)
+        # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis, in place
+        h *= np.einsum("...f,...f->...", g_h, h)[..., None]
+        np.subtract(g_h, h, out=g_h)
+        del h, ag
+        g_h *= inv
+        return (g_h,)
 
     return _make([reps], np.asarray(per_variate.sum()), grad_fn), per_variate, per_window

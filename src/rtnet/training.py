@@ -180,7 +180,7 @@ def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
     """Mean squared / absolute error over every window of a split (eval mode).
 
     Runs ``EVAL_BATCH`` windows per forward, each reading effective weights
-    built once for this call.
+    built once for this call.  A non-finite error sum raises ``NumericalError``.
     """
     cfg = model.cfg
     offsets = make_windows(len(ds), cfg.l_in, cfg.l_out)
@@ -199,6 +199,8 @@ def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
             se += float((diff ** 2).sum())
             ae += float(np.abs(diff).sum())
             count += diff.size
+    if not (math.isfinite(se) and math.isfinite(ae)):
+        raise NumericalError(f"non-finite forecast error: squared sum {se}, absolute sum {ae}")
     return se / count, ae / count
 
 

@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -553,11 +554,14 @@ def patched(base, patch):
 
 
 def run_refused(capsys, tmp_path, data_csv, command, config, flags=()):
-    """Run ``command`` on ``config`` (JSON text or a JSON value) and check that it
-    ends before any output with exit code 1 and one last ``error:`` line, which
-    it returns."""
+    """Run ``command`` on ``config`` (bytes, JSON text or a JSON value) and check
+    that it ends before any output with exit code 1 and one last ``error:`` line,
+    which it returns."""
     path = tmp_path / "config.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     source = ["--spec", str(path)] if command == "experiment" else \
         ["--config", str(path), "--data", data_csv, *flags]
@@ -748,24 +752,100 @@ def test_a_non_finite_validation_mse_fails_the_run(data_csv, tmp_path, capsys, m
     assert len(calls) == 2
 
 
+def refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_report_json_is_strict_json_with_a_failed_cell(data_csv, tmp_path):
     """A failed cell's metrics and an all-failed summary row are null, which
     every JSON reader parses; report.csv keeps its nan text."""
-    def refuse(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(patched(base_config("experiment", data_csv),
                                        {"pred_lengths": [4, 1000]})))
     out = tmp_path / "out"
     assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)
     assert [c["status"] for c in report["cells"]] == ["ok", "failed"]
     assert [report["cells"][1][k] for k in ("mse", "mae")] == [None, None]
     assert all(isinstance(report["cells"][0][k], float) for k in ("mse", "mae"))
     assert [report["summary"][1][k] for k in ("mean_mse", "std_mse", "mean_mae",
                                               "std_mae")] == [None] * 4
     assert (out / "report.csv").read_text().splitlines()[2] == "wn,1000,nan,nan,nan,nan,0"
+
+
+def small_model():
+    return RTNet(rtnet.ModelConfig(l_in=16, l_out=4, n_variates=1, d_channels=4, blocks=2,
+                                   groups=1), np.random.default_rng(0))
+
+
+def nan_head_bias(model):
+    """Give ``model`` a NaN head bias, so that every forecast it makes is NaN."""
+    dict(model.named_parameters())["head.linear.bias"].data[...] = np.nan
+
+
+def poison_cells(monkeypatch, poisoned):
+    """Train each cell for real, then NaN the head bias of each model that
+    ``poisoned(model, seed)`` picks."""
+    train_cell = harness.train_cell
+
+    def wrapped(spec, splits, axis_value, pred_len, seed):
+        model, result = train_cell(spec, splits, axis_value, pred_len, seed)
+        if poisoned(model, seed):
+            nan_head_bias(model)
+        return model, result
+
+    monkeypatch.setattr(harness, "train_cell", wrapped)
+
+
+def test_a_train_whose_test_forecast_is_nan_exits_1_and_writes_nothing(
+        data_csv, tmp_path, capsys, monkeypatch):
+    poison_cells(monkeypatch, lambda model, seed: True)
+    error = run_refused(capsys, tmp_path, data_csv, "train", base_config("train", data_csv))
+    assert error == "error: non-finite forecast error: squared sum nan, absolute sum nan"
+
+
+def test_eval_of_a_checkpoint_with_a_nan_bias_exits_1(data_csv, tmp_path, capsys):
+    model = small_model()
+    nan_head_bias(model)
+    path = tmp_path / "checkpoint.rtnet"
+    save_checkpoint(model, str(path))
+    assert main(["eval", "--checkpoint", str(path), "--data", data_csv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite forecast error: squared sum nan, absolute sum nan\n"
+
+
+def test_every_json_output_is_strict_with_failed_cells(data_csv, tmp_path, capsys, monkeypatch):
+    """Seed 1's forecasts are NaN, and the experiment's prediction length 1000
+    fits no split: each such cell fails, and every JSON file, the checkpoint's
+    header and eval's stdout parse with NaN and infinity refused."""
+    poison_cells(monkeypatch, lambda model, seed: seed == 1)
+    configs = {"train": base_config("train", data_csv),
+               "sweep": patched(base_config("sweep", data_csv), {"seeds": [0, 1]}),
+               "experiment": patched(base_config("experiment", data_csv),
+                                     {"seeds": [0, 1], "pred_lengths": [4, 1000]})}
+    for command, config in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        source = (["--spec", str(path)] if command == "experiment"
+                  else ["--config", str(path), "--data", data_csv])
+        assert main([command, *source, "--out", str(tmp_path / command)]) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.rtnet"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", data_csv]) == 0
+    texts = {f"{p.parent.name}/{p.name}": p.read_text() for p in tmp_path.glob("*/*.json")}
+    assert sorted(texts) == ["experiment/report.json", "sweep/sweep.json", "train/scaler.json"]
+    with zipfile.ZipFile(checkpoint) as zf:
+        texts["header.json"] = zf.read("header.json").decode()
+    texts["stdout"] = capsys.readouterr().out
+    parsed = {name: json.loads(text, parse_constant=refuse_constant)
+              for name, text in texts.items()}
+    assert parsed["sweep/sweep.json"]["skipped"] == []
+    assert [r["n_seeds"] for r in parsed["sweep/sweep.json"]["rows"]] == [1]
+    cells = parsed["experiment/report.json"]["cells"]
+    assert [(c["pred_len"], c["seed"], c["status"]) for c in cells] == [
+        (4, 0, "ok"), (4, 1, "failed"), (1000, 0, "failed"), (1000, 1, "failed")]
+    assert cells[1]["reason"].startswith("NumericalError: non-finite forecast error")
+    assert [(c["mse"], c["mae"]) for c in cells[1:]] == [(None, None)] * 3
 
 
 def _zero_variates(members):
@@ -825,6 +905,42 @@ def test_a_csv_header_without_distinct_variates_exits_1(tmp_path, capsys, header
     assert main(["relate", "--data", str(data), "--out", str(out)]) == 1
     assert one_error_line(capsys).startswith(f"error: {data}: {phrase}")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_a_config_that_is_not_utf8_exits_1(data_csv, tmp_path, capsys, command):
+    """A Latin-1 "é" in the task name, which UTF-8 cannot decode."""
+    config = json.dumps(base_config(command, data_csv)).encode().replace(
+        b"variate", b"variat\xe9")
+    what = "experiment spec" if command == "experiment" else "train config"
+    assert run_refused(capsys, tmp_path, data_csv, command, config).startswith(
+        f"error: {tmp_path / 'config.json'}: unreadable {what} "
+        "('utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("command", ["relate", "train", "eval"])
+@pytest.mark.parametrize("body,phrase", [
+    (b"2016-07-01 00:00:00,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"2016-07-01 00:00:00," + b"1" * 131_073 + b"\n", "field larger than field limit")],
+    ids=["not-utf8", "oversized-field"])
+def test_a_csv_whose_bytes_do_not_parse_exits_1(tmp_path, capsys, train_config, command,
+                                                body, phrase):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"date,OT\n" + body)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "eval":
+        checkpoint = tmp_path / "checkpoint.rtnet"
+        save_checkpoint(small_model(), str(checkpoint))
+        argv = ["eval", "--checkpoint", str(checkpoint)]
+    else:
+        argv = [command, "--out", str(out)] + (["--config", train_config]
+                                              if command == "train" else [])
+    assert main([*argv, "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(out.iterdir()) == []
+    assert captured.err.startswith(f"error: {data}: unreadable CSV (")
+    assert phrase in captured.err and captured.err.count("\n") == 1
 
 
 class TestPacfCommand:
@@ -1003,6 +1119,24 @@ class TestSweep:
         assert payload["best_length"] == 16
         assert payload["skipped"] == [
             {"length": 32, "reason": "FloatingPointError: overflow encountered in multiply"}]
+
+    def test_a_length_whose_forecasts_are_nan_is_skipped(self, data_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        """Length 16's models forecast NaN: both its cells fail with a
+        NumericalError, so the best length is 24, and sweep.json is strict."""
+        poison_cells(monkeypatch, lambda model, seed: model.cfg.l_in == 16)
+        out = tmp_path / "nan"
+        config = write_sweep_config(tmp_path, [16, 24], seeds=[0, 1])
+        assert main(["sweep", "--config", config, "--data", data_csv,
+                     "--out", str(out)]) == 0
+        reason = "NumericalError: non-finite forecast error: squared sum nan, absolute sum nan"
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("cell failed")] == [
+            f"cell failed: length=16 seed={seed}: {reason}" for seed in (0, 1)]
+        payload = json.loads((out / "sweep.json").read_text(), parse_constant=refuse_constant)
+        assert [row["length"] for row in payload["rows"]] == [24]
+        assert payload["best_length"] == 24
+        assert payload["skipped"] == [{"length": 16, "reason": reason}]
 
     def test_multivariate_sweep_builds_the_relation_model(self, data_csv, tmp_path,
                                                           monkeypatch):

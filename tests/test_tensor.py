@@ -1,5 +1,6 @@
 """Kernel tests: primitive forward values, shapes, group independence, gradients."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -567,6 +568,21 @@ class TestElementwiseAndStructural:
         rng = np.random.default_rng(n + 10 * augments + 100 * groups)
         reps = t(rng.normal(size=((1 + augments) * n, groups, 4)) + 0.2)
         gradcheck(lambda: contrastive_loss(reps, n, augments)[0], [reps])
+
+    def test_contrastive_loss_backward_peak(self):
+        """At a stage-1 batch of 64 windows and 3 augments, the backward holds
+        the normalized copy, the gradient it returns and the originals' share
+        of it: about 2.3 times ``reps``, not the 3 a third full-size array makes."""
+        reps = t(np.random.default_rng(2).normal(size=(256, 1, 2352)))
+        with GradTape() as tape:
+            total, _, _ = contrastive_loss(reps, 64, 3)
+        tracemalloc.start()
+        try:
+            backward(tape, total, params=[reps])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * reps.data.nbytes
 
     def test_structural_gradients(self, gradcheck):
         rng = np.random.default_rng(9)
