@@ -18,8 +18,8 @@ from .norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weig
 from .optim import Adam
 from .relation import cos_relation_matrix, threshold_and_standardize
 from .tensor import GradTape, Tensor, backward
-from .training import (TrainConfig, TrainResult, augment, contrastive_loss, early_stop,
-                       evaluate, make_contrastive_batch, sample_batch_condition1,
-                       train_contrastive, train_end_to_end)
+from .training import (TrainConfig, TrainResult, augment, contrastive_loss, evaluate,
+                       make_contrastive_batch, sample_batch_condition1, train_contrastive,
+                       train_end_to_end)
 
 __version__ = "0.1.0"

@@ -294,7 +294,6 @@ def time_features(timestamps: np.ndarray | list[datetime]) -> np.ndarray:
 
 @dataclass
 class WindowBatch:
-    offsets: np.ndarray
     inputs: np.ndarray        # (B, L_in, N)
     targets: np.ndarray       # (B, L_out, N)
     time_marks: np.ndarray | None = None    # (B, L_out, 6), prediction-window calendar
@@ -311,4 +310,4 @@ def gather_batch(ds: TimeSeriesDataset, offsets: np.ndarray, l_in: int, l_out: i
     inputs, targets = ds.values[rows[:, :l_in]], ds.values[rows[:, l_in:]]
     marks = ds.marks[rows[:, l_in:]] if with_marks else None
     in_marks = ds.marks[rows[:, :l_in]] if with_input_marks else None
-    return WindowBatch(offsets, inputs, targets, marks, in_marks)
+    return WindowBatch(inputs, targets, marks, in_marks)

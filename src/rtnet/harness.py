@@ -181,7 +181,8 @@ class ExperimentReport:
 
     def write(self, out_dir: str) -> None:
         """``report.json``, in which a failed cell's metrics are null, and
-        ``report.csv``, the summary rows, in which a row with no finished cell reads nan."""
+        ``report.csv``, the summary rows; a summary statistic of no finished cell,
+        or one that overflows, is null in the one and nan in the other."""
         os.makedirs(out_dir, exist_ok=True)
         write_json(os.path.join(out_dir, "report.json"), {
             "version": REPORT_VERSION, "spec": self.spec,
@@ -190,7 +191,7 @@ class ExperimentReport:
         write_csv(os.path.join(out_dir, "report.csv"), [
             ["axis_value", "pred_len", *columns, "n_seeds"],
             *([row["axis_value"], row["pred_len"],
-               *(f"{row[c]:.6f}" if row["n_seeds"] else "nan" for c in columns),
+               *("nan" if row[c] is None else f"{row[c]:.6f}" for c in columns),
                row["n_seeds"]] for row in self.summary)])
 
 
@@ -229,8 +230,10 @@ def _summarize(cells: list[CellResult]) -> list[dict]:
         row = {"axis_value": axis_value, "pred_len": pred_len}
         for metric in ("mse", "mae"):
             values = [getattr(c, metric) for c in ok]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is missing too
+                stats = (np.mean(values), np.std(values)) if ok else (np.nan, np.nan)
             row[f"mean_{metric}"], row[f"std_{metric}"] = (
-                (float(np.mean(values)), float(np.std(values))) if ok else (None, None))
+                float(v) if np.isfinite(v) else None for v in stats)
         out.append({**row, "n_seeds": len(ok)})
     return out
 

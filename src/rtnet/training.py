@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeSeriesDataset, gather_batch, make_windows, write_csv
+from .data import TimeSeriesDataset, WindowBatch, gather_batch, make_windows, write_csv
 from .errors import ConfigError, NumericalError, SamplerError
 from .model import RTNet
 from .optim import Adam
@@ -142,16 +142,6 @@ class TrainConfig:
                               f"got {self.max_steps_per_epoch}")
 
 
-def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
-    """Stop once the best value is ``patience`` evaluations old; ties don't improve."""
-    if patience < 1:
-        raise ConfigError(f"patience must be >= 1, got {patience}")
-    if not history:
-        return False, -1
-    best = int(np.argmin(history))  # first occurrence: a tie is no improvement
-    return (len(history) - 1 - best) >= patience, best
-
-
 @dataclass
 class TrainResult:
     history: list[dict] = field(default_factory=list)
@@ -176,6 +166,20 @@ def _history_row(epoch: int, per_variate_loss: np.ndarray, val_mse: float,
     return row
 
 
+def _gather(model: RTNet, ds: TimeSeriesDataset, offsets: np.ndarray) -> WindowBatch:
+    """The windows at ``offsets``, with the calendar marks ``model``'s time mode reads."""
+    cfg = model.cfg
+    return gather_batch(ds, offsets, cfg.l_in, cfg.l_out,
+                        with_marks=cfg.time_mode == "decoupled",
+                        with_input_marks=cfg.time_mode == "input")
+
+
+def _predict(model: RTNet, wb: WindowBatch, training: bool, rng: np.random.Generator | None):
+    """``model``'s forecast of a ``WindowBatch``."""
+    return model.forward(wb.inputs, wb.time_marks, training=training, rng=rng,
+                         input_marks=wb.input_marks)
+
+
 def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
     """Mean squared / absolute error over every window of a split (eval mode).
 
@@ -189,13 +193,8 @@ def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
     count = 0
     with model.weights_held():
         for start in range(0, offsets.size, EVAL_BATCH):
-            chunk = offsets[start:start + EVAL_BATCH]
-            wb = gather_batch(ds, chunk, cfg.l_in, cfg.l_out,
-                              with_marks=cfg.time_mode == "decoupled",
-                              with_input_marks=cfg.time_mode == "input")
-            pred = model.forward(wb.inputs, wb.time_marks, training=False,
-                                 input_marks=wb.input_marks)
-            diff = pred.data - wb.targets
+            wb = _gather(model, ds, offsets[start:start + EVAL_BATCH])
+            diff = _predict(model, wb, False, None).data - wb.targets
             se += float((diff ** 2).sum())
             ae += float(np.abs(diff).sum())
             count += diff.size
@@ -204,55 +203,17 @@ def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
     return se / count, ae / count
 
 
-def _window_batches(model: RTNet, ds: TimeSeriesDataset, batch_size: int,
-                    rng: np.random.Generator, max_steps: int | None):
-    """Per-epoch source of shuffled supervised batches, each gathered just before its step."""
-    mcfg = model.cfg
-    offsets = make_windows(len(ds), mcfg.l_in, mcfg.l_out)
-    steps = offsets.size // batch_size
-    if steps < 1:
-        raise ConfigError(f"batch size {batch_size} exceeds the {offsets.size} "
-                          "available training windows")
-    if max_steps is not None:
-        steps = min(steps, max_steps)
-
-    def epoch():
-        order = rng.permutation(offsets.size)
-        for s in range(steps):
-            yield gather_batch(ds, offsets[order[s * batch_size:(s + 1) * batch_size]],
-                               mcfg.l_in, mcfg.l_out,
-                               with_marks=mcfg.time_mode == "decoupled",
-                               with_input_marks=mcfg.time_mode == "input")
-    return epoch
-
-
-def _mse_step(model: RTNet, rng: np.random.Generator):
-    """Supervised step loss of a ``WindowBatch``: the per-variate MSE and its sum."""
-    def step_loss(wb):
-        pred = model.forward(wb.inputs, wb.time_marks, training=True, rng=rng,
-                             input_marks=wb.input_marks)
-        return mse_loss(pred, wb.targets)
-    return step_loss
-
-
-def _contrastive_step(model: RTNet, n_windows: int, n_augments: int, training: bool,
-                      rng: np.random.Generator | None):
-    """Stage-1 step loss of a ``make_contrastive_batch`` array: the per-variate
-    contrastive loss and its sum."""
-    def step_loss(windows):
-        reps = model.representations(windows, training=training, rng=rng)
-        return contrastive_loss(reps, n_windows, n_augments)[:2]
-    return step_loss
-
-
 def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, step_loss,
          validate, result: TrainResult, label: str, stage: int | None = None) -> None:
     """Fit ``named_params`` with Adam, validating after every epoch.
 
     ``batches()`` yields one epoch's batches lazily; ``step_loss(batch)``
     returns the scalar to backpropagate and the per-variate losses to report;
-    ``validate()`` returns (val_mse, val_mae).  Stops once the best validation
-    value is ``cfg.patience`` epochs old and leaves the model at its best state.
+    ``validate()`` returns (val_mse, val_mae).  An epoch improves only on a
+    val_mse below the best so far (a tie is no improvement); the loop stops
+    once the best epoch is ``cfg.patience`` epochs old and leaves the model at
+    its best state.  A non-finite loss or validation, or a ``NumericalError``
+    from ``validate()``, raises ``NumericalError`` naming ``label`` and the epoch.
 
     It keeps one best-state snapshot, taken at epoch 0 (always the best so
     far) and overwritten in place on each improvement.  A step's gradients
@@ -261,7 +222,7 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
     """
     opt = Adam(list(named_params), lr=cfg.lr)
     best_state: dict[str, np.ndarray] = {}
-    val_history: list[float] = []
+    best_val, best_epoch = math.inf, -1
     for epoch in range(epochs):
         epoch_loss = 0.0
         steps = 0
@@ -279,24 +240,52 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
             steps += 1
 
         opt.zero_grad()  # the epoch's last gradients must not outlive it into validate() either
-        val_mse, val_mae = validate()
-        if not np.isfinite(val_mse):  # argmin would take it as the best epoch
-            raise NumericalError(f"{label} diverged: non-finite validation MSE {val_mse} "
-                                 f"at epoch {epoch}")
-        val_history.append(val_mse)
+        try:
+            val_mse, val_mae = validate()
+            if not np.isfinite(val_mse):  # NaN would pass as no improvement, -inf as the best
+                raise NumericalError(f"non-finite validation MSE {val_mse}")
+        except NumericalError as exc:
+            raise NumericalError(f"{label} diverged at epoch {epoch}: {exc}") from None
         result.history.append(_history_row(epoch, epoch_loss / steps, val_mse, val_mae,
                                            stage))
-        stop, best = early_stop(val_history, cfg.patience)
-        if best == epoch:
+        if val_mse < best_val:
             if best_state:  # in place, so two snapshots never coexist
                 for name, a in model.state().items():
                     best_state[name][...] = a
             else:
                 best_state = {n: a.copy() for n, a in model.state().items()}
+            best_val, best_epoch = val_mse, epoch
             result.best_epoch = epoch
-        if stop:
+        elif epoch - best_epoch >= cfg.patience:
             break
     model.load_state(best_state)
+
+
+def _fit_supervised(model: RTNet, named_params, train_ds: TimeSeriesDataset,
+                    val_ds: TimeSeriesDataset, cfg: TrainConfig, batch_size: int,
+                    shuffle_rng: np.random.Generator, drop_rng: np.random.Generator,
+                    result: TrainResult, label: str, stage: int | None = None) -> None:
+    """``_fit`` on the per-variate MSE of shuffled training windows, each batch
+    gathered just before its step, validated by ``evaluate`` on ``val_ds``."""
+    mcfg = model.cfg
+    offsets = make_windows(len(train_ds), mcfg.l_in, mcfg.l_out)
+    steps = offsets.size // batch_size
+    if steps < 1:
+        raise ConfigError(f"batch size {batch_size} exceeds the {offsets.size} "
+                          "available training windows")
+    if cfg.max_steps_per_epoch is not None:
+        steps = min(steps, cfg.max_steps_per_epoch)
+
+    def batches():
+        order = shuffle_rng.permutation(offsets.size)
+        for s in range(steps):
+            yield _gather(model, train_ds, offsets[order[s * batch_size:(s + 1) * batch_size]])
+
+    def step_loss(wb):
+        return mse_loss(_predict(model, wb, True, drop_rng), wb.targets)
+
+    _fit(model, named_params, cfg, cfg.epochs, batches, step_loss,
+         lambda: evaluate(model, val_ds), result, label, stage)
 
 
 def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeriesDataset,
@@ -304,12 +293,10 @@ def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeri
     """Single-stage supervised training with per-variate MSE and early stopping."""
     cfg.validate()
     shuffle_seed, drop_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    batches = _window_batches(model, train_ds, cfg.batch_size,
-                              np.random.default_rng(shuffle_seed), cfg.max_steps_per_epoch)
     result = TrainResult()
-    _fit(model, model.named_parameters(), cfg, cfg.epochs, batches,
-         _mse_step(model, np.random.default_rng(drop_seed)),
-         lambda: evaluate(model, val_ds), result, "training")
+    _fit_supervised(model, model.named_parameters(), train_ds, val_ds, cfg, cfg.batch_size,
+                    np.random.default_rng(shuffle_seed), np.random.default_rng(drop_seed),
+                    result, "training")
     return result
 
 
@@ -333,26 +320,26 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
     val_windows = min(cfg.stage1_batch_size, feasible)
     val_batch = make_contrastive_batch(val_ds, val_windows, mcfg.l_in, cfg.alpha,
                                        cfg.n_augments, cfg.beta, val_rng)
-    val_loss = _contrastive_step(model, val_windows, cfg.n_augments, False, None)
 
     def stage1_batches():
         for _ in range(steps_per_epoch):
             yield make_contrastive_batch(train_ds, cfg.stage1_batch_size, mcfg.l_in,
                                          cfg.alpha, cfg.n_augments, cfg.beta, sample_rng)
 
+    def stage1_loss(windows):
+        reps = model.representations(windows, training=True, rng=drop_rng)
+        return contrastive_loss(reps, cfg.stage1_batch_size, cfg.n_augments)[:2]
+
     def stage1_validate():
-        val_total, _ = val_loss(val_batch)
+        val_total = contrastive_loss(model.representations(val_batch), val_windows,
+                                     cfg.n_augments)[0]
         return val_total.item() / mcfg.groups, float("nan")
 
     result = TrainResult()
     _fit(model, model.cpn_named_parameters(), cfg, stage1_epochs, stage1_batches,
-         _contrastive_step(model, cfg.stage1_batch_size, cfg.n_augments, True, drop_rng),
-         stage1_validate, result, "stage 1", stage=1)
+         stage1_loss, stage1_validate, result, "stage 1", stage=1)
 
     model.freeze_cpn()
-    batches = _window_batches(model, train_ds, cfg.stage2_batch_size, shuffle_rng,
-                              cfg.max_steps_per_epoch)
-    _fit(model, model.head_named_parameters(), cfg, cfg.epochs, batches,
-         _mse_step(model, drop_rng),
-         lambda: evaluate(model, val_ds), result, "stage 2", stage=2)
+    _fit_supervised(model, model.head_named_parameters(), train_ds, val_ds, cfg,
+                    cfg.stage2_batch_size, shuffle_rng, drop_rng, result, "stage 2", stage=2)
     return result

@@ -728,8 +728,8 @@ def test_batch_norm_trains_at_batch_size_one(data_csv, tmp_path):
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_a_non_finite_validation_mse_fails_the_run(data_csv, tmp_path, capsys, monkeypatch,
                                                   command):
-    """NaN at epoch 1 would be the best epoch by argmin, and its weights the ones
-    kept; it is a NumericalError, so train exits 1 and the cell fails."""
+    """A NaN validation MSE at epoch 1 is a NumericalError naming the stage and
+    the epoch, so train exits 1 and the cell fails."""
     real, calls = training.evaluate, []
 
     def evaluate(model, ds):
@@ -738,7 +738,7 @@ def test_a_non_finite_validation_mse_fails_the_run(data_csv, tmp_path, capsys, m
 
     monkeypatch.setattr(training, "evaluate", evaluate)
     config = patched(base_config(command, data_csv), {"train": {"epochs": 2}})
-    message = "training diverged: non-finite validation MSE nan at epoch 1"
+    message = "training diverged at epoch 1: non-finite validation MSE nan"
     if command == "train":
         assert message in run_refused(capsys, tmp_path, data_csv, command, config)
     else:

@@ -362,6 +362,21 @@ class TestReportFiles:
         assert rerun["cells"] == first["cells"]
         assert [c["status"] for c in first["cells"]] == ["ok", "ok"]
 
+    def test_a_summary_statistic_that_overflows_is_missing(self, small_csv, tmp_path,
+                                                          monkeypatch):
+        """Two finite test MSEs of 1.7e308 have an infinite mean and a NaN std:
+        each is null in report.json and nan in report.csv, with no warning."""
+        monkeypatch.setattr(harness, "evaluate", lambda model, ds: (1.7e308, 1.0))
+        report = run_experiment(desk_spec(small_csv))
+        report.write(str(tmp_path))
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert [c["mse"] for c in data["cells"]] == [1.7e308, 1.7e308]
+        assert data["summary"] == [{"axis_value": "e2e", "pred_len": 4, "mean_mse": None,
+                                    "std_mse": None, "mean_mae": 1.0, "std_mae": 0.0,
+                                    "n_seeds": 2}]
+        assert (tmp_path / "report.csv").read_text().splitlines()[1] == \
+            "e2e,4,nan,nan,1.000000,0.000000,2"
+
     def test_rerun_reproduces_metrics(self, small_csv, tmp_path):
         spec = desk_spec(small_csv, seeds=[5])
         run_experiment(spec).write(str(tmp_path / "a"))

@@ -19,8 +19,8 @@ from rtnet.data import TimeSeriesDataset, gather_batch, make_windows
 from rtnet.errors import ConfigError, DataError, DimensionError, NumericalError, SamplerError
 from rtnet.model import ModelConfig, RTNet, features_per_group, save_checkpoint
 from rtnet.optim import Adam
-from rtnet.tensor import GradTape, Tensor, backward, mse_loss
-from rtnet.training import (TrainConfig, augment, contrastive_loss, early_stop, evaluate,
+from rtnet.tensor import GradTape, Tensor, backward, mse_loss, reshape
+from rtnet.training import (TrainConfig, TrainResult, augment, contrastive_loss, evaluate,
                             make_contrastive_batch, max_condition1_batch,
                             sample_batch_condition1, train_contrastive, train_end_to_end)
 
@@ -319,23 +319,74 @@ class TestContrastiveLoss:
         assert reps.grad == pytest.approx(want[3], rel=1e-12)
 
 
-class TestEarlyStop:
-    def test_monotonic_improvement_never_stops(self):
-        for k in range(2, 10):
-            stop, best = early_stop(list(np.linspace(1.0, 0.1, k)), patience=2)
-            assert not stop and best == k - 1
+class ScriptedModel:
+    """The state ``_fit`` snapshots and restores: one weight that every step moves."""
 
-    def test_worsening_stops_at_patience(self):
-        stop, best = early_stop([1.0, 1.1, 1.2], patience=2)
-        assert stop and best == 0
+    def __init__(self):
+        self.w = Tensor(np.zeros(1), requires_grad=True)
 
-    def test_patience_one_stops_after_two(self):
-        stop, best = early_stop([1.0, 1.5], patience=1)
-        assert stop and best == 0
+    def state(self):
+        return {"w": self.w.data}
 
-    def test_plateau_counts_as_no_improvement(self):
-        stop, best = early_stop([1.0, 1.0], patience=1)
-        assert stop and best == 0
+    def load_state(self, values):
+        self.w.data[...] = values["w"]
+
+
+def argmin_stop(val_mse, patience):
+    """(stop epoch, best epoch, diverged): the first epoch whose validation is
+    not finite diverges; otherwise the best epoch is the first argmin of the
+    history so far, and the run stops once it is ``patience`` epochs old."""
+    for epoch in range(len(val_mse)):
+        if not np.isfinite(val_mse[epoch]):
+            return epoch, None, True
+        best = int(np.argmin(val_mse[:epoch + 1]))
+        if epoch - best >= patience:
+            break
+    return epoch, best, False
+
+
+class TestFitStopping:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(val_mse=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e308,
+                                             np.nan, np.inf, -np.inf]), min_size=1, max_size=12),
+           patience=st.integers(1, 5))
+    @example(val_mse=[3.0, 2.0, 1.0, 0.0], patience=1)
+    @example(val_mse=[1.0, 2.0, 3.0], patience=2)
+    @example(val_mse=[1.0, 1.0, 1.0], patience=1)
+    @example(val_mse=[3.0, 2.0, 2.0, 1.0], patience=2)
+    def test_scripted_validation_matches_the_argmin_rule(self, val_mse, patience):
+        """The stop epoch, the best epoch and the restored state follow a tie-blind
+        first-occurrence argmin, and a non-finite validation names its epoch."""
+        model = ScriptedModel()
+        states = []
+
+        def validate():
+            states.append(model.w.data.copy())
+            return val_mse[len(states) - 1], 0.0
+
+        def step_loss(batch):
+            return mse_loss(reshape(model.w, (1, 1, 1)), np.ones((1, 1, 1)))
+
+        stop, best, diverged = argmin_stop(val_mse, patience)
+        result = TrainResult()
+        cfg = TrainConfig(lr=0.1, patience=patience)
+
+        def run():
+            training._fit(model, [("w", model.w)], cfg, len(val_mse), lambda: [None],
+                          step_loss, validate, result, "fit")
+
+        if diverged:
+            with pytest.raises(NumericalError, match=f"^fit diverged at epoch {stop}: "
+                                                     "non-finite validation MSE"):
+                run()
+        else:
+            run()
+            assert result.best_epoch == best
+            assert np.array_equal(model.w.data, states[best])
+        assert len(states) == stop + 1
+        # every epoch leaves another weight, so the restored one names its epoch
+        assert len(set(float(w[0]) for w in states)) == len(states)
+        assert [row["val_mse"] for row in result.history] == val_mse[:stop + (not diverged)]
 
 
 class TestBatching:
@@ -756,18 +807,19 @@ class TestFitSnapshot:
         the first validation, epoch 1 leaves epoch 0's in place, and epoch 2
         overwrites the same arrays, which are what the model is restored from."""
         model = tiny_model(seed=2, dropout=0.1)
-        cfg = TrainConfig(batch_size=8, lr=1e-2, patience=3, seed=2, max_steps_per_epoch=2)
+        cfg = TrainConfig(epochs=3, lr=1e-2, patience=3, max_steps_per_epoch=2)
         rng = np.random.default_rng(2)
-        batches = training._window_batches(model, ar_dataset(200, 3), cfg.batch_size, rng,
-                                           cfg.max_steps_per_epoch)
         states, snapshots, restored = [], [], []
         val_mse = iter([3.0, 4.0, 1.0])
 
-        def validate():
+        def validate(net, ds):
             states.append({n: a.copy() for n, a in model.state().items()})
             # the loop's snapshot as this epoch's validation finds it: the
             # arrays themselves, and their values then
-            snapshot = sys._getframe(1).f_locals["best_state"]
+            frame = sys._getframe(1)
+            while frame.f_code is not training._fit.__code__:
+                frame = frame.f_back
+            snapshot = frame.f_locals["best_state"]
             snapshots.append({n: (a, a.copy()) for n, a in snapshot.items()})
             return next(val_mse), 0.0
 
@@ -778,9 +830,11 @@ class TestFitSnapshot:
             real_load_state(values)
 
         monkeypatch.setattr(model, "load_state", load_state)
+        monkeypatch.setattr(training, "evaluate", validate)
         result = training.TrainResult()
-        training._fit(model, model.named_parameters(), cfg, 3, batches,
-                      training._mse_step(model, rng), validate, result, "training")
+        ds = ar_dataset(200, 3)
+        training._fit_supervised(model, model.named_parameters(), ds, ds, cfg, 8, rng, rng,
+                                 result, "training")
         assert result.best_epoch == 2 and len(states) == 3
         assert snapshots[0] == {}
         (final,) = restored
@@ -845,6 +899,33 @@ class TestTrainingRefusals:
             train_end_to_end(tiny_model(), ds, ds, cfg)
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("fmt,label", [("e2e", "training"), ("contrastive", "stage 2")])
+    def test_a_nan_forecast_at_validation_names_its_stage_and_epoch(self, monkeypatch, fmt,
+                                                                    label):
+        """The head bias turns NaN after the fourth head step, the last of
+        epoch 1, so every forecast of that epoch's validation is NaN."""
+        model = tiny_model(seed=3)
+        bias = dict(model.named_parameters())["head.linear.bias"]
+        real_step, head_steps = Adam.step, []
+
+        def step(opt):
+            real_step(opt)
+            if any(p is bias for p in opt.params):
+                head_steps.append(1)
+                if len(head_steps) == 4:
+                    bias.data[...] = np.nan
+
+        monkeypatch.setattr(Adam, "step", step)
+        ds = ar_dataset(120, seed=0)
+        cfg = TrainConfig(epochs=3, stage1_epochs=1, batch_size=8, stage1_batch_size=8,
+                          stage2_batch_size=8, max_steps_per_epoch=2)
+        train = train_end_to_end if fmt == "e2e" else train_contrastive
+        with pytest.raises(NumericalError, match=f"^{label} diverged at epoch 1: non-finite "
+                                                 "forecast error: squared sum nan, "
+                                                 "absolute sum nan$"):
+            train(model, ds, ds, cfg)
+        assert len(head_steps) == 4
+
     def test_contrastive_training_refuses_input_time_features(self):
         ds = ar_dataset(120, seed=0)
         with pytest.raises(ConfigError, match="^contrastive training expects decoupled or "
@@ -859,18 +940,21 @@ class TestTrainContrastive:
     def test_stage1_loss_finite_nonnegative_and_decreases(self):
         ds = self.make_data(seed=11)
         model = tiny_model(seed=11, l_in=16)
-        from rtnet.optim import Adam
         rng = np.random.default_rng(12)
-        batch = make_contrastive_batch(ds, 8, 16, 4.0, 3, 0.2, rng)
-        first, _ = training._contrastive_step(model, 8, 3, False, None)(batch)
+
+        def step_loss(windows, train_mode):
+            """Stage 1's loss of a contrastive batch of 8 windows, 3 instances each."""
+            reps = model.representations(windows, training=train_mode)
+            return contrastive_loss(reps, 8, 3)[0]
+
+        first = step_loss(make_contrastive_batch(ds, 8, 16, 4.0, 3, 0.2, rng), False)
         assert np.isfinite(first.item()) and first.item() >= 0.0
         opt = Adam(list(model.cpn_named_parameters()), lr=1e-3)
-        step_loss = training._contrastive_step(model, 8, 3, True, None)
         losses = []
         for step in range(50):
             b = make_contrastive_batch(ds, 8, 16, 4.0, 3, 0.2, rng)
             with GradTape() as tape:
-                total, _ = step_loss(b)
+                total = step_loss(b, True)
             opt.zero_grad()
             backward(tape, total, params=opt.params)
             opt.step()
