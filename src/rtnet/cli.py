@@ -9,6 +9,7 @@ directory.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import json
 import os
@@ -263,6 +264,24 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
 }
 
+# the files each command with an --out writes there
+OUTPUTS = {
+    "relate": ("relation_raw.csv", "relation_processed.csv"),
+    "train": ("checkpoint.rtnet", "history.csv", "scaler.json"),
+    "sweep": ("sweep.csv", "sweep.json", "sweep.svg"),
+    "pacf": ("pacf.csv",),
+    "experiment": ("report.json", "report.csv"),
+}
+
+
+def _remove_partial_writes(out_dir: str, names) -> None:
+    """Delete the ``<name>.tmp`` a writer killed mid-write left beside each of
+    ``names``.  Run under the output-directory lock, no other rtnet writer
+    can own one."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(out_dir, name + ".tmp"))
+
 
 def dispatch(args: argparse.Namespace) -> int:
     """Run one subcommand: 0 on success, 1 on runtime failure."""
@@ -270,6 +289,7 @@ def dispatch(args: argparse.Namespace) -> int:
     try:
         if "out" in args:
             with OutDirLock(args.out):
+                _remove_partial_writes(args.out, OUTPUTS[args.subcommand])
                 return fn(args)
         return fn(args)
     except (RTNetError, OSError) as exc:

@@ -24,8 +24,9 @@ from .data import N_TIME_FEATURES, atomic_open
 from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
                    weight_norm_effective)
-# concat, relu, dropout and channel_upsample are not called here; they stay
-# bound as rtnet.model.<name>, the names perfbench/tracer.py times them under
+# concat, relu, dropout, channel_upsample and maxpool1d are not called here
+# (relu_dropout pools the block shortcut itself); they stay bound as
+# rtnet.model.<name>, the names perfbench/tracer.py times them under
 from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,  # noqa: F401
                      group_features, linear_grouped, maxpool1d, permute, relu, relu_dropout,
                      reshape, transpose_12)
@@ -200,8 +201,9 @@ class RTBlock(Module):
 
     Main path: strided conv -> norm -> relu -> conv -> norm.  Shortcut:
     maxpool + channel repetition, so the residual sum needs no projection.
-    Each relu, with its dropout and, at the end, the residual sum, is one
-    ``relu_dropout`` op, so the repeated shortcut and the sum never exist.
+    Each relu, with its dropout and, at the end, the pooled shortcut and the
+    residual sum, is one ``relu_dropout`` op, so the pooled and repeated
+    shortcut and the sum are never kept.
     """
 
     def __init__(self, c_in: int, kernel: int, groups: int, norm_kind: str,
@@ -217,8 +219,8 @@ class RTBlock(Module):
             raise ConfigError(f"RTBlock needs an even sequence length, got {x.data.shape[2]}")
         h = relu_dropout(self.conv1.forward(x, training), self.drop_rate, rng, training)
         h = self.conv2.forward(h, training)
-        s = maxpool1d(x, self.kernel, self.stride, self.kernel // 2)
-        return relu_dropout(h, self.drop_rate, rng, training, shortcut=s)
+        return relu_dropout(h, self.drop_rate, rng, training, shortcut=x, kernel=self.kernel,
+                            stride=self.stride)
 
 
 class Extractor(Module):

@@ -17,10 +17,14 @@ A node's closure keeps only what its backward needs, taken from the op's
 input and output arrays where it can be: a convolution keeps its input and
 weight, not the k-fold im2col copy of the input; its backward rebuilds that
 copy with the forward's own ``_im2col``.  ``relu_dropout`` fuses an RTBlock
-activation (the shortcut join, relu and dropout) into one node and computes
-it in place in its input, a fresh conv or norm output that no backward
-reads, so the two share one array; ``relu``, ``dropout`` and
-``channel_upsample`` remain as the reference it is tested against.
+activation (relu and dropout, and at the block's end the max-pooled,
+repeated shortcut and the residual sum) into one node and computes it in
+place in its input, a fresh conv or norm output that no backward reads, so
+the two share one array.  The pooled shortcut is a temporary; the node keeps
+a first-argmax index of one byte per window (for kernels up to 256)
+instead.  ``relu``, ``dropout``, ``channel_upsample`` and ``maxpool1d``
+remain as the reference it is tested against.  ``contrastive_loss`` is one
+node computed group by group, so no ``reps``-sized temporary is built.
 ``backward`` spends the tape, popping each node before it runs, so what only
 that node kept is freed as the sweep moves toward the inputs.
 """
@@ -262,31 +266,42 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 
 def relu_dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool,
-                 shortcut: Tensor | None = None) -> Tensor:
-    """``dropout(relu(x + channel_upsample(shortcut, C_x / C_s)))`` as one op.
+                 shortcut: Tensor | None = None, kernel: int = 1, stride: int = 1) -> Tensor:
+    """``dropout(relu(x + channel_upsample(s, C_x / C_s)))`` as one op, where
+    ``s = maxpool1d(shortcut, kernel, stride, kernel // 2)``.
 
     It takes ownership of ``x``: the result is computed in place in
     ``x.data`` and returned over that same array, so ``x`` must be a fresh
     output whose own backward does not read it, as a conv's or a norm's
-    does not.  That array is all the node keeps: since 1/(1-rate) >= 1, an
-    output is positive exactly where its unit was kept and its relu was
-    positive, so backward is ``g * q * (out > 0)``.  The shortcut's gradient
-    sums that over each channel's repeats.  Values, gradients and generator
-    draws are those of the composed ops, bit for bit.
+    does not.  Since 1/(1-rate) >= 1, an output is positive exactly where
+    its unit was kept and its relu was positive, so backward is
+    ``g * q * (out > 0)``, and the shortcut's gradient sums that over each
+    channel's repeats and routes it to each window's first argmax.  The
+    pooled shortcut is a temporary: the node keeps the output and, for each
+    window, the tap of its first argmax in the smallest unsigned dtype that
+    holds kernel - 1.  That index is built only when the node is recorded.
+    Values, gradients and generator draws are those of the composed ops,
+    bit for bit.
     """
     shape = x.data.shape
     mask = _dropout_keep(shape, rate, rng, training)
     out = x.data
-    if shortcut is None:
-        inputs, split = [x], None
-    else:
-        c_s = shortcut.data.shape[0] if shortcut.data.ndim == 3 else 0
-        if c_s == 0 or shape[1:] != shortcut.data.shape[1:] or shape[0] % c_s:
-            raise DimensionError(f"relu_dropout: shortcut {shortcut.data.shape} does not repeat "
+    inputs, split, winner, taps, s_shape = [x], None, None, None, None
+    if shortcut is not None:
+        s_shape = shortcut.data.shape
+        if len(s_shape) != 3 or s_shape[0] == 0 or shape[0] % s_shape[0]:
+            raise DimensionError(f"relu_dropout: shortcut {s_shape} does not repeat "
                                  f"to input {shape}")
-        inputs, split = [x, shortcut], (c_s, shape[0] // c_s) + shape[1:]
+        pooled, taps = _maxpool(shortcut.data, kernel, stride, kernel // 2)
+        if pooled.shape[1:] != shape[1:]:
+            raise DimensionError(f"relu_dropout: shortcut {s_shape}, pooled to {pooled.shape}, "
+                                 f"does not repeat to input {shape}")
+        inputs, split = [x, shortcut], (s_shape[0], shape[0] // s_shape[0]) + shape[1:]
+        if _active_tape() is not None and (x.requires_grad or shortcut.requires_grad):
+            # the node is recorded, and its backward needs the winners
+            winner = _first_argmax(shortcut.data, pooled, taps, kernel)
         joined = out.reshape(split)
-        np.add(joined, shortcut.data[:, None], out=joined)
+        np.add(joined, pooled[:, None], out=joined)
     np.maximum(out, 0.0, out=out)
     q = None
     if mask is not None:
@@ -298,7 +313,7 @@ def relu_dropout(x: Tensor, rate: float, rng: np.random.Generator | None, traini
         g_x = g * (out > 0.0) if q is None else g * q * (out > 0.0)
         if split is None:
             return (g_x,)
-        return (g_x, g_x.reshape(split).sum(axis=1))
+        return (g_x, _route(g_x.reshape(split).sum(axis=1), winner, taps, s_shape))
 
     return _make(inputs, out, grad_fn)
 
@@ -453,31 +468,63 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     return _make([x, weight, bias], out.reshape(c_out, B, l_out), grad_fn)
 
 
-def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
-    """Max pooling over windows of the last axis; gradient routes to the first argmax."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"maxpool1d: input {x.data.shape}")
+def _maxpool(xd: np.ndarray, k: int, stride: int, padding: int) -> tuple[np.ndarray, list]:
+    """Max over the windows of the last axis of a (C, B, L) array, and the taps."""
     if k < 1 or stride < 1 or padding < 0:
         raise ConfigError(f"maxpool1d: k={k}, stride={stride}, padding={padding}")
     if padding >= k:
         raise ConfigError(f"maxpool1d: padding {padding} must be < kernel {k}")
-    C, B, length = x.data.shape
+    C, B, length = xd.shape
     if length + 2 * padding < k:
         raise DimensionError(f"maxpool1d: window {k} exceeds padded length {length + 2 * padding}")
-
     l_out = _conv_out_len(length, k, stride, padding)
     taps = list(_taps(length, k, stride, padding, l_out))
-    xd = x.data
     # padding reads as -inf, so each tap takes the maximum only over the
     # outputs where it reads real input
     out = np.full((C, B, l_out), -np.inf)
     for _, lo, hi, src in taps:
         np.maximum(out[:, :, lo:hi], xd[:, :, src], out=out[:, :, lo:hi])
+    return out, taps
+
+
+def _first_argmax(xd: np.ndarray, pooled: np.ndarray, taps, k: int) -> np.ndarray:
+    """Each window's first tap that equals its maximum, in the smallest
+    unsigned dtype that holds k - 1: the count of the taps before it, all of
+    which missed.  A padding tap always misses.  A NaN window matches no tap
+    and gets k - 1; the join's output over it is NaN, so for a finite output
+    gradient the gradient routed from it is zero."""
+    winner = np.zeros(pooled.shape, dtype=np.min_scalar_type(k - 1))
+    missed = np.ones(pooled.shape, dtype=bool)  # every tap so far missed
+    for _, lo, hi, src in taps[:-1]:
+        hit = xd[:, :, src] == pooled[:, :, lo:hi]
+        np.greater(missed[:, :, lo:hi], hit, out=missed[:, :, lo:hi])  # missed and not hit
+        winner += missed
+    return winner
+
+
+def _route(g: np.ndarray, winner: np.ndarray, taps, shape: tuple[int, ...]) -> np.ndarray:
+    """Scatter the pooled gradient ``g`` back to each window's winning input."""
+    g_x = np.zeros(shape)
+    for j, lo, hi, src in taps:
+        g_x[:, :, src] += np.where(winner[:, :, lo:hi] == j, g[:, :, lo:hi], 0.0)
+    return g_x
+
+
+def maxpool1d(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
+    """Max pooling over windows of the last axis; gradient routes to the first argmax.
+
+    The model pools inside ``relu_dropout``; this op is the reference that
+    join is tested against.
+    """
+    if x.data.ndim != 3:
+        raise DimensionError(f"maxpool1d: input {x.data.shape}")
+    xd = x.data
+    out, taps = _maxpool(xd, k, stride, padding)
 
     def grad_fn(g):
         # a tap takes the gradient where it equals the window maximum and no
         # earlier tap did, so ties route to the first argmax
-        g_x = np.zeros((C, B, length))
+        g_x = np.zeros(xd.shape)
         routed = np.zeros(out.shape, dtype=bool)
         for _, lo, hi, src in taps:
             hit = xd[:, :, src] == out[:, :, lo:hi]
@@ -561,31 +608,39 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
     e stands in for the self-similarity sim(h_m, h_m).  Instance i of window
     m sits at n_windows + m*n_augments + i.
 
-    Every group runs at once, as one node: h scales each representation to
-    unit norm, and one batched GEMM of the n original windows against all T
-    instances gives the (G, n, T) dot products.  The node keeps the inverse
-    norms, the dot products, their similarities and the (G, n) sums, not h:
-    backward rebuilds h from ``reps``, bit for bit.
+    It is one node, computed one group at a time: each group's (T, F) slice
+    is scaled to unit norm and one GEMM of its n original windows against
+    its T instances fills its row of the (G, n, T) dot products, so no
+    ``reps``-sized normalized copy or square is ever built.  The node keeps
+    the inverse norms, the dot products, their similarities and the (G, n)
+    sums; backward rebuilds each group's unit vectors from ``reps``, bit for
+    bit, and writes that group's gradient into its slice of the result.
     """
     x = reps.data
     n = n_windows
     if x.ndim != 3 or not 0 < n <= x.shape[0]:  # before any array is sized by them
         raise DimensionError(f"contrastive_loss: {n} windows of {x.shape}; needs 3-D "
                              f"representations and 1 <= windows <= instances")
-    total_inst = x.shape[0]
+    total_inst, groups, features = x.shape
     if total_inst != (1 + n_augments) * n:
         raise ConfigError(f"{total_inst} instances != (1+{n_augments})*{n}")
     mask = np.zeros((n, total_inst))
     for m in range(n):
         mask[m, n + m * n_augments: n + (m + 1) * n_augments] = 1.0
-    norms = np.linalg.norm(x, axis=-1)
+    norms = np.empty((total_inst, groups))
+    for k in range(groups):
+        norms[:, k] = np.linalg.norm(x[:, k], axis=-1)
     bad = np.argwhere(norms == 0.0)
     if bad.size:
         raise NumericalError(f"contrastive_loss: zero-norm representations at "
                              f"(instance, group) {bad.tolist()}")
     inv = 1.0 / norms[..., None]
-    h = (x * inv).transpose(1, 0, 2)  # (G, T, F) view
-    dots = np.matmul(h[:, :n], h.transpose(0, 2, 1))
+    dots = np.empty((groups, n, total_inst))
+    h = np.empty((total_inst, features))  # one group's unit vectors at a time
+    for k in range(groups):
+        np.multiply(x[:, k], inv[:, k], out=h)
+        np.matmul(h[:n], h.T, out=dots[k])
+    del h
     sims = np.exp(np.abs(dots))
     den = sims.sum(axis=2)
     num = (sims * mask).sum(axis=2) + np.e
@@ -598,18 +653,20 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
         g_dots += (g_win / den)[..., None]
         g_dots *= sims
         g_dots *= np.sign(dots)
-        # d(h_m . h_t) reaches both factors: every instance takes the original
-        # windows' share, and the originals also take every instance's
-        h = x * inv
-        ag = h.transpose(1, 0, 2)
         g_h = np.empty(x.shape)
-        np.matmul(g_dots.transpose(0, 2, 1), ag[:, :n], out=g_h.transpose(1, 0, 2))
-        g_h[:n] += np.matmul(g_dots, ag).transpose(1, 0, 2)
-        # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis, in place
-        h *= np.einsum("...f,...f->...", g_h, h)[..., None]
-        np.subtract(g_h, h, out=g_h)
-        del h, ag
-        g_h *= inv
+        h = np.empty((total_inst, features))
+        for k in range(groups):
+            # d(h_m . h_t) reaches both factors: every instance takes the
+            # original windows' share, and the originals also take every
+            # instance's
+            np.multiply(x[:, k], inv[:, k], out=h)
+            gk = g_h[:, k]
+            np.matmul(g_dots[k].T, h[:n], out=gk)
+            gk[:n] += np.matmul(g_dots[k], h)
+            # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis, in place
+            h *= np.einsum("...f,...f->...", gk, h)[..., None]
+            np.subtract(gk, h, out=gk)
+            gk *= inv[:, k]
         return (g_h,)
 
     return _make([reps], np.asarray(per_variate.sum()), grad_fn), per_variate, per_window

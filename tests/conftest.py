@@ -149,6 +149,46 @@ def per_group_contrastive_loss(reps: np.ndarray, n_windows: int, n_augments: int
     return total, per_variate, per_window, grad
 
 
+def batched_contrastive_loss(reps: np.ndarray, n_windows: int, n_augments: int):
+    """Reference for ``training.contrastive_loss``, bit for bit: every group
+    at once, as the library computed it before it ran group by group, with
+    ``reps``-sized normalized copies in both passes.
+
+    Returns (total, per-variate means, (groups, n_windows) per-window
+    losses, the gradient of the total with respect to ``reps``).
+    """
+    x = reps
+    n = n_windows
+    total_inst = x.shape[0]
+    mask = np.zeros((n, total_inst))
+    for m in range(n):
+        mask[m, n + m * n_augments: n + (m + 1) * n_augments] = 1.0
+    inv = 1.0 / np.linalg.norm(x, axis=-1)[..., None]
+    h = (x * inv).transpose(1, 0, 2)  # (G, T, F) view
+    dots = np.matmul(h[:, :n], h.transpose(0, 2, 1))
+    sims = np.exp(np.abs(dots))
+    den = sims.sum(axis=2)
+    num = (sims * mask).sum(axis=2) + np.e
+    per_window = np.log(den) - np.log(num)
+    per_variate = per_window.sum(axis=1) * (1.0 / n)
+    total = per_variate.sum()
+    # backward of a unit seed
+    g_win = 1.0 * (1.0 / n)
+    g_dots = (-g_win / num)[..., None] * mask
+    g_dots += (g_win / den)[..., None]
+    g_dots *= sims
+    g_dots *= np.sign(dots)
+    h = x * inv
+    ag = h.transpose(1, 0, 2)
+    g_h = np.empty(x.shape)
+    np.matmul(g_dots.transpose(0, 2, 1), ag[:, :n], out=g_h.transpose(1, 0, 2))
+    g_h[:n] += np.matmul(g_dots, ag).transpose(1, 0, 2)
+    h *= np.einsum("...f,...f->...", g_h, h)[..., None]
+    np.subtract(g_h, h, out=g_h)
+    g_h *= inv
+    return total, per_variate, per_window, g_h
+
+
 def swap_bc(a) -> np.ndarray:
     """Swap the first two axes: a (B, C, L) array to channel-major (C, B, L),
     and back.  Tests keep writing and checking batch-major arrays and cross

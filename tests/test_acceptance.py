@@ -63,6 +63,7 @@ class TestCriterion1GradientSoundness:
         c6 = T(8, 2, 10)  # two repeats of c3's channels
         zero6 = Tensor(np.zeros(c6.shape))
         reps = T(8, 2, 5)  # 2 windows and 3 augments each, 2 groups
+        s3 = T(4, 2, 20)  # a block input that pools to c3's length
 
         cases = [
             ("conv1d_grouped", lambda: sq_sum(conv1d_grouped(c3, w, b, 2, 1, 2)), [c3, w, b]),
@@ -79,9 +80,11 @@ class TestCriterion1GradientSoundness:
              [c6]),
             ("relu_dropout", lambda: sq_sum(relu_dropout(add(c6, zero6), 0.4,
                                                          np.random.default_rng(3), True,
-                                                         shortcut=c3)), [c6, c3]),
+                                                         shortcut=s3, kernel=3, stride=2)),
+             [c6, s3]),
             ("relu_dropout", lambda: sq_sum(relu_dropout(add(c6, zero6), 0.4, None, False,
-                                                         shortcut=c3)), [c6, c3]),
+                                                         shortcut=s3, kernel=3, stride=2)),
+             [c6, s3]),
             ("add", lambda: sq_sum(add(a1, a2)), [a1, a2]),
             ("contrastive_loss", lambda: contrastive_loss(reps, 2, 3)[0], [reps]),
             ("reshape", lambda: sq_sum(reshape(x3, (2, 40))), [x3]),

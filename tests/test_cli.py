@@ -433,6 +433,39 @@ class TestOutDirLock:
         assert ok or list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("command", ["relate", "pacf", "train", "sweep", "experiment"])
+    def test_each_command_writes_the_files_it_lists(self, data_csv, tmp_path, command):
+        """``cli.OUTPUTS`` names every file a command leaves under --out, so
+        the partial writes cleared under the lock are all of its own."""
+        source = ["--data", data_csv]
+        if command in ("train", "sweep", "experiment"):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(base_config(command, data_csv)))
+            source = (["--spec", str(config)] if command == "experiment"
+                      else [*source, "--config", str(config)])
+        out = tmp_path / "out"
+        assert main([command, *source, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli.OUTPUTS[command])
+
+    @pytest.mark.parametrize("ok", [True, False], ids=["ok", "refused"])
+    def test_a_killed_writer_s_temporary_file_is_removed_under_the_lock(
+            self, data_csv, train_config, tmp_path, capsys, ok):
+        """A ``<name>.tmp`` beside a file the command writes is a killed
+        writer's leftover and goes, even when the run then writes nothing;
+        any other ``.tmp`` is not rtnet's and stays."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "history.csv.tmp").write_text("epoch,val_mse\n0,")
+        (out / "notes.tmp").write_text("mine")
+        data = data_csv if ok else str(tmp_path / "missing.csv")
+        assert main(["train", "--config", train_config, "--data", data,
+                     "--out", str(out)]) == (0 if ok else 1)
+        if not ok:
+            assert "missing.csv" in one_error_line(capsys)
+        assert not (out / "history.csv.tmp").exists()
+        assert (out / "notes.tmp").read_text() == "mine"
+
+
 class TestAtomicOutputs:
     """Every output goes through a temporary file that replaces its target only
     when the write completes."""

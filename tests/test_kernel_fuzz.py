@@ -8,7 +8,8 @@ gradients are compared at a float64 rounding tolerance, since the loops sum
 in another order; so are the grouped linear head's.  Max-pool inputs and upstream gradients are integers, so
 ties occur and every sum is exact: values and first-argmax gradient routing
 are compared exactly.  A few cases also go through finite differences.
-The fused ``relu_dropout`` is compared bit for bit with the ops it fuses.
+The fused ``relu_dropout``, which pools its own shortcut, is compared bit for
+bit with the ops it fuses, ``maxpool1d`` among them.
 """
 
 import numpy as np
@@ -69,10 +70,13 @@ def linear_cases(draw):
 @st.composite
 def relu_dropout_cases(draw):
     return dict(
-        channels=draw(st.integers(1, 4)),
+        # shortcut channels: groups 1 or 7, one or two channels each
+        channels=draw(st.sampled_from([1, 7])) * draw(st.integers(1, 2)),
         batch=draw(st.integers(1, 3)),
-        length=draw(st.integers(1, 9)),
+        length=draw(st.integers(1, 12)),  # the shortcut's, before pooling
         factor=draw(st.sampled_from([None, 1, 2, 3])),  # None: no shortcut
+        k=draw(st.sampled_from([1, 3, 5])),
+        stride=draw(st.sampled_from([1, 2])),  # TimeNet's and the pyramid's
         rate=draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])),
         training=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -317,25 +321,36 @@ def bits(a):
 class TestReluDropoutFuzz:
     @FUZZ
     @given(relu_dropout_cases())
+    # 257 taps, so the winner index takes two bytes, and most taps read
+    # padding; TestReluDropout routes a window to tap 256 on a rising input
+    @pinned([dict(k=257, stride=s, length=n) for s in (1, 2) for n in (1, 6, 300)],
+            channels=7, batch=2, factor=2, rate=0.5, training=True, seed=5)
     def test_bit_equal_to_the_composed_ops(self, case):
         """Output, input gradients and the generator's next draw equal those
-        of dropout(relu(add(x, channel_upsample(s, f)))) bit for bit."""
+        of dropout(relu(add(x, channel_upsample(maxpool1d(s, k, stride, k // 2),
+        f)))) bit for bit, over tied values, zeros of both signs, NaN and
+        infinities."""
         rng = np.random.default_rng(case["seed"])
-        factor, c_s = case["factor"], case["channels"]
-        shape = (c_s * (factor or 1), case["batch"], case["length"])
+        factor, c_s, k, stride = case["factor"], case["channels"], case["k"], case["stride"]
+        s_shape = (c_s, case["batch"], case["length"])
+        shape = (c_s * (factor or 1), case["batch"], out_len(case["length"], k, stride, k // 2))
         x = special_values(rng, shape)
-        s = None if factor is None else special_values(rng, (c_s,) + shape[1:])
+        s = None if factor is None else special_values(rng, s_shape)
         g = rng.normal(size=shape)
         g[rng.random(shape) < 0.2] *= 0.0
         rate, training = case["rate"], case["training"]
         drop_seed = int(rng.integers(2**32))
 
         def composed(tx, ts, gen):
-            h = tx if ts is None else add(tx, channel_upsample(ts, factor))
+            h = tx if ts is None else add(tx, channel_upsample(maxpool1d(ts, k, stride, k // 2),
+                                                               factor))
             return dropout(relu(h), rate, gen, training)
 
+        def fused(tx, ts, gen):
+            return relu_dropout(tx, rate, gen, training, ts, kernel=k, stride=stride)
+
         results = []
-        for op in (composed, lambda tx, ts, gen: relu_dropout(tx, rate, gen, training, ts)):
+        for op in (composed, fused):
             tx = Tensor(x.copy(), requires_grad=True)  # relu_dropout computes in place in it
             ts = None if s is None else Tensor(s, requires_grad=True)
             inputs = [tx] if ts is None else [tx, ts]

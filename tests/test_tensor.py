@@ -1,5 +1,6 @@
 """Kernel tests: primitive forward values, shapes, group independence, gradients."""
 
+import contextlib
 import tracemalloc
 import weakref
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import closure_arrays, root_base, sq_sum, swap_bc
 from test_kernel_fuzz import conv_reference
 
+from rtnet import tensor as tensor_module
 from rtnet.errors import ConfigError, DimensionError
 from rtnet.tensor import (GradTape, Tensor, add, backward, channel_upsample, concat,
                           contrastive_loss, conv1d_grouped, dropout, group_features,
@@ -481,15 +483,22 @@ class TestTapeContents:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("factor", [None, 1, 2, 3])
     def test_relu_dropout(self, training, factor):
-        """The node keeps its own output and no other array: no input, mask
-        or shortcut copy."""
+        """The node keeps its own output and, with a shortcut, one byte per
+        pooled window, the tap of its first argmax: no input, mask or copy of
+        the pooled or repeated shortcut."""
         x = t(tied_input((6, 2, 5), 5))
-        s = None if factor is None else t(tied_input((6 // factor, 2, 5), 6))
+        s = None if factor is None else t(tied_input((6 // factor, 2, 10), 6))
         with GradTape() as tape:
-            y = relu_dropout(x, 0.4, np.random.default_rng(9), training, shortcut=s)
+            y = relu_dropout(x, 0.4, np.random.default_rng(9), training, shortcut=s,
+                             kernel=3, stride=2)
         assert len(tape.nodes) == 1
         held = closure_arrays(tape.nodes[0].grad_fn)
-        assert len(held) == 1 and root_base(held[0]) is root_base(y.data)
+        assert root_base(held[0]) is root_base(y.data)
+        if factor is None:
+            assert len(held) == 1
+        else:
+            (winner,) = held[1:]
+            assert winner.dtype == np.uint8 and winner.shape == (6 // factor, 2, 5)
 
 
 class TestReluDropout:
@@ -512,6 +521,47 @@ class TestReluDropout:
         with pytest.raises(DimensionError, match="shortcut"):
             relu_dropout(t(np.ones((6, 2, 5))), 0.5, np.random.default_rng(0), True,
                          shortcut=t(np.ones(shortcut_shape)))
+
+    @pytest.mark.parametrize("kernel,stride,length", [(2, 2, 10), (3, 2, 7), (3, 1, 4)])
+    def test_shortcut_that_does_not_pool_to_the_input_length_is_dimension_error(
+            self, kernel, stride, length):
+        with pytest.raises(DimensionError, match="shortcut"):
+            relu_dropout(t(np.ones((6, 2, 5))), 0.5, np.random.default_rng(0), True,
+                         shortcut=t(np.ones((3, 2, length))), kernel=kernel, stride=stride)
+
+    @pytest.mark.parametrize("kernel,dtype", [(1, np.uint8), (3, np.uint8), (255, np.uint8),
+                                              (257, np.uint16)])
+    def test_winner_index_holds_every_tap(self, kernel, dtype):
+        """On a rising shortcut each window's maximum is its last real tap,
+        up to tap kernel - 1.  The winner index is the smallest unsigned
+        dtype that holds that, and the gradient is routed as maxpool1d
+        routes it."""
+        s = np.arange(300.0).reshape(1, 1, 300)
+        g = np.random.default_rng(3).normal(size=(2, 1, 300))
+        grads = []
+        for fused in (True, False):
+            x, ts = t(np.zeros((2, 1, 300))), t(s)
+            with GradTape() as tape:
+                if fused:
+                    y = relu_dropout(x, 0.0, None, False, shortcut=ts, kernel=kernel)
+                    (winner,) = closure_arrays(tape.nodes[0].grad_fn)[1:]
+                else:
+                    y = relu(add(x, channel_upsample(maxpool1d(ts, kernel, 1, kernel // 2), 2)))
+            backward(tape, y, params=[ts], seed=g)
+            grads.append(ts.grad)
+        assert winner.dtype == dtype
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("tape,grad", [(False, True), (True, False)])
+    def test_an_unrecorded_join_builds_no_winner_index(self, monkeypatch, tape, grad):
+        """Without an active tape, or without an input that requires
+        gradients, nothing is recorded, so no winner index is built."""
+        built = []
+        monkeypatch.setattr(tensor_module, "_first_argmax", lambda *args: built.append(args))
+        x, s = t(np.ones((4, 1, 6)), grad), t(np.ones((2, 1, 12)), grad)
+        with GradTape() if tape else contextlib.nullcontext():
+            relu_dropout(x, 0.0, None, False, shortcut=s, kernel=3, stride=2)
+        assert built == []
 
     @pytest.mark.parametrize("rate,training", [(0.5, False), (0.0, True), (0.0, False)])
     def test_nothing_dropped_draws_nothing(self, rate, training):
@@ -583,6 +633,33 @@ class TestElementwiseAndStructural:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * reps.data.nbytes
+
+    def test_grouped_contrastive_loss_forward_peak(self):
+        """With 7 groups the forward works on one group's slice at a time: it
+        never builds a ``reps``-sized normalized copy or square."""
+        reps = t(np.random.default_rng(2).normal(size=(256, 7, 2352)))
+        tracemalloc.start()
+        try:
+            with GradTape():
+                contrastive_loss(reps, 64, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * reps.data.nbytes
+
+    def test_grouped_contrastive_loss_backward_peak(self):
+        """With 7 groups the backward holds the gradient it returns and one
+        group's unit vectors and share at a time, not a ``reps``-sized copy."""
+        reps = t(np.random.default_rng(2).normal(size=(256, 7, 2352)))
+        with GradTape() as tape:
+            total, _, _ = contrastive_loss(reps, 64, 3)
+        tracemalloc.start()
+        try:
+            backward(tape, total, params=[reps])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * reps.data.nbytes
 
     def test_structural_gradients(self, gradcheck):
         rng = np.random.default_rng(9)

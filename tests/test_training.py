@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (ar_series, check_condition1, closure_arrays, hourly,
-                      per_group_contrastive_loss, piecewise_contrastive_batch, root_base,
+from conftest import (ar_series, batched_contrastive_loss, check_condition1, closure_arrays,
+                      hourly, per_group_contrastive_loss, piecewise_contrastive_batch, root_base,
                       state_checksum, synthetic_multivariate)
 from rtnet import model as rtnet_model
 from rtnet import tensor, training
@@ -303,8 +303,8 @@ class TestContrastiveLoss:
            seed=st.integers(0, 2**32 - 1))
     def test_all_groups_at_once_match_the_per_group_loss(self, groups, n_augments, n_windows,
                                                          features, seed):
-        """The batched loss agrees with the per-group oracle on the total,
-        the per-variate and per-window losses and the gradient."""
+        """The loss agrees with the per-group oracle on the total, the
+        per-variate and per-window losses and the gradient."""
         rng = np.random.default_rng(seed)
         data = rng.normal(size=((1 + n_augments) * n_windows, groups, features))
         data *= rng.uniform(0.1, 10.0, size=(1, groups, 1))
@@ -317,6 +317,26 @@ class TestContrastiveLoss:
         assert per_variate == pytest.approx(want[1], rel=1e-12)
         assert per_window == pytest.approx(want[2], rel=1e-12)
         assert reps.grad == pytest.approx(want[3], rel=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(groups=st.integers(1, 7), n_augments=st.integers(0, 3),
+           n_windows=st.sampled_from([1, 2, 3, 5, 8]), features=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(groups=7, n_augments=3, n_windows=16, features=168, seed=1)
+    def test_group_by_group_equals_the_batched_formula_bit_for_bit(
+            self, groups, n_augments, n_windows, features, seed):
+        """Running one group at a time changes no bit of the total, the
+        per-variate and per-window losses or the gradient."""
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=((1 + n_augments) * n_windows, groups, features))
+        data *= rng.uniform(0.1, 10.0, size=(1, groups, 1))
+        reps = Tensor(data, requires_grad=True)
+        with GradTape() as tape:
+            total, per_variate, per_window = contrastive_loss(reps, n_windows, n_augments)
+        backward(tape, total, params=[reps])
+        want = batched_contrastive_loss(data, n_windows, n_augments)
+        for got, ref in zip([total.data, per_variate, per_window, reps.grad], want):
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(ref).view(np.uint64))
 
 
 class ScriptedModel:
@@ -637,16 +657,19 @@ class TestStepTape:
 
     @classmethod
     def extractor(cls, cfg, B, c_in, length, depth, stride):
-        """Embedding conv input and output, then per block of c channels the
-        conv1 and conv2 outputs at 2c channels, which the block's two
-        relu_dropout ops reuse in place, and the max-pool's at c."""
+        """Bytes: the embedding conv input and output as floats, then per
+        block of c channels the conv1 and conv2 outputs at 2c channels, which
+        the block's two relu_dropout ops reuse in place, and the join's
+        winner index at c channels, one entry per pooled window."""
         d, G, k = cfg.d_channels, cfg.groups, cfg.kernel
         n = c_in * B * length + d * B * length + cls.unit(d, c_in // G * k)
+        winners = 0
         for j in range(depth):
             c = d << j
             length //= stride
-            n += 5 * c * B * length + cls.unit(2 * c, c // G * k) + cls.unit(2 * c, 2 * c // G * k)
-        return n
+            n += 4 * c * B * length + cls.unit(2 * c, c // G * k) + cls.unit(2 * c, 2 * c // G * k)
+            winners += c * B * length
+        return 8 * n + np.dtype(np.min_scalar_type(k - 1)).itemsize * winners
 
     def pyramid(self, cfg, B):
         return sum(self.extractor(cfg, B, cfg.n_variates, cfg.l_in >> i, cfg.blocks - i, 2)
@@ -692,7 +715,7 @@ class TestStepTape:
         exactly those its shapes call for."""
         cfg, nodes = self.one_step_nodes(monkeypatch)
         ops = [op_name(node) for node in nodes]
-        assert not {"relu", "dropout", "channel_upsample"} & set(ops)
+        assert not {"relu", "dropout", "channel_upsample", "maxpool1d"} & set(ops)
         assert ops.count("add") == 1 and ops[ops.index("add") - 1] == "permute"
         # two per block: branches of 2 and 1 blocks, the 2-block TimeNet
         assert ops.count("relu_dropout") == 2 * (2 + 1 + 2)
@@ -700,16 +723,15 @@ class TestStepTape:
         B, N, G, l_out = self.BATCH, cfg.n_variates, cfg.groups, cfg.l_out
         features = B * G * features_per_group(cfg)
         prediction = B * l_out * N
-        floats = (self.pyramid(cfg, B)
-                  + features                         # group_features
+        floats = (features                           # group_features
                   + features + prediction            # head: its grouped input copy, output
                   + self.unit(l_out * N, features // (B * G))
                   + prediction                       # transpose_12
-                  + self.extractor(cfg, B, G * cfg.n_time, l_out, 2, 1)
                   + self.unit(N, 4 * cfg.d_channels // G) + prediction  # time head conv
                   + 2 * prediction                   # permute, add
                   + prediction + 1)                  # the MSE's diff and its total
-        assert self.kept_bytes(nodes) == 8 * floats
+        time_net = self.extractor(cfg, B, G * cfg.n_time, l_out, 2, 1)
+        assert self.kept_bytes(nodes) == self.pyramid(cfg, B) + time_net + 8 * floats
 
     def test_the_e2e_step_tape_ends_in_one_loss_node(self, monkeypatch):
         _, nodes = self.one_step_nodes(monkeypatch)
@@ -718,9 +740,9 @@ class TestStepTape:
 
     def test_stage1_step_keeps_only_what_backward_needs(self, monkeypatch):
         """One stage-1 contrastive step records the pyramid as an end-to-end
-        step does, then the loss over all groups at once as one node: it
-        keeps the (groups, windows, instances) dot products and similarities,
-        and no normalized copy of the features."""
+        step does, then the loss over every group as one node: it keeps the
+        (groups, windows, instances) dot products and similarities, and no
+        normalized copy of the features."""
         cfg, nodes = self.one_step_nodes(monkeypatch, "contrastive")
         ops = [op_name(node) for node in nodes]
         assert ops[-2:] == ["group_features", "contrastive_loss"]
@@ -729,14 +751,13 @@ class TestStepTape:
         T = (1 + self.AUGMENTS) * n
         features = T * G * features_per_group(cfg)
         similarities = G * n * T
-        floats = (self.pyramid(cfg, T)
-                  + features                         # group_features
+        floats = (features                           # group_features
                   + T * G                            # inverse norms
                   + 2 * similarities                 # dot products, similarities
                   + n * T                            # the positives' mask
                   + 2 * G * n                        # denominators, numerators
                   + 1)                               # the total
-        assert self.kept_bytes(nodes) == 8 * floats
+        assert self.kept_bytes(nodes) == self.pyramid(cfg, T) + 8 * floats
 
     @pytest.mark.parametrize("fmt", ["e2e", "contrastive"])
     def test_no_step_tape_is_alive_during_validation(self, monkeypatch, fmt):
