@@ -204,7 +204,7 @@ def evaluate(model: RTNet, ds: TimeSeriesDataset) -> tuple[float, float]:
 
 
 def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, step_loss,
-         validate, result: TrainResult, label: str, stage: int | None = None) -> None:
+         validate, result: TrainResult, stage: int | None = None) -> None:
     """Fit ``named_params`` with Adam, validating after every epoch.
 
     ``batches()`` yields one epoch's batches lazily; ``step_loss(batch)``
@@ -213,13 +213,14 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
     val_mse below the best so far (a tie is no improvement); the loop stops
     once the best epoch is ``cfg.patience`` epochs old and leaves the model at
     its best state.  A non-finite loss or validation, or a ``NumericalError``
-    from ``validate()``, raises ``NumericalError`` naming ``label`` and the epoch.
+    from ``validate()``, raises ``NumericalError`` naming the stage and the epoch.
 
     It keeps one best-state snapshot, taken at epoch 0 (always the best so
     far) and overwritten in place on each improvement.  A step's gradients
     live until the next step's ``backward``, and the epoch's last step's
     until just before validation.
     """
+    label = "training" if stage is None else f"stage {stage}"
     opt = Adam(list(named_params), lr=cfg.lr)
     best_state: dict[str, np.ndarray] = {}
     best_val, best_epoch = math.inf, -1
@@ -264,7 +265,7 @@ def _fit(model: RTNet, named_params, cfg: TrainConfig, epochs: int, batches, ste
 def _fit_supervised(model: RTNet, named_params, train_ds: TimeSeriesDataset,
                     val_ds: TimeSeriesDataset, cfg: TrainConfig, batch_size: int,
                     shuffle_rng: np.random.Generator, drop_rng: np.random.Generator,
-                    result: TrainResult, label: str, stage: int | None = None) -> None:
+                    result: TrainResult, stage: int | None = None) -> None:
     """``_fit`` on the per-variate MSE of shuffled training windows, each batch
     gathered just before its step, validated by ``evaluate`` on ``val_ds``."""
     mcfg = model.cfg
@@ -285,7 +286,7 @@ def _fit_supervised(model: RTNet, named_params, train_ds: TimeSeriesDataset,
         return mse_loss(_predict(model, wb, True, drop_rng), wb.targets)
 
     _fit(model, named_params, cfg, cfg.epochs, batches, step_loss,
-         lambda: evaluate(model, val_ds), result, label, stage)
+         lambda: evaluate(model, val_ds), result, stage)
 
 
 def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeriesDataset,
@@ -295,8 +296,7 @@ def train_end_to_end(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSeri
     shuffle_seed, drop_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     result = TrainResult()
     _fit_supervised(model, model.named_parameters(), train_ds, val_ds, cfg, cfg.batch_size,
-                    np.random.default_rng(shuffle_seed), np.random.default_rng(drop_seed),
-                    result, "training")
+                    np.random.default_rng(shuffle_seed), np.random.default_rng(drop_seed), result)
     return result
 
 
@@ -337,9 +337,9 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
 
     result = TrainResult()
     _fit(model, model.cpn_named_parameters(), cfg, stage1_epochs, stage1_batches,
-         stage1_loss, stage1_validate, result, "stage 1", stage=1)
+         stage1_loss, stage1_validate, result, stage=1)
 
     model.freeze_cpn()
     _fit_supervised(model, model.head_named_parameters(), train_ds, val_ds, cfg,
-                    cfg.stage2_batch_size, shuffle_rng, drop_rng, result, "stage 2", stage=2)
+                    cfg.stage2_batch_size, shuffle_rng, drop_rng, result, stage=2)
     return result

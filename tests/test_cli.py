@@ -265,7 +265,8 @@ class TestTrainEval:
             assert sorted(p.name for p in out.iterdir()) == [LOCK]
         assert list(out.iterdir()) == []
 
-    def test_lock_of_a_live_pid_still_blocks(self, data_csv, train_config, tmp_path, capsys):
+    def test_a_flock_held_by_another_process_blocks_until_it_ends(
+            self, data_csv, train_config, tmp_path, capsys):
         """A live process holding the flock refuses the run; once it ends, the
         next run goes ahead."""
         out = tmp_path / "live"
@@ -279,7 +280,7 @@ class TestTrainEval:
         assert main(["train", "--config", train_config, "--data", data_csv,
                      "--out", str(out)]) == 0
 
-    def test_lock_of_a_dead_pid_is_reclaimed(self, data_csv, train_config, tmp_path):
+    def test_a_killed_holder_s_flock_is_dropped(self, data_csv, train_config, tmp_path):
         """A holder killed with SIGKILL leaves its lock file, but the kernel has
         dropped its flock, so nothing blocks the next run."""
         out = tmp_path / "stale"
@@ -344,8 +345,8 @@ class TestOutDirLock:
     @pytest.mark.parametrize("content", ["", "1"])
     def test_an_unheld_lock_file_does_not_block(self, data_csv, train_config, tmp_path,
                                                 content):
-        """A lock file that no run holds, empty (a kill right after it was made)
-        or naming a live unrelated PID, is no lock."""
+        """A lock file whose flock no run holds, empty (a kill right after it was
+        made) or not, is no lock."""
         out = tmp_path / "out"
         out.mkdir()
         (out / LOCK).write_text(content)
@@ -357,11 +358,9 @@ class TestOutDirLock:
     @pytest.mark.parametrize("a_finishes", [False, True], ids=["a-holds", "a-runs-whole"])
     def test_no_interleaving_gives_two_holders(self, tmp_path, monkeypatch, a_finishes):
         """Run A takes the lock (and, with ``a_finishes``, releases it) between
-        any two of run B's system calls, on a lock file left by a dead run.  At
+        any two of run B's system calls, on a lock file that no run holds.  At
         most one of them holds the lock, a held lock is the file at the path,
         and the path is free once both are done."""
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        assert child.wait(timeout=60) == 0  # reaped, so its PID names no process
         state = {"calls": 0}
 
         def before_each_call():
@@ -396,7 +395,7 @@ class TestOutDirLock:
             out = tmp_path / str(at)
             state.update(at=None, a=False)
             a, b = cli.OutDirLock(str(out)), cli.OutDirLock(str(out))
-            (out / LOCK).write_text(str(child.pid))
+            (out / LOCK).write_text("")
             state.update(calls=0, at=at)
             try:
                 b.__enter__()
@@ -419,32 +418,19 @@ class TestOutDirLock:
         """The lock file is gone after every command, whether it succeeded or
         failed."""
         data = data_csv if ok else str(tmp_path / "missing.csv")
-        source = ["--data", data]
-        if command in ("train", "sweep", "experiment"):
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(base_config(command, data)))
-            source = (["--spec", str(config)] if command == "experiment"
-                      else [*source, "--config", str(config)])
         out = tmp_path / "out"
-        assert main([command, *source, "--out", str(out)]) == (0 if ok else 1)
+        assert main(command_argv(tmp_path, command, data, out)) == (0 if ok else 1)
         if not ok:
             assert "missing.csv" in one_error_line(capsys)
         assert not (out / LOCK).exists()
         assert ok or list(out.iterdir()) == []
 
-
     @pytest.mark.parametrize("command", ["relate", "pacf", "train", "sweep", "experiment"])
     def test_each_command_writes_the_files_it_lists(self, data_csv, tmp_path, command):
         """``cli.OUTPUTS`` names every file a command leaves under --out, so
         the partial writes cleared under the lock are all of its own."""
-        source = ["--data", data_csv]
-        if command in ("train", "sweep", "experiment"):
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(base_config(command, data_csv)))
-            source = (["--spec", str(config)] if command == "experiment"
-                      else [*source, "--config", str(config)])
         out = tmp_path / "out"
-        assert main([command, *source, "--out", str(out)]) == 0
+        assert main(command_argv(tmp_path, command, data_csv, out)) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(cli.OUTPUTS[command])
 
     @pytest.mark.parametrize("ok", [True, False], ids=["ok", "refused"])
@@ -546,14 +532,10 @@ class TestAtomicOutputs:
 
 
 def test_every_csv_output_has_lf_line_ends_and_rectangular_rows(data_csv, tmp_path):
-    runs = {"relate": ["--data", data_csv], "pacf": ["--data", data_csv, "--max-lag", "8"]}
-    for command in ("train", "sweep", "experiment"):
-        path = tmp_path / f"{command}.json"
-        path.write_text(json.dumps(base_config(command, data_csv)))
-        runs[command] = (["--spec", str(path)] if command == "experiment"
-                         else ["--config", str(path), "--data", data_csv])
-    for command, flags in runs.items():
-        assert main([command, *flags, "--out", str(tmp_path / command)]) == 0
+    for command in ("relate", "pacf", "train", "sweep", "experiment"):
+        flags = ("--max-lag", "8") if command == "pacf" else ()
+        assert main(command_argv(tmp_path, command, data_csv, tmp_path / command,
+                                 flags=flags)) == 0
     outputs = sorted(tmp_path.glob("*/*.csv"))
     assert [f"{p.parent.name}/{p.name}" for p in outputs] == [
         "experiment/report.csv", "pacf/pacf.csv", "relate/relation_processed.csv",
@@ -586,19 +568,29 @@ def patched(base, patch):
                        for k, v in patch.items()}}
 
 
+def command_argv(tmp_path, command, data, out, config=None, flags=()):
+    """The argv of ``command`` on ``data``, writing to ``out``.  Train, sweep and
+    experiment also read ``tmp_path/config.json``, written from ``config`` (bytes,
+    JSON text or a JSON value; ``base_config`` when None); an experiment's spec
+    names its own data."""
+    source = ["--data", data]
+    if command in ("train", "sweep", "experiment"):
+        path = tmp_path / "config.json"
+        config = base_config(command, data) if config is None else config
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        else:
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+        source = (["--spec", str(path)] if command == "experiment"
+                  else [*source, "--config", str(path)])
+    return [command, *source, *flags, "--out", str(out)]
+
+
 def run_refused(capsys, tmp_path, data_csv, command, config, flags=()):
-    """Run ``command`` on ``config`` (bytes, JSON text or a JSON value) and check
-    that it ends before any output with exit code 1 and one last ``error:`` line,
-    which it returns."""
-    path = tmp_path / "config.json"
-    if isinstance(config, bytes):
-        path.write_bytes(config)
-    else:
-        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    """Run ``command`` on ``config`` and check that it ends before any output
+    with exit code 1 and one last ``error:`` line, which it returns."""
     out = tmp_path / "out"
-    source = ["--spec", str(path)] if command == "experiment" else \
-        ["--config", str(path), "--data", data_csv, *flags]
-    assert main([command, *source, "--out", str(out)]) == 1
+    assert main(command_argv(tmp_path, command, data_csv, out, config, flags)) == 1
     error = one_error_line(capsys)
     assert list(out.iterdir()) == []
     return error

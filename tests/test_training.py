@@ -393,10 +393,10 @@ class TestFitStopping:
 
         def run():
             training._fit(model, [("w", model.w)], cfg, len(val_mse), lambda: [None],
-                          step_loss, validate, result, "fit")
+                          step_loss, validate, result)
 
         if diverged:
-            with pytest.raises(NumericalError, match=f"^fit diverged at epoch {stop}: "
+            with pytest.raises(NumericalError, match=f"^training diverged at epoch {stop}: "
                                                      "non-finite validation MSE"):
                 run()
         else:
@@ -801,25 +801,24 @@ class TestStepTape:
         real_fit = training._fit
         validated = []
 
-        def fit(model, named_params, cfg, epochs, batches, step_loss, validate, result, label,
+        def fit(model, named_params, cfg, epochs, batches, step_loss, validate, result,
                 stage=None):
             named = list(named_params)
 
             def checked_validate():
-                validated.append(label)
+                validated.append(stage)
                 assert [n for n, p in named if p.grad is not None] == []
                 return validate()
 
             real_fit(model, named, cfg, epochs, batches, step_loss, checked_validate, result,
-                     label, stage)
+                     stage)
 
         monkeypatch.setattr(training, "_fit", fit)
         cfg = TrainConfig(epochs=2, stage1_epochs=2, batch_size=8, stage1_batch_size=8,
                           stage2_batch_size=8, patience=5, seed=4, max_steps_per_epoch=2)
         train = train_end_to_end if fmt == "e2e" else train_contrastive
         train(tiny_model(seed=4), ar_dataset(420, 5), ar_dataset(420, 6), cfg)
-        assert validated == (["training"] * 2 if fmt == "e2e"
-                             else ["stage 1"] * 2 + ["stage 2"] * 2)
+        assert validated == ([None] * 2 if fmt == "e2e" else [1, 1, 2, 2])
 
 
 class TestFitSnapshot:
@@ -855,7 +854,7 @@ class TestFitSnapshot:
         result = training.TrainResult()
         ds = ar_dataset(200, 3)
         training._fit_supervised(model, model.named_parameters(), ds, ds, cfg, 8, rng, rng,
-                                 result, "training")
+                                 result)
         assert result.best_epoch == 2 and len(states) == 3
         assert snapshots[0] == {}
         (final,) = restored
