@@ -324,18 +324,18 @@ class RTNet(Module):
                      np.broadcast_to(marks, (cfg.groups, *marks.shape))]
         return np.concatenate(per_group, axis=1).reshape(-1, batch, cfg.l_in)
 
-    def representations(self, inputs: np.ndarray, *, training: bool = False,
-                        rng: np.random.Generator | None = None,
-                        input_marks: np.ndarray | None = None) -> Tensor:
-        """Per-group pyramid features, (B, groups, features_per_group)."""
-        cfg = self.cfg
+    def pyramid(self, inputs: np.ndarray, *, training: bool = False,
+                rng: np.random.Generator | None = None,
+                input_marks: np.ndarray | None = None) -> list[Tensor]:
+        """Each branch's channel-major output; branch i reads the last l_in >> i steps."""
         x = self._prepare_input(inputs, input_marks)
-        hs = []
-        for i, branch in enumerate(self.branches):
-            sliced = x[:, :, x.shape[2] - (cfg.l_in >> i):]
-            hs.append(branch.forward(Tensor(np.ascontiguousarray(sliced)), training, rng))
-        # each group's features in (c, l) order, branch after branch
-        return group_features(hs, cfg.groups)
+        return [branch.forward(Tensor(np.ascontiguousarray(x[:, :, -(self.cfg.l_in >> i):])),
+                               training, rng) for i, branch in enumerate(self.branches)]
+
+    def representations(self, inputs: np.ndarray, **pyramid_options) -> Tensor:
+        """Per-group pyramid features, (B, groups, features_per_group): each
+        group's features in (c, l) order, branch after branch."""
+        return group_features(self.pyramid(inputs, **pyramid_options), self.cfg.groups)
 
     def forward(self, inputs: np.ndarray, marks: np.ndarray | None = None, *,
                 training: bool = False, rng: np.random.Generator | None = None,

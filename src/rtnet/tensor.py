@@ -15,16 +15,16 @@ branch outputs straight into the batch-major features.
 
 A node's closure keeps only what its backward needs, taken from the op's
 input and output arrays where it can be: a convolution keeps its input and
-weight, not the k-fold im2col copy of the input; its backward rebuilds that
-copy with the forward's own ``_im2col``.  ``relu_dropout`` fuses an RTBlock
+weight, not the k-fold im2col copy of the input, and backward rebuilds that
+copy, one group at a time, with ``_im2col``.  ``relu_dropout`` fuses an RTBlock
 activation (relu and dropout, and at the block's end the max-pooled,
 repeated shortcut and the residual sum) into one node and computes it in
 place in its input, a fresh conv or norm output that no backward reads, so
 the two share one array.  The pooled shortcut is a temporary; the node keeps
 a first-argmax index of one byte per window (for kernels up to 256)
 instead.  ``relu``, ``dropout``, ``channel_upsample`` and ``maxpool1d``
-remain as the reference it is tested against.  ``contrastive_loss`` is one
-node computed group by group, so no ``reps``-sized temporary is built.
+remain as the reference it is tested against.  ``contrastive_loss`` reads
+the branch outputs group by group, so it builds no features-sized array.
 ``backward`` spends the tape, popping each node before it runs, so what only
 that node kept is freed as the sweep moves toward the inputs.
 """
@@ -402,19 +402,19 @@ def _taps(length: int, k: int, stride: int, padding: int, l_out: int):
         yield j, lo, hi, slice(start, start + (hi - lo) * stride, stride)
 
 
-def _im2col(xv: np.ndarray, taps, k: int, l_out: int) -> np.ndarray:
-    """(groups, cpg, B, L) input -> (groups, cpg*k, B*l_out) im2col columns.
+def _im2col(xg: np.ndarray, taps, k: int, l_out: int, out: np.ndarray) -> np.ndarray:
+    """One group's (cpg, B, L) input -> its (cpg*k, B*l_out) im2col columns, in ``out``.
 
     Filled tap by tap, so every copy runs along the sequence axis; only the
     outputs whose tap reads padding are zeroed.
     """
-    groups, cpg, B, _ = xv.shape
-    cols = np.empty((groups, cpg, k, B, l_out))
+    cpg, B, _ = xg.shape
+    cols = out.reshape(cpg, k, B, l_out)
     for j, lo, hi, src in taps:
-        cols[:, :, j, :, :lo] = 0.0
-        cols[:, :, j, :, hi:] = 0.0
-        cols[:, :, j, :, lo:hi] = xv[..., src]
-    return cols.reshape(groups, cpg * k, B * l_out)
+        cols[:, j, :, :lo] = 0.0
+        cols[:, j, :, hi:] = 0.0
+        cols[:, j, :, lo:hi] = xg[..., src]
+    return out
 
 
 def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
@@ -422,9 +422,10 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     """Grouped 1-D convolution: (C_in,B,L) -> (C_out,B,L_out).
 
     weight is (C_out, C_in/groups, k); output channel block g sees only input
-    channel block g.  The tape node keeps the input and the weight, not the
-    im2col columns: backward rebuilds them from the input for the weight
-    gradient's GEMM.  The input gradient is computed only when x requires it.
+    channel block g.  Both passes run one group at a time, so only one group's
+    im2col columns, or their gradient, exist at once.  The tape node keeps the
+    input and the weight: backward rebuilds each group's columns for its
+    weight gradient.  The input gradient is computed only when x requires it.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise DimensionError(f"conv1d_grouped: input {x.data.shape}, weight {weight.data.shape}")
@@ -446,24 +447,26 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     taps = list(_taps(length, k, stride, padding, l_out))
     xv = x.data.reshape(groups, cpg, B, length)
     w_cols = weight.data.reshape(groups, opg, cpg * k)
-    # the (groups, opg, B*l_out) product is already the (C_out, B, L_out) output
-    out = np.matmul(w_cols, _im2col(xv, taps, k, l_out))
+    # group i's GEMM, the one a batched matmul runs, fills block i of the output
+    out, cols = np.empty((groups, opg, B * l_out)), np.empty((cpg * k, B * l_out))
+    for i in range(groups):
+        np.matmul(w_cols[i], _im2col(xv[i], taps, k, l_out, cols), out=out[i])
     out += bias.data.reshape(groups, opg, 1)
     need_gx = x.requires_grad
 
     def grad_fn(g):
         go = g.reshape(groups, opg, B * l_out)
-        # the rebuilt columns are freed before g_cols is allocated
-        g_w = np.matmul(go, _im2col(xv, taps, k, l_out).transpose(0, 2, 1)).reshape(c_out, cpg, k)
-        g_b = g.sum(axis=(1, 2))
-        if not need_gx:
-            return (None, g_w, g_b)
-        g_cols = np.matmul(w_cols.transpose(0, 2, 1), go).reshape(groups, cpg, k, B, l_out)
-        g_x = np.zeros((c_in, B, length))
-        g_xv = g_x.reshape(groups, cpg, B, length)
-        for j, lo, hi, src in taps:
-            g_xv[..., src] += g_cols[:, :, j, :, lo:hi]
-        return (g_x, g_w, g_b)
+        g_w = np.empty((groups, opg, cpg * k))
+        g_x = np.zeros((c_in, B, length)) if need_gx else None
+        cols = np.empty((cpg * k, B * l_out))  # a group's columns, then their gradient
+        for i in range(groups):
+            np.matmul(go[i], _im2col(xv[i], taps, k, l_out, cols).T, out=g_w[i])
+            if need_gx:
+                g_cols = np.matmul(w_cols[i].T, go[i], out=cols).reshape(cpg, k, B, l_out)
+                g_xg = g_x.reshape(groups, cpg, B, length)[i]
+                for j, lo, hi, src in taps:
+                    g_xg[..., src] += g_cols[:, j, :, lo:hi]
+        return (g_x, g_w.reshape(c_out, cpg, k), g.sum(axis=(1, 2)))
 
     return _make([x, weight, bias], out.reshape(c_out, B, l_out), grad_fn)
 
@@ -598,9 +601,13 @@ def mse_loss(pred: Tensor, truth: np.ndarray) -> tuple[Tensor, np.ndarray]:
     return total, per_variate
 
 
-def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
+_LOSS_ROWS = 16  # most instances per block of the contrastive backward's group gradient
+
+
+def contrastive_loss(branches: Sequence[Tensor], groups: int, n_windows: int, n_augments: int
                      ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Similarity-ratio loss over (total, groups, features) representations.
+    """Similarity-ratio loss over the (T, groups, F) features ``group_features``
+    would build from the channel-major (C_i, T, L_i) branch outputs.
 
     Returns (scalar total for backward, per-variate means, per-window losses).
     For window m: -log[(e + sum_i sim(h_m, h_mi)) / sum over all instances of
@@ -608,39 +615,53 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
     e stands in for the self-similarity sim(h_m, h_m).  Instance i of window
     m sits at n_windows + m*n_augments + i.
 
-    It is one node, computed one group at a time: each group's (T, F) slice
-    is scaled to unit norm and one GEMM of its n original windows against
-    its T instances fills its row of the (G, n, T) dot products, so no
-    ``reps``-sized normalized copy or square is ever built.  The node keeps
+    It is one node, computed one group at a time: the group's (T, F) block is
+    gathered from the branches into one reused buffer, scaled to unit norm, and
+    one GEMM of its n originals against its T instances fills its row of the
+    (G, n, T) dot products, so no features array is ever built.  The node keeps
     the inverse norms, the dot products, their similarities and the (G, n)
-    sums; backward rebuilds each group's unit vectors from ``reps``, bit for
-    bit, and writes that group's gradient into its slice of the result.
+    sums; backward gathers each group's unit vectors again, bit for bit, and
+    writes its gradient, ``_LOSS_ROWS`` instances at a time, into the branches'.
     """
-    x = reps.data
+    xs = [b.data for b in branches]
     n = n_windows
-    if x.ndim != 3 or not 0 < n <= x.shape[0]:  # before any array is sized by them
-        raise DimensionError(f"contrastive_loss: {n} windows of {x.shape}; needs 3-D "
-                             f"representations and 1 <= windows <= instances")
-    total_inst, groups, features = x.shape
-    if total_inst != (1 + n_augments) * n:
-        raise ConfigError(f"{total_inst} instances != (1+{n_augments})*{n}")
-    mask = np.zeros((n, total_inst))
-    for m in range(n):
-        mask[m, n + m * n_augments: n + (m + 1) * n_augments] = 1.0
-    norms = np.empty((total_inst, groups))
+    T = xs[0].shape[1] if xs and xs[0].ndim == 3 else 0
+    odd = [x.shape for x in xs if x.ndim != 3 or x.shape[1] != T or x.shape[0] % max(groups, 1)]
+    if groups < 1 or not xs or odd or not 0 < n <= T:  # before any array is sized by them
+        shapes = odd[0] if odd else f"{T} instances"
+        raise DimensionError(f"contrastive_loss: {n} windows of {shapes}; needs 3-D (C, instances, "
+                             f"L) branches, C divisible by {groups}, 1 <= windows <= instances")
+    if T != (1 + n_augments) * n:
+        raise ConfigError(f"{T} instances != (1+{n_augments})*{n}")
+    blocks = [(x.shape[0] // groups, x.shape[2]) for x in xs]
+    ends = np.cumsum([cpg * length for cpg, length in blocks]).tolist()
+
+    def parts(arrays, k):
+        """Each branch array's (T, cpg, L) view of group k and its share of the features."""
+        for a, (cpg, length), end in zip(arrays, blocks, ends):
+            yield a.reshape(groups, cpg, T, length)[k].transpose(1, 0, 2), end - cpg * length, end
+
+    def gather(k, h):
+        for part, lo, hi in parts(xs, k):
+            h[:, lo:hi].reshape(part.shape)[...] = part
+
+    # window m's positives: its own n_augments instances, a block of row m
+    mask = np.hstack([np.zeros((n, n)), np.kron(np.eye(n), np.ones((1, n_augments)))])
+    norms, inv = np.empty((T, groups)), np.empty((T, groups, 1))
+    dots = np.empty((groups, n, T))
+    h = np.empty((T, ends[-1]))  # one group's features, then its unit vectors
     for k in range(groups):
-        norms[:, k] = np.linalg.norm(x[:, k], axis=-1)
+        gather(k, h)
+        norms[:, k] = np.linalg.norm(h, axis=-1)
+        if norms[:, k].all():  # a zero norm is refused once every group's is known
+            np.divide(1.0, norms[:, k, None], out=inv[:, k])
+            h *= inv[:, k]
+            np.matmul(h[:n], h.T, out=dots[k])
+    del h
     bad = np.argwhere(norms == 0.0)
     if bad.size:
         raise NumericalError(f"contrastive_loss: zero-norm representations at "
                              f"(instance, group) {bad.tolist()}")
-    inv = 1.0 / norms[..., None]
-    dots = np.empty((groups, n, total_inst))
-    h = np.empty((total_inst, features))  # one group's unit vectors at a time
-    for k in range(groups):
-        np.multiply(x[:, k], inv[:, k], out=h)
-        np.matmul(h[:n], h.T, out=dots[k])
-    del h
     sims = np.exp(np.abs(dots))
     den = sims.sum(axis=2)
     num = (sims * mask).sum(axis=2) + np.e
@@ -653,20 +674,29 @@ def contrastive_loss(reps: Tensor, n_windows: int, n_augments: int
         g_dots += (g_win / den)[..., None]
         g_dots *= sims
         g_dots *= np.sign(dots)
-        g_h = np.empty(x.shape)
-        h = np.empty((total_inst, features))
+        g_xs = [np.empty(x.shape) for x in xs]
+        h, g_orig = np.empty((T, ends[-1])), np.empty((n, ends[-1]))
+        # a block of rows keeps each dot product's order, so its bits are the
+        # whole group's while its GEMM stays a GEMM: a block has one row only
+        # when T does, and one feature takes one block
+        nb = -(-T // _LOSS_ROWS) if ends[-1] > 1 else 1
+        bounds = [T * j // nb for j in range(nb + 1)]
+        g_h = np.empty((-(-T // nb), ends[-1]))
         for k in range(groups):
+            gather(k, h)
+            h *= inv[:, k]
             # d(h_m . h_t) reaches both factors: every instance takes the
             # original windows' share, and the originals also take every
             # instance's
-            np.multiply(x[:, k], inv[:, k], out=h)
-            gk = g_h[:, k]
-            np.matmul(g_dots[k].T, h[:n], out=gk)
-            gk[:n] += np.matmul(g_dots[k], h)
-            # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis, in place
-            h *= np.einsum("...f,...f->...", gk, h)[..., None]
-            np.subtract(gk, h, out=gk)
-            gk *= inv[:, k]
-        return (g_h,)
+            np.matmul(g_dots[k], h, out=g_orig)
+            for a, b in zip(bounds, bounds[1:]):
+                gk = np.matmul(g_dots[k][:, a:b].T, h[:n], out=g_h[:b - a])
+                gk[:len(g_orig[a:b])] += g_orig[a:b]
+                # d(x/|x|) = (g - h (g . h)) / |x|, along the last axis
+                gk -= h[a:b] * np.einsum("...f,...f->...", gk, h[a:b])[..., None]
+                gk *= inv[a:b, k]
+                for part, lo, hi in parts(g_xs, k):
+                    part[a:b] = gk[:, lo:hi].reshape(part[a:b].shape)
+        return tuple(g_xs)
 
-    return _make([reps], np.asarray(per_variate.sum()), grad_fn), per_variate, per_window
+    return _make(list(branches), np.asarray(per_variate.sum()), grad_fn), per_variate, per_window

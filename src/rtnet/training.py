@@ -327,11 +327,11 @@ def train_contrastive(model: RTNet, train_ds: TimeSeriesDataset, val_ds: TimeSer
                                          cfg.alpha, cfg.n_augments, cfg.beta, sample_rng)
 
     def stage1_loss(windows):
-        reps = model.representations(windows, training=True, rng=drop_rng)
-        return contrastive_loss(reps, cfg.stage1_batch_size, cfg.n_augments)[:2]
+        branches = model.pyramid(windows, training=True, rng=drop_rng)
+        return contrastive_loss(branches, mcfg.groups, cfg.stage1_batch_size, cfg.n_augments)[:2]
 
     def stage1_validate():
-        val_total = contrastive_loss(model.representations(val_batch), val_windows,
+        val_total = contrastive_loss(model.pyramid(val_batch), mcfg.groups, val_windows,
                                      cfg.n_augments)[0]
         return val_total.item() / mcfg.groups, float("nan")
 

@@ -113,6 +113,25 @@ def piecewise_contrastive_batch(ds, batch: int, l_in: int, alpha: float, n_augme
     return np.concatenate(pieces, axis=0)
 
 
+def as_branches(reps, requires_grad: bool = False) -> tuple[list[Tensor], int]:
+    """A (T, G, F) representation array as ``contrastive_loss``'s branches and
+    groups: one channel-major branch, ``reps.transpose(1, 2, 0).reshape(G*F, T, 1)``,
+    whose group-k block is exactly ``reps[:, k]``.  An array of another rank
+    passes as it is, in one group, for the loss to refuse."""
+    reps = np.asarray(reps, dtype=np.float64)
+    if reps.ndim != 3:
+        return [Tensor(reps, requires_grad=requires_grad)], 1
+    T, G, F = reps.shape
+    branch = np.array(reps.transpose(1, 2, 0).reshape(G * F, T, 1))  # owns its data
+    return [Tensor(branch, requires_grad=requires_grad)], G
+
+
+def reps_grad(branch: Tensor, shape) -> np.ndarray:
+    """The gradient of an ``as_branches`` branch, in its (T, G, F) array's layout."""
+    T, G, F = shape
+    return branch.grad.reshape(G, F, T).transpose(2, 0, 1)
+
+
 def per_group_contrastive_loss(reps: np.ndarray, n_windows: int, n_augments: int):
     """Oracle for ``training.contrastive_loss``: the loss group by group, as
     the library computed it before it batched the groups, in plain numpy.
@@ -197,15 +216,17 @@ def swap_bc(a) -> np.ndarray:
 
 
 def closure_arrays(fn):
-    """Every ndarray a grad_fn closure holds, through nested functions."""
-    found = []
+    """Every ndarray a grad_fn closure holds, once each, through nested functions
+    and lists."""
+    found = {}
     for cell in getattr(fn, "__closure__", None) or ():
         value = cell.cell_contents
-        if isinstance(value, np.ndarray):
-            found.append(value)
-        elif callable(value):
-            found.extend(closure_arrays(value))
-    return found
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, np.ndarray):
+                found[id(item)] = item
+            elif callable(item):
+                found.update((id(a), a) for a in closure_arrays(item))
+    return list(found.values())
 
 
 def root_base(a):

@@ -16,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (ar_series, check_gradients, dataset_path, hourly, requires_dataset,
-                      sq_sum, swap_bc)
+from conftest import (ar_series, as_branches, check_gradients, dataset_path, hourly,
+                      requires_dataset, sq_sum, swap_bc)
 from rtnet import norm, tensor
 from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
                         make_windows, split, standardize)
@@ -63,6 +63,7 @@ class TestCriterion1GradientSoundness:
         c6 = T(8, 2, 10)  # two repeats of c3's channels
         zero6 = Tensor(np.zeros(c6.shape))
         reps = T(8, 2, 5)  # 2 windows and 3 augments each, 2 groups
+        as_reps = as_branches(reps.data, requires_grad=True)  # passed as one branch
         s3 = T(4, 2, 20)  # a block input that pools to c3's length
 
         cases = [
@@ -86,7 +87,7 @@ class TestCriterion1GradientSoundness:
                                                          shortcut=s3, kernel=3, stride=2)),
              [c6, s3]),
             ("add", lambda: sq_sum(add(a1, a2)), [a1, a2]),
-            ("contrastive_loss", lambda: contrastive_loss(reps, 2, 3)[0], [reps]),
+            ("contrastive_loss", lambda: contrastive_loss(*as_reps, 2, 3)[0], as_reps[0]),
             ("reshape", lambda: sq_sum(reshape(x3, (2, 40))), [x3]),
             ("transpose_12", lambda: sq_sum(transpose_12(x3)), [x3]),
             ("permute", lambda: sq_sum(permute(x3, (2, 0, 1))), [x3]),
@@ -260,14 +261,14 @@ class TestCriterion7InputLengthOrdering:
 
 class TestCriterion8ContrastiveClosedForms:
     def test_single_window_exact_zero(self):
-        reps = Tensor(np.random.default_rng(20).normal(size=(1, 1, 12)))
-        total, _, per_win = contrastive_loss(reps, 1, 0)
+        reps = as_branches(np.random.default_rng(20).normal(size=(1, 1, 12)))
+        total, _, per_win = contrastive_loss(*reps, 1, 0)
         assert abs(per_win[0, 0]) <= 1e-12
 
     def test_identical_pair_ln2(self):
         h = np.random.default_rng(21).normal(size=16)
-        reps = Tensor(np.stack([h, h])[:, None, :])
-        _, _, per_win = contrastive_loss(reps, 2, 0)
+        reps = as_branches(np.stack([h, h])[:, None, :])
+        _, _, per_win = contrastive_loss(*reps, 2, 0)
         assert per_win[0, 0] == pytest.approx(np.log(2.0), abs=1e-12)
         assert per_win[0, 1] == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -278,9 +279,9 @@ class TestCriterion8ContrastiveClosedForms:
             b = int(rng.integers(1, 6))
             i = int(rng.integers(0, 4))
             f = int(rng.integers(2, 10))
-            reps = Tensor(rng.normal(size=((1 + i) * b, 1, f))
-                          * rng.uniform(0.1, 10.0))
-            _, _, per_win = contrastive_loss(reps, b, i)
+            reps = as_branches(rng.normal(size=((1 + i) * b, 1, f))
+                               * rng.uniform(0.1, 10.0))
+            _, _, per_win = contrastive_loss(*reps, b, i)
             assert np.all(per_win >= -1e-12)
             checked += b
         assert checked >= 10_000

@@ -46,12 +46,17 @@ def lax_dumps(tree):
 
 def unseeded_draws(tree):
     """Each use or import of ``random`` or of a ``numpy.random`` name outside ``SEEDED``,
-    and each ``default_rng`` or ``SeedSequence`` call whose seed is missing or ``None``."""
+    and each ``default_rng`` or ``SeedSequence`` call, under any imported alias, whose
+    seed is missing or ``None``."""
     numpy = {"numpy"} | {alias.asname or alias.name for node in ast.walk(tree)
                          if isinstance(node, ast.Import) for alias in node.names
                          if alias.name == "numpy"}
     # the attribute read of each ``<numpy>.random`` node, or the node itself when bare
     outer = {id(node.value): node for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    seeders = {"default_rng", "SeedSequence"} | {
+        alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and node.module == "numpy.random" for alias in node.names
+        if alias.asname and alias.name in ("default_rng", "SeedSequence")}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bad = any(alias.name.split(".")[0] == "random"
@@ -64,7 +69,7 @@ def unseeded_draws(tree):
               and isinstance(node.value, ast.Name) and node.value.id in numpy):
             node = outer.get(id(node), node)
             bad = node.attr not in SEEDED
-        elif isinstance(node, ast.Call) and callee(node) in ("default_rng", "SeedSequence"):
+        elif isinstance(node, ast.Call) and callee(node) in seeders:
             seed = node.args[0] if node.args else next(
                 (kw.value for kw in node.keywords if kw.arg in ("seed", "entropy")), None)
             bad = seed is None or (isinstance(seed, ast.Constant) and seed.value is None)
@@ -81,17 +86,56 @@ def batch_path_calls(tree):
             yield node, callee(node)
 
 
+def may_write(call: ast.Call, name: str) -> bool:
+    """Whether the mode in argument 1 or keyword ``name`` (or ``**``) is not a literal
+    free of ``w``, ``a``, ``x`` and ``+``; ``open`` and ``ZipFile`` read by default."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg in (name, None)), None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(str(mode.value)).isdisjoint("wax+"))
+
+
+READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NONBLOCK", "O_DIRECTORY", "O_NOFOLLOW"}
+
+
 def file_writes(tree):
-    """Each ``open``/``io.open`` whose mode may write, and each ``write_text``/``write_bytes``."""
+    """Each ``open``/``io.open`` whose mode may write, each ``write_text``/``write_bytes``,
+    each call named as a numpy file writer (``save``, ``savez``, ``savez_compressed``,
+    ``savetxt``, ``tofile``), each ``os.open`` whose flags are not all read flags, and
+    each ``ZipFile`` whose mode may write on anything but the ``as`` name of an
+    enclosing ``atomic_open(...)`` item."""
+    atomic = set()  # the ZipFile calls on an enclosing atomic_open(...) item's name
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("open", "io.open"):
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (kw.value for kw in node.keywords if kw.arg in ("mode", None)), None)
-            if mode is not None and not (isinstance(mode, ast.Constant)
-                                         and set(str(mode.value)).isdisjoint("wax+")):
-                yield node, "write"
-        elif isinstance(node, ast.Call) and callee(node) in ("write_text", "write_bytes"):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for i, item in enumerate(node.items):
+                if (isinstance(item.context_expr, ast.Call)
+                        and callee(item.context_expr) == "atomic_open"
+                        and isinstance(item.optional_vars, ast.Name)):
+                    scope = [later.context_expr for later in node.items[i + 1:]] + node.body
+                    atomic |= {id(call) for part in scope for call in ast.walk(part)
+                               if isinstance(call, ast.Call) and call.args
+                               and isinstance(call.args[0], ast.Name)
+                               and call.args[0].id == item.optional_vars.id}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func) in ("open", "io.open") and may_write(node, "mode"):
             yield node, "write"
+        elif callee(node) in ("write_text", "write_bytes"):
+            yield node, "write"
+        elif callee(node) in ("save", "savez", "savez_compressed", "savetxt", "tofile"):
+            yield node, "numpy"
+        elif ast.unparse(node.func) == "os.open":
+            flags = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg in ("flags", None)), None)
+            parts = list(ast.walk(flags)) if flags else []
+            names = {getattr(n, "attr", getattr(n, "id", None)) for n in parts
+                     if isinstance(n, (ast.Attribute, ast.Name))}
+            if (not parts or not names <= READ_FLAGS
+                    or any(isinstance(n, ast.Constant) and n.value for n in parts)):
+                yield node, "os.open"
+        elif callee(node) == "ZipFile" and may_write(node, "mode") and id(node) not in atomic:
+            yield node, "zip"
 
 
 # A rule: its scanner (a module's tree -> (node, pattern) of each use); the glob of the
@@ -124,13 +168,16 @@ RULES = {
         "import numpy as np\nrng = np.random.default_rng()",
         "import numpy as np\nrng = np.random.default_rng(None)",
         "import numpy as np\nseeds = np.random.SeedSequence()",
-        "from numpy.random import default_rng\nrng = default_rng()"), (
+        "from numpy.random import default_rng\nrng = default_rng()",
+        "from numpy.random import default_rng as make\nmake()",
+        "from numpy.random import SeedSequence as S\nS()"), (
         "import numpy as np\nrng = np.random.default_rng(0)",
         "import numpy as np\nseeds = np.random.SeedSequence(1).spawn(2)",
         "import numpy as np\ndef draw(rng: np.random.Generator):\n    return rng.random(3)",
         "from numpy.random import default_rng, Generator",
         "import numpy as np\nrandom = 1\nx = np.zeros(2).random",
-        "from numpy.random import default_rng\nrng = default_rng(seed=3)")),
+        "from numpy.random import default_rng\nrng = default_rng(seed=3)",
+        "from numpy.random import default_rng as make\nmake(0)")),
     "batch path": Rule(batch_path_calls, "training.py", {
         "gather_batch": "training.py:_gather", "forward": "training.py:_predict"}, (
         "training.py", "\ndef evaluate_again(model, wb):\n    return model.forward(wb.inputs)\n",
@@ -146,16 +193,30 @@ RULES = {
         "def f(model, ds):\n    return _gather(model, ds, [0])",
         "def f(model, wb):\n    return _predict(model, wb, False, None)",
         "def f(ds):\n    return gather_batches(ds)", "def f(model):\n    return model.forward")),
-    "atomic writer": Rule(file_writes, "*.py", {"write": "data.py:atomic_open"}, (
+    # os.open is the lock's: every command writes under --out only after taking it
+    "atomic writer": Rule(file_writes, "*.py", {"write": "data.py:atomic_open",
+                                                "os.open": "cli.py:OutDirLock"}, (
         "data.py", "\ndef write_lines(path, lines):\n    open(path, 'w').writelines(lines)\n",
         "open(path, 'w')"), (
         "open(path, 'w')", "open(path, 'ab')", "open(path, 'x')", "open(path, 'r+b')",
         "open(path, mode)", "open(path, mode='w')", "open(path, **options)",
         "import io\nio.open(path, 'w', encoding='utf-8')", "Path(path).write_text(text)",
-        "path.write_bytes(blob)", "def write_csv(path, rows):\n    return open(path, 'w')"), (
+        "path.write_bytes(blob)", "def write_csv(path, rows):\n    return open(path, 'w')",
+        "os.open(path, os.O_RDWR | os.O_CREAT, 0o666)", "os.open(path, flags)",
+        "os.open(path, os.O_WRONLY)", "os.open(path, 1)",
+        "np.save(path, a)", "np.savez(path, a=a)", "np.savez_compressed(path, a=a)",
+        "np.savetxt(path, a)", "a.tofile(path)", "zipfile.ZipFile(path, 'w')",
+        "zipfile.ZipFile(fh, mode='a')", "ZipFile(path, mode)",
+        "with open(path, 'rb') as fh, zipfile.ZipFile(fh, 'w') as zf:\n    pass",
+        "with atomic_open(path, 'wb') as fh:\n    zipfile.ZipFile(other, 'w')"), (
         "open(path)", "open(path, 'rb')", "open(path, encoding='utf-8')", "open(path, mode='r')",
-        "os.open(path, os.O_RDWR | os.O_CREAT, 0o666)", "zf.open(name, 'w')",
+        "os.open(path, os.O_RDONLY)", "os.open(path, os.O_RDONLY | os.O_CLOEXEC)",
+        "zf.open(name, 'w')", "np.load(path)", "zipfile.ZipFile(fh)",
+        "zipfile.ZipFile(fh, 'r')",
         "with atomic_open(path, 'wb') as fh:\n    fh.write(blob)",
+        "with atomic_open(path, 'wb') as fh, zipfile.ZipFile(fh, 'w') as zf:\n    pass",
+        "with atomic_open(path, 'wb') as fh:\n    with zipfile.ZipFile(fh, 'w') as zf:\n"
+        "        pass",
         "def atomic_open(path, mode):\n    return open(path + '.tmp', mode)")),
 }
 

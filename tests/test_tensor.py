@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import closure_arrays, root_base, sq_sum, swap_bc
+from conftest import as_branches, closure_arrays, root_base, sq_sum, swap_bc
 from test_kernel_fuzz import conv_reference
 
 from rtnet import tensor as tensor_module
@@ -454,18 +454,18 @@ class TestTapeContents:
 
     @pytest.mark.parametrize("n,augments,groups", [(1, 0, 1), (4, 3, 7), (3, 1, 2)])
     def test_contrastive_loss(self, n, augments, groups):
-        """One node.  Its closure holds ``reps``' own array, no normalized
-        copy, and besides it only the (T, G, 1) inverse norms, the (n, T)
+        """One node.  Its closure holds the branch's own array, no features
+        or normalized copy, and besides it only the (T, G, 1) inverse norms, the (n, T)
         positives' mask, the (G, n, T) dot products and similarities and the
         (G, n) denominators and numerators."""
         T = (1 + augments) * n
-        reps = t(np.random.default_rng(n).normal(size=(T, groups, 5)))
+        reps, _ = as_branches(np.random.default_rng(n).normal(size=(T, groups, 5)), True)
         with GradTape() as tape:
-            total, _, _ = contrastive_loss(reps, n, augments)
+            total, _, _ = contrastive_loss(reps, groups, n, augments)
         assert len(tape.nodes) == 1 and tape.nodes[0].output is total
         held = closure_arrays(tape.nodes[0].grad_fn)
-        assert sum(root_base(a) is reps.data for a in held) == 1
-        extra = sorted(a.shape for a in held if root_base(a) is not reps.data)
+        assert sum(root_base(a) is reps[0].data for a in held) == 1
+        extra = sorted(a.shape for a in held if root_base(a) is not reps[0].data)
         assert extra == sorted([(T, groups, 1), (n, T), (groups, n, T), (groups, n, T),
                                 (groups, n), (groups, n)])
 
@@ -616,50 +616,73 @@ class TestElementwiseAndStructural:
                                                    (2, 3, 3)])
     def test_contrastive_loss_gradients(self, gradcheck, n, augments, groups):
         rng = np.random.default_rng(n + 10 * augments + 100 * groups)
-        reps = t(rng.normal(size=((1 + augments) * n, groups, 4)) + 0.2)
-        gradcheck(lambda: contrastive_loss(reps, n, augments)[0], [reps])
+        reps, _ = as_branches(rng.normal(size=((1 + augments) * n, groups, 4)) + 0.2, True)
+        gradcheck(lambda: contrastive_loss(reps, groups, n, augments)[0], reps)
 
     def test_contrastive_loss_backward_peak(self):
         """At a stage-1 batch of 64 windows and 3 augments, the backward holds
-        the normalized copy, the gradient it returns and the originals' share
-        of it: about 2.3 times ``reps``, not the 3 a third full-size array makes."""
-        reps = t(np.random.default_rng(2).normal(size=(256, 1, 2352)))
+        the unit vectors, the gradient it returns, the originals' share of it
+        and one block of rows: about 2.4 times ``reps``, not the 3 a third
+        full-size array makes."""
+        reps, groups = as_branches(np.random.default_rng(2).normal(size=(256, 1, 2352)), True)
         with GradTape() as tape:
-            total, _, _ = contrastive_loss(reps, 64, 3)
+            total, _, _ = contrastive_loss(reps, groups, 64, 3)
         tracemalloc.start()
         try:
-            backward(tape, total, params=[reps])
+            backward(tape, total, params=reps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * reps.data.nbytes
+        assert peak < 2.5 * reps[0].data.nbytes
 
     def test_grouped_contrastive_loss_forward_peak(self):
         """With 7 groups the forward works on one group's slice at a time: it
         never builds a ``reps``-sized normalized copy or square."""
-        reps = t(np.random.default_rng(2).normal(size=(256, 7, 2352)))
+        reps, groups = as_branches(np.random.default_rng(2).normal(size=(256, 7, 2352)), True)
         tracemalloc.start()
         try:
             with GradTape():
-                contrastive_loss(reps, 64, 3)
+                contrastive_loss(reps, groups, 64, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * reps.data.nbytes
+        assert peak < 0.5 * reps[0].data.nbytes
 
     def test_grouped_contrastive_loss_backward_peak(self):
         """With 7 groups the backward holds the gradient it returns and one
         group's unit vectors and share at a time, not a ``reps``-sized copy."""
-        reps = t(np.random.default_rng(2).normal(size=(256, 7, 2352)))
+        reps, groups = as_branches(np.random.default_rng(2).normal(size=(256, 7, 2352)), True)
         with GradTape() as tape:
-            total, _, _ = contrastive_loss(reps, 64, 3)
+            total, _, _ = contrastive_loss(reps, groups, 64, 3)
         tracemalloc.start()
         try:
-            backward(tape, total, params=[reps])
+            backward(tape, total, params=reps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * reps.data.nbytes
+        assert peak < 1.5 * reps[0].data.nbytes
+
+    def test_grouped_conv_peaks(self):
+        """At 7 groups each pass holds, beside the arrays it returns, one
+        group's im2col columns or their gradient at a time, not every group's."""
+        rng = np.random.default_rng(6)
+        groups, cpg, B, length, k = 7, 8, 64, 48, 3
+        x, w = t(rng.normal(size=(groups * cpg, B, length))), t(rng.normal(size=(56, cpg, k)))
+        b, g = t(rng.normal(size=56)), rng.normal(size=x.shape)  # padding 1 keeps the length
+        one_group = 8 * cpg * k * B * length
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                y = conv1d_grouped(x, w, b, 1, 1, groups)
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(tape, y, params=[x, w, b], seed=g)
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward_peak - y.data.nbytes < 1.5 * one_group
+        returned = x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
+        assert backward_peak - held - returned < 1.5 * one_group
 
     def test_structural_gradients(self, gradcheck):
         rng = np.random.default_rng(9)
