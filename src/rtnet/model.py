@@ -23,13 +23,14 @@ import numpy as np
 from .data import N_TIME_FEATURES, atomic_open
 from .errors import ConfigError, DataError, DimensionError
 from .norm import (NORM_KINDS, BatchNormParams, LayerNormParams, batch_norm, layer_norm,
-                   weight_norm_effective)
+                   weight_norm_effective, weight_normed)
 # concat, relu, dropout, channel_upsample and maxpool1d are not called here
 # (relu_dropout pools the block shortcut itself); they stay bound as
 # rtnet.model.<name>, the names perfbench/tracer.py times them under
-from .tensor import (Module, Tensor, add, channel_upsample, concat, conv1d_grouped, dropout,  # noqa: F401
-                     group_features, linear_grouped, maxpool1d, permute, relu, relu_dropout,
-                     reshape, transpose_12)
+from .tensor import (CONV_KERNELS, LINEAR_KERNELS, Module, Tensor, add,  # noqa: F401
+                     channel_upsample, concat, conv1d_grouped, dropout, group_features,
+                     linear_grouped, maxpool1d, permute, relu, relu_dropout, reshape,
+                     transpose_12)
 
 TIME_MODES = ("decoupled", "input", "none")
 
@@ -131,6 +132,8 @@ class WeightedUnit(Module):
     Weight norm starts at w == ``w0``: ``g`` is each output channel's norm.
     Inside ``RTNet.weights_held()``, ``_held`` is the effective weight built
     once for every forward in the block; it is not part of ``state()``.
+    Outside it, weight norm and the unit's op run as one ``weight_normed``
+    node, which keeps no effective weight on the tape.
     """
 
     def __init__(self, w0: np.ndarray, norm_kind: str):
@@ -143,11 +146,14 @@ class WeightedUnit(Module):
             self.weight = Tensor(w0, requires_grad=True)
         self.bias = Tensor(np.zeros(w0.shape[0]), requires_grad=True)
 
-    def effective_weight(self) -> Tensor:
-        if self.v is None:
-            return self.weight
+    def apply(self, op, kernels, x: Tensor, *options) -> Tensor:
+        """``op(x, weight, self.bias, *options)``: a plain or held weight goes
+        to ``op``; otherwise ``weight_normed`` runs weight norm on ``op``'s
+        ``kernels`` as one node."""
         held = self._held  # read once: another thread may be leaving weights_held()
-        return held if held is not None else weight_norm_effective(self.v, self.g)
+        if self.v is None or held is not None:
+            return op(x, self.weight if held is None else held, self.bias, *options)
+        return weight_normed(kernels, x, self.v, self.g, self.bias, *options)
 
 
 class ConvUnit(WeightedUnit):
@@ -174,8 +180,8 @@ class ConvUnit(WeightedUnit):
                               f"channels in {groups} groups")
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        y = conv1d_grouped(x, self.effective_weight(), self.bias,
-                           stride=self.stride, padding=self.padding, groups=self.groups)
+        y = self.apply(conv1d_grouped, CONV_KERNELS, x, self.stride, self.padding,
+                       self.groups)
         if self.bn is not None:
             y = batch_norm(y, self.bn, training)
         if self.ln is not None:
@@ -193,7 +199,7 @@ class LinearUnit(WeightedUnit):
         super().__init__(rng.normal(0.0, np.sqrt(1.0 / fpg), (f_out, fpg)), norm_kind)
 
     def forward(self, x: Tensor) -> Tensor:
-        return linear_grouped(x, self.effective_weight(), self.bias, groups=self.groups)
+        return self.apply(linear_grouped, LINEAR_KERNELS, x, self.groups)
 
 
 class RTBlock(Module):

@@ -5,7 +5,8 @@ Conventions: activations are channel-major, (C, B, L) or (C, B), as in
 axis, layer norm normalizes each group's block of axis 0 (the channel axis)
 independently at each instance and position.  Weight norm acts on
 parameters, not activations, so swapping it in never changes hidden-unit
-distributions.
+distributions.  In training, a weight-normed unit's weight norm and its conv
+or linear op are one ``weight_normed`` node, which keeps no effective weight.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
-from .tensor import Module, Tensor, _make
+from .tensor import Module, Tensor, _make, _row_dots
 
 NORM_KINDS = ("wn", "bn", "ln", "none")
 
@@ -127,30 +128,75 @@ def layer_norm(x: Tensor, p: LayerNormParams, groups: int = 1) -> Tensor:
     return _make([x, p.gain, p.bias], out, grad_fn)
 
 
-def weight_norm_effective(v: Tensor, g: Tensor) -> Tensor:
-    """Effective weight g * v/||v||, with ||v|| taken per output channel (axis 0)."""
+def _weight_norms(v: Tensor, g: Tensor) -> np.ndarray:
+    """Each output channel's ||v|| (axis 0), taken a block of rows at a time."""
     c_out = v.data.shape[0]
     if g.data.shape != (c_out,):
         raise DimensionError(f"weight_norm: g shape {g.data.shape} != ({c_out},)")
     flat = v.data.reshape(c_out, -1)
-    norms = np.sqrt((flat ** 2).sum(axis=1))
+    norms = np.sqrt(_row_dots(flat, flat))
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise NumericalError(f"weight_norm: zero-norm direction at output channels {bad.tolist()}")
-    shape = (c_out,) + (1,) * (v.data.ndim - 1)
-    out = v.data / norms.reshape(shape)
-    out *= g.data.reshape(shape)
+    return norms
+
+
+def _effective(v: np.ndarray, g: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The effective weight g * v/||v||, in a fresh array."""
+    w = v / _expand(norms, v.ndim)
+    w *= _expand(g, v.ndim)
+    return w
+
+
+def _weight_norm_grad(gw: np.ndarray, vhat: np.ndarray, g: np.ndarray,
+                      norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, g) gradients for the effective weight's gradient ``gw``, given the
+    direction ``vhat`` = v/||v||; v's is computed in ``vhat``'s array."""
+    c_out = norms.size
+    dots = _row_dots(gw.reshape(c_out, -1), vhat.reshape(c_out, -1))
+    # g_v = g/||v|| * (gw - vhat*dots)
+    g_v = vhat
+    g_v *= _expand(dots, vhat.ndim)
+    np.subtract(gw, g_v, out=g_v)
+    g_v *= _expand(g / norms, vhat.ndim)
+    return g_v, dots
+
+
+def weight_norm_effective(v: Tensor, g: Tensor) -> Tensor:
+    """Effective weight g * v/||v||, with ||v|| taken per output channel (axis 0).
+
+    The model calls it only to hold its weights through ``RTNet.weights_held``;
+    a training forward runs ``weight_normed`` instead."""
+    norms = _weight_norms(v, g)
 
     def grad_fn(gw):
         # the direction is rebuilt, not kept: the optimizer moves v only after
         # backward, so this is the forward's v/||v|| bit for bit
-        vhat = v.data / norms.reshape(shape)
-        dots = (gw.reshape(c_out, -1) * vhat.reshape(c_out, -1)).sum(axis=1)
-        # g_v = g/||v|| * (gw - vhat*dots), computed in vhat's own array
-        g_v = vhat
-        g_v *= dots.reshape(shape)
-        np.subtract(gw, g_v, out=g_v)
-        g_v *= (g.data / norms).reshape(shape)
-        return (g_v, dots)
+        return _weight_norm_grad(gw, v.data / _expand(norms, v.data.ndim), g.data, norms)
 
-    return _make([v, g], out, grad_fn)
+    return _make([v, g], _effective(v.data, g.data, norms), grad_fn)
+
+
+def weight_normed(kernels, x: Tensor, v: Tensor, g: Tensor, bias: Tensor, *options) -> Tensor:
+    """``op(x, weight_norm_effective(v, g), bias, *options)`` as one node, where
+    ``kernels`` is the op's (forward, backward) pair: ``tensor.CONV_KERNELS``
+    or ``tensor.LINEAR_KERNELS``.
+
+    The node keeps what the op keeps of ``x`` and the (c_out,) norms, but no
+    effective weight.  Backward rebuilds g * v/||v|| with the forward's own
+    operations, bit for bit, runs the op's backward on it, and then turns
+    that array into v/||v|| for weight norm's backward.  Values and gradients
+    are those of the composed ops, bit for bit.
+    """
+    forward, op_backward = kernels
+    norms = _weight_norms(v, g)
+    out, kept = forward(x.data, _effective(v.data, g.data, norms), bias.data, *options)
+    need_gx = x.requires_grad
+
+    def grad_fn(go):
+        w = _effective(v.data, g.data, norms)
+        g_x, g_w, g_b = op_backward(go, kept, w, need_gx, *options)
+        vhat = np.divide(v.data, _expand(norms, v.data.ndim), out=w)
+        return (g_x, *_weight_norm_grad(g_w, vhat, g.data, norms), g_b)
+
+    return _make([x, v, g, bias], out, grad_fn)

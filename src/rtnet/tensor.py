@@ -16,7 +16,10 @@ branch outputs straight into the batch-major features.
 A node's closure keeps only what its backward needs, taken from the op's
 input and output arrays where it can be: a convolution keeps its input and
 weight, not the k-fold im2col copy of the input, and backward rebuilds that
-copy, one group at a time, with ``_im2col``.  ``relu_dropout`` fuses an RTBlock
+copy, one group at a time, with ``_im2col``.  Under weight norm,
+``norm.weight_normed`` runs a convolution's or a linear map's kernels
+(``CONV_KERNELS``, ``LINEAR_KERNELS``) on an effective weight it builds in each
+pass, so that node keeps no weight at all.  ``relu_dropout`` fuses an RTBlock
 activation (relu and dropout, and at the block's end the max-pooled,
 repeated shortcut and the residual sum) into one node and computes it in
 place in its input, a fresh conv or norm output that no backward reads, so
@@ -417,6 +420,62 @@ def _im2col(xg: np.ndarray, taps, k: int, l_out: int, out: np.ndarray) -> np.nda
     return out
 
 
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int,
+                  groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """``conv1d_grouped``'s forward on arrays: (the output, the (groups, cpg,
+    B, L) view of ``x`` that ``_conv_backward`` reads)."""
+    if x.ndim != 3 or w.ndim != 3:
+        raise DimensionError(f"conv1d_grouped: input {x.shape}, weight {w.shape}")
+    c_in, B, length = x.shape
+    c_out, cpg, k = w.shape
+    if stride < 1 or padding < 0:
+        raise ConfigError(f"conv1d_grouped: stride {stride}, padding {padding}")
+    if groups < 1 or c_in % groups or c_out % groups:
+        raise ConfigError(f"conv1d_grouped: groups={groups} must divide C_in={c_in} and C_out={c_out}")
+    if cpg != c_in // groups:
+        raise DimensionError(f"conv1d_grouped: weight expects {cpg} channels/group, input has {c_in // groups}")
+    if b.shape != (c_out,):
+        raise DimensionError(f"conv1d_grouped: bias shape {b.shape} != ({c_out},)")
+    if length + 2 * padding < k:
+        raise DimensionError(f"conv1d_grouped: kernel {k} exceeds padded length {length + 2 * padding}")
+
+    l_out = _conv_out_len(length, k, stride, padding)
+    opg = c_out // groups
+    taps = list(_taps(length, k, stride, padding, l_out))
+    xv = x.reshape(groups, cpg, B, length)
+    w_cols = w.reshape(groups, opg, cpg * k)
+    # group i's GEMM, the one a batched matmul runs, fills block i of the output
+    out, cols = np.empty((groups, opg, B * l_out)), np.empty((cpg * k, B * l_out))
+    for i in range(groups):
+        np.matmul(w_cols[i], _im2col(xv[i], taps, k, l_out, cols), out=out[i])
+    out += b.reshape(groups, opg, 1)
+    return out.reshape(c_out, B, l_out), xv
+
+
+def _conv_backward(g: np.ndarray, xv: np.ndarray, w: np.ndarray, need_gx: bool, stride: int,
+                   padding: int, groups: int) -> tuple[Optional[np.ndarray], ...]:
+    """(input, weight, bias) gradients of ``_conv_forward`` for output gradient
+    ``g``; the input's is None unless ``need_gx``."""
+    _, cpg, B, length = xv.shape
+    c_out, _, k = w.shape
+    l_out = g.shape[2]
+    opg = c_out // groups
+    taps = list(_taps(length, k, stride, padding, l_out))
+    w_cols = w.reshape(groups, opg, cpg * k)
+    go = g.reshape(groups, opg, B * l_out)
+    g_w = np.empty((groups, opg, cpg * k))
+    g_x = np.zeros((groups * cpg, B, length)) if need_gx else None
+    cols = np.empty((cpg * k, B * l_out))  # a group's columns, then their gradient
+    for i in range(groups):
+        np.matmul(go[i], _im2col(xv[i], taps, k, l_out, cols).T, out=g_w[i])
+        if need_gx:
+            g_cols = np.matmul(w_cols[i].T, go[i], out=cols).reshape(cpg, k, B, l_out)
+            g_xg = g_x.reshape(groups, cpg, B, length)[i]
+            for j, lo, hi, src in taps:
+                g_xg[..., src] += g_cols[:, j, :, lo:hi]
+    return (g_x, g_w.reshape(c_out, cpg, k), g.sum(axis=(1, 2)))
+
+
 def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
                    stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 1-D convolution: (C_in,B,L) -> (C_out,B,L_out).
@@ -427,48 +486,10 @@ def conv1d_grouped(x: Tensor, weight: Tensor, bias: Tensor,
     input and the weight: backward rebuilds each group's columns for its
     weight gradient.  The input gradient is computed only when x requires it.
     """
-    if x.data.ndim != 3 or weight.data.ndim != 3:
-        raise DimensionError(f"conv1d_grouped: input {x.data.shape}, weight {weight.data.shape}")
-    c_in, B, length = x.data.shape
-    c_out, cpg, k = weight.data.shape
-    if stride < 1 or padding < 0:
-        raise ConfigError(f"conv1d_grouped: stride {stride}, padding {padding}")
-    if groups < 1 or c_in % groups or c_out % groups:
-        raise ConfigError(f"conv1d_grouped: groups={groups} must divide C_in={c_in} and C_out={c_out}")
-    if cpg != c_in // groups:
-        raise DimensionError(f"conv1d_grouped: weight expects {cpg} channels/group, input has {c_in // groups}")
-    if bias.data.shape != (c_out,):
-        raise DimensionError(f"conv1d_grouped: bias shape {bias.data.shape} != ({c_out},)")
-    if length + 2 * padding < k:
-        raise DimensionError(f"conv1d_grouped: kernel {k} exceeds padded length {length + 2 * padding}")
-
-    l_out = _conv_out_len(length, k, stride, padding)
-    opg = c_out // groups
-    taps = list(_taps(length, k, stride, padding, l_out))
-    xv = x.data.reshape(groups, cpg, B, length)
-    w_cols = weight.data.reshape(groups, opg, cpg * k)
-    # group i's GEMM, the one a batched matmul runs, fills block i of the output
-    out, cols = np.empty((groups, opg, B * l_out)), np.empty((cpg * k, B * l_out))
-    for i in range(groups):
-        np.matmul(w_cols[i], _im2col(xv[i], taps, k, l_out, cols), out=out[i])
-    out += bias.data.reshape(groups, opg, 1)
-    need_gx = x.requires_grad
-
-    def grad_fn(g):
-        go = g.reshape(groups, opg, B * l_out)
-        g_w = np.empty((groups, opg, cpg * k))
-        g_x = np.zeros((c_in, B, length)) if need_gx else None
-        cols = np.empty((cpg * k, B * l_out))  # a group's columns, then their gradient
-        for i in range(groups):
-            np.matmul(go[i], _im2col(xv[i], taps, k, l_out, cols).T, out=g_w[i])
-            if need_gx:
-                g_cols = np.matmul(w_cols[i].T, go[i], out=cols).reshape(cpg, k, B, l_out)
-                g_xg = g_x.reshape(groups, cpg, B, length)[i]
-                for j, lo, hi, src in taps:
-                    g_xg[..., src] += g_cols[:, j, :, lo:hi]
-        return (g_x, g_w.reshape(c_out, cpg, k), g.sum(axis=(1, 2)))
-
-    return _make([x, weight, bias], out.reshape(c_out, B, l_out), grad_fn)
+    options = (stride, padding, groups)
+    out, xv = _conv_forward(x.data, weight.data, bias.data, *options)
+    w, need_gx = weight.data, x.requires_grad
+    return _make([x, weight, bias], out, lambda g: _conv_backward(g, xv, w, need_gx, *options))
 
 
 def _maxpool(xd: np.ndarray, k: int, stride: int, padding: int) -> tuple[np.ndarray, list]:
@@ -554,33 +575,56 @@ def channel_upsample(x: Tensor, factor: int) -> Tensor:
     return _make([x], out, grad_fn)
 
 
-def linear_grouped(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1) -> Tensor:
-    """Grouped affine map: (B,F) -> (B,F_out), block g of the output reads block g of the input."""
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise DimensionError(f"linear_grouped: input {x.data.shape}, weight {weight.data.shape}")
-    B, f_in = x.data.shape
-    f_out, fpg = weight.data.shape
+def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                    groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """``linear_grouped``'s forward on arrays: (the output, the (groups, B,
+    F/groups) copy of ``x`` that ``_linear_backward`` reads)."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise DimensionError(f"linear_grouped: input {x.shape}, weight {w.shape}")
+    B, f_in = x.shape
+    f_out, fpg = w.shape
     if groups < 1 or f_in % groups or f_out % groups:
         raise ConfigError(f"linear_grouped: groups={groups} must divide F={f_in} and F_out={f_out}")
     if fpg != f_in // groups:
         raise DimensionError(f"linear_grouped: weight expects {fpg} features/group, input has {f_in // groups}")
-    if bias.data.shape != (f_out,):
-        raise DimensionError(f"linear_grouped: bias shape {bias.data.shape} != ({f_out},)")
+    if b.shape != (f_out,):
+        raise DimensionError(f"linear_grouped: bias shape {b.shape} != ({f_out},)")
 
     opg = f_out // groups
-    xg = np.ascontiguousarray(x.data.reshape(B, groups, fpg).transpose(1, 0, 2))
-    wg = weight.data.reshape(groups, opg, fpg)
-    out = np.matmul(xg, wg.transpose(0, 2, 1))               # (g, B, opg)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(B, f_out) + bias.data
+    xg = np.ascontiguousarray(x.reshape(B, groups, fpg).transpose(1, 0, 2))
+    out = np.matmul(xg, w.reshape(groups, opg, fpg).transpose(0, 2, 1))  # (g, B, opg)
+    return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(B, f_out) + b, xg
 
-    def grad_fn(g):
-        go = np.ascontiguousarray(g.reshape(B, groups, opg).transpose(1, 0, 2))
-        g_w = np.matmul(go.transpose(0, 2, 1), xg).reshape(f_out, fpg)
-        g_x = np.ascontiguousarray(
-            np.matmul(go, wg).transpose(1, 0, 2)).reshape(B, f_in)
-        return (g_x, g_w, g.sum(axis=0))
 
-    return _make([x, weight, bias], out, grad_fn)
+def _linear_backward(g: np.ndarray, xg: np.ndarray, w: np.ndarray, need_gx: bool,
+                     groups: int) -> tuple[Optional[np.ndarray], ...]:
+    """(input, weight, bias) gradients of ``_linear_forward`` for output
+    gradient ``g``; the input's is None unless ``need_gx``."""
+    _, B, fpg = xg.shape
+    f_out = w.shape[0]
+    opg = f_out // groups
+    go = np.ascontiguousarray(g.reshape(B, groups, opg).transpose(1, 0, 2))
+    g_w = np.matmul(go.transpose(0, 2, 1), xg).reshape(f_out, fpg)
+    g_x = None
+    if need_gx:
+        g_x = np.ascontiguousarray(np.matmul(go, w.reshape(groups, opg, fpg))
+                                   .transpose(1, 0, 2)).reshape(B, groups * fpg)
+    return (g_x, g_w, g.sum(axis=0))
+
+
+def linear_grouped(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1) -> Tensor:
+    """Grouped affine map: (B,F) -> (B,F_out), block g of the output reads block g of the input.
+
+    The tape node keeps the grouped copy of the input and the weight."""
+    out, xg = _linear_forward(x.data, weight.data, bias.data, groups)
+    w, need_gx = weight.data, x.requires_grad
+    return _make([x, weight, bias], out, lambda g: _linear_backward(g, xg, w, need_gx, groups))
+
+
+# the (forward, backward) kernels of each weight op, which ``norm.weight_normed``
+# runs on an effective weight it builds itself
+CONV_KERNELS = (_conv_forward, _conv_backward)
+LINEAR_KERNELS = (_linear_forward, _linear_backward)
 
 
 def mse_loss(pred: Tensor, truth: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -602,6 +646,21 @@ def mse_loss(pred: Tensor, truth: np.ndarray) -> tuple[Tensor, np.ndarray]:
 
 
 _LOSS_ROWS = 16  # most instances per block of the contrastive backward's group gradient
+_ROW_BLOCK = 1 << 15  # most floats in one block of ``_row_dots``'s products
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a * b).sum(axis=1)`` of two C-contiguous (R, F) arrays, one block of
+    rows at a time: each row's sum is numpy's own, so the bits are those of
+    the whole-array expression, but no (R, F) product is ever built."""
+    rows, width = a.shape
+    step = max(1, _ROW_BLOCK // max(width, 1))
+    out, prod = np.empty(rows), np.empty((min(step, rows), width))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        np.multiply(a[lo:hi], b[lo:hi], out=prod[:hi - lo])
+        np.add.reduce(prod[:hi - lo], axis=1, out=out[lo:hi])
+    return out
 
 
 def contrastive_loss(branches: Sequence[Tensor], groups: int, n_windows: int, n_augments: int
@@ -616,9 +675,10 @@ def contrastive_loss(branches: Sequence[Tensor], groups: int, n_windows: int, n_
     m sits at n_windows + m*n_augments + i.
 
     It is one node, computed one group at a time: the group's (T, F) block is
-    gathered from the branches into one reused buffer, scaled to unit norm, and
-    one GEMM of its n originals against its T instances fills its row of the
-    (G, n, T) dot products, so no features array is ever built.  The node keeps
+    gathered from the branches into one reused buffer, scaled to unit norm (its
+    norms taken by ``_row_dots``, which builds no squares of it), and one GEMM
+    of its n originals against its T instances fills its row of the (G, n, T)
+    dot products, so no features array is ever built.  The node keeps
     the inverse norms, the dot products, their similarities and the (G, n)
     sums; backward gathers each group's unit vectors again, bit for bit, and
     writes its gradient, ``_LOSS_ROWS`` instances at a time, into the branches'.
@@ -652,7 +712,7 @@ def contrastive_loss(branches: Sequence[Tensor], groups: int, n_windows: int, n_
     h = np.empty((T, ends[-1]))  # one group's features, then its unit vectors
     for k in range(groups):
         gather(k, h)
-        norms[:, k] = np.linalg.norm(h, axis=-1)
+        norms[:, k] = np.sqrt(_row_dots(h, h))
         if norms[:, k].all():  # a zero norm is refused once every group's is known
             np.divide(1.0, norms[:, k, None], out=inv[:, k])
             h *= inv[:, k]

@@ -24,7 +24,8 @@ from rtnet.data import (SplitSpec, TimeSeriesDataset, gather_batch, load_csv,
 from rtnet.diagnostics import autocovariance, pacf
 from rtnet.harness import ExperimentSpec, run_experiment
 from rtnet.model import ModelConfig, RTNet
-from rtnet.norm import BatchNormParams, LayerNormParams, batch_norm, layer_norm, weight_norm_effective
+from rtnet.norm import (BatchNormParams, LayerNormParams, batch_norm, layer_norm,
+                        weight_norm_effective, weight_normed)
 from rtnet.relation import cos_relation_matrix, threshold_and_standardize
 from rtnet.tensor import (Tensor, add, channel_upsample, concat, contrastive_loss,
                           conv1d_grouped, dropout, group_features, linear_grouped, maxpool1d,
@@ -60,6 +61,9 @@ class TestCriterion1GradientSoundness:
         bn = BatchNormParams(3)
         ln = LayerNormParams(3)
         wv, wg = T(4, 2, 3), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)
+        cv, cg = T(6, 2, 3), Tensor(rng.uniform(0.5, 2, 6), requires_grad=True)  # w's shape
+        lv, lg = T(4, 4), Tensor(rng.uniform(0.5, 2, 4), requires_grad=True)  # lw's shape
+        c3_const, lx_const = Tensor(c3.data), Tensor(lx.data)  # inputs without gradients
         c6 = T(8, 2, 10)  # two repeats of c3's channels
         zero6 = Tensor(np.zeros(c6.shape))
         reps = T(8, 2, 5)  # 2 windows and 3 augments each, 2 groups
@@ -97,6 +101,14 @@ class TestCriterion1GradientSoundness:
             ("batch_norm", lambda: sq_sum(batch_norm(bn_x, bn, True)), [bn_x, bn.gamma, bn.beta]),
             ("layer_norm", lambda: sq_sum(layer_norm(bn_x, ln)), [bn_x, ln.gain, ln.bias]),
             ("weight_norm_effective", lambda: sq_sum(weight_norm_effective(wv, wg)), [wv, wg]),
+            ("weight_normed", lambda: sq_sum(weight_normed(tensor.CONV_KERNELS, c3, cv, cg, b,
+                                                           2, 1, 2)), [c3, cv, cg, b]),
+            ("weight_normed", lambda: sq_sum(weight_normed(tensor.CONV_KERNELS, c3_const, cv, cg,
+                                                           b, 2, 1, 2)), [cv, cg, b]),
+            ("weight_normed", lambda: sq_sum(weight_normed(tensor.LINEAR_KERNELS, lx, lv, lg, lb,
+                                                           2)), [lx, lv, lg, lb]),
+            ("weight_normed", lambda: sq_sum(weight_normed(tensor.LINEAR_KERNELS, lx_const, lv,
+                                                           lg, lb, 2)), [lv, lg, lb]),
         ]
         primitives = {name for module in (tensor, norm)
                       for name, fn in inspect.getmembers(module, inspect.isfunction)

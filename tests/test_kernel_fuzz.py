@@ -9,16 +9,22 @@ in another order; so are the grouped linear head's.  Max-pool inputs and upstrea
 ties occur and every sum is exact: values and first-argmax gradient routing
 are compared exactly.  A few cases also go through finite differences.
 The fused ``relu_dropout``, which pools its own shortcut, is compared bit for
-bit with the ops it fuses, ``maxpool1d`` among them.
+bit with the ops it fuses, ``maxpool1d`` among them, and ``weight_normed``
+with ``weight_norm_effective`` followed by the conv or linear op.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients, sq_sum, swap_bc
-from rtnet.tensor import (GradTape, Tensor, add, backward, channel_upsample, conv1d_grouped,
-                          dropout, linear_grouped, maxpool1d, relu, relu_dropout)
+from rtnet import tensor
+from rtnet.norm import weight_norm_effective, weight_normed
+from rtnet.tensor import (CONV_KERNELS, LINEAR_KERNELS, GradTape, Tensor, add, backward,
+                          channel_upsample, conv1d_grouped, dropout, linear_grouped, maxpool1d,
+                          relu, relu_dropout)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 GRADCHECK = settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -365,3 +371,74 @@ class TestReluDropoutFuzz:
         for got, want in zip(grads, g_ref):
             assert np.array_equal(bits(got), bits(want))
         assert next_draw == next_ref
+
+
+@st.composite
+def weight_normed_cases(draw):
+    """A conv case at 1-7 groups, with or without an input gradient."""
+    return dict(draw(conv_cases()), groups=draw(st.integers(1, 7)), x_grad=draw(st.booleans()))
+
+
+class TestWeightNormedFuzz:
+    """``weight_normed`` equals ``weight_norm_effective`` followed by the op,
+    bit for bit: the output and the x, v, g and bias gradients."""
+
+    @staticmethod
+    def assert_bit_equal(op, kernels, x, v, g, b, go, x_grad, *options):
+        results = []
+        for fused in (False, True):
+            tx = Tensor(x, requires_grad=x_grad)
+            tv, tg, tb = (Tensor(a, requires_grad=True) for a in (v, g, b))
+
+            def build():
+                if fused:
+                    return weight_normed(kernels, tx, tv, tg, tb, *options)
+                return op(tx, weight_norm_effective(tv, tg), tb, *options)
+
+            results.append(tape_gradients(build, [tx, tv, tg, tb], go))
+        (y_ref, g_ref), (y, grads) = results
+        assert np.array_equal(bits(y), bits(y_ref))
+        for got, want in zip(grads, g_ref):
+            assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
+
+    @FUZZ
+    @given(weight_normed_cases())
+    @pinned(EDGE_CASES + WEIGHT_GRAD_CASES, batch=2, groups=5, cpg=2, opg=2, seed=13,
+            x_grad=True)
+    def test_conv_bit_equal_to_the_composed_ops(self, case):
+        rng = np.random.default_rng(case["seed"])
+        groups, cpg, opg, k = case["groups"], case["cpg"], case["opg"], case["k"]
+        x = rng.normal(size=(groups * cpg, case["batch"], case["length"]))
+        v = rng.normal(size=(groups * opg, cpg, k)) * rng.uniform(0.1, 10.0, (groups * opg, 1, 1))
+        g, b = rng.uniform(0.5, 2.0, groups * opg), rng.normal(size=groups * opg)
+        l_out = out_len(case["length"], k, case["stride"], case["padding"])
+        go = rng.normal(size=(groups * opg, case["batch"], l_out))
+        self.assert_bit_equal(conv1d_grouped, CONV_KERNELS, x, v, g, b, go, case["x_grad"],
+                              case["stride"], case["padding"], groups)
+
+    @FUZZ
+    @given(linear_cases(), st.booleans())
+    def test_linear_bit_equal_to_the_composed_ops(self, case, x_grad):
+        rng = np.random.default_rng(case["seed"])
+        groups, fpg, opg = case["groups"], case["fpg"], case["opg"]
+        x = rng.normal(size=(case["batch"], groups * fpg))
+        v = rng.normal(size=(groups * opg, fpg)) * rng.uniform(0.1, 10.0, (groups * opg, 1))
+        g, b = rng.uniform(0.5, 2.0, groups * opg), rng.normal(size=groups * opg)
+        go = rng.normal(size=(case["batch"], groups * opg))
+        self.assert_bit_equal(linear_grouped, LINEAR_KERNELS, x, v, g, b, go, x_grad, groups)
+
+
+class TestRowDotsFuzz:
+    @FUZZ
+    @given(rows=st.integers(1, 40), width=st.integers(1, 300), block=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_whole_array_sums(self, rows, width, block, seed):
+        """Every block size gives the bits of ``(a * b).sum(axis=1)``, and of
+        ``np.linalg.norm(a, axis=-1)`` as the root of a row's own dots."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, rows, width)) * rng.uniform(0.1, 10.0, (2, rows, 1))
+        with mock.patch.object(tensor, "_ROW_BLOCK", block):
+            dots, squares = tensor._row_dots(a, b), tensor._row_dots(a, a)
+        assert np.array_equal(bits(dots), bits((a * b).sum(axis=1)))
+        assert np.array_equal(bits(np.sqrt(squares)), bits(np.linalg.norm(a, axis=-1)))
+        assert np.array_equal(bits(squares), bits((a ** 2).sum(axis=1)))

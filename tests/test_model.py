@@ -21,7 +21,7 @@ from rtnet.data import N_TIME_FEATURES
 from rtnet.errors import ConfigError, DataError, DimensionError
 from rtnet.model import (TIME_MODES, ConvUnit, ModelConfig, RTBlock, RTNet, load_checkpoint,
                          load_config, save_checkpoint)
-from rtnet.norm import NORM_KINDS
+from rtnet.norm import NORM_KINDS, weight_norm_effective
 from rtnet.tensor import GradTape, Tensor, backward, mse_loss, relu_dropout
 
 
@@ -389,9 +389,10 @@ class TestBlockActivationOwnership:
     @pytest.mark.parametrize("norm_kind", NORM_KINDS)
     @pytest.mark.parametrize("training", [True, False])
     def test_what_a_block_feeds_it_is_read_by_no_backward(self, norm_kind, training):
-        """The producer of each relu_dropout input in an RTBlock (a conv, or
-        the norm after it) keeps no array over its own output, and its
-        output shares no memory with its inputs."""
+        """The producer of each relu_dropout input in an RTBlock (a conv, as
+        one ``weight_normed`` node under weight norm, or the norm after it)
+        keeps no array over its own output, and its output shares no memory
+        with its inputs."""
         rng = np.random.default_rng(1)
         block = RTBlock(6, 3, 3, norm_kind, 0.2, rng)
         with GradTape() as tape:
@@ -399,7 +400,8 @@ class TestBlockActivationOwnership:
         made_by = {id(node.output): node for node in tape.nodes}
         fed = [made_by[id(node.inputs[0])] for node in tape.nodes
                if node.grad_fn.__qualname__.startswith("relu_dropout.")]
-        producer = {"bn": "batch_norm", "ln": "layer_norm"}.get(norm_kind, "conv1d_grouped")
+        producer = {"bn": "batch_norm", "ln": "layer_norm", "wn": "weight_normed"}.get(
+            norm_kind, "conv1d_grouped")
         assert [node.grad_fn.__qualname__.split(".")[0] for node in fed] == [producer] * 2
         for node in fed:
             out = node.output.data
@@ -443,9 +445,10 @@ class TestWeightNormEquivalence:
                     units.extend([bl.conv1, bl.conv2])
             return units
         for wn_unit, plain_unit in zip(convs(wn_model), convs(plain_model)):
-            plain_unit.weight.data = wn_unit.effective_weight().data.copy()
+            plain_unit.weight.data = weight_norm_effective(wn_unit.v, wn_unit.g).data.copy()
             plain_unit.bias.data = wn_unit.bias.data.copy()
-        plain_model.head_linear.weight.data = wn_model.head_linear.effective_weight().data.copy()
+        head = wn_model.head_linear
+        plain_model.head_linear.weight.data = weight_norm_effective(head.v, head.g).data.copy()
         plain_model.head_linear.bias.data = wn_model.head_linear.bias.data.copy()
         x = np.random.default_rng(12).normal(size=(3, 32, 3))
         assert np.array_equal(wn_model.forward(x).data, plain_model.forward(x).data)

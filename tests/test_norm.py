@@ -153,7 +153,7 @@ class TestWeightNorm:
     def test_g_equals_norm_gives_v(self):
         v = np.random.default_rng(0).normal(size=(3, 4))
         unit = WeightedUnit(v, "wn")
-        assert np.allclose(unit.effective_weight().data, v, atol=1e-12)
+        assert np.allclose(weight_norm_effective(unit.v, unit.g).data, v, atol=1e-12)
 
     def test_scale_invariance_of_direction(self):
         rng = np.random.default_rng(1)

@@ -3,6 +3,8 @@
 They keep every output strict and whole, and every seeded comparison bit-reproducible:
 one CSV dialect, JSON without a bare ``NaN``, seeded draws only, one batch path in
 ``training.py`` for ``evaluate`` and the supervised step, and one atomic file writer.
+They also keep the effective weights off the training tape: only ``RTNet.weights_held``
+builds one with ``weight_norm_effective``.
 """
 
 import ast
@@ -138,10 +140,23 @@ def file_writes(tree):
             yield node, "zip"
 
 
+def effective_weight_reads(tree):
+    """Each read of ``weight_norm_effective``, bare, through an attribute or under an
+    imported alias: a call, or a reference a later call could go through."""
+    names = {"weight_norm_effective"} | {
+        alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == "weight_norm_effective" and alias.asname}
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr == "weight_norm_effective")):
+            yield node, "weight_norm_effective"
+
+
 # A rule: its scanner (a module's tree -> (node, pattern) of each use); the glob of the
 # modules it scans; each pattern's one owner, "module" or "module:function"; a violation
 # (module, code appended to it, the node reported at its last line); and the snippets,
-# read as that module, that it refuses (one offence each) and that it passes.
+# read as that module, that it refuses (one offence each) and that it passes.  A
+# function is a top-level def or class, or a method as "Class.method".
 Rule = namedtuple("Rule", "scan files owners inject refused passing")
 RULES = {
     "csv": Rule(csv_imports, "*.py", {"csv": "data.py"}, ("cli.py", "import csv\n", "import csv"), (
@@ -218,21 +233,53 @@ RULES = {
         "with atomic_open(path, 'wb') as fh:\n    with zipfile.ZipFile(fh, 'w') as zf:\n"
         "        pass",
         "def atomic_open(path, mode):\n    return open(path + '.tmp', mode)")),
+    # a weight-normed unit trains through norm.weight_normed, whose node keeps no
+    # effective weight; evaluate holds them, built once per call, outside any tape
+    "effective weight": Rule(effective_weight_reads, "*.py", {
+        "weight_norm_effective": "model.py:RTNet.weights_held"}, (
+        "model.py", "\ndef rebuild(unit):\n    return weight_norm_effective(unit.v, unit.g)\n",
+        "weight_norm_effective"), (
+        "weight_norm_effective(v, g)", "norm.weight_norm_effective(v, g)",
+        "from .norm import weight_norm_effective as wn\nwn(v, g)",
+        "make = weight_norm_effective",
+        "class ConvUnit:\n    def forward(self, x):\n        return weight_norm_effective(self.v, "
+        "self.g)",
+        "class RTNet:\n    def forward(self, x):\n        return weight_norm_effective(v, g)",
+        "def weights_held(units):\n    return [weight_norm_effective(u.v, u.g) for u in units]"), (
+        "class RTNet:\n    def weights_held(self):\n        for u in units:\n"
+        "            u._held = weight_norm_effective(u.v, u.g)",
+        "from .norm import weight_norm_effective",
+        "from .norm import weight_norm_effective as wn",
+        "weight_normed(kernels, x, v, g, bias)",
+        "def weight_norm_effective(v, g):\n    return v",
+        "weight_norm_effective_calls = 0")),
 }
 
 
 def uses(rule: Rule, source: str) -> list[tuple[int, str, str, str]]:
-    """(line, top-level def or class or "", pattern, code) of each use ``rule.scan`` finds."""
+    """(line, function or "", pattern, code) of each use ``rule.scan`` finds."""
     tree = ast.parse(source)
-    top = {id(node): getattr(stmt, "name", "") for stmt in tree.body for node in ast.walk(stmt)}
-    return sorted((node.lineno, top[id(node)], pattern, ast.get_source_segment(source, node))
+    where = {}
+    for stmt in tree.body:
+        where.update((id(node), getattr(stmt, "name", "")) for node in ast.walk(stmt))
+        if isinstance(stmt, ast.ClassDef):
+            where.update((id(node), f"{stmt.name}.{method.name}") for method in stmt.body
+                         if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         for node in ast.walk(method))
+    return sorted((node.lineno, where[id(node)], pattern, ast.get_source_segment(source, node))
                   for node, pattern in rule.scan(tree))
+
+
+def places(module: str, function: str) -> set[str]:
+    """The owners that hold a use in ``function`` of ``module``: the module, the
+    top-level def or class, and the method."""
+    return {module, f"{module}:{function.split('.')[0]}", f"{module}:{function}"}
 
 
 def offences(rule: Rule, source: str, module: str) -> list[str]:
     """``"<line>: <code>"`` of each use in ``source``, read as ``module``, outside its owner."""
-    return [f"{line}: {code}" for line, top, pattern, code in uses(rule, source)
-            if rule.owners.get(pattern) not in (module, f"{module}:{top}")]
+    return [f"{line}: {code}" for line, function, pattern, code in uses(rule, source)
+            if rule.owners.get(pattern) not in places(module, function)]
 
 
 @pytest.mark.parametrize("rule", RULES.values(), ids=RULES)
@@ -240,9 +287,9 @@ def test_src_obeys_the_rule_and_each_owner_holds_its_pattern(rule):
     modules = {p.name: p.read_text() for p in sorted(SRC.glob(rule.files))}
     assert {rule.inject[0], *(o.split(":")[0] for o in rule.owners.values())} <= modules.keys()
     assert {m: hits for m, source in modules.items() if (hits := offences(rule, source, m))} == {}
-    places = {(pattern, place) for m, source in modules.items()
-              for _, top, pattern, _ in uses(rule, source) for place in (m, f"{m}:{top}")}
-    assert set(rule.owners.items()) <= places
+    held = {(pattern, place) for m, source in modules.items()
+            for _, function, pattern, _ in uses(rule, source) for place in places(m, function)}
+    assert set(rule.owners.items()) <= held
 
 
 @pytest.mark.parametrize("rule", RULES.values(), ids=RULES)

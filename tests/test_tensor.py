@@ -11,6 +11,7 @@ from test_kernel_fuzz import conv_reference
 
 from rtnet import tensor as tensor_module
 from rtnet.errors import ConfigError, DimensionError
+from rtnet.norm import weight_normed
 from rtnet.tensor import (GradTape, Tensor, add, backward, channel_upsample, concat,
                           contrastive_loss, conv1d_grouped, dropout, group_features,
                           linear_grouped, maxpool1d, mse_loss, permute, relu, relu_dropout,
@@ -437,6 +438,27 @@ class TestTapeContents:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("k,stride,padding,groups", CONV_CASES)
+    def test_weight_normed_conv(self, k, stride, padding, groups):
+        """Under weight norm the one node keeps the input and the (c_out,)
+        norms, and nothing else: no effective weight, no direction v/||v||
+        and no im2col columns."""
+        x_bcl, v_data, b_data, g = self.conv_case(k, stride, padding, groups)
+        scale = np.random.default_rng(k).uniform(0.5, 2.0, len(b_data))
+        x, v, s, b = t(swap_bc(x_bcl)), t(v_data), t(scale), t(b_data)
+        with GradTape() as tape:
+            y = weight_normed(tensor_module.CONV_KERNELS, x, v, s, b, stride, padding, groups)
+        assert len(tape.nodes) == 1
+        held = closure_arrays(tape.nodes[0].grad_fn)
+        backward(tape, y, params=[x, v, s, b], seed=swap_bc(g))
+        norms = [a for a in held if root_base(a) is not x.data]
+        assert [a.shape for a in norms] == [(len(b_data),)]
+        np.testing.assert_allclose(norms[0], np.sqrt((v_data ** 2).sum(axis=(1, 2))), rtol=1e-15)
+        w_eff = v_data / norms[0][:, None, None] * scale[:, None, None]
+        want = conv_reference(x_bcl, w_eff, b_data, g, stride, padding, groups)
+        for got, ref in zip([swap_bc(y.data), swap_bc(x.grad), b.grad], [*want[:2], want[3]]):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k,stride,padding,groups", CONV_CASES)
     def test_conv_skips_the_constant_input_gradient(self, k, stride, padding, groups):
         """A constant input gets no gradient, and the parameter gradients are
         those of the path that computes it, bit for bit."""
@@ -634,6 +656,20 @@ class TestElementwiseAndStructural:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * reps[0].data.nbytes
+
+    def test_contrastive_loss_forward_peak(self):
+        """At one group the forward holds the gathered (T, F) block and takes
+        its norms a block of rows at a time: about 1.1 times ``reps``, not
+        the 2.06 that a (T, F) array of squares beside the block makes."""
+        reps, groups = as_branches(np.random.default_rng(2).normal(size=(256, 1, 2352)), True)
+        tracemalloc.start()
+        try:
+            with GradTape():
+                contrastive_loss(reps, groups, 64, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * reps[0].data.nbytes
 
     def test_grouped_contrastive_loss_forward_peak(self):
         """With 7 groups the forward works on one group's slice at a time: it
